@@ -1,5 +1,8 @@
 """Monte Carlo driver: aggregation, reproducibility, scenario files."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,12 @@ SMALL = dict(n_population=400, sample_size=60, replicates=60,
              link_share=(0.5, 0.3, 0.2), match_rate=0.7, correct_best_rate=0.6,
              best_link_weight=0.5, sigma=1.0, gamma=0.0, seed=77)
 
+# summary rows of SMALL from the one-replicate-at-a-time engine, which called
+# greg / sub_greg / sls_greg / ht_total per replicate and estimator
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_summaries.json")
+                    .read_text(encoding="utf-8"))
+GOLDEN_REL = 1e-12  # reordered floating-point sums, as in perfbench/checks.py
+
 
 def test_run_scenario_bitwise_reproducible():
     cfg = ScenarioConfig(name="a", **SMALL)
@@ -36,6 +45,17 @@ def test_run_scenario_worker_invariance():
     parallel = run_scenario(cfg, workers=2)
     for e1, e2 in zip(sequential.estimators, parallel.estimators):
         assert e1 == e2
+
+
+@pytest.mark.parametrize("key, extra", [("small", {}),
+                                        ("small_redraw", {"redraw_linkage": True})])
+def test_summaries_match_golden_fixture(key, extra):
+    cfg = ScenarioConfig(name=key, **SMALL, **extra)
+    rows = summary_csv_rows(run_scenario(cfg))
+    golden = GOLDEN[key]
+    assert [row[:2] for row in rows] == [tuple(row[:2]) for row in golden]
+    for (metric, tag, value), (_, _, expected) in zip(rows, golden):
+        assert value == pytest.approx(expected, rel=GOLDEN_REL, abs=0), (metric, tag)
 
 
 def test_near_deterministic_population_collapses_regression_variance():
