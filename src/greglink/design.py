@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -86,7 +86,7 @@ class Sample:
             raise ValidationError("sample contains repeated unit ids")
         if ids.size and (ids.min() < 0 or ids.max() >= self.design.n_population):
             raise ValidationError("sample ids outside 0..N-1")
-        if np.any(pi <= 0) or np.any(pi > 1):
+        if not np.all(np.isfinite(pi)) or np.any(pi <= 0) or np.any(pi > 1):
             raise ValidationError("inclusion probabilities must lie in (0, 1]")
         order = np.argsort(ids)
         object.__setattr__(self, "ids", ids[order])
@@ -132,9 +132,38 @@ class Estimate:
         return math.sqrt(max(self.variance, 0.0))
 
 
-def scale_to_target(value: float, variance: float | None, target: str,
-                    n_population: int) -> tuple[float, float | None]:
-    """Convert a total-scale (value, variance) pair to the requested target."""
+class BatchEstimate(NamedTuple):
+    """One estimator over a stack of samples, one entry per leading index.
+
+    A failed fit (singular normal equations, too few units or links) has a
+    NaN value. ``variances`` is also NaN where no design-based variance
+    estimator applies. ``coefficients`` and ``residuals`` are populated by
+    the regression estimators only.
+    """
+
+    values: np.ndarray
+    variances: np.ndarray
+    coefficients: np.ndarray | None = None
+    residuals: np.ndarray | None = None
+
+    def first(self, estimator: str, target: str) -> Estimate:
+        """The estimate of the first sample of the stack."""
+        variance = float(self.variances[0])
+        return Estimate(
+            value=float(self.values[0]),
+            variance=None if math.isnan(variance) else variance,
+            estimator=estimator,
+            target=target,
+            coefficients=None if self.coefficients is None else self.coefficients[0],
+            residuals=None if self.residuals is None else self.residuals[0],
+        )
+
+
+def scale_to_target(value, variance, target: str, n_population: int):
+    """Convert a total-scale (value, variance) pair to the requested target.
+
+    Works elementwise on arrays; a variance of None stays None.
+    """
     if target == "total":
         return value, variance
     if target == "mean":
@@ -143,17 +172,47 @@ def scale_to_target(value: float, variance: float | None, target: str,
     raise ValidationError(f"unknown target {target!r}")
 
 
-def draw_srswor(n_population: int, sample_size: int,
-                rng: np.random.Generator) -> Sample:
-    """Draw an SRSWOR sample of ``sample_size`` units from 0..N-1.
+def srswor_ids(n_population: int, sample_size: int,
+               rng: np.random.Generator) -> np.ndarray:
+    """Sorted unit ids of an SRSWOR sample of ``sample_size`` from 0..N-1.
 
     Uses the generator's without-replacement choice (partial Fisher-Yates),
     so every subset of the stated size is equally probable.
     """
+    return np.sort(rng.choice(n_population, size=sample_size, replace=False))
+
+
+def draw_srswor(n_population: int, sample_size: int,
+                rng: np.random.Generator) -> Sample:
+    """Draw an SRSWOR sample of ``sample_size`` units from 0..N-1."""
     design = SurveyDesign.srswor(n_population, sample_size)
-    ids = rng.choice(n_population, size=sample_size, replace=False)
+    ids = srswor_ids(n_population, sample_size, rng)
     pi = np.full(sample_size, design.f)
     return Sample(ids=ids, pi=pi, design=design)
+
+
+def check_finite_values(y: np.ndarray) -> None:
+    """Reject a missing (NaN) or infinite study value in any sample."""
+    if not np.all(np.isfinite(y)):
+        raise ValidationError("missing or non-finite value for a sampled unit")
+
+
+def variance_available(pi: np.ndarray) -> np.ndarray:
+    """Samples (rows of ``pi``) with equal inclusion probabilities and at
+    least 2 units: those the SRSWOR variance estimator applies to."""
+    return np.all(pi == pi[..., :1], axis=-1) & (pi.shape[-1] >= 2)
+
+
+def ht_total_batch(y: np.ndarray, pi: np.ndarray, design: SurveyDesign,
+                   target: str = "total") -> BatchEstimate:
+    """Horvitz-Thompson estimates of stacked samples: ``y`` and ``pi`` are
+    (..., n), one row per sample."""
+    check_finite_values(y)
+    values = np.sum(y / pi, axis=-1)
+    variances = np.where(variance_available(pi),
+                         residual_variances(y, design), np.nan)
+    return BatchEstimate(*scale_to_target(values, variances, target,
+                                          design.n_population))
 
 
 def ht_total(values: np.ndarray, sample: Sample, target: str = "total") -> Estimate:
@@ -168,33 +227,42 @@ def ht_total(values: np.ndarray, sample: Sample, target: str = "total") -> Estim
         raise ValidationError(
             f"need one value per sampled unit ({sample.n}), got {y.shape}"
         )
-    if not np.all(np.isfinite(y)):
-        raise ValidationError("missing or non-finite value for a sampled unit")
-    value = float(np.sum(y / sample.pi))
-    variance = None
-    if sample.equal_probability and sample.n >= 2:
-        variance = residual_variance(y, sample.design)
-    value, variance = scale_to_target(value, variance, target, sample.design.n_population)
-    return Estimate(value=value, variance=variance, estimator="ht", target=target)
+    batch = ht_total_batch(y[None], sample.pi[None], sample.design, target)
+    return batch.first("ht", target)
+
+
+def residual_variances(residuals: np.ndarray, design: SurveyDesign,
+                       kept: np.ndarray | None = None) -> np.ndarray:
+    """SRSWOR variance estimator N^2 (1-f) s^2 / n along the last axis.
+
+    ``kept`` (same shape, boolean) selects the residuals that count; by
+    default all do. The effective size n is the count of kept residuals,
+    which may be smaller than the design's sample size (subsample
+    estimators); the finite-population correction stays at the design's
+    sampling fraction. A row with fewer than 2 kept residuals gives NaN.
+    Callers are responsible for only using rows from equal-probability
+    samples.
+    """
+    e = np.asarray(residuals, dtype=np.float64)
+    if kept is None:
+        kept = np.ones(e.shape, dtype=bool)
+    n_eff = np.sum(kept, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = np.sum(e * kept, axis=-1, keepdims=True) / n_eff[..., None]
+        dev = (e - mean) * kept
+        s2 = np.sum(dev * dev, axis=-1) / (n_eff - 1)
+        return design.n_population**2 * (1.0 - design.f) * s2 / n_eff
 
 
 def residual_variance(residuals: np.ndarray, design: SurveyDesign) -> float:
-    """SRSWOR variance estimator N^2 (1-f) s^2 / n applied to residuals.
-
-    The effective size n is the residual count, which may be smaller than the
-    design's sample size (subsample estimators); the finite-population
-    correction stays at the design's sampling fraction. Serves as the
-    variance engine for every regression estimator. Callers are responsible
-    for only invoking it on equal-probability samples.
-    """
+    """``residual_variances`` of one 1-d residual vector; the variance
+    engine of every estimator. Needs at least 2 residuals."""
     e = np.asarray(residuals, dtype=np.float64)
     if e.ndim != 1:
         raise ValidationError("residuals must be a 1-d array")
-    n_eff = len(e)
-    if n_eff < 2:
+    if len(e) < 2:
         raise ValidationError("variance needs at least 2 units")
-    s2 = float(np.var(e, ddof=1))
-    return design.n_population**2 * (1.0 - design.f) * s2 / n_eff
+    return float(residual_variances(e, design))
 
 
 @dataclass(frozen=True)

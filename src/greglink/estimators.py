@@ -30,7 +30,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Estimate, Sample, SurveyDesign, residual_variance, scale_to_target
+from .design import (
+    BatchEstimate,
+    Estimate,
+    Sample,
+    SurveyDesign,
+    check_finite_values,
+    residual_variance,
+    residual_variances,
+    scale_to_target,
+    variance_available,
+)
 from .errors import NumericalError, ValidationError
 from .linkage import (
     POPULATION,
@@ -46,18 +56,45 @@ from .linkage import (
 RCOND_THRESHOLD = 1e-12
 
 
-def _solve_normal_equations(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve m b = rhs by pivoted LU, rejecting near-singular systems."""
-    eigvals, eigvecs = np.linalg.eigh(m)
-    lo, hi = abs(eigvals[0]), abs(eigvals[-1])
-    if hi == 0.0 or lo / hi < RCOND_THRESHOLD:
+def _solve_normal_equations(m: np.ndarray, rhs: np.ndarray,
+                            strict: bool = True) -> np.ndarray:
+    """Solve the stacked systems m b = rhs, (..., q, q) by (..., q).
+
+    A system is near-singular when the ratio of its smallest to its largest
+    eigenvalue (in absolute value, from ``eigvalsh``) is below
+    ``RCOND_THRESHOLD``. Under ``strict`` the first such system raises
+    ``NumericalError`` naming the collinear columns; otherwise it gets a NaN
+    solution. The others are solved by LU with partial pivoting.
+    """
+    eigvals = np.linalg.eigvalsh(m)
+    lo, hi = np.abs(eigvals[..., 0]), np.abs(eigvals[..., -1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rcond = np.where(hi == 0.0, 0.0, lo / hi)
+    singular = rcond < RCOND_THRESHOLD
+    if strict and singular.any():
+        first = tuple(np.argwhere(singular)[0])
+        eigvecs = np.linalg.eigh(m[first])[1]
         involved = np.flatnonzero(np.abs(eigvecs[:, 0]) > 0.3)
         raise NumericalError(
             f"normal-equation matrix is singular (reciprocal condition "
-            f"{0.0 if hi == 0 else lo / hi:.2e}); columns {involved.tolist()} "
-            "are collinear"
+            f"{rcond[first]:.2e}); columns {involved.tolist()} are collinear"
         )
-    return np.linalg.solve(m, rhs)
+    safe = np.where(singular[..., None, None], np.eye(m.shape[-1]), m)
+    b = np.linalg.solve(safe, rhs[..., None])[..., 0]
+    b[singular] = np.nan
+    return b
+
+
+def _weighted_least_squares(x: np.ndarray, y: np.ndarray, w: np.ndarray,
+                            strict: bool) -> np.ndarray:
+    """Stacked b = (X' W X)^-1 X' W y for x (..., n, q), y and w (..., n)."""
+    xw_t = np.swapaxes(x * w[..., None], -1, -2)
+    return _solve_normal_equations(xw_t @ x, (xw_t @ y[..., None])[..., 0], strict)
+
+
+def _fitted(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked x @ b for x (..., n, q) and b (..., q)."""
+    return (x @ b[..., None])[..., 0]
 
 
 def wls_coefficients(covariates: np.ndarray, responses: np.ndarray,
@@ -78,12 +115,13 @@ def wls_coefficients(covariates: np.ndarray, responses: np.ndarray,
         raise ValidationError("responses and weights must align with covariates")
     if n < p:
         raise ValidationError(f"need at least {p} observations, got {n}")
-    xw = x * w[:, None]
-    return _solve_normal_equations(xw.T @ x, xw.T @ y)
+    check_finite_values(y)
+    return _weighted_least_squares(x[None], y[None], w[None], strict=True)[0]
 
 
-def _with_intercept(x: np.ndarray) -> np.ndarray:
-    return np.hstack([np.ones((x.shape[0], 1)), x])
+def with_intercept(x: np.ndarray) -> np.ndarray:
+    """Prepend a constant column to (..., n, p) covariates."""
+    return np.concatenate([np.ones(x.shape[:-1] + (1,)), x], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -118,12 +156,36 @@ class GregSpec:
         object.__setattr__(self, "constants", c)
 
     def design_matrix(self) -> np.ndarray:
-        return _with_intercept(self.covariates) if self.intercept else self.covariates
+        return with_intercept(self.covariates) if self.intercept else self.covariates
 
     def full_total(self, n_population: int) -> np.ndarray:
         if self.intercept:
             return np.concatenate([[float(n_population)], self.total])
         return self.total
+
+
+def greg_batch(x: np.ndarray, y: np.ndarray, pi: np.ndarray, total: np.ndarray,
+               design: SurveyDesign, constants: np.ndarray | None = None,
+               target: str = "total", strict: bool = False) -> BatchEstimate:
+    """Regression estimator over stacked samples: T'b plus the design-weighted
+    residual total.
+
+    ``x`` (..., n, q) holds each sample's design matrix (intercept included),
+    ``y``, ``pi`` and ``constants`` (..., n) its responses, inclusion
+    probabilities and regression constants, ``total`` (q,) the full
+    calibration total. A near-singular fit gives NaN, or raises under
+    ``strict``.
+    """
+    check_finite_values(y)
+    c = 1.0 if constants is None else constants
+    b = _weighted_least_squares(x, y, c / pi, strict)
+    residuals = y - _fitted(x, b)
+    values = b @ total + np.sum(residuals / pi, axis=-1)
+    variances = np.where(variance_available(pi),
+                         residual_variances(residuals, design), np.nan)
+    values, variances = scale_to_target(values, variances, target,
+                                        design.n_population)
+    return BatchEstimate(values, variances, b, residuals)
 
 
 def greg(spec: GregSpec, y: np.ndarray, sample: Sample,
@@ -139,19 +201,11 @@ def greg(spec: GregSpec, y: np.ndarray, sample: Sample,
         raise ValidationError("need one response per sampled unit")
     if spec.covariates.shape[0] != sample.n:
         raise ValidationError("covariate rows must align with the sample")
-    x = spec.design_matrix()
-    total = spec.full_total(sample.design.n_population)
-    c = spec.constants if spec.constants is not None else np.ones(sample.n)
-    b = wls_coefficients(x, y, c / sample.pi)
-    residuals = y - x @ b
-    value = float(total @ b + np.sum(residuals / sample.pi))
-    variance = None
-    if sample.equal_probability and sample.n >= 2:
-        variance = residual_variance(residuals, sample.design)
-    value, variance = scale_to_target(value, variance, target,
-                                      sample.design.n_population)
-    return Estimate(value=value, variance=variance, estimator=spec.tag,
-                    target=target, coefficients=b, residuals=residuals)
+    constants = None if spec.constants is None else spec.constants[None]
+    batch = greg_batch(spec.design_matrix()[None], y[None], sample.pi[None],
+                       spec.full_total(sample.design.n_population),
+                       sample.design, constants, target, strict=True)
+    return batch.first(spec.tag, target)
 
 
 def calibration_weights(spec: GregSpec, sample: Sample) -> np.ndarray:
@@ -165,6 +219,33 @@ def calibration_weights(spec: GregSpec, sample: Sample) -> np.ndarray:
     adjust = _solve_normal_equations(m, total - ht_x)
     g = 1.0 + (x * c[:, None]) @ adjust
     return g / sample.pi
+
+
+def sub_greg_batch(x: np.ndarray, y: np.ndarray, kept: np.ndarray,
+                   coefficients: np.ndarray, aux_mean: np.ndarray,
+                   design: SurveyDesign, target: str = "total") -> BatchEstimate:
+    """Difference-form subsample estimator over stacked samples.
+
+    ``x`` (..., n, q) holds matched covariates with the intercept first,
+    ``y`` (..., n) the responses, ``kept`` (..., n) marks the single-link
+    units that enter, and ``coefficients`` (q,) or (..., q) are held fixed.
+    A sample with fewer than 2 kept units gives NaN.
+    """
+    check_finite_values(y)
+    b = np.broadcast_to(coefficients, x.shape[:-2] + x.shape[-1:])
+    residuals = y - _fitted(x, b)
+    n_sub = np.sum(kept, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean_values = (b @ np.concatenate([[1.0], aux_mean])
+                       + np.sum(residuals * kept, axis=-1) / n_sub)
+    mean_variances = residual_variances(residuals, design, kept) / design.n_population**2
+    too_few = n_sub < 2
+    mean_values = np.where(too_few, np.nan, mean_values)
+    mean_variances = np.where(too_few, np.nan, mean_variances)
+    if target == "total":
+        return BatchEstimate(mean_values * design.n_population,
+                             mean_variances * design.n_population**2, b, residuals)
+    return BatchEstimate(mean_values, mean_variances, b, residuals)
 
 
 def sub_greg(y: np.ndarray, covariates: np.ndarray, aux_mean: np.ndarray,
@@ -188,7 +269,7 @@ def sub_greg(y: np.ndarray, covariates: np.ndarray, aux_mean: np.ndarray,
     if x.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[1] != t.shape[0]:
         raise ValidationError("covariates must align with responses and the mean")
     n_sub = x.shape[0]
-    x_full = _with_intercept(x)
+    x_full = with_intercept(x)
     if coefficients is None:
         if n_sub <= x_full.shape[1]:
             raise ValidationError(
@@ -202,15 +283,75 @@ def sub_greg(y: np.ndarray, covariates: np.ndarray, aux_mean: np.ndarray,
             raise ValidationError("fixed coefficients must include the intercept")
         if n_sub < 2:
             raise ValidationError("subsample too small: need at least 2 units")
-    residuals = y - x_full @ b
-    mean_value = float(np.concatenate([[1.0], t]) @ b + residuals.mean())
-    mean_variance = residual_variance(residuals, design) / design.n_population**2
-    value, variance = mean_value, mean_variance
-    if target == "total":
-        value = mean_value * design.n_population
-        variance = mean_variance * design.n_population**2
-    return Estimate(value=value, variance=variance, estimator=tag,
-                    target=target, coefficients=b, residuals=residuals)
+    batch = sub_greg_batch(x_full[None], y[None], np.ones((1, n_sub), dtype=bool),
+                           b, t, design, target)
+    return batch.first(tag, target)
+
+
+def link_aggregates(linkage: LinkageStructure, weights: np.ndarray,
+                    aux: AuxDatabase, link_constants: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per covered unit, the sums over its links that the link-set fit needs.
+
+    With x_l = (1, record values of link l), w_l the link weight and c_l the
+    link constant, returns Σ x_l (n_covered, q), whose first column is the
+    degree; Σ c_l x_l x_l' (n_covered, q, q); and Σ c_l w_l x_l
+    (n_covered, q). The link-set estimator is linear in these once the
+    sample is fixed, so they are computed once per linkage.
+    """
+    unit_idx = linkage.unit_index_per_link()
+    x_links = with_intercept(aux.x[linkage.link_records])
+    c = np.ones(linkage.n_links) if link_constants is None else link_constants
+    q = x_links.shape[1]
+
+    def per_unit(values: np.ndarray) -> np.ndarray:
+        return np.bincount(unit_idx, weights=values, minlength=linkage.n_covered)
+
+    link_sum = np.column_stack([per_unit(x_links[:, i]) for i in range(q)])
+    gram = np.empty((linkage.n_covered, q, q))
+    for i in range(q):
+        for j in range(i, q):
+            gram[:, i, j] = gram[:, j, i] = per_unit(c * x_links[:, i] * x_links[:, j])
+    weighted = np.column_stack([per_unit(c * weights * x_links[:, i])
+                                for i in range(q)])
+    return link_sum, gram, weighted
+
+
+def sls_greg_batch(link_sum: np.ndarray, gram: np.ndarray, weighted: np.ndarray,
+                   y: np.ndarray, pi: np.ndarray, design: SurveyDesign,
+                   aux_mean: np.ndarray, target: str = "total",
+                   strict: bool = False) -> BatchEstimate:
+    """Link-set estimator over stacked samples, from each sampled unit's
+    ``link_aggregates`` ((..., n, q), (..., n, q, q), (..., n, q)).
+
+    A sample with fewer than q links, or a near-singular fit, gives NaN;
+    under ``strict`` the latter raises.
+    """
+    check_finite_values(y)
+    n_population = design.n_population
+    d = link_sum[..., 0]
+    link_rate_hat = np.sum(d / pi, axis=-1) / n_population
+    link_total_hat = np.sum(link_sum / pi[..., None], axis=-2)
+    link_mean_hat = link_total_hat / (link_rate_hat * n_population)[..., None]
+
+    m = np.sum(gram / pi[..., None, None], axis=-3)
+    rhs = np.sum(weighted * (y / pi)[..., None], axis=-2)
+    rate = link_rate_hat[..., None]
+    b = rate * _solve_normal_equations(m, rhs, strict)
+
+    fit_residuals = y - _fitted(link_sum, b) / rate
+    aux_mean_full = np.concatenate([[1.0], aux_mean])
+    values = b @ (n_population * aux_mean_full) + np.sum(fit_residuals / pi, axis=-1)
+
+    taylor_residuals = (fit_residuals
+                        + (d / rate) * np.sum(link_mean_hat * b, axis=-1)[..., None])
+    variances = np.where(variance_available(pi),
+                         residual_variances(taylor_residuals, design), np.nan)
+    too_few = np.sum(d, axis=-1) < link_sum.shape[-1]
+    values = np.where(too_few, np.nan, values)
+    variances = np.where(too_few, np.nan, variances)
+    values, variances = scale_to_target(values, variances, target, n_population)
+    return BatchEstimate(values, variances, b, taylor_residuals)
 
 
 def sls_greg(linkage: LinkageStructure, scheme: WeightScheme, aux: AuxDatabase,
@@ -236,39 +377,16 @@ def sls_greg(linkage: LinkageStructure, scheme: WeightScheme, aux: AuxDatabase,
     dim = aux.dim + 1
     if linkage.n_links < dim:
         raise ValidationError(f"need at least {dim} links, got {linkage.n_links}")
-
-    n_population = sample.design.n_population
-    unit_idx = linkage.unit_index_per_link()
-    x_links = _with_intercept(aux.x[linkage.link_records])
-    c_links = (np.ones(linkage.n_links) if link_constants is None
+    c_links = (None if link_constants is None
                else np.asarray(link_constants, dtype=np.float64))
-    if c_links.shape != (linkage.n_links,) or np.any(c_links <= 0):
+    if c_links is not None and (c_links.shape != (linkage.n_links,) or np.any(c_links <= 0)):
         raise ValidationError("link constants must be positive, one per link")
-    pi_links = sample.pi[unit_idx]
 
-    d = linkage.degrees.astype(np.float64)
-    link_rate_hat = float(np.sum(d / sample.pi)) / n_population
-    link_total_hat = np.sum(x_links / pi_links[:, None], axis=0)
-    link_mean_hat = link_total_hat / (link_rate_hat * n_population)
-
-    xw = x_links * (c_links / pi_links)[:, None]
-    m = xw.T @ x_links
-    rhs = xw.T @ (scheme.values * y[unit_idx])
-    b = link_rate_hat * _solve_normal_equations(m, rhs)
-
-    link_sum = np.zeros((sample.n, dim))
-    np.add.at(link_sum, unit_idx, x_links)
-    fit_residuals = y - (link_sum @ b) / link_rate_hat
-    aux_mean_full = np.concatenate([[1.0], aux.mean])
-    value = float(n_population * aux_mean_full @ b + np.sum(fit_residuals / sample.pi))
-
-    taylor_residuals = fit_residuals + (d / link_rate_hat) * float(link_mean_hat @ b)
-    variance = None
-    if sample.equal_probability and sample.n >= 2:
-        variance = residual_variance(taylor_residuals, sample.design)
-    value, variance = scale_to_target(value, variance, target, n_population)
-    return Estimate(value=value, variance=variance, estimator=tag, target=target,
-                    coefficients=b, residuals=taylor_residuals)
+    link_sum, gram, weighted = link_aggregates(linkage, scheme.values, aux, c_links)
+    batch = sls_greg_batch(link_sum[None], gram[None], weighted[None], y[None],
+                           sample.pi[None], sample.design, aux.mean, target,
+                           strict=True)
+    return batch.first(tag, target)
 
 
 @dataclass(frozen=True)

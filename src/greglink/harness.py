@@ -3,8 +3,21 @@
 One population and one linkage are generated per scenario block and held
 fixed while samples are redrawn, matching the fixed-links inference frame;
 ``redraw_linkage`` regenerates the linkage every replicate as a sensitivity
-check. Replicate k always consumes the stream derived from (seed, k), so
-summaries are bitwise identical regardless of the worker count.
+check.
+
+Replicates run in chunks of ``REPLICATE_CHUNK`` consecutive indices. Every
+estimator the harness runs is linear in y once its per-unit covariates are
+fixed, so those are built once per linkage (for the link-set estimator, the
+sums over each unit's links) and a chunk gathers them for all its samples
+and fits each estimator with stacked array operations. A failed fit
+(singular normal equations, too few single-link units or links) records NaN
+for that estimator in that replicate only. With ``redraw_linkage`` a chunk
+is a single replicate with its own linkage.
+
+Replicate k always consumes the stream derived from (seed, k), and
+``workers`` > 1 hands whole chunks to a process pool, so every replicate is
+computed by the same operations on the same chunk shape and summaries are
+bitwise identical regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -16,14 +29,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import Sample, draw_srswor, ht_total, rng_stream
-from .errors import GregLinkError, NumericalError, ValidationError
-from .estimators import GregSpec, greg, sls_greg, sub_greg, wls_coefficients
+from .design import SurveyDesign, ht_total_batch, rng_stream, srswor_ids
+from .errors import NumericalError, ValidationError
+from .estimators import (
+    greg_batch,
+    link_aggregates,
+    sls_greg_batch,
+    sub_greg_batch,
+    with_intercept,
+    wls_coefficients,
+)
 from .linkage import (
     AuxDatabase,
-    LinkageStructure,
-    WeightScheme,
-    best_link_indicator_weights,
     derive_covariates,
     multiplicity_weights,
     reverse_weights_best_link,
@@ -53,6 +70,9 @@ ESTIMATOR_LABELS = {
 _POP_KEY, _LINK_KEY, _WEIGHT_KEY, _REPLICATE_KEY = 0, 1, 2, 3
 
 MAX_FAILURE_SHARE = 0.01
+
+# replicates fitted together; bounds the stacked arrays to a few hundred kB
+REPLICATE_CHUNK = 250
 
 
 @dataclass(frozen=True)
@@ -107,14 +127,18 @@ class ScenarioConfig:
 
 @dataclass
 class _LinkState:
-    """Fixed linkage realisation with everything replicates index into."""
+    """Per-unit quantities of one linkage realisation that replicates gather.
 
-    linkage: LinkageStructure
-    best: np.ndarray
-    reverse_scheme: WeightScheme
+    ``covariates`` and ``totals`` hold the GREG covariate (population scope)
+    and calibration total per estimator tag; ``sls`` the link-set
+    estimator's ``link_aggregates``; ``sub_coefficients`` the subsample
+    estimator's fixed assisting coefficients.
+    """
+
     degrees: np.ndarray
     covariates: dict[str, np.ndarray]
     totals: dict[str, np.ndarray]
+    sls: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     sub_coefficients: np.ndarray | None = None
 
 
@@ -149,15 +173,20 @@ def _build_link_state(config: ScenarioConfig, aux: AuxDatabase, y: np.ndarray,
         derived = derive_covariates(linkage, scheme, aux)
         covariates["pi-q"] = derived.weighted
         totals["pi-q"] = derived.weighted_total
-    reverse_scheme = reverse_weights_best_link(linkage, best,
-                                               config.best_link_weight)
-    if "sri-q" in wanted:
-        derived = derive_covariates(linkage, reverse_scheme, aux)
-        covariates["sri-q"] = derived.weighted
-        totals["sri-q"] = n_aux_mean_total
+    sls = None
+    if wanted & {"sri-q", "sls"}:
+        reverse_scheme = reverse_weights_best_link(linkage, best,
+                                                   config.best_link_weight)
+        if "sri-q" in wanted:
+            derived = derive_covariates(linkage, reverse_scheme, aux)
+            covariates["sri-q"] = derived.weighted
+            totals["sri-q"] = n_aux_mean_total
+        if "sls" in wanted:
+            sls = link_aggregates(linkage, reverse_scheme.values, aux)
     if "sbl" in wanted:
-        derived = derive_covariates(linkage, best_link_indicator_weights(linkage, best), aux)
-        covariates["sbl"] = derived.weighted
+        # the best-link indicator weights put 1 on one link per unit, so the
+        # weighted link sum is the best link's record value
+        covariates["sbl"] = aux.x[best]
         totals["sbl"] = n_aux_mean_total
 
     # the subsample reference estimator keeps one set of assisting
@@ -170,16 +199,13 @@ def _build_link_state(config: ScenarioConfig, aux: AuxDatabase, y: np.ndarray,
                 f"only {len(single)} single-link units; cannot anchor the "
                 "subsample estimator"
             )
-        x_single = np.hstack([np.ones((len(single), 1)), aux.x[single]])
-        sub_coefficients = wls_coefficients(x_single, y[single],
-                                            np.ones(len(single)))
+        sub_coefficients = wls_coefficients(with_intercept(aux.x[single]),
+                                            y[single], np.ones(len(single)))
     return _LinkState(
-        linkage=linkage,
-        best=best,
-        reverse_scheme=reverse_scheme,
-        degrees=linkage.degrees.copy(),
+        degrees=linkage.degrees,
         covariates=covariates,
         totals=totals,
+        sls=sls,
         sub_coefficients=sub_coefficients,
     )
 
@@ -198,51 +224,53 @@ def _build_state(config: ScenarioConfig) -> _ScenarioState:
                           truth=truth, links=links)
 
 
-def _estimate_one(tag: str, state: _ScenarioState, links: _LinkState,
-                  sample: Sample, y_s: np.ndarray) -> tuple[float, float]:
-    config = state.config
-    if tag == "ht":
-        est = ht_total(y_s, sample, target=config.target)
-    elif tag == "sub":
-        single = links.degrees[sample.ids] == 1
-        est = sub_greg(y_s[single], state.aux.x[sample.ids[single]],
-                       state.aux.mean, sample.design,
-                       coefficients=links.sub_coefficients,
-                       target=config.target)
-    elif tag == "sls":
-        sub_linkage, link_index = links.linkage.restrict(sample.ids)
-        scheme_s = links.reverse_scheme.restrict(sub_linkage, link_index)
-        est = sls_greg(sub_linkage, scheme_s, state.aux, y_s, sample,
-                       target=config.target)
-    else:
-        spec = GregSpec(covariates=links.covariates[tag][sample.ids],
-                        total=links.totals[tag], tag=tag)
-        est = greg(spec, y_s, sample, target=config.target)
-    return est.value, math.nan if est.variance is None else est.variance
+def _chunks(config: ScenarioConfig) -> list[range]:
+    size = 1 if config.redraw_linkage else REPLICATE_CHUNK
+    return [range(start, min(start + size, config.replicates))
+            for start in range(0, config.replicates, size)]
 
 
-def _run_replicates(state: _ScenarioState, indices: list[int]
-                    ) -> list[dict[str, tuple[float, float] | None]]:
+def _run_chunk(state: _ScenarioState, indices: range
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Values and variance estimates (len(indices), n_estimators) of one
+    chunk of replicates; NaN where an estimator failed."""
     config = state.config
-    out = []
-    for k in indices:
-        rng = rng_stream(config.seed, _REPLICATE_KEY, k)
-        links = state.links
-        if links is None:
-            links = _build_link_state(
-                config, state.aux, state.y,
-                rng_stream(config.seed, _LINK_KEY, k),
-                rng_stream(config.seed, _WEIGHT_KEY, k))
-        sample = draw_srswor(config.n_population, config.sample_size, rng)
-        y_s = state.y[sample.ids]
-        results: dict[str, tuple[float, float] | None] = {}
-        for tag in config.estimators:
-            try:
-                results[tag] = _estimate_one(tag, state, links, sample, y_s)
-            except GregLinkError:
-                results[tag] = None
-        out.append(results)
-    return out
+    links = state.links
+    if links is None:
+        (k,) = indices
+        links = _build_link_state(
+            config, state.aux, state.y,
+            rng_stream(config.seed, _LINK_KEY, k),
+            rng_stream(config.seed, _WEIGHT_KEY, k))
+    design = SurveyDesign.srswor(config.n_population, config.sample_size)
+    ids = np.stack([srswor_ids(config.n_population, config.sample_size,
+                               rng_stream(config.seed, _REPLICATE_KEY, k))
+                    for k in indices])
+    y_s = state.y[ids]
+    pi = np.full(ids.shape, design.f)
+    aux = state.aux
+    target = config.target
+
+    values = np.empty((len(indices), len(config.estimators)))
+    varests = np.empty_like(values)
+    for j, tag in enumerate(config.estimators):
+        if tag == "ht":
+            fit = ht_total_batch(y_s, pi, design, target)
+        elif tag == "sub":
+            fit = sub_greg_batch(with_intercept(aux.x[ids]), y_s,
+                                 links.degrees[ids] == 1, links.sub_coefficients,
+                                 aux.mean, design, target)
+        elif tag == "sls":
+            link_sum, gram, weighted = links.sls
+            fit = sls_greg_batch(link_sum[ids], gram[ids], weighted[ids], y_s, pi,
+                                 design, aux.mean, target)
+        else:
+            total = np.concatenate([[float(config.n_population)], links.totals[tag]])
+            fit = greg_batch(with_intercept(links.covariates[tag][ids]), y_s, pi,
+                             total, design, target=target)
+        values[:, j] = fit.values
+        varests[:, j] = fit.variances
+    return values, varests
 
 
 @dataclass(frozen=True)
@@ -287,31 +315,21 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> MonteCarloSummary:
 
     An estimator failing in a replicate (singular fit, starving subsample)
     is recorded and skipped; more than 1 percent failures for any estimator
-    aborts the run. Aggregation is a sequential reduction in replicate
-    order, so results do not depend on worker scheduling.
+    aborts the run. ``workers`` > 1 runs whole chunks of replicates in a
+    process pool. Aggregation is a sequential reduction in replicate order,
+    so results do not depend on worker scheduling.
     """
     state = _build_state(config)
     k_total = config.replicates
-    indices = list(range(k_total))
-
+    chunks = _chunks(config)
     if workers > 1:
-        chunks = [indices[i::workers] for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk_results = list(pool.map(_run_replicates, [state] * len(chunks), chunks))
-        per_replicate: list[dict] = [None] * k_total  # type: ignore[list-item]
-        for chunk, results in zip(chunks, chunk_results):
-            for k, res in zip(chunk, results):
-                per_replicate[k] = res
+            results = list(pool.map(_run_chunk, [state] * len(chunks), chunks))
     else:
-        per_replicate = _run_replicates(state, indices)
-
+        results = [_run_chunk(state, chunk) for chunk in chunks]
     tags = config.estimators
-    values = np.full((k_total, len(tags)), np.nan)
-    varests = np.full((k_total, len(tags)), np.nan)
-    for k, res in enumerate(per_replicate):
-        for j, tag in enumerate(tags):
-            if res[tag] is not None:
-                values[k, j], varests[k, j] = res[tag]
+    values = np.concatenate([r[0] for r in results])
+    varests = np.concatenate([r[1] for r in results])
 
     summaries = {}
     for j, tag in enumerate(tags):

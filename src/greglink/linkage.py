@@ -360,19 +360,20 @@ def align_best_links(linkage: LinkageStructure,
 
 
 def _best_positions(linkage: LinkageStructure, best: np.ndarray) -> np.ndarray:
-    """Link-array position of each unit's best link, validating membership."""
-    ptr = linkage._unit_ptr
-    positions = np.empty(linkage.n_covered, dtype=np.int64)
-    for i in range(linkage.n_covered):
-        seg = linkage.link_records[ptr[i]:ptr[i + 1]]
-        hits = np.flatnonzero(seg == best[i])
-        if len(hits) == 0:
-            raise ValidationError(
-                f"best link {best[i]} of unit {linkage.covered_units[i]} "
-                "is not among its links"
-            )
-        positions[i] = ptr[i] + hits[0]
-    return positions
+    """Link-array position of each unit's best link, validating membership.
+
+    Links are distinct within a unit, so each unit's segment of the link
+    array matches its best record at most once.
+    """
+    hit = linkage.link_records == np.repeat(best, linkage.degrees)
+    found = np.logical_or.reduceat(hit, linkage._unit_ptr[:-1])
+    if not found.all():
+        i = int(np.argmin(found))
+        raise ValidationError(
+            f"best link {best[i]} of unit {linkage.covered_units[i]} "
+            "is not among its links"
+        )
+    return np.flatnonzero(hit)
 
 
 def reverse_weights_best_link(linkage: LinkageStructure,

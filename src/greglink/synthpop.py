@@ -202,20 +202,22 @@ def gen_pi_q_weights(linkage: LinkageStructure, matches: MatchSet, q: float,
         raise ValidationError("incidence weights require population links")
     if not 0 < q < 1:
         raise ValidationError(f"q must lie in (0, 1), got {q}")
-    m_per_link = linkage.multiplicities[linkage.link_records]
-    values = np.where(m_per_link == 1, 1.0,
-                      (1.0 - q) / np.maximum(m_per_link - 1, 1))
-    unit_of_record = matches.unit_of_record
-    for record in np.flatnonzero(linkage.multiplicities > 1):
-        positions = linkage.link_positions_of_record(int(record))
-        units_here = linkage.link_units[positions]
-        match_unit = unit_of_record.get(int(record))
-        hits = np.flatnonzero(units_here == match_unit) if match_unit is not None else []
-        if len(hits):
-            q_position = positions[hits[0]]
-        else:
-            q_position = positions[rng.integers(len(positions))]
-        values[q_position] = q
+    m = linkage.multiplicities
+    m_per_link = m[linkage.link_records]
+    values = np.where(m_per_link == 1, 1.0, (1.0 - q) / np.maximum(m_per_link - 1, 1))
+    # links in record order, units ascending within each record
+    order, records = linkage._rec_order, linkage._rec_sorted
+    match_unit = np.full(linkage.n_records, -1, dtype=np.int64)
+    match_unit[np.fromiter(matches.record_of_unit.values(), dtype=np.int64,
+                           count=len(matches))] = np.fromiter(
+        matches.record_of_unit, dtype=np.int64, count=len(matches))
+    hit = (linkage.link_units[order] == match_unit[records]) & (m[records] > 1)
+    # q on the match link where it is among the record's links, otherwise on
+    # a link drawn per record, records in ascending order
+    values[order[hit]] = q
+    need = np.setdiff1d(np.flatnonzero(m > 1), records[hit])
+    pick = rng.integers(0, m[need])
+    values[order[np.cumsum(m)[need] - m[need] + pick]] = q
     return WeightScheme(kind=INCIDENCE, linkage=linkage, values=values)
 
 

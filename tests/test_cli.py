@@ -104,6 +104,16 @@ def test_estimate_missing_pi_column(tmp_path, capsys):
     assert "unit_id,y,pi" in capsys.readouterr().err
 
 
+def test_estimate_rejects_nan_inclusion_probability(tmp_path, capsys):
+    aux = write(tmp_path / "aux.csv", "record_id,x1\na,0.5\nb,0.1\n")
+    links = write(tmp_path / "links.csv", "unit_id,record_id\n1,a\n2,b\n")
+    sample = write(tmp_path / "sample.csv", "unit_id,y,pi\n1,2.0,nan\n2,3.0,0.5\n")
+    code = main(["estimate", "--sample", sample, "--aux", aux,
+                 "--links", links, "--estimator", "ht", "--big-n", "4"])
+    assert code == 1
+    assert "inclusion probabilities" in capsys.readouterr().err
+
+
 def test_estimate_rejects_unknown_estimator(linear_fixture, capsys):
     sample, aux, links = linear_fixture
     code = main(["estimate", "--sample", sample, "--aux", aux,

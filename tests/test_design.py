@@ -76,6 +76,19 @@ def test_ht_hand_example():
     assert est.variance == pytest.approx(8.0)
 
 
+def test_sample_rejects_non_finite_inclusion_probabilities():
+    design = SurveyDesign.srswor(4, 2)
+    with pytest.raises(ValidationError, match="inclusion probabilities"):
+        Sample(ids=np.array([0, 2]), pi=np.array([0.5, np.nan]), design=design)
+
+
+def test_residual_variance_matches_sample_variance_bitwise():
+    e = rng_stream(8, 0).normal(size=37)
+    design = SurveyDesign.srswor(500, 37)
+    expected = 500**2 * (1.0 - design.f) * float(np.var(e, ddof=1)) / 37
+    assert residual_variance(e, design) == expected
+
+
 def test_ht_rejects_missing_values():
     design = SurveyDesign.srswor(4, 2)
     sample = Sample(ids=np.array([0, 2]), pi=np.full(2, 0.5), design=design)

@@ -12,9 +12,13 @@ from greglink.estimators import (
     calibration_weights,
     consistency_diagnostics,
     greg,
+    greg_batch,
+    link_aggregates,
     npa_covariances,
     sls_greg,
+    sls_greg_batch,
     sub_greg,
+    with_intercept,
     wls_coefficients,
 )
 from greglink.linkage import (
@@ -25,6 +29,7 @@ from greglink.linkage import (
     multiplicity_weights,
     reverse_weights_best_link,
 )
+from greglink.synthpop import LinkageModel, PopulationModel, gen_linkage, gen_population
 
 
 def test_wls_exact_fit_recovers_coefficients():
@@ -66,6 +71,66 @@ def test_wls_rejects_underdetermined():
 
 def _simple_sample(n_population=40, n=10, seed=3):
     return draw_srswor(n_population, n, rng_stream(seed, 0))
+
+
+def test_regression_estimators_reject_non_finite_responses():
+    sample = draw_srswor(10, 3, rng_stream(3, 0))
+    y = np.array([1.0, np.nan, 3.0])
+    spec = GregSpec(covariates=np.array([[0.1], [0.5], [0.9]]), total=np.array([5.0]))
+    with pytest.raises(ValidationError, match="non-finite"):
+        greg(spec, y, sample)
+    with pytest.raises(ValidationError, match="non-finite"):
+        sub_greg(y, spec.covariates, np.array([0.5]), sample.design,
+                 coefficients=np.array([1.0, 2.0]))
+
+
+def test_greg_batch_rows_match_single_sample_calls():
+    rng = rng_stream(9, 0)
+    x_pop = rng.uniform(size=(60, 1))
+    y_pop = 1.0 + 2.0 * x_pop[:, 0] + rng.normal(size=60)
+    samples = [draw_srswor(60, 12, rng_stream(9, 1, k)) for k in range(4)]
+    ids = np.stack([s.ids for s in samples])
+    total = np.concatenate([[60.0], x_pop.sum(axis=0)])
+    batch = greg_batch(with_intercept(x_pop[ids]), y_pop[ids],
+                       np.stack([s.pi for s in samples]), total,
+                       samples[0].design, target="mean")
+    for k, sample in enumerate(samples):
+        spec = GregSpec(covariates=x_pop[sample.ids], total=x_pop.sum(axis=0))
+        est = greg(spec, y_pop[sample.ids], sample, target="mean")
+        assert batch.values[k] == pytest.approx(est.value, rel=1e-12)
+        assert batch.variances[k] == pytest.approx(est.variance, rel=1e-12)
+
+
+def test_greg_batch_marks_singular_fits_nan():
+    x = np.stack([with_intercept(np.array([[0.1], [0.5], [0.9]])),
+                  with_intercept(np.full((3, 1), 0.5))])
+    y = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+    batch = greg_batch(x, y, np.full((2, 3), 0.3), np.array([10.0, 5.0]),
+                       SurveyDesign.srswor(10, 3))
+    assert np.isfinite(batch.values[0]) and np.isfinite(batch.variances[0])
+    assert np.isnan(batch.values[1]) and np.isnan(batch.variances[1])
+
+
+def test_population_link_aggregates_restrict_to_sample_aggregates():
+    # the harness gathers population-scope aggregates at the sampled units;
+    # the file path builds them on the restricted linkage: both must agree
+    rng = rng_stream(10, 0)
+    x, population = gen_population(PopulationModel(n_units=300), rng)
+    aux = AuxDatabase.from_values(x)
+    model = LinkageModel(link_share=(0.3, 0.4, 0.3), match_rate=0.7,
+                         correct_best_rate=0.5)
+    _, links, best = gen_linkage(300, model, rng_stream(10, 1))
+    scheme = reverse_weights_best_link(links, best, 0.6)
+    aggregates = link_aggregates(links, scheme.values, aux)
+    sample = draw_srswor(300, 40, rng_stream(10, 2))
+    sub, link_index = links.restrict(sample.ids)
+    est = sls_greg(sub, scheme.restrict(sub, link_index), aux,
+                   population.y[sample.ids], sample, target="mean")
+    batch = sls_greg_batch(*(a[sample.ids][None] for a in aggregates),
+                           population.y[sample.ids][None], sample.pi[None],
+                           sample.design, aux.mean, target="mean")
+    assert batch.values[0] == pytest.approx(est.value, rel=1e-12)
+    assert batch.variances[0] == pytest.approx(est.variance, rel=1e-12)
 
 
 def test_greg_intercept_only_equals_ht():

@@ -88,15 +88,18 @@ def test_unknown_estimator_rejected():
 
 def test_failed_replicates_counted(monkeypatch):
     calls = {"n": 0}
-    original = harness.sub_greg
+    original = harness.sub_greg_batch
 
     def flaky(*args, **kwargs):
+        fit = original(*args, **kwargs)
         calls["n"] += 1
         if calls["n"] == 1:
-            raise NumericalError("forced failure")
-        return original(*args, **kwargs)
+            values = fit.values.copy()
+            values[0] = np.nan  # forced failure of one replicate
+            fit = fit._replace(values=values)
+        return fit
 
-    monkeypatch.setattr(harness, "sub_greg", flaky)
+    monkeypatch.setattr(harness, "sub_greg_batch", flaky)
     cfg = ScenarioConfig(name="flaky", estimators=("ht", "sub"),
                          **{**SMALL, "replicates": 150})
     summary = run_scenario(cfg)
@@ -105,13 +108,28 @@ def test_failed_replicates_counted(monkeypatch):
 
 
 def test_failure_threshold_aborts(monkeypatch):
-    def broken(*args, **kwargs):
-        raise NumericalError("forced failure")
+    original = harness.sub_greg_batch
 
-    monkeypatch.setattr(harness, "sub_greg", broken)
+    def broken(*args, **kwargs):
+        fit = original(*args, **kwargs)
+        return fit._replace(values=np.full_like(fit.values, np.nan))
+
+    monkeypatch.setattr(harness, "sub_greg_batch", broken)
     cfg = ScenarioConfig(name="broken", estimators=("ht", "sub"), **SMALL)
     with pytest.raises(NumericalError, match="failed in"):
         run_scenario(cfg)
+
+
+@pytest.mark.parametrize("replicates", [2, harness.REPLICATE_CHUNK - 1,
+                                        harness.REPLICATE_CHUNK,
+                                        harness.REPLICATE_CHUNK + 1,
+                                        2 * harness.REPLICATE_CHUNK + 3])
+def test_chunk_boundaries_worker_invariance(replicates):
+    cfg = ScenarioConfig(name="chunks", **{**SMALL, "replicates": replicates})
+    sequential = run_scenario(cfg, workers=1)
+    parallel = run_scenario(cfg, workers=2)
+    assert sequential.estimators == parallel.estimators
+    assert all(est.failures == 0 for est in sequential.estimators)
 
 
 def test_redraw_linkage_runs_and_differs():

@@ -156,6 +156,10 @@ def test_reverse_weights_validation():
     L = build_linkage([(0, 0), (0, 1)], [0], aux)
     with pytest.raises(ValidationError, match="not among its links"):
         reverse_weights_best_link(L, {0: 2}, q=0.4)
+    # the first unit whose best link is missing is the one named
+    L3 = build_linkage([(0, 0), (1, 1), (1, 2), (2, 0)], [0, 1, 2], aux)
+    with pytest.raises(ValidationError, match="best link 0 of unit 1 is not"):
+        best_link_indicator_weights(L3, {0: 0, 1: 0, 2: 1})
     with pytest.raises(ValidationError, match="q must lie"):
         reverse_weights_best_link(L, {0: 0}, q=0.0)
     with pytest.raises(ValidationError, match="q must lie"):

@@ -162,6 +162,33 @@ def test_pi_q_weights_rules():
                 assert hit == pytest.approx(0.4)
 
 
+def test_pi_q_weights_match_per_record_loop():
+    # reference: one scalar draw per record without its match among its
+    # links, records in ascending order; the vectorised draw must place q on
+    # the same links and leave the generator in the same state
+    model = LinkageModel(link_share=(0.2, 0.4, 0.4), match_rate=0.6,
+                         correct_best_rate=0.5)
+    matches, linkage, _ = gen_linkage(2000, model, rng_stream(12, 0))
+    rng = rng_stream(12, 1)
+    scheme = gen_pi_q_weights(linkage, matches, 0.3, rng)
+
+    ref_rng = rng_stream(12, 1)
+    m = linkage.multiplicities
+    expected = np.where(m[linkage.link_records] == 1, 1.0,
+                        0.7 / np.maximum(m[linkage.link_records] - 1, 1))
+    unit_of_record = matches.unit_of_record
+    for record in np.flatnonzero(m > 1):
+        positions = linkage.link_positions_of_record(int(record))
+        hits = np.flatnonzero(linkage.link_units[positions]
+                              == unit_of_record.get(int(record), -1))
+        if len(hits):
+            expected[positions[hits[0]]] = 0.3
+        else:
+            expected[positions[ref_rng.integers(len(positions))]] = 0.3
+    assert np.array_equal(scheme.values, expected)
+    assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
+
+
 def test_pi_q_weights_multiplicity_range():
     # the record-side link counts spread wider than the unit-side ones, but
     # most records still carry at most 3 links
