@@ -197,20 +197,13 @@ def check_finite_values(y: np.ndarray) -> None:
         raise ValidationError("missing or non-finite value for a sampled unit")
 
 
-def variance_available(pi: np.ndarray) -> np.ndarray:
-    """Samples (rows of ``pi``) with equal inclusion probabilities and at
-    least 2 units: those the SRSWOR variance estimator applies to."""
-    return np.all(pi == pi[..., :1], axis=-1) & (pi.shape[-1] >= 2)
-
-
 def ht_total_batch(y: np.ndarray, pi: np.ndarray, design: SurveyDesign,
                    target: str = "total") -> BatchEstimate:
     """Horvitz-Thompson estimates of stacked samples: ``y`` and ``pi`` are
     (..., n), one row per sample."""
     check_finite_values(y)
     values = np.sum(y / pi, axis=-1)
-    variances = np.where(variance_available(pi),
-                         residual_variances(y, design), np.nan)
+    variances = equal_probability_variances(y, pi, design)
     return BatchEstimate(*scale_to_target(values, variances, target,
                                           design.n_population))
 
@@ -252,6 +245,15 @@ def residual_variances(residuals: np.ndarray, design: SurveyDesign,
         dev = (e - mean) * kept
         s2 = np.sum(dev * dev, axis=-1) / (n_eff - 1)
         return design.n_population**2 * (1.0 - design.f) * s2 / n_eff
+
+
+def equal_probability_variances(residuals: np.ndarray, pi: np.ndarray,
+                                design: SurveyDesign) -> np.ndarray:
+    """``residual_variances`` of the samples (rows of ``pi``) with equal
+    inclusion probabilities and at least 2 units; NaN for the others, which
+    have no design-based variance estimator."""
+    applies = np.all(pi == pi[..., :1], axis=-1) & (pi.shape[-1] >= 2)
+    return np.where(applies, residual_variances(residuals, design), np.nan)
 
 
 def residual_variance(residuals: np.ndarray, design: SurveyDesign) -> float:

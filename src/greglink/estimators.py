@@ -22,6 +22,12 @@ Estimators whose total is N x the auxiliary-file mean are computable from
 sample links alone; their design consistency rests on the linkage being
 non-informative of the auxiliary values, which ``consistency_diagnostics``
 turns into a testable statistic.
+
+Each estimator's arithmetic lives in one batched kernel (``greg_batch``,
+``sub_greg_batch``, ``sls_greg_batch``) over a stack of samples, which the
+Monte Carlo harness calls once per chunk of replicates; ``greg``,
+``sub_greg`` and ``sls_greg`` validate one sample and run the same kernel
+on it.
 """
 
 from __future__ import annotations
@@ -36,10 +42,10 @@ from .design import (
     Sample,
     SurveyDesign,
     check_finite_values,
+    equal_probability_variances,
     residual_variance,
     residual_variances,
     scale_to_target,
-    variance_available,
 )
 from .errors import NumericalError, ValidationError
 from .linkage import (
@@ -181,8 +187,7 @@ def greg_batch(x: np.ndarray, y: np.ndarray, pi: np.ndarray, total: np.ndarray,
     b = _weighted_least_squares(x, y, c / pi, strict)
     residuals = y - _fitted(x, b)
     values = b @ total + np.sum(residuals / pi, axis=-1)
-    variances = np.where(variance_available(pi),
-                         residual_variances(residuals, design), np.nan)
+    variances = equal_probability_variances(residuals, pi, design)
     values, variances = scale_to_target(values, variances, target,
                                         design.n_population)
     return BatchEstimate(values, variances, b, residuals)
@@ -345,8 +350,7 @@ def sls_greg_batch(link_sum: np.ndarray, gram: np.ndarray, weighted: np.ndarray,
 
     taylor_residuals = (fit_residuals
                         + (d / rate) * np.sum(link_mean_hat * b, axis=-1)[..., None])
-    variances = np.where(variance_available(pi),
-                         residual_variances(taylor_residuals, design), np.nan)
+    variances = equal_probability_variances(taylor_residuals, pi, design)
     too_few = np.sum(d, axis=-1) < link_sum.shape[-1]
     values = np.where(too_few, np.nan, values)
     variances = np.where(too_few, np.nan, variances)
