@@ -306,7 +306,7 @@ def link_aggregates(linkage: LinkageStructure, weights: np.ndarray,
     """
     unit_idx = linkage.unit_index_per_link()
     x_links = with_intercept(aux.x[linkage.link_records])
-    c = np.ones(linkage.n_links) if link_constants is None else link_constants
+    c = 1.0 if link_constants is None else link_constants
     q = x_links.shape[1]
 
     def per_unit(values: np.ndarray) -> np.ndarray:
