@@ -14,7 +14,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import EstimationInputs, assemble_estimation_inputs, read_aux_csv, read_links_csv, order_keys
+from .dataio import (
+    EstimationInputs,
+    assemble_estimation_inputs,
+    build_file_linkage,
+    order_keys,
+    read_aux_csv,
+    read_links_csv,
+)
 from .design import Estimate, exact_design_moments, ht_total, rng_stream
 from .errors import NumericalError, ValidationError
 from .estimators import (
@@ -41,7 +48,6 @@ from .linkage import (
     LinkageStructure,
     WeightScheme,
     best_link_indicator_weights,
-    build_linkage,
     derive_covariates,
     multiplicity_weights,
     reverse_weights_best_link,
@@ -297,23 +303,13 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     aux_table = read_aux_csv(args.aux)
     link_table = read_links_csv(args.links)
     unit_keys = order_keys(set(link_table.unit_keys))
-    unit_index = {k: i for i, k in enumerate(unit_keys)}
-    pairs = np.column_stack([
-        np.asarray([unit_index[k] for k in link_table.unit_keys], dtype=np.int64),
-        np.asarray([aux_table.index_of[k] for k in link_table.record_keys],
-                   dtype=np.int64),
-    ])
-    covered: np.ndarray | int
-    if args.big_n is not None and len(unit_keys) == args.big_n:
-        covered = args.big_n
-    else:
-        covered = np.arange(len(unit_keys), dtype=np.int64)
-    linkage = build_linkage(pairs, covered, aux_table.aux)
+    unit_index = dict(zip(unit_keys, range(len(unit_keys))))
+    linkage, link_rows = build_file_linkage(aux_table, link_table, unit_index,
+                                            args.big_n)
     _echo_structure(linkage, unit_keys, aux_table.record_keys, args.limit)
     weights = None
     if link_table.weights is not None:
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        weights = np.asarray(link_table.weights)[order]
+        weights = link_table.weights[link_rows]
     _print_npa(linkage, aux_table.aux, weights)
     return 0
 

@@ -16,14 +16,18 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .design import Sample, SurveyDesign
 from .errors import ValidationError
 from .linkage import AuxDatabase, LinkageStructure, build_linkage
+
+_TRUE_FLAGS = frozenset({"1", "true", "yes"})
+_FLAGS = _TRUE_FLAGS | {"0", "false", "no", ""}
 
 
 def _parse_float(value: str, where: str) -> float:
@@ -35,24 +39,76 @@ def _parse_float(value: str, where: str) -> float:
 
 def _parse_bool(value: str, where: str) -> bool:
     v = value.strip().lower()
-    if v in ("1", "true", "yes"):
-        return True
-    if v in ("0", "false", "no", ""):
-        return False
-    raise ValidationError(f"{where}: not a 0/1 flag: {value!r}")
+    if v not in _FLAGS:
+        raise ValidationError(f"{where}: not a 0/1 flag: {value!r}")
+    return v in _TRUE_FLAGS
 
 
-def _read_rows(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+def _read_rows(path: str | Path) -> tuple[list[str], list[int], list[list[str]]]:
+    """The stripped header, then the line numbers and cells of the non-blank rows."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file, header row required") from None
-        rows = [(lineno, row) for lineno, row in enumerate(reader, start=2)
-                if any(cell.strip() for cell in row)]
-    return [h.strip() for h in header], rows
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise ValidationError(f"{path}: empty file, header row required")
+            linenos, rows = [], []
+            for lineno, row in enumerate(reader, start=2):
+                if "".join(row).strip():
+                    linenos.append(lineno)
+                    rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+        ) from exc
+    except csv.Error as exc:
+        raise ValidationError(f"{path}:{reader.line_num}: {exc}") from exc
+    return [h.strip() for h in header], linenos, rows
+
+
+def _check_widths(path: str | Path, width: int, linenos: list[int],
+                  rows: list[list[str]]) -> None:
+    if any(map(width.__ne__, map(len, rows))):
+        lineno = next(n for n, row in zip(linenos, rows) if len(row) != width)
+        raise ValidationError(f"{path}:{lineno}: expected {width} fields")
+
+
+def _key_column(rows: list[list[str]], column: int) -> list[str]:
+    return [row[column].strip() for row in rows]
+
+
+def _float_columns(path: str | Path, linenos: list[int], rows: list[list[str]],
+                   columns: Sequence[int]) -> list[np.ndarray]:
+    """Cells of each column parsed with ``float``; a bad cell is reported at
+    the first line that holds one, as a row-by-row parse would."""
+    try:
+        return [np.fromiter(map(float, map(itemgetter(j), rows)), np.float64, len(rows))
+                for j in columns]
+    except ValueError:
+        for lineno, row in zip(linenos, rows):
+            for j in columns:
+                _parse_float(row[j], f"{path}:{lineno}")
+        raise
+
+
+def _flag_column(path: str | Path, linenos: list[int], rows: list[list[str]],
+                 column: int) -> np.ndarray:
+    cells = [row[column].strip().lower() for row in rows]
+    if not _FLAGS.issuperset(cells):
+        for lineno, row in zip(linenos, rows):
+            _parse_bool(row[column], f"{path}:{lineno}")
+    return np.fromiter(map(_TRUE_FLAGS.__contains__, cells), bool, len(cells))
+
+
+def _unique_index(path: str | Path, keys: list[str], what: str) -> dict[str, int]:
+    """Position of each key; the error names the first key that repeats."""
+    index = dict(zip(keys, range(len(keys))))
+    if len(index) != len(keys):
+        # a repeated key maps to its last position, so its first one differs
+        dup = next(k for i, k in enumerate(keys) if index[k] != i)
+        raise ValidationError(f"{path}: duplicate {what} {dup!r}")
+    return index
 
 
 @dataclass(frozen=True)
@@ -63,25 +119,16 @@ class AuxTable:
 
 
 def read_aux_csv(path: str | Path) -> AuxTable:
-    header, rows = _read_rows(path)
+    header, linenos, rows = _read_rows(path)
     if len(header) < 2 or header[0] != "record_id":
         raise ValidationError(
             f"{path}: auxiliary header must be record_id,x1,...,xp, got {header}"
         )
-    dim = len(header) - 1
-    keys = []
-    values = np.empty((len(rows), dim))
-    for i, (lineno, row) in enumerate(rows):
-        if len(row) != dim + 1:
-            raise ValidationError(f"{path}:{lineno}: expected {dim + 1} fields")
-        keys.append(row[0].strip())
-        for j in range(dim):
-            values[i, j] = _parse_float(row[j + 1], f"{path}:{lineno}")
-    if len(set(keys)) != len(keys):
-        dup = next(k for k in keys if keys.count(k) > 1)
-        raise ValidationError(f"{path}: duplicate record id {dup!r}")
-    return AuxTable(aux=AuxDatabase(x=values), record_keys=keys,
-                    index_of={k: i for i, k in enumerate(keys)})
+    _check_widths(path, len(header), linenos, rows)
+    values = np.column_stack(_float_columns(path, linenos, rows, range(1, len(header))))
+    keys = _key_column(rows, 0)
+    index_of = _unique_index(path, keys, "record id")
+    return AuxTable(aux=AuxDatabase(x=values), record_keys=keys, index_of=index_of)
 
 
 @dataclass(frozen=True)
@@ -93,7 +140,7 @@ class LinkTable:
 
 
 def read_links_csv(path: str | Path) -> LinkTable:
-    header, rows = _read_rows(path)
+    header, linenos, rows = _read_rows(path)
     expected_prefix = ["unit_id", "record_id"]
     if header[:2] != expected_prefix:
         raise ValidationError(
@@ -102,22 +149,15 @@ def read_links_csv(path: str | Path) -> LinkTable:
     extras = header[2:]
     if any(col not in ("weight", "is_best") for col in extras):
         raise ValidationError(f"{path}: unknown link columns {extras}")
-    has_weight = "weight" in extras
-    has_best = "is_best" in extras
-    unit_keys, record_keys = [], []
-    weights = np.empty(len(rows)) if has_weight else None
-    is_best = np.zeros(len(rows), dtype=bool) if has_best else None
-    for i, (lineno, row) in enumerate(rows):
-        if len(row) != len(header):
-            raise ValidationError(f"{path}:{lineno}: expected {len(header)} fields")
-        unit_keys.append(row[0].strip())
-        record_keys.append(row[1].strip())
-        for col, cell in zip(extras, row[2:]):
-            if col == "weight":
-                weights[i] = _parse_float(cell, f"{path}:{lineno}")
-            else:
-                is_best[i] = _parse_bool(cell, f"{path}:{lineno}")
-    return LinkTable(unit_keys=unit_keys, record_keys=record_keys,
+    if len(set(extras)) != len(extras):
+        raise ValidationError(f"{path}: repeated link columns {extras}")
+    _check_widths(path, len(header), linenos, rows)
+    weights = is_best = None
+    if "weight" in extras:
+        [weights] = _float_columns(path, linenos, rows, [header.index("weight")])
+    if "is_best" in extras:
+        is_best = _flag_column(path, linenos, rows, header.index("is_best"))
+    return LinkTable(unit_keys=_key_column(rows, 0), record_keys=_key_column(rows, 1),
                      weights=weights, is_best=is_best)
 
 
@@ -129,23 +169,15 @@ class SampleTable:
 
 
 def read_sample_csv(path: str | Path) -> SampleTable:
-    header, rows = _read_rows(path)
+    header, linenos, rows = _read_rows(path)
     if header != ["unit_id", "y", "pi"]:
         if len(header) < 3 or "pi" not in header:
             raise ValidationError(f"{path}: sample header must be unit_id,y,pi")
         raise ValidationError(f"{path}: sample header must be unit_id,y,pi, got {header}")
-    unit_keys = []
-    y = np.empty(len(rows))
-    pi = np.empty(len(rows))
-    for i, (lineno, row) in enumerate(rows):
-        if len(row) != 3:
-            raise ValidationError(f"{path}:{lineno}: expected 3 fields")
-        unit_keys.append(row[0].strip())
-        y[i] = _parse_float(row[1], f"{path}:{lineno}")
-        pi[i] = _parse_float(row[2], f"{path}:{lineno}")
-    if len(set(unit_keys)) != len(unit_keys):
-        dup = next(k for k in unit_keys if unit_keys.count(k) > 1)
-        raise ValidationError(f"{path}: duplicate sample unit {dup!r}")
+    _check_widths(path, 3, linenos, rows)
+    y, pi = _float_columns(path, linenos, rows, (1, 2))
+    unit_keys = _key_column(rows, 0)
+    _unique_index(path, unit_keys, "sample unit")
     return SampleTable(unit_keys=unit_keys, y=y, pi=pi)
 
 
@@ -155,6 +187,53 @@ def order_keys(keys: set[str]) -> list[str]:
         return sorted(keys, key=lambda k: int(k))
     except ValueError:
         return sorted(keys)
+
+
+def build_file_linkage(aux_table: AuxTable, link_table: LinkTable,
+                       unit_index: Mapping[str, int],
+                       n_population: int | None) -> tuple[LinkageStructure, np.ndarray]:
+    """The linkage of a link file's rows, and the row of each of its links.
+
+    Unit keys map to dense indices through ``unit_index``, record keys
+    through the auxiliary file. The linkage is population-scoped exactly when
+    ``unit_index`` holds ``n_population`` units, otherwise sample-scoped over
+    all of them, so each must carry a link. Indexing a per-row column of the
+    link file with the returned rows aligns it with the linkage's link order.
+    """
+    n_links = len(link_table.record_keys)
+    try:
+        records = np.fromiter(map(aux_table.index_of.__getitem__, link_table.record_keys),
+                              np.int64, n_links)
+    except KeyError as exc:
+        raise ValidationError(
+            f"link file references unknown record {exc.args[0]!r}"
+        ) from exc
+    units = np.fromiter(map(unit_index.__getitem__, link_table.unit_keys), np.int64, n_links)
+    n_units = len(unit_index)
+    linkage = build_linkage(
+        np.column_stack([units, records]),
+        n_population if n_units == n_population else np.arange(n_units, dtype=np.int64),
+        aux_table.aux,
+    )
+    return linkage, np.lexsort((records, units))
+
+
+def _best_links(linkage: LinkageStructure, flags: np.ndarray,
+                unit_keys: list[str]) -> np.ndarray:
+    """Each covered unit's flagged record; a unit's only link needs no flag."""
+    unit_of_link = linkage.unit_index_per_link()
+    n_flagged = np.bincount(unit_of_link[flags], minlength=linkage.n_covered)
+    if np.any(n_flagged > 1):
+        unit = linkage.covered_units[np.argmax(n_flagged > 1)]
+        raise ValidationError(f"unit {unit_keys[unit]!r} flags more than one best link")
+    single = linkage.degrees == 1
+    resolved = single | (n_flagged == 1)
+    if not resolved.all():
+        unit = linkage.covered_units[np.argmin(resolved)]
+        raise ValidationError(
+            f"unit {unit_keys[unit]!r} has multiple links but none flagged as best"
+        )
+    return linkage.link_records[flags | single[unit_of_link]]
 
 
 @dataclass(frozen=True)
@@ -184,67 +263,29 @@ def assemble_estimation_inputs(sample_path: str | Path, aux_path: str | Path,
     link_table = read_links_csv(links_path)
     sample_table = read_sample_csv(sample_path)
 
-    unit_keys = order_keys(set(link_table.unit_keys) | set(sample_table.unit_keys))
+    linked = set(link_table.unit_keys)
+    unit_keys = order_keys(linked.union(sample_table.unit_keys))
     if len(unit_keys) > n_population:
         raise ValidationError(
             f"files reference {len(unit_keys)} units but the population size is {n_population}"
         )
-    unit_index = {k: i for i, k in enumerate(unit_keys)}
-
-    missing = [k for k in sample_table.unit_keys if k not in set(link_table.unit_keys)]
+    missing = [k for k in sample_table.unit_keys if k not in linked]
     if missing:
         raise ValidationError(f"sampled units without links: {missing[:5]}")
 
-    try:
-        record_idx = [aux_table.index_of[k] for k in link_table.record_keys]
-    except KeyError as exc:
-        raise ValidationError(
-            f"link file references unknown record {exc.args[0]!r}"
-        ) from exc
-    link_pairs = np.column_stack([
-        np.asarray([unit_index[k] for k in link_table.unit_keys], dtype=np.int64),
-        np.asarray(record_idx, dtype=np.int64),
-    ])
-
-    covered = sorted({unit_index[k] for k in link_table.unit_keys})
-    population_scope = len(covered) == n_population
-    linkage = build_linkage(
-        link_pairs,
-        n_population if population_scope else np.asarray(covered, dtype=np.int64),
-        aux_table.aux,
-    )
-
-    # re-order per-link columns into the linkage's canonical link order
-    link_order = np.lexsort((link_pairs[:, 1], link_pairs[:, 0]))
+    # every unit is linked now, so unit_keys are exactly the link file's units
+    unit_index = dict(zip(unit_keys, range(len(unit_keys))))
+    linkage, link_rows = build_file_linkage(aux_table, link_table, unit_index,
+                                            n_population)
     weights = None
     if link_table.weights is not None:
-        weights = np.asarray(link_table.weights)[link_order]
+        weights = link_table.weights[link_rows]
     best_links = None
     if link_table.is_best is not None:
-        flags = np.asarray(link_table.is_best)[link_order]
-        best_links = np.full(linkage.n_covered, -1, dtype=np.int64)
-        flagged_units = linkage.link_units[flags]
-        flagged_records = linkage.link_records[flags]
-        for unit, record in zip(flagged_units, flagged_records):
-            pos = linkage.unit_position(int(unit))
-            if best_links[pos] >= 0:
-                raise ValidationError(
-                    f"unit {unit_keys[unit]!r} flags more than one best link"
-                )
-            best_links[pos] = record
-        unflagged = np.flatnonzero(best_links < 0)
-        for pos in unflagged:
-            if linkage.degrees[pos] == 1:
-                best_links[pos] = linkage.link_records[
-                    linkage.link_positions_of(int(linkage.covered_units[pos]))[0]]
-            else:
-                raise ValidationError(
-                    f"unit {unit_keys[linkage.covered_units[pos]]!r} has multiple "
-                    "links but none flagged as best"
-                )
+        best_links = _best_links(linkage, link_table.is_best[link_rows], unit_keys)
 
-    sample_ids = np.asarray([unit_index[k] for k in sample_table.unit_keys],
-                            dtype=np.int64)
+    sample_ids = np.fromiter(map(unit_index.__getitem__, sample_table.unit_keys),
+                             np.int64, len(sample_table.unit_keys))
     order = np.argsort(sample_ids)
     design = SurveyDesign(n_population=n_population,
                           sample_size=len(sample_ids), kind="external")

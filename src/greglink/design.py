@@ -82,6 +82,11 @@ class Sample:
         pi = np.asarray(self.pi, dtype=np.float64)
         if ids.ndim != 1 or pi.shape != ids.shape:
             raise ValidationError("ids and pi must be 1-d arrays of equal length")
+        if len(ids) != self.design.sample_size:
+            raise ValidationError(
+                f"sample has {len(ids)} units but the design's sample size is "
+                f"{self.design.sample_size}"
+            )
         if len(np.unique(ids)) != len(ids):
             raise ValidationError("sample contains repeated unit ids")
         if ids.size and (ids.min() < 0 or ids.max() >= self.design.n_population):

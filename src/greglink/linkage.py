@@ -304,6 +304,8 @@ class WeightScheme:
         values = np.asarray(self.values, dtype=np.float64)
         if values.shape != (self.linkage.n_links,):
             raise ValidationError("need exactly one weight per link")
+        if not np.all(np.isfinite(values)):
+            raise ValidationError("weights must be finite")
         if np.any(values < -WEIGHT_SUM_TOL) or np.any(values > 1 + WEIGHT_SUM_TOL):
             raise ValidationError("weights must lie in [0, 1]")
         if self.kind == INCIDENCE:

@@ -161,6 +161,43 @@ def test_diagnose_with_sample_prints_statistics(linear_fixture, capsys):
     assert "consistency diagnostic (sls)" in out
 
 
+def test_diagnose_unknown_record_exits_with_validation_code(tmp_path, capsys):
+    aux = write(tmp_path / "aux.csv", "record_id,x1\na,0.5\nb,0.1\n")
+    links = write(tmp_path / "links.csv", "unit_id,record_id\n1,a\n2,zz\n")
+    code = main(["diagnose", "--aux", aux, "--links", links])
+    assert code == 1
+    assert capsys.readouterr().err == "error: link file references unknown record 'zz'\n"
+
+
+def test_diagnose_rejects_non_utf8_file(tmp_path, capsys):
+    aux = tmp_path / "aux.csv"
+    aux.write_bytes(b"record_id,x1\na,0.5\nb,\xff\n")
+    links = write(tmp_path / "links.csv", "unit_id,record_id\n1,a\n")
+    code = main(["diagnose", "--aux", str(aux), "--links", links])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {aux}: not UTF-8 text (byte 0xff: invalid start byte)\n")
+
+
+def test_diagnose_rejects_unparsable_csv(tmp_path, capsys):
+    aux = write(tmp_path / "aux.csv", "record_id,x1\na,0.5\nb," + "9" * 200_000 + "\n")
+    links = write(tmp_path / "links.csv", "unit_id,record_id\n1,a\n")
+    code = main(["diagnose", "--aux", aux, "--links", links])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {aux}:3: field larger than field limit")
+
+
+def test_estimate_rejects_nan_link_weight(tmp_path, capsys):
+    aux = write(tmp_path / "aux.csv", "record_id,x1\na,1\nb,2\n")
+    links = write(tmp_path / "links.csv",
+                  "unit_id,record_id,weight\n1,a,nan\n1,b,nan\n2,b,1.0\n")
+    sample = write(tmp_path / "sample.csv", "unit_id,y,pi\n1,2.0,0.5\n2,3.0,0.5\n")
+    code = main(["estimate", "--sample", sample, "--aux", aux,
+                 "--links", links, "--estimator", "sri", "--big-n", "10"])
+    assert code == 1
+    assert "weights must be finite" in capsys.readouterr().err
+
+
 def test_missing_file_exits_with_validation_code(tmp_path, capsys):
     code = main(["simulate", str(tmp_path / "nope.scenario")])
     assert code == 1

@@ -160,3 +160,9 @@ def test_estimates_invariant_to_order_preserving_unit_renaming(tmp_path, capsys,
         rewrite_rows(paths[name], renamed[name],
                      lambda rows: [[f"unit-{int(row[0]):06d}", *row[1:]] for row in rows])
     assert estimate_stdout(capsys, renamed, n_population) == reference
+
+
+def test_link_header_rejects_repeated_columns(tmp_path):
+    path = write(tmp_path / "links.csv", "unit_id,record_id,weight,weight\n1,a,0.5,0.5\n")
+    assert raised_text(read_links_csv, path) == (
+        f"{path}: repeated link columns ['weight', 'weight']")

@@ -82,6 +82,14 @@ def test_sample_rejects_non_finite_inclusion_probabilities():
         Sample(ids=np.array([0, 2]), pi=np.array([0.5, np.nan]), design=design)
 
 
+def test_sample_rejects_size_other_than_design():
+    design = SurveyDesign.srswor(10, 5)
+    with pytest.raises(ValidationError, match="sample has 3 units but the design's sample size is 5"):
+        Sample(ids=np.array([0, 2, 4]), pi=np.full(3, 0.5), design=design)
+    with pytest.raises(ValidationError, match="sample has 0 units"):
+        Sample(ids=np.empty(0, dtype=np.int64), pi=np.empty(0), design=design)
+
+
 def test_residual_variance_matches_sample_variance_bitwise():
     e = rng_stream(8, 0).normal(size=37)
     design = SurveyDesign.srswor(500, 37)

@@ -258,6 +258,17 @@ def test_weight_scheme_rejects_bad_sums(example_population_links):
         WeightScheme(kind="reverse", linkage=example_population_links, values=values)
 
 
+@pytest.mark.parametrize("kind", ["incidence", "reverse"])
+def test_weight_scheme_rejects_non_finite_values(example_population_links, kind):
+    values = multiplicity_weights(example_population_links).values.copy()
+    values[1] = np.inf
+    with pytest.raises(ValidationError, match="finite"):
+        WeightScheme(kind=kind, linkage=example_population_links, values=values)
+    with pytest.raises(ValidationError, match="finite"):
+        WeightScheme(kind=kind, linkage=example_population_links,
+                     values=np.full(example_population_links.n_links, np.nan))
+
+
 def test_matchset_injective():
     MatchSet(record_of_unit={0: 1, 1: 2})
     with pytest.raises(ValidationError, match="distinct"):
