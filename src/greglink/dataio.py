@@ -37,13 +37,6 @@ def _parse_float(value: str, where: str) -> float:
         raise ValidationError(f"{where}: not a number: {value!r}") from exc
 
 
-def _parse_bool(value: str, where: str) -> bool:
-    v = value.strip().lower()
-    if v not in _FLAGS:
-        raise ValidationError(f"{where}: not a 0/1 flag: {value!r}")
-    return v in _TRUE_FLAGS
-
-
 def _read_rows(path: str | Path) -> tuple[list[str], list[int], list[list[str]]]:
     """The stripped header, then the line numbers and cells of the non-blank rows."""
     path = Path(path)
@@ -74,10 +67,6 @@ def _check_widths(path: str | Path, width: int, linenos: list[int],
         raise ValidationError(f"{path}:{lineno}: expected {width} fields")
 
 
-def _key_column(rows: list[list[str]], column: int) -> list[str]:
-    return [row[column].strip() for row in rows]
-
-
 def _float_columns(path: str | Path, linenos: list[int], rows: list[list[str]],
                    columns: Sequence[int]) -> list[np.ndarray]:
     """Cells of each column parsed with ``float``; a bad cell is reported at
@@ -94,10 +83,11 @@ def _float_columns(path: str | Path, linenos: list[int], rows: list[list[str]],
 
 def _flag_column(path: str | Path, linenos: list[int], rows: list[list[str]],
                  column: int) -> np.ndarray:
+    """Cells of a flag column: 1, true or yes; 0, false, no or empty; any case."""
     cells = [row[column].strip().lower() for row in rows]
     if not _FLAGS.issuperset(cells):
-        for lineno, row in zip(linenos, rows):
-            _parse_bool(row[column], f"{path}:{lineno}")
+        i = next(i for i, cell in enumerate(cells) if cell not in _FLAGS)
+        raise ValidationError(f"{path}:{linenos[i]}: not a 0/1 flag: {rows[i][column]!r}")
     return np.fromiter(map(_TRUE_FLAGS.__contains__, cells), bool, len(cells))
 
 
@@ -126,7 +116,7 @@ def read_aux_csv(path: str | Path) -> AuxTable:
         )
     _check_widths(path, len(header), linenos, rows)
     values = np.column_stack(_float_columns(path, linenos, rows, range(1, len(header))))
-    keys = _key_column(rows, 0)
+    keys = [row[0].strip() for row in rows]
     index_of = _unique_index(path, keys, "record id")
     return AuxTable(aux=AuxDatabase(x=values), record_keys=keys, index_of=index_of)
 
@@ -157,7 +147,8 @@ def read_links_csv(path: str | Path) -> LinkTable:
         [weights] = _float_columns(path, linenos, rows, [header.index("weight")])
     if "is_best" in extras:
         is_best = _flag_column(path, linenos, rows, header.index("is_best"))
-    return LinkTable(unit_keys=_key_column(rows, 0), record_keys=_key_column(rows, 1),
+    return LinkTable(unit_keys=[row[0].strip() for row in rows],
+                     record_keys=[row[1].strip() for row in rows],
                      weights=weights, is_best=is_best)
 
 
@@ -176,7 +167,7 @@ def read_sample_csv(path: str | Path) -> SampleTable:
         raise ValidationError(f"{path}: sample header must be unit_id,y,pi, got {header}")
     _check_widths(path, 3, linenos, rows)
     y, pi = _float_columns(path, linenos, rows, (1, 2))
-    unit_keys = _key_column(rows, 0)
+    unit_keys = [row[0].strip() for row in rows]
     _unique_index(path, unit_keys, "sample unit")
     return SampleTable(unit_keys=unit_keys, y=y, pi=pi)
 

@@ -89,7 +89,7 @@ class Sample:
             )
         if len(np.unique(ids)) != len(ids):
             raise ValidationError("sample contains repeated unit ids")
-        if ids.size and (ids.min() < 0 or ids.max() >= self.design.n_population):
+        if ids.min() < 0 or ids.max() >= self.design.n_population:
             raise ValidationError("sample ids outside 0..N-1")
         if not np.all(np.isfinite(pi)) or np.any(pi <= 0) or np.any(pi > 1):
             raise ValidationError("inclusion probabilities must lie in (0, 1]")
