@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Reproduce the reference simulation tables.
 
-By default runs the three bundled blocks (one per table). With --full, runs
-every block of all three tables: three blocks of decreasing best-link
-quality, three blocks around high match coverage, and four blocks of
-medium and high linkage quality.
+By default runs the three bundled blocks (one per table), read from
+scenarios/table1_block1.scenario, table2_block2.scenario and
+table3_block3.scenario. With --full, runs every block of all three tables,
+read from scenarios/tables_full.scenario: three blocks of decreasing
+best-link quality, three blocks around high match coverage, and four
+blocks of medium and high linkage quality.
 
 Usage:
     python scripts/reproduce_tables.py [--replicates K] [--seed S]
@@ -12,50 +14,23 @@ Usage:
 """
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from greglink.harness import (  # noqa: E402
-    ScenarioConfig,
+    load_scenario_file,
     run_scenario,
     se_drift,
     summarize_to_table,
 )
 
-BUNDLED = [
-    dict(name="table1_block1", link_share=(0.2, 0.4, 0.4), match_rate=0.4,
-         correct_best_rate=0.4, best_link_weight=0.4),
-    dict(name="table2_block2", link_share=(0.2, 0.4, 0.4), match_rate=0.8,
-         correct_best_rate=0.8, best_link_weight=0.7),
-    dict(name="table3_block3", link_share=(0.8, 0.1, 0.1), match_rate=0.98,
-         correct_best_rate=0.98, best_link_weight=0.9),
-]
-
-FULL = [
-    dict(name="table1_block1", link_share=(0.2, 0.4, 0.4), match_rate=0.4,
-         correct_best_rate=0.4, best_link_weight=0.4),
-    dict(name="table1_block2", link_share=(0.2, 0.4, 0.4), match_rate=0.4,
-         correct_best_rate=0.3, best_link_weight=0.4),
-    dict(name="table1_block3", link_share=(0.2, 0.4, 0.4), match_rate=0.4,
-         correct_best_rate=0.2, best_link_weight=0.4),
-    dict(name="table2_block1", link_share=(0.2, 0.4, 0.4), match_rate=0.8,
-         correct_best_rate=0.8, best_link_weight=0.4),
-    dict(name="table2_block2", link_share=(0.2, 0.4, 0.4), match_rate=0.8,
-         correct_best_rate=0.8, best_link_weight=0.7),
-    dict(name="table2_block3", link_share=(0.2, 0.4, 0.4), match_rate=0.8,
-         correct_best_rate=0.2, best_link_weight=0.4),
-    dict(name="table3_block1", link_share=(0.4, 0.3, 0.3), match_rate=0.9,
-         correct_best_rate=0.9, best_link_weight=0.7),
-    dict(name="table3_block2", link_share=(0.4, 0.3, 0.3), match_rate=0.9,
-         correct_best_rate=0.65, best_link_weight=0.4),
-    dict(name="table3_block3", link_share=(0.8, 0.1, 0.1), match_rate=0.98,
-         correct_best_rate=0.98, best_link_weight=0.9),
-    dict(name="table3_block4", link_share=(0.8, 0.1, 0.1), match_rate=0.98,
-         correct_best_rate=0.89, best_link_weight=0.4),
-]
+SCENARIOS = ROOT / "scenarios"
+BUNDLED = ("table1_block1", "table2_block2", "table3_block3")
 
 
 def main() -> int:
@@ -67,17 +42,19 @@ def main() -> int:
                         help="run every block of all three tables")
     args = parser.parse_args()
 
-    blocks = FULL if args.full else BUNDLED
+    if args.full:
+        configs = load_scenario_file(SCENARIOS / "tables_full.scenario")
+    else:
+        configs = [config for name in BUNDLED
+                   for config in load_scenario_file(SCENARIOS / f"{name}.scenario")]
     summaries = []
-    for block in blocks:
-        config = ScenarioConfig(n_population=5000, sample_size=100,
-                                replicates=args.replicates, sigma=1.5,
-                                gamma=0.0, seed=args.seed, target="mean",
-                                **block)
+    for config in configs:
+        config = dataclasses.replace(config, replicates=args.replicates,
+                                     seed=args.seed)
         t0 = time.time()
         summary = run_scenario(config, workers=args.workers)
         summaries.append(summary)
-        print(f"[{block['name']} done in {time.time() - t0:.1f}s]",
+        print(f"[{config.name} done in {time.time() - t0:.1f}s]",
               file=sys.stderr)
 
     print(summarize_to_table(summaries))

@@ -22,16 +22,19 @@ from .dataio import (
     read_aux_csv,
     read_links_csv,
 )
-from .design import Estimate, exact_design_moments, ht_total, rng_stream
+from .design import Estimate, exact_design_moments, rng_stream
 from .errors import NumericalError, ValidationError
 from .estimators import (
+    BEST_LINK,
+    ESTIMATORS,
+    INCIDENCE_SUM,
+    LINK_SET,
+    REVERSE_SUM,
     DiagnosticsReport,
-    GregSpec,
+    build_unit_inputs,
     consistency_diagnostics,
-    greg,
+    fit_unit_inputs,
     npa_covariances,
-    sls_greg,
-    sub_greg,
 )
 from .harness import (
     load_scenario_file,
@@ -47,8 +50,6 @@ from .linkage import (
     AuxDatabase,
     LinkageStructure,
     WeightScheme,
-    best_link_indicator_weights,
-    derive_covariates,
     multiplicity_weights,
     reverse_weights_best_link,
 )
@@ -68,17 +69,16 @@ def _print_estimate(est: Estimate, diagnostics: DiagnosticsReport | None) -> Non
     print(f"variance estimate: {_fmt(est.variance)}")
     print(f"standard error: {_fmt(est.se)}")
     if diagnostics is not None:
-        stats = ", ".join(
-            f"component {j + 1}: value {diagnostics.value[j]:.6g} z {diagnostics.z[j]:.3g}"
-            for j in range(len(diagnostics.value))
-        )
-        print(f"consistency diagnostic ({diagnostics.statistic}): {stats}")
+        _print_diagnostic(diagnostics)
     print()
 
 
-def _restricted(inputs: EstimationInputs):
-    sub_linkage, link_index = inputs.linkage.restrict(inputs.sample.ids)
-    return sub_linkage, link_index
+def _print_diagnostic(report: DiagnosticsReport) -> None:
+    stats = ", ".join(
+        f"component {j + 1}: value {report.value[j]:.6g} z {report.z[j]:.3g}"
+        for j in range(len(report.value))
+    )
+    print(f"consistency diagnostic ({report.statistic}): {stats}")
 
 
 def _best_for(inputs: EstimationInputs, sub_linkage: LinkageStructure) -> np.ndarray:
@@ -107,69 +107,43 @@ def _reverse_scheme(inputs: EstimationInputs, sub_linkage: LinkageStructure,
 
 def estimate_from_inputs(inputs: EstimationInputs, estimator: str, target: str,
                          q: float) -> tuple[Estimate, DiagnosticsReport | None]:
-    """Compute one file-based estimator, with its diagnostic when defined."""
+    """Compute one file-based estimator, with its diagnostic when defined.
+
+    The file's weight column, or else its best-link flags, become the
+    estimator's weight scheme. ``pi`` is built over the population links,
+    every other estimator over the sampled units' own links, so their
+    weights and flags are checked on those units only.
+    """
+    if estimator not in FILE_ESTIMATORS:
+        raise ValidationError(
+            f"unknown estimator {estimator!r}; choose from {', '.join(FILE_ESTIMATORS)}"
+        )
     sample, aux = inputs.sample, inputs.aux
-    n_population = sample.design.n_population
-
-    if estimator == "ht":
-        return ht_total(inputs.y, sample, target=target), None
-
-    if estimator == "pi":
-        if inputs.linkage.scope != POPULATION:
+    rule = ESTIMATORS[estimator]
+    linkage, scheme, best = inputs.linkage, None, None
+    if rule.covariate == INCIDENCE_SUM:
+        if linkage.scope != POPULATION:
             raise ValidationError("PI-GREG requires population-scope links")
         if inputs.weights is not None:
-            scheme = WeightScheme(kind=INCIDENCE, linkage=inputs.linkage,
-                                  values=inputs.weights)
+            scheme = WeightScheme(kind=INCIDENCE, linkage=linkage, values=inputs.weights)
         else:
-            scheme = multiplicity_weights(inputs.linkage)
-        derived = derive_covariates(inputs.linkage, scheme, aux)
-        spec = GregSpec(covariates=derived.weighted[sample.ids],
-                        total=derived.weighted_total, tag="pi")
-        return greg(spec, inputs.y, sample, target=target), None
+            scheme = multiplicity_weights(linkage)
+    elif rule.covariate is not None:
+        linkage, link_index = linkage.restrict(sample.ids)
+        if rule.covariate == BEST_LINK:
+            best = _best_for(inputs, linkage)
+        elif rule.covariate in (REVERSE_SUM, LINK_SET):
+            scheme = _reverse_scheme(inputs, linkage, link_index, q)
 
-    sub_linkage, link_index = _restricted(inputs)
-    if estimator == "sub":
-        single = sub_linkage.degrees == 1
-        if not single.any():
-            raise ValidationError("no single-link units in the sample")
-        x_rows = np.vstack([
-            aux.x[sub_linkage.records_of(int(u))[0]]
-            for u in sub_linkage.covered_units[single]
-        ])
-        est = sub_greg(inputs.y[single], x_rows, aux.mean, sample.design,
-                       target=target)
-        return est, None
-
-    if estimator == "sbl":
-        best = _best_for(inputs, sub_linkage)
-        scheme = best_link_indicator_weights(sub_linkage, best)
-        derived = derive_covariates(sub_linkage, scheme, aux)
-        spec = GregSpec(covariates=derived.weighted,
-                        total=n_population * aux.mean, tag="sbl")
-        est = greg(spec, inputs.y, sample, target=target)
-        diag = consistency_diagnostics(sub_linkage, aux, sample, "sbl",
-                                       best_links=best)
-        return est, diag
-
-    if estimator == "sri":
-        scheme = _reverse_scheme(inputs, sub_linkage, link_index, q)
-        derived = derive_covariates(sub_linkage, scheme, aux)
-        spec = GregSpec(covariates=derived.weighted,
-                        total=n_population * aux.mean, tag="sri")
-        est = greg(spec, inputs.y, sample, target=target)
-        diag = consistency_diagnostics(sub_linkage, aux, sample, "sri",
-                                       scheme=scheme)
-        return est, diag
-
-    if estimator == "sls":
-        scheme = _reverse_scheme(inputs, sub_linkage, link_index, q)
-        est = sls_greg(sub_linkage, scheme, aux, inputs.y, sample, target=target)
-        diag = consistency_diagnostics(sub_linkage, aux, sample, "sls")
-        return est, diag
-
-    raise ValidationError(
-        f"unknown estimator {estimator!r}; choose from {', '.join(FILE_ESTIMATORS)}"
-    )
+    unit_inputs = build_unit_inputs(estimator, linkage, aux, scheme, best, inputs.y)
+    pos = np.searchsorted(linkage.covered_units, sample.ids)
+    fit = fit_unit_inputs(unit_inputs, pos[None], inputs.y[None], sample.pi[None],
+                          sample.design, target, strict=True)
+    diag = None
+    if rule.diagnostic is not None:
+        diag = consistency_diagnostics(linkage, aux, sample, rule.diagnostic,
+                                       scheme=scheme, best_links=best)
+    return fit.first(estimator, target), diag
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -252,11 +226,12 @@ def _print_npa(linkage: LinkageStructure, aux: AuxDatabase,
     if weights is not None:
         try:
             scheme = WeightScheme(kind=INCIDENCE, linkage=linkage, values=weights)
-        except ValidationError:
+        except ValidationError as incidence_error:
+            # neither kind fits: report it as `estimate --estimator pi` does
             try:
                 scheme = WeightScheme(kind=REVERSE, linkage=linkage, values=weights)
             except ValidationError:
-                return
+                raise incidence_error from None
     else:
         scheme = multiplicity_weights(linkage)
     npa = npa_covariances(linkage, scheme, aux)
@@ -276,7 +251,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         _echo_structure(inputs.linkage, inputs.unit_keys, inputs.record_keys,
                         args.limit)
         _print_npa(inputs.linkage, inputs.aux, inputs.weights)
-        sub_linkage, link_index = _restricted(inputs)
+        sub_linkage, link_index = inputs.linkage.restrict(inputs.sample.ids)
         reports = []
         try:
             scheme = _reverse_scheme(inputs, sub_linkage, link_index, args.q)
@@ -293,11 +268,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
                                                inputs.sample, "sls"))
         print()
         for report in reports:
-            stats = ", ".join(
-                f"component {j + 1}: value {report.value[j]:.6g} z {report.z[j]:.3g}"
-                for j in range(len(report.value))
-            )
-            print(f"consistency diagnostic ({report.statistic}): {stats}")
+            _print_diagnostic(report)
         return 0
 
     aux_table = read_aux_csv(args.aux)

@@ -2,37 +2,30 @@
 
 All estimators share one template: fit a weighted least-squares assisting
 model (an intercept plus some constructed covariate) on the sample, then
-correct the Horvitz-Thompson estimator with the gap between a known
-calibration total and its sample estimate. The covariate source and the
-total distinguish the family members:
-
-==============  =============================  ==========================
-estimator       covariate per sampled unit     calibration total
-==============  =============================  ==========================
-ideal           matched auxiliary value        population covariate total
-pop-incidence   incidence-weighted link sum    its known population total
-pop-reverse     reverse-weighted link sum      its known population total
-sample-reverse  reverse-weighted link sum      N x auxiliary-file mean
-best-link       best link's value              N x auxiliary-file mean
-link-set        raw link sums (link-level fit) N x auxiliary-file mean
-subsample       matched value, single-link     auxiliary-file mean
-==============  =============================  ==========================
+correct the Horvitz-Thompson estimator with the gap between a calibration
+total and its sample estimate. ``ESTIMATORS`` tells the family members
+apart, with one rule per estimator id: a covariate source (the matched
+value, an incidence- or reverse-weighted link sum, the best or the only
+link's value, or the link-set sums of a link-level fit) and a calibration
+total (the known population total, or N x the auxiliary-file mean).
 
 Estimators whose total is N x the auxiliary-file mean are computable from
 sample links alone; their design consistency rests on the linkage being
 non-informative of the auxiliary values, which ``consistency_diagnostics``
 turns into a testable statistic.
 
-Each estimator's arithmetic lives in one batched kernel (``greg_batch``,
-``sub_greg_batch``, ``sls_greg_batch``) over a stack of samples, which the
-Monte Carlo harness calls once per chunk of replicates; ``greg``,
-``sub_greg`` and ``sls_greg`` validate one sample and run the same kernel
-on it.
+``build_unit_inputs`` turns a rule into per-unit arrays over one linkage,
+and ``fit_unit_inputs`` fits the rule on a stack of samples with one
+batched kernel (``ht_total_batch``, ``greg_batch``, ``sub_greg_batch``,
+``sls_greg_batch``). The Monte Carlo harness fits chunks of replicates this
+way and the command line a stack of one sample. ``greg``, ``sub_greg`` and
+``sls_greg`` validate one sample and run the same kernels on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,12 +36,14 @@ from .design import (
     SurveyDesign,
     check_finite_values,
     equal_probability_variances,
+    ht_total_batch,
     residual_variance,
     residual_variances,
     scale_to_target,
 )
 from .errors import NumericalError, ValidationError
 from .linkage import (
+    INCIDENCE,
     POPULATION,
     REVERSE,
     SAMPLE,
@@ -132,17 +127,14 @@ def with_intercept(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GregSpec:
-    """Covariate rows per sampled unit, their calibration total, fit constants.
+    """Covariate rows per sampled unit and their calibration total.
 
     ``total`` is the population total of the covariate columns; the model
-    intercept and its total (the population size) are added automatically
-    unless ``intercept`` is disabled.
+    intercept and its total (the population size) are added automatically.
     """
 
     covariates: np.ndarray
     total: np.ndarray
-    constants: np.ndarray | None = None
-    intercept: bool = True
     tag: str = "greg"
 
     def __post_init__(self) -> None:
@@ -150,41 +142,33 @@ class GregSpec:
         t = np.asarray(self.total, dtype=np.float64).reshape(-1)
         if x.ndim != 2 or x.shape[1] != t.shape[0]:
             raise ValidationError("covariate dimension must match the total")
-        if x.shape[1] == 0 and not self.intercept:
-            raise ValidationError("model needs at least one column")
-        c = self.constants
-        if c is not None:
-            c = np.asarray(c, dtype=np.float64)
-            if c.shape != (x.shape[0],) or np.any(c <= 0):
-                raise ValidationError("regression constants must be positive, one per unit")
+        if not np.all(np.isfinite(x)):
+            raise ValidationError("covariates must be finite")
+        if not np.all(np.isfinite(t)):
+            raise ValidationError("calibration total must be finite")
         object.__setattr__(self, "covariates", x)
         object.__setattr__(self, "total", t)
-        object.__setattr__(self, "constants", c)
 
     def design_matrix(self) -> np.ndarray:
-        return with_intercept(self.covariates) if self.intercept else self.covariates
+        return with_intercept(self.covariates)
 
     def full_total(self, n_population: int) -> np.ndarray:
-        if self.intercept:
-            return np.concatenate([[float(n_population)], self.total])
-        return self.total
+        return np.concatenate([[float(n_population)], self.total])
 
 
 def greg_batch(x: np.ndarray, y: np.ndarray, pi: np.ndarray, total: np.ndarray,
-               design: SurveyDesign, constants: np.ndarray | None = None,
-               target: str = "total", strict: bool = False) -> BatchEstimate:
+               design: SurveyDesign, target: str = "total",
+               strict: bool = False) -> BatchEstimate:
     """Regression estimator over stacked samples: T'b plus the design-weighted
     residual total.
 
     ``x`` (..., n, q) holds each sample's design matrix (intercept included),
-    ``y``, ``pi`` and ``constants`` (..., n) its responses, inclusion
-    probabilities and regression constants, ``total`` (q,) the full
-    calibration total. A near-singular fit gives NaN, or raises under
-    ``strict``.
+    ``y`` and ``pi`` (..., n) its responses and inclusion probabilities,
+    ``total`` (q,) the full calibration total. A near-singular fit gives
+    NaN, or raises under ``strict``.
     """
     check_finite_values(y)
-    c = 1.0 if constants is None else constants
-    b = _weighted_least_squares(x, y, c / pi, strict)
+    b = _weighted_least_squares(x, y, 1.0 / pi, strict)
     residuals = y - _fitted(x, b)
     values = b @ total + np.sum(residuals / pi, axis=-1)
     variances = equal_probability_variances(residuals, pi, design)
@@ -206,10 +190,9 @@ def greg(spec: GregSpec, y: np.ndarray, sample: Sample,
         raise ValidationError("need one response per sampled unit")
     if spec.covariates.shape[0] != sample.n:
         raise ValidationError("covariate rows must align with the sample")
-    constants = None if spec.constants is None else spec.constants[None]
     batch = greg_batch(spec.design_matrix()[None], y[None], sample.pi[None],
                        spec.full_total(sample.design.n_population),
-                       sample.design, constants, target, strict=True)
+                       sample.design, target, strict=True)
     return batch.first(spec.tag, target)
 
 
@@ -217,12 +200,11 @@ def calibration_weights(spec: GregSpec, sample: Sample) -> np.ndarray:
     """The linear weights w_i that make greg() equal to sum_i w_i y_i."""
     x = spec.design_matrix()
     total = spec.full_total(sample.design.n_population)
-    c = spec.constants if spec.constants is not None else np.ones(sample.n)
-    xw = x * (c / sample.pi)[:, None]
+    xw = x * (1.0 / sample.pi)[:, None]
     m = xw.T @ x
     ht_x = np.sum(x / sample.pi[:, None], axis=0)
     adjust = _solve_normal_equations(m, total - ht_x)
-    g = 1.0 + (x * c[:, None]) @ adjust
+    g = 1.0 + x @ adjust
     return g / sample.pi
 
 
@@ -263,8 +245,8 @@ def sub_greg(y: np.ndarray, covariates: np.ndarray, aux_mean: np.ndarray,
     are fit on the subsample itself (self-normalised, so no inclusion
     probabilities are needed). Passing ``coefficients`` (intercept first)
     switches to the difference form with those coefficients held fixed,
-    which avoids refit noise when a stable external fit is available; the
-    simulation harness uses this with coefficients fit once per scenario.
+    which avoids refit noise when a stable external fit is available, as in
+    simulation, where they are fit on the population's single-link units.
     The variance uses the design's sampling fraction with the subsample
     size as the effective size.
     """
@@ -276,12 +258,7 @@ def sub_greg(y: np.ndarray, covariates: np.ndarray, aux_mean: np.ndarray,
     n_sub = x.shape[0]
     x_full = with_intercept(x)
     if coefficients is None:
-        if n_sub <= x_full.shape[1]:
-            raise ValidationError(
-                f"subsample too small: {n_sub} single-link units for "
-                f"{x_full.shape[1]} model columns"
-            )
-        b = wls_coefficients(x_full, y, np.ones(n_sub))
+        b = _subsample_coefficients(x, y)
     else:
         b = np.asarray(coefficients, dtype=np.float64).reshape(-1)
         if b.shape != (x_full.shape[1],):
@@ -293,20 +270,29 @@ def sub_greg(y: np.ndarray, covariates: np.ndarray, aux_mean: np.ndarray,
     return batch.first(tag, target)
 
 
+def _subsample_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Unweighted fit of ``y`` on an intercept and ``x`` over single-link units."""
+    x_full = with_intercept(x)
+    n_sub, q = x_full.shape
+    if n_sub <= q:
+        raise ValidationError(
+            f"subsample too small: {n_sub} single-link units for {q} model columns"
+        )
+    return wls_coefficients(x_full, y, np.ones(n_sub))
+
+
 def link_aggregates(linkage: LinkageStructure, weights: np.ndarray,
-                    aux: AuxDatabase, link_constants: np.ndarray | None = None
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    aux: AuxDatabase) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per covered unit, the sums over its links that the link-set fit needs.
 
-    With x_l = (1, record values of link l), w_l the link weight and c_l the
-    link constant, returns Σ x_l (n_covered, q), whose first column is the
-    degree; Σ c_l x_l x_l' (n_covered, q, q); and Σ c_l w_l x_l
-    (n_covered, q). The link-set estimator is linear in these once the
-    sample is fixed, so they are computed once per linkage.
+    With x_l = (1, record values of link l) and w_l the link weight, returns
+    Σ x_l (n_covered, q), whose first column is the degree; Σ x_l x_l'
+    (n_covered, q, q); and Σ w_l x_l (n_covered, q). The link-set estimator
+    is linear in these once the sample is fixed, so they are computed once
+    per linkage.
     """
     unit_idx = linkage.unit_index_per_link()
     x_links = with_intercept(aux.x[linkage.link_records])
-    c = 1.0 if link_constants is None else link_constants
     q = x_links.shape[1]
 
     def per_unit(values: np.ndarray) -> np.ndarray:
@@ -316,9 +302,8 @@ def link_aggregates(linkage: LinkageStructure, weights: np.ndarray,
     gram = np.empty((linkage.n_covered, q, q))
     for i in range(q):
         for j in range(i, q):
-            gram[:, i, j] = gram[:, j, i] = per_unit(c * x_links[:, i] * x_links[:, j])
-    weighted = np.column_stack([per_unit(c * weights * x_links[:, i])
-                                for i in range(q)])
+            gram[:, i, j] = gram[:, j, i] = per_unit(x_links[:, i] * x_links[:, j])
+    weighted = np.column_stack([per_unit(weights * x_links[:, i]) for i in range(q)])
     return link_sum, gram, weighted
 
 
@@ -330,11 +315,16 @@ def sls_greg_batch(link_sum: np.ndarray, gram: np.ndarray, weighted: np.ndarray,
     ``link_aggregates`` ((..., n, q), (..., n, q, q), (..., n, q)).
 
     A sample with fewer than q links, or a near-singular fit, gives NaN;
-    under ``strict`` the latter raises.
+    under ``strict`` either raises.
     """
     check_finite_values(y)
     n_population = design.n_population
     d = link_sum[..., 0]
+    n_links = np.sum(d, axis=-1)
+    too_few = n_links < link_sum.shape[-1]
+    if strict and too_few.any():
+        raise ValidationError(f"need at least {link_sum.shape[-1]} links, "
+                              f"got {int(n_links[too_few][0])}")
     link_rate_hat = np.sum(d / pi, axis=-1) / n_population
     link_total_hat = np.sum(link_sum / pi[..., None], axis=-2)
     link_mean_hat = link_total_hat / (link_rate_hat * n_population)[..., None]
@@ -351,7 +341,6 @@ def sls_greg_batch(link_sum: np.ndarray, gram: np.ndarray, weighted: np.ndarray,
     taylor_residuals = (fit_residuals
                         + (d / rate) * np.sum(link_mean_hat * b, axis=-1)[..., None])
     variances = equal_probability_variances(taylor_residuals, pi, design)
-    too_few = np.sum(d, axis=-1) < link_sum.shape[-1]
     values = np.where(too_few, np.nan, values)
     variances = np.where(too_few, np.nan, variances)
     values, variances = scale_to_target(values, variances, target, n_population)
@@ -359,8 +348,8 @@ def sls_greg_batch(link_sum: np.ndarray, gram: np.ndarray, weighted: np.ndarray,
 
 
 def sls_greg(linkage: LinkageStructure, scheme: WeightScheme, aux: AuxDatabase,
-             y: np.ndarray, sample: Sample, link_constants: np.ndarray | None = None,
-             target: str = "total", tag: str = "sls") -> Estimate:
+             y: np.ndarray, sample: Sample, target: str = "total",
+             tag: str = "sls") -> Estimate:
     """Regression estimator fitted over the sample link set.
 
     The assisting fit regresses the reverse-weighted responses on the record
@@ -378,19 +367,132 @@ def sls_greg(linkage: LinkageStructure, scheme: WeightScheme, aux: AuxDatabase,
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (sample.n,):
         raise ValidationError("need one response per sampled unit")
-    dim = aux.dim + 1
-    if linkage.n_links < dim:
-        raise ValidationError(f"need at least {dim} links, got {linkage.n_links}")
-    c_links = (None if link_constants is None
-               else np.asarray(link_constants, dtype=np.float64))
-    if c_links is not None and (c_links.shape != (linkage.n_links,) or np.any(c_links <= 0)):
-        raise ValidationError("link constants must be positive, one per link")
-
-    link_sum, gram, weighted = link_aggregates(linkage, scheme.values, aux, c_links)
+    link_sum, gram, weighted = link_aggregates(linkage, scheme.values, aux)
     batch = sls_greg_batch(link_sum[None], gram[None], weighted[None], y[None],
                            sample.pi[None], sample.design, aux.mean, target,
                            strict=True)
     return batch.first(tag, target)
+
+
+# The estimator table: each estimator is one covariate source and one
+# calibration total. Callers supply the weight schemes and best links.
+MATCHED = "matched value"
+INCIDENCE_SUM = "incidence-weighted link sum"
+REVERSE_SUM = "reverse-weighted link sum"
+BEST_LINK = "best link's value"
+ONLY_LINK = "only link's value"
+LINK_SET = "link-set sums"
+
+KNOWN_TOTAL = "known population total"
+AUX_MEAN = "N x auxiliary mean"
+
+
+class EstimatorRule(NamedTuple):
+    """Covariate source and calibration total of one estimator (both None
+    for Horvitz-Thompson), and the consistency diagnostic that checks it."""
+
+    covariate: str | None
+    total: str | None
+    diagnostic: str | None = None
+
+
+ESTIMATORS = {
+    "ht": EstimatorRule(None, None),
+    "ideal": EstimatorRule(MATCHED, KNOWN_TOTAL),
+    "sub": EstimatorRule(ONLY_LINK, AUX_MEAN),
+    "pi-m": EstimatorRule(INCIDENCE_SUM, KNOWN_TOTAL),
+    "pi-q": EstimatorRule(INCIDENCE_SUM, KNOWN_TOTAL),
+    "sbl": EstimatorRule(BEST_LINK, AUX_MEAN, "sbl"),
+    "sri-q": EstimatorRule(REVERSE_SUM, AUX_MEAN, "sri"),
+    "sls": EstimatorRule(LINK_SET, AUX_MEAN, "sls"),
+}
+# file-based ids: PI and SRI with whatever weights the link file yields
+ESTIMATORS["pi"] = ESTIMATORS["pi-m"]
+ESTIMATORS["sri"] = ESTIMATORS["sri-q"]
+
+
+class UnitInputs(NamedTuple):
+    """One estimator's inputs over one linkage.
+
+    ``rows`` hold one entry per covered unit and are gathered at the sampled
+    units of each fit. ``calibration`` is the known population total of the
+    covariate, or the auxiliary mean for a rule calibrated on N times it;
+    ``coefficients`` are the subsample rule's fixed assisting coefficients.
+    """
+
+    tag: str
+    rows: tuple[np.ndarray, ...] = ()
+    calibration: np.ndarray | None = None
+    coefficients: np.ndarray | None = None
+
+
+def build_unit_inputs(tag: str, linkage: LinkageStructure, aux: AuxDatabase,
+                      scheme: WeightScheme | None = None,
+                      best: np.ndarray | None = None,
+                      y: np.ndarray | None = None) -> UnitInputs:
+    """The per-unit inputs of estimator ``tag`` over ``linkage``.
+
+    ``scheme`` holds the link weights of the weighted-sum and link-set rules,
+    ``best`` the best record of each covered unit, and ``y`` the response of
+    each covered unit, from which the subsample rule fits its coefficients
+    on the single-link units. The matched value of unit i is record i, which
+    only a simulated population has. Link sums are local to each unit, so
+    inputs built over the population links and gathered at a sample equal
+    those built over the sample's own links.
+    """
+    rule = ESTIMATORS[tag]
+    source, known, coefficients = rule.covariate, None, None
+    if source is None:
+        return UnitInputs(tag)
+    if source == MATCHED:
+        rows, known = (aux.x,), aux.total
+    elif source == BEST_LINK:
+        rows = (aux.x[best],)
+    elif source == ONLY_LINK:
+        # each unit's first link; the fit keeps only the single-link units
+        first = np.cumsum(linkage.degrees) - linkage.degrees
+        x = aux.x[linkage.link_records[first]]
+        single = linkage.degrees == 1
+        rows, coefficients = (x, single), _subsample_coefficients(x[single], y[single])
+    else:
+        kind = INCIDENCE if source == INCIDENCE_SUM else REVERSE
+        if scheme is None or scheme.kind != kind:
+            raise ValidationError(f"estimator {tag!r} needs {kind} weights")
+        if source == LINK_SET:
+            rows = link_aggregates(linkage, scheme.values, aux)
+        else:
+            derived = derive_covariates(linkage, scheme, aux)
+            rows, known = (derived.weighted,), derived.weighted_total
+    calibration = aux.mean if rule.total == AUX_MEAN else known
+    return UnitInputs(tag, rows, calibration, coefficients)
+
+
+def fit_unit_inputs(inputs: UnitInputs, pos: np.ndarray, y: np.ndarray,
+                    pi: np.ndarray, design: SurveyDesign, target: str = "total",
+                    strict: bool = False) -> BatchEstimate:
+    """Fit one estimator on stacked samples.
+
+    ``pos`` (..., n) holds the positions of the sampled units among the
+    covered units of the linkage the inputs were built over, ``y`` and
+    ``pi`` (..., n) their responses and inclusion probabilities. A failed
+    fit gives NaN, or raises under ``strict``.
+    """
+    rule = ESTIMATORS[inputs.tag]
+    rows = [a[pos] for a in inputs.rows]
+    if rule.covariate is None:
+        return ht_total_batch(y, pi, design, target)
+    if rule.covariate == ONLY_LINK:
+        x, kept = rows
+        return sub_greg_batch(with_intercept(x), y, kept, inputs.coefficients,
+                              inputs.calibration, design, target)
+    if rule.covariate == LINK_SET:
+        return sls_greg_batch(*rows, y, pi, design, inputs.calibration, target, strict)
+    total = inputs.calibration
+    if rule.total == AUX_MEAN:
+        total = design.n_population * total
+    return greg_batch(with_intercept(rows[0]), y, pi,
+                      np.concatenate([[float(design.n_population)], total]),
+                      design, target, strict)
 
 
 @dataclass(frozen=True)
@@ -444,7 +546,6 @@ class DiagnosticsReport:
     value: np.ndarray
     variance: np.ndarray
     z: np.ndarray
-    npa: NpaCovariances | None = None
 
     @property
     def max_abs_z(self) -> float:
@@ -457,8 +558,7 @@ DIAGNOSTIC_KINDS = ("sri", "sbl", "sls")
 def consistency_diagnostics(linkage: LinkageStructure, aux: AuxDatabase,
                             sample: Sample, kind: str,
                             scheme: WeightScheme | None = None,
-                            best_links=None,
-                            npa: NpaCovariances | None = None) -> DiagnosticsReport:
+                            best_links=None) -> DiagnosticsReport:
     """Observable check of the consistency condition behind a sample-link estimator.
 
     Each kind compares a sample estimate of a constructed covariate mean with
@@ -477,17 +577,15 @@ def consistency_diagnostics(linkage: LinkageStructure, aux: AuxDatabase,
         raise ValidationError("diagnostics need an equal-probability sample")
     n_population = sample.design.n_population
 
-    if kind == "sri":
-        if scheme is None or scheme.kind != REVERSE:
-            raise ValidationError("reverse weights are required for this diagnostic")
-        derived = derive_covariates(linkage, scheme, aux)
-        contributions = derived.weighted / n_population
-        value = np.sum(contributions / sample.pi[:, None], axis=0) - aux.mean
-    elif kind == "sbl":
-        if best_links is None:
-            raise ValidationError("best links are required for this diagnostic")
-        best = aux.x[align_best_links(linkage, best_links)]
-        contributions = best / n_population
+    if kind == "sri" and (scheme is None or scheme.kind != REVERSE):
+        raise ValidationError("reverse weights are required for this diagnostic")
+    if kind == "sbl" and best_links is None:
+        raise ValidationError("best links are required for this diagnostic")
+    if kind != "sls":
+        # the estimator's own covariate, so statistic and estimator agree
+        best = None if best_links is None else align_best_links(linkage, best_links)
+        covariate = build_unit_inputs(kind, linkage, aux, scheme, best).rows[0]
+        contributions = covariate / n_population
         value = np.sum(contributions / sample.pi[:, None], axis=0) - aux.mean
     else:
         unit_idx = linkage.unit_index_per_link()
@@ -512,5 +610,4 @@ def consistency_diagnostics(linkage: LinkageStructure, aux: AuxDatabase,
             continue
         variance[j] = residual_variance(contributions[:, j], sample.design)
         z[j] = value[j] / np.sqrt(variance[j])
-    return DiagnosticsReport(statistic=kind, value=value, variance=variance,
-                             z=z, npa=npa)
+    return DiagnosticsReport(statistic=kind, value=value, variance=variance, z=z)

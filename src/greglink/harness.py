@@ -7,9 +7,10 @@ check.
 
 Replicates run in chunks of ``REPLICATE_CHUNK`` consecutive indices. Every
 estimator the harness runs is linear in y once its per-unit covariates are
-fixed, so those are built once per linkage (for the link-set estimator, the
-sums over each unit's links) and a chunk gathers them for all its samples
-and fits each estimator with stacked array operations. A failed fit
+fixed, so ``estimators.build_unit_inputs`` builds those once per linkage
+(for the link-set estimator, the sums over each unit's links) and a chunk
+gathers them for all its samples and fits each estimator with
+``estimators.fit_unit_inputs``, in stacked array operations. A failed fit
 (singular normal equations, too few single-link units or links) records NaN
 for that estimator in that replicate only. With ``redraw_linkage`` a chunk
 is a single replicate with its own linkage.
@@ -29,22 +30,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import SurveyDesign, ht_total_batch, rng_stream, srswor_ids
+from .design import SurveyDesign, rng_stream, srswor_ids
 from .errors import NumericalError, ValidationError
-from .estimators import (
-    greg_batch,
-    link_aggregates,
-    sls_greg_batch,
-    sub_greg_batch,
-    with_intercept,
-    wls_coefficients,
-)
-from .linkage import (
-    AuxDatabase,
-    derive_covariates,
-    multiplicity_weights,
-    reverse_weights_best_link,
-)
+from .estimators import UnitInputs, build_unit_inputs, fit_unit_inputs
+from .linkage import AuxDatabase, multiplicity_weights, reverse_weights_best_link
 from .synthpop import (
     LinkageModel,
     PopulationModel,
@@ -126,88 +115,33 @@ class ScenarioConfig:
 
 
 @dataclass
-class _LinkState:
-    """Per-unit quantities of one linkage realisation that replicates gather.
-
-    ``covariates`` and ``totals`` hold the GREG covariate (population scope)
-    and calibration total per estimator tag; ``sls`` the link-set
-    estimator's ``link_aggregates``; ``sub_coefficients`` the subsample
-    estimator's fixed assisting coefficients.
-    """
-
-    degrees: np.ndarray
-    covariates: dict[str, np.ndarray]
-    totals: dict[str, np.ndarray]
-    sls: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    sub_coefficients: np.ndarray | None = None
-
-
-@dataclass
 class _ScenarioState:
     config: ScenarioConfig
     aux: AuxDatabase
     y: np.ndarray
     truth: float
-    links: _LinkState | None
+    inputs: list[UnitInputs] | None  # one per estimator, unless redrawn
 
 
-def _build_link_state(config: ScenarioConfig, aux: AuxDatabase, y: np.ndarray,
-                      rng_links: np.random.Generator,
-                      rng_weights: np.random.Generator) -> _LinkState:
+def _build_unit_inputs(config: ScenarioConfig, aux: AuxDatabase, y: np.ndarray,
+                       rng_links: np.random.Generator,
+                       rng_weights: np.random.Generator) -> list[UnitInputs]:
+    """Each estimator's per-unit inputs over one linkage realisation; the
+    subsample estimator's coefficients are fit on the population's
+    single-link units."""
     matches, linkage, best = gen_linkage(config.n_population,
                                          config.linkage_model(), rng_links)
-    covariates: dict[str, np.ndarray] = {}
-    totals: dict[str, np.ndarray] = {}
     wanted = set(config.estimators)
-    n_aux_mean_total = config.n_population * aux.mean
-
-    if "ideal" in wanted:
-        covariates["ideal"] = aux.x
-        totals["ideal"] = aux.total
+    schemes = {}
     if "pi-m" in wanted:
-        derived = derive_covariates(linkage, multiplicity_weights(linkage), aux)
-        covariates["pi-m"] = derived.weighted
-        totals["pi-m"] = derived.weighted_total
+        schemes["pi-m"] = multiplicity_weights(linkage)
     if "pi-q" in wanted:
-        scheme = gen_pi_q_weights(linkage, matches, config.pi_q, rng_weights)
-        derived = derive_covariates(linkage, scheme, aux)
-        covariates["pi-q"] = derived.weighted
-        totals["pi-q"] = derived.weighted_total
-    sls = None
+        schemes["pi-q"] = gen_pi_q_weights(linkage, matches, config.pi_q, rng_weights)
     if wanted & {"sri-q", "sls"}:
-        reverse_scheme = reverse_weights_best_link(linkage, best,
-                                                   config.best_link_weight)
-        if "sri-q" in wanted:
-            derived = derive_covariates(linkage, reverse_scheme, aux)
-            covariates["sri-q"] = derived.weighted
-            totals["sri-q"] = n_aux_mean_total
-        if "sls" in wanted:
-            sls = link_aggregates(linkage, reverse_scheme.values, aux)
-    if "sbl" in wanted:
-        # the best-link indicator weights put 1 on one link per unit, so the
-        # weighted link sum is the best link's record value
-        covariates["sbl"] = aux.x[best]
-        totals["sbl"] = n_aux_mean_total
-
-    # the subsample reference estimator keeps one set of assisting
-    # coefficients per linkage realisation, fit on the single-link units
-    sub_coefficients = None
-    if "sub" in wanted:
-        single = np.flatnonzero(linkage.degrees == 1)
-        if len(single) <= aux.dim + 1:
-            raise ValidationError(
-                f"only {len(single)} single-link units; cannot anchor the "
-                "subsample estimator"
-            )
-        sub_coefficients = wls_coefficients(with_intercept(aux.x[single]),
-                                            y[single], np.ones(len(single)))
-    return _LinkState(
-        degrees=linkage.degrees,
-        covariates=covariates,
-        totals=totals,
-        sls=sls,
-        sub_coefficients=sub_coefficients,
-    )
+        schemes["sri-q"] = schemes["sls"] = reverse_weights_best_link(
+            linkage, best, config.best_link_weight)
+    return [build_unit_inputs(tag, linkage, aux, schemes.get(tag), best, y)
+            for tag in config.estimators]
 
 
 def _build_state(config: ScenarioConfig) -> _ScenarioState:
@@ -215,13 +149,13 @@ def _build_state(config: ScenarioConfig) -> _ScenarioState:
                                    rng_stream(config.seed, _POP_KEY))
     aux = aux_from_population(x)
     truth = population.mean if config.target == "mean" else population.total
-    links = None
+    inputs = None
     if not config.redraw_linkage:
-        links = _build_link_state(config, aux, population.y,
-                                  rng_stream(config.seed, _LINK_KEY),
-                                  rng_stream(config.seed, _WEIGHT_KEY))
+        inputs = _build_unit_inputs(config, aux, population.y,
+                                    rng_stream(config.seed, _LINK_KEY),
+                                    rng_stream(config.seed, _WEIGHT_KEY))
     return _ScenarioState(config=config, aux=aux, y=population.y,
-                          truth=truth, links=links)
+                          truth=truth, inputs=inputs)
 
 
 def _chunks(config: ScenarioConfig) -> list[range]:
@@ -235,10 +169,10 @@ def _run_chunk(state: _ScenarioState, indices: range
     """Values and variance estimates (len(indices), n_estimators) of one
     chunk of replicates; NaN where an estimator failed."""
     config = state.config
-    links = state.links
-    if links is None:
+    inputs = state.inputs
+    if inputs is None:
         (k,) = indices
-        links = _build_link_state(
+        inputs = _build_unit_inputs(
             config, state.aux, state.y,
             rng_stream(config.seed, _LINK_KEY, k),
             rng_stream(config.seed, _WEIGHT_KEY, k))
@@ -248,26 +182,11 @@ def _run_chunk(state: _ScenarioState, indices: range
                     for k in indices])
     y_s = state.y[ids]
     pi = np.full(ids.shape, design.f)
-    aux = state.aux
-    target = config.target
 
-    values = np.empty((len(indices), len(config.estimators)))
+    values = np.empty((len(indices), len(inputs)))
     varests = np.empty_like(values)
-    for j, tag in enumerate(config.estimators):
-        if tag == "ht":
-            fit = ht_total_batch(y_s, pi, design, target)
-        elif tag == "sub":
-            fit = sub_greg_batch(with_intercept(aux.x[ids]), y_s,
-                                 links.degrees[ids] == 1, links.sub_coefficients,
-                                 aux.mean, design, target)
-        elif tag == "sls":
-            link_sum, gram, weighted = links.sls
-            fit = sls_greg_batch(link_sum[ids], gram[ids], weighted[ids], y_s, pi,
-                                 design, aux.mean, target)
-        else:
-            total = np.concatenate([[float(config.n_population)], links.totals[tag]])
-            fit = greg_batch(with_intercept(links.covariates[tag][ids]), y_s, pi,
-                             total, design, target=target)
+    for j, unit_inputs in enumerate(inputs):
+        fit = fit_unit_inputs(unit_inputs, ids, y_s, pi, design, config.target)
         values[:, j] = fit.values
         varests[:, j] = fit.variances
     return values, varests

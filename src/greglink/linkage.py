@@ -191,10 +191,6 @@ class LinkageStructure:
             raise ValidationError(f"record {record} out of range")
         return int(self.multiplicities[record])
 
-    def link_positions_of(self, unit: int) -> np.ndarray:
-        pos = self.unit_position(unit)
-        return np.arange(self._unit_ptr[pos], self._unit_ptr[pos + 1])
-
     def link_positions_of_record(self, record: int) -> np.ndarray:
         """Positions in the link arrays of all links touching a record."""
         if not 0 <= record < self.n_records:
@@ -219,9 +215,9 @@ class LinkageStructure:
         if np.any(pos >= self.n_covered) or np.any(self.covered_units[pos] != units):
             missing = units[(pos >= self.n_covered) | (self.covered_units[np.minimum(pos, self.n_covered - 1)] != units)]
             raise ValidationError(f"units not covered by linkage: {missing[:5].tolist()}")
-        link_index = np.concatenate(
-            [np.arange(self._unit_ptr[p], self._unit_ptr[p + 1]) for p in pos]
-        ) if len(pos) else np.empty(0, dtype=np.int64)
+        keep = np.zeros(self.n_covered, dtype=bool)
+        keep[pos] = True
+        link_index = np.flatnonzero(np.repeat(keep, self.degrees))
         sub = LinkageStructure(
             scope=SAMPLE,
             covered_units=units,
@@ -318,15 +314,16 @@ class WeightScheme:
             if np.any(bad):
                 rec = np.flatnonzero(linked)[np.flatnonzero(bad)[0]]
                 raise ValidationError(
-                    f"incidence weights for record {rec} sum to {sums[rec]!r}, not 1"
+                    f"incidence weights for record {rec} sum to {float(sums[rec])!r}, not 1"
                 )
         else:
             sums = np.add.reduceat(values, self.linkage._unit_ptr[:-1])
             bad = np.abs(sums - 1.0) > WEIGHT_SUM_TOL
             if np.any(bad):
-                unit = self.linkage.covered_units[np.flatnonzero(bad)[0]]
+                i = np.flatnonzero(bad)[0]
                 raise ValidationError(
-                    f"reverse weights for unit {unit} sum to {sums[np.flatnonzero(bad)[0]]!r}, not 1"
+                    f"reverse weights for unit {self.linkage.covered_units[i]} sum to "
+                    f"{float(sums[i])!r}, not 1"
                 )
         object.__setattr__(self, "values", _readonly(values))
 
@@ -418,60 +415,26 @@ class DerivedCovariates:
 
     ``weighted`` holds the scheme-weighted sums over each unit's link set
     (the regression covariate for the incidence- and reverse-weighted
-    estimators), ``link_sum`` the unweighted sums, ``link_count`` the link
-    degrees, and ``best`` the best-link values when best links were supplied.
-    Population totals are exposed only under population scope.
+    estimators). Their population total is exposed only under population
+    scope.
     """
 
-    scope: str
-    units: np.ndarray
     weighted: np.ndarray
-    link_sum: np.ndarray
-    link_count: np.ndarray
-    best: np.ndarray | None = None
     weighted_total: np.ndarray | None = None
-    link_total: np.ndarray | None = None
-    n_links_total: int | None = None
-    link_mean: np.ndarray | None = None
 
 
 def derive_covariates(linkage: LinkageStructure, scheme: WeightScheme,
-                      aux: AuxDatabase,
-                      best_links: Mapping[int, int] | np.ndarray | None = None
-                      ) -> DerivedCovariates:
-    """Compute the weighted, summed and best-link covariates over one linkage."""
+                      aux: AuxDatabase) -> DerivedCovariates:
+    """Compute the scheme-weighted link sums over one linkage."""
     if scheme.linkage is not linkage:
         raise ValidationError("weight scheme was built for a different linkage")
     if aux.n_records != linkage.n_records:
         raise ValidationError("auxiliary database does not match the linkage")
 
-    unit_idx = linkage.unit_index_per_link()
-    x_links = aux.x[linkage.link_records]
     weighted = np.zeros((linkage.n_covered, aux.dim))
-    np.add.at(weighted, unit_idx, scheme.values[:, None] * x_links)
-    link_sum = np.zeros((linkage.n_covered, aux.dim))
-    np.add.at(link_sum, unit_idx, x_links)
-
-    best = None
-    if best_links is not None:
-        best = aux.x[align_best_links(linkage, best_links)]
-
-    extras: dict = {}
-    if linkage.scope == POPULATION:
-        n_links_total = linkage.n_links
-        link_total = link_sum.sum(axis=0)
-        extras = dict(
-            weighted_total=weighted.sum(axis=0),
-            link_total=link_total,
-            n_links_total=n_links_total,
-            link_mean=link_total / n_links_total,
-        )
+    np.add.at(weighted, linkage.unit_index_per_link(),
+              scheme.values[:, None] * aux.x[linkage.link_records])
     return DerivedCovariates(
-        scope=linkage.scope,
-        units=linkage.covered_units,
         weighted=weighted,
-        link_sum=link_sum,
-        link_count=linkage.degrees.astype(np.float64),
-        best=best,
-        **extras,
+        weighted_total=weighted.sum(axis=0) if linkage.scope == POPULATION else None,
     )

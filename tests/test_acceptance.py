@@ -5,6 +5,8 @@ seed 15) and are shared across the metric criteria. Run with ``pytest -s``
 to see the per-criterion lines.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from greglink.estimators import (
     sls_greg,
     sub_greg,
 )
-from greglink.harness import ScenarioConfig, run_scenario
+from greglink.harness import ScenarioConfig, load_scenario_file, run_scenario
 from greglink.linkage import (
     AuxDatabase,
     build_linkage,
@@ -40,19 +42,10 @@ SCENARIOS = {
                           correct_best_rate=0.98, best_link_weight=0.9),
 }
 
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
 # the full parameter grid of the three reference tables
-TABLE_GRID = [
-    dict(link_share=(0.2, 0.4, 0.4), match_rate=0.4, correct_best_rate=0.4, best_link_weight=0.4),
-    dict(link_share=(0.2, 0.4, 0.4), match_rate=0.4, correct_best_rate=0.3, best_link_weight=0.4),
-    dict(link_share=(0.2, 0.4, 0.4), match_rate=0.4, correct_best_rate=0.2, best_link_weight=0.4),
-    dict(link_share=(0.2, 0.4, 0.4), match_rate=0.8, correct_best_rate=0.8, best_link_weight=0.4),
-    dict(link_share=(0.2, 0.4, 0.4), match_rate=0.8, correct_best_rate=0.8, best_link_weight=0.7),
-    dict(link_share=(0.2, 0.4, 0.4), match_rate=0.8, correct_best_rate=0.2, best_link_weight=0.4),
-    dict(link_share=(0.4, 0.3, 0.3), match_rate=0.9, correct_best_rate=0.9, best_link_weight=0.7),
-    dict(link_share=(0.4, 0.3, 0.3), match_rate=0.9, correct_best_rate=0.65, best_link_weight=0.4),
-    dict(link_share=(0.8, 0.1, 0.1), match_rate=0.98, correct_best_rate=0.98, best_link_weight=0.9),
-    dict(link_share=(0.8, 0.1, 0.1), match_rate=0.98, correct_best_rate=0.89, best_link_weight=0.4),
-]
+TABLE_GRID = load_scenario_file(SCENARIO_DIR / "tables_full.scenario")
 
 
 @pytest.fixture(scope="module")
@@ -63,17 +56,15 @@ def table_runs():
 
 def test_bundled_scenarios_match_acceptance_configs():
     # the shipped scenario files drive exactly the configurations the
-    # criteria below assert on
-    from pathlib import Path
-
-    from greglink.harness import load_scenario_file
-
-    scenario_dir = Path(__file__).resolve().parent.parent / "scenarios"
+    # criteria below assert on, and repeat their blocks of the full grid
+    grid = {config.name: config for config in TABLE_GRID}
+    assert len(grid) == len(TABLE_GRID) == 10
     for name, kw in SCENARIOS.items():
-        configs = load_scenario_file(scenario_dir / f"{name}.scenario")
+        configs = load_scenario_file(SCENARIO_DIR / f"{name}.scenario")
         assert len(configs) == 1
         expected = ScenarioConfig(name=name, **MAIN, **kw)
         assert configs[0] == expected
+        assert grid[name] == expected
 
 
 class Report:
@@ -271,10 +262,7 @@ def test_criterion_8_weight_constraint_suite():
     counts_exact = True
     rng_master = 0
     for config in TABLE_GRID:
-        model = LinkageModel(link_share=config["link_share"],
-                             match_rate=config["match_rate"],
-                             correct_best_rate=config["correct_best_rate"],
-                             best_link_weight=config["best_link_weight"])
+        model = config.linkage_model()
         for i in range(draws_per_config):
             rng_master += 1
             x, population = gen_population(PopulationModel(n_units=n_population),
@@ -283,18 +271,18 @@ def test_criterion_8_weight_constraint_suite():
             matches, linkage, best = gen_linkage(n_population, model,
                                                  rng_stream(rng_master, 1))
 
-            counts_exact &= len(matches) == round(n_population * config["match_rate"])
+            counts_exact &= len(matches) == round(n_population * config.match_rate)
             correct_best = sum(
                 1 for unit, record in matches.record_of_unit.items()
                 if best[unit] == record)
             counts_exact &= correct_best == round(
-                n_population * config["correct_best_rate"])
+                n_population * config.correct_best_rate)
             counts_exact &= all(
                 best[u] in linkage.records_of(int(u))
                 for u in range(0, n_population, 37))
 
             reverse = reverse_weights_best_link(linkage, best,
-                                                config["best_link_weight"])
+                                                config.best_link_weight)
             unit_sums = np.add.reduceat(reverse.values, linkage._unit_ptr[:-1])
             worst_reverse = max(worst_reverse,
                                 float(np.abs(unit_sums - 1.0).max()))

@@ -114,6 +114,20 @@ def test_estimate_rejects_nan_inclusion_probability(tmp_path, capsys):
     assert "inclusion probabilities" in capsys.readouterr().err
 
 
+def test_estimate_sub_rejects_nan_response_of_multi_link_unit(tmp_path, capsys):
+    # unit 4 has two links, so the subsample leaves it out, yet its
+    # response must still be a number
+    aux = write(tmp_path / "aux.csv", "record_id,x1\na,1\nb,2\nc,3\nd,4\ne,5\n")
+    links = write(tmp_path / "links.csv",
+                  "unit_id,record_id\n1,a\n2,b\n3,c\n4,d\n4,e\n")
+    sample = write(tmp_path / "sample.csv",
+                   "unit_id,y,pi\n1,2.0,0.5\n2,3.1,0.5\n3,4.2,0.5\n4,nan,0.5\n")
+    code = main(["estimate", "--sample", sample, "--aux", aux,
+                 "--links", links, "--estimator", "sub", "--big-n", "10"])
+    assert code == 1
+    assert "non-finite value" in capsys.readouterr().err
+
+
 def test_estimate_rejects_unknown_estimator(linear_fixture, capsys):
     sample, aux, links = linear_fixture
     code = main(["estimate", "--sample", sample, "--aux", aux,
@@ -149,6 +163,27 @@ def test_diagnose_population_links_print_informativeness(tmp_path, capsys):
     assert "scope: population" in out
     assert "weight-value covariance over links" in out
     assert "4 of 4 records linked" in out
+
+
+def test_diagnose_rejects_weights_of_neither_kind(tmp_path, capsys):
+    # every weight 0.5: record 0 sums to 0.5 over its units and unit 0 to
+    # 0.5 over its records, so the column is neither incidence nor reverse
+    aux = write(tmp_path / "aux.csv",
+                "record_id,x1\n0,0.1\n1,0.4\n2,0.9\n3,0.2\n")
+    links = write(tmp_path / "links.csv",
+                  "unit_id,record_id,weight\n0,0,0.5\n1,1,0.5\n2,2,0.5\n3,3,0.5\n1,2,0.5\n")
+    sample = write(tmp_path / "sample.csv",
+                   "unit_id,y,pi\n0,1.0,0.5\n2,3.0,0.5\n")
+    for extra in ([], ["--sample", sample]):
+        code = main(["diagnose", "--aux", aux, "--links", links, "--big-n", "4", *extra])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: incidence weights for record 0 sum to 0.5, not 1\n")
+    code = main(["estimate", "--sample", sample, "--aux", aux,
+                 "--links", links, "--estimator", "pi", "--big-n", "4"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: incidence weights for record 0 sum to 0.5, not 1\n")
 
 
 def test_diagnose_with_sample_prints_statistics(linear_fixture, capsys):
@@ -196,6 +231,16 @@ def test_estimate_rejects_nan_link_weight(tmp_path, capsys):
                  "--links", links, "--estimator", "sri", "--big-n", "10"])
     assert code == 1
     assert "weights must be finite" in capsys.readouterr().err
+
+
+def test_estimate_sls_needs_as_many_links_as_model_columns(tmp_path, capsys):
+    aux = write(tmp_path / "aux.csv", "record_id,x1\na,1\nb,2\n")
+    links = write(tmp_path / "links.csv", "unit_id,record_id\n1,a\n2,b\n")
+    sample = write(tmp_path / "sample.csv", "unit_id,y,pi\n1,2.0,0.5\n")
+    code = main(["estimate", "--sample", sample, "--aux", aux,
+                 "--links", links, "--estimator", "sls", "--big-n", "10"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: need at least 2 links, got 1\n"
 
 
 def test_missing_file_exits_with_validation_code(tmp_path, capsys):

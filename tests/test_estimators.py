@@ -84,6 +84,15 @@ def test_regression_estimators_reject_non_finite_responses():
                  coefficients=np.array([1.0, 2.0]))
 
 
+def test_greg_spec_rejects_non_finite_inputs():
+    x = np.array([[0.1], [0.5], [0.9]])
+    with pytest.raises(ValidationError, match="covariates must be finite"):
+        GregSpec(covariates=np.array([[0.1], [np.nan], [0.9]]), total=np.array([5.0]))
+    for total in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="total must be finite"):
+            GregSpec(covariates=x, total=np.array([total]))
+
+
 def test_greg_batch_rows_match_single_sample_calls():
     rng = rng_stream(9, 0)
     x_pop = rng.uniform(size=(60, 1))

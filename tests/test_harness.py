@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import greglink.estimators as estimators
 import greglink.harness as harness
 from greglink.errors import NumericalError, ValidationError
 from greglink.harness import (
@@ -88,7 +89,7 @@ def test_unknown_estimator_rejected():
 
 def test_failed_replicates_counted(monkeypatch):
     calls = {"n": 0}
-    original = harness.sub_greg_batch
+    original = estimators.sub_greg_batch
 
     def flaky(*args, **kwargs):
         fit = original(*args, **kwargs)
@@ -99,7 +100,7 @@ def test_failed_replicates_counted(monkeypatch):
             fit = fit._replace(values=values)
         return fit
 
-    monkeypatch.setattr(harness, "sub_greg_batch", flaky)
+    monkeypatch.setattr(estimators, "sub_greg_batch", flaky)
     cfg = ScenarioConfig(name="flaky", estimators=("ht", "sub"),
                          **{**SMALL, "replicates": 150})
     summary = run_scenario(cfg)
@@ -108,13 +109,13 @@ def test_failed_replicates_counted(monkeypatch):
 
 
 def test_failure_threshold_aborts(monkeypatch):
-    original = harness.sub_greg_batch
+    original = estimators.sub_greg_batch
 
     def broken(*args, **kwargs):
         fit = original(*args, **kwargs)
         return fit._replace(values=np.full_like(fit.values, np.nan))
 
-    monkeypatch.setattr(harness, "sub_greg_batch", broken)
+    monkeypatch.setattr(estimators, "sub_greg_batch", broken)
     cfg = ScenarioConfig(name="broken", estimators=("ht", "sub"), **SMALL)
     with pytest.raises(NumericalError, match="failed in"):
         run_scenario(cfg)

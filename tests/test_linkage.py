@@ -192,10 +192,6 @@ def test_derive_covariates_unlinked_record_drops_value(example_population_links,
     scheme = multiplicity_weights(example_population_links)
     derived = derive_covariates(example_population_links, scheme, example_aux)
     assert derived.weighted_total[0] == pytest.approx(EXAMPLE_X.sum() - EXAMPLE_X[0])
-    assert derived.n_links_total == 9
-    assert derived.link_total[0] == pytest.approx(
-        EXAMPLE_X[1] * 2 + EXAMPLE_X[2] * 2 + EXAMPLE_X[3] * 2 + EXAMPLE_X[4]
-        + EXAMPLE_X[5] * 2)
 
 
 def test_derive_covariates_one_one_perfect():
@@ -205,9 +201,8 @@ def test_derive_covariates_one_one_perfect():
     for scheme in (multiplicity_weights(L),
                    reverse_weights_best_link(L, np.arange(4), 0.7),
                    best_link_indicator_weights(L, np.arange(4))):
-        derived = derive_covariates(L, scheme, aux, best_links=np.arange(4))
+        derived = derive_covariates(L, scheme, aux)
         assert np.allclose(derived.weighted[:, 0], x)
-        assert np.allclose(derived.best[:, 0], x)
         assert derived.weighted_total[0] == pytest.approx(x.sum())
 
 
@@ -225,9 +220,6 @@ def test_derive_covariates_sample_scope_hides_totals(example_aux):
     scheme = reverse_weights_best_link(L, {1: 1, 2: 2}, 0.4)
     derived = derive_covariates(L, scheme, example_aux)
     assert derived.weighted_total is None
-    assert derived.link_total is None
-    assert derived.n_links_total is None
-    assert derived.link_mean is None
 
 
 def test_derive_covariates_rejects_foreign_scheme(example_aux,
@@ -252,10 +244,31 @@ def test_restrict_carries_reverse_weights(example_population_links, example_aux)
         multiplicity_weights(L).restrict(sub, link_index)
 
 
+def test_restrict_link_index_matches_per_unit_positions(example_population_links):
+    L = example_population_links
+    units = np.array([5, 0, 3, 2, 3])
+    sub, link_index = L.restrict(units)
+    expected = np.concatenate([np.flatnonzero(L.link_units == u) for u in sub.covered_units])
+    assert link_index.dtype == np.int64
+    assert np.array_equal(link_index, expected)
+    assert np.array_equal(sub.link_records, L.link_records[expected])
+
+
 def test_weight_scheme_rejects_bad_sums(example_population_links):
     values = np.full(example_population_links.n_links, 0.5)
     with pytest.raises(ValidationError, match="sum to"):
         WeightScheme(kind="reverse", linkage=example_population_links, values=values)
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("incidence", "incidence weights for record 4 sum to 0.5, not 1"),
+    ("reverse", "reverse weights for unit 0 sum to 0.5, not 1"),
+], ids=["incidence", "reverse"])
+def test_weight_sum_errors_print_plain_numbers(example_population_links, kind, message):
+    values = np.full(example_population_links.n_links, 0.5)
+    with pytest.raises(ValidationError) as excinfo:
+        WeightScheme(kind=kind, linkage=example_population_links, values=values)
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("kind", ["incidence", "reverse"])
