@@ -26,6 +26,7 @@ from .design import Estimate, exact_design_moments, rng_stream
 from .errors import NumericalError, ValidationError
 from .estimators import (
     BEST_LINK,
+    DIAGNOSTIC_KINDS,
     ESTIMATORS,
     INCIDENCE_SUM,
     LINK_SET,
@@ -34,6 +35,7 @@ from .estimators import (
     build_unit_inputs,
     consistency_diagnostics,
     fit_unit_inputs,
+    link_sums,
     npa_covariances,
 )
 from .harness import (
@@ -93,56 +95,56 @@ def _best_for(inputs: EstimationInputs, sub_linkage: LinkageStructure) -> np.nda
     return inputs.best_links[pos]
 
 
-def _reverse_scheme(inputs: EstimationInputs, sub_linkage: LinkageStructure,
-                    link_index: np.ndarray, q: float) -> WeightScheme:
-    if inputs.weights is not None:
-        return WeightScheme(kind=REVERSE, linkage=sub_linkage,
-                            values=inputs.weights[link_index])
-    if inputs.best_links is not None:
-        return reverse_weights_best_link(sub_linkage,
-                                         _best_for(inputs, sub_linkage), q)
-    equal = 1.0 / sub_linkage.degrees[sub_linkage.unit_index_per_link()]
-    return WeightScheme(kind=REVERSE, linkage=sub_linkage, values=equal)
+def _resolve_links(inputs: EstimationInputs, estimator: str, q: float
+                   ) -> tuple[LinkageStructure, WeightScheme | None, np.ndarray | None]:
+    """The linkage, weight scheme and best links of an estimator's rule.
+
+    The file's weight column, or else its best-link flags with best-link
+    weight ``q``, or else equal weights, become the weight scheme. ``pi`` is
+    built over the population links, every other estimator over the sampled
+    units' own links, so their weights and flags are checked on those units
+    only.
+    """
+    covariate, weights = ESTIMATORS[estimator].covariate, inputs.weights
+    linkage, scheme, best = inputs.linkage, None, None
+    if covariate == INCIDENCE_SUM:
+        if linkage.scope != POPULATION:
+            raise ValidationError("PI-GREG requires population-scope links")
+        if weights is not None:
+            scheme = WeightScheme(kind=INCIDENCE, linkage=linkage, values=weights)
+        else:
+            scheme = multiplicity_weights(linkage)
+    elif covariate is not None:
+        linkage, link_index = linkage.restrict(inputs.sample.ids)
+        if covariate == BEST_LINK:
+            best = _best_for(inputs, linkage)
+        elif covariate in (REVERSE_SUM, LINK_SET) and weights is not None:
+            scheme = WeightScheme(kind=REVERSE, linkage=linkage, values=weights[link_index])
+        elif covariate in (REVERSE_SUM, LINK_SET) and inputs.best_links is not None:
+            scheme = reverse_weights_best_link(linkage, _best_for(inputs, linkage), q)
+        elif covariate in (REVERSE_SUM, LINK_SET):
+            equal = 1.0 / linkage.degrees[linkage.unit_index_per_link()]
+            scheme = WeightScheme(kind=REVERSE, linkage=linkage, values=equal)
+    return linkage, scheme, best
 
 
 def estimate_from_inputs(inputs: EstimationInputs, estimator: str, target: str,
                          q: float) -> tuple[Estimate, DiagnosticsReport | None]:
-    """Compute one file-based estimator, with its diagnostic when defined.
-
-    The file's weight column, or else its best-link flags, become the
-    estimator's weight scheme. ``pi`` is built over the population links,
-    every other estimator over the sampled units' own links, so their
-    weights and flags are checked on those units only.
-    """
+    """Compute one file-based estimator, and its diagnostic, when defined, on
+    the rows it was fitted on."""
     if estimator not in FILE_ESTIMATORS:
         raise ValidationError(
             f"unknown estimator {estimator!r}; choose from {', '.join(FILE_ESTIMATORS)}"
         )
-    sample, aux = inputs.sample, inputs.aux
-    rule = ESTIMATORS[estimator]
-    linkage, scheme, best = inputs.linkage, None, None
-    if rule.covariate == INCIDENCE_SUM:
-        if linkage.scope != POPULATION:
-            raise ValidationError("PI-GREG requires population-scope links")
-        if inputs.weights is not None:
-            scheme = WeightScheme(kind=INCIDENCE, linkage=linkage, values=inputs.weights)
-        else:
-            scheme = multiplicity_weights(linkage)
-    elif rule.covariate is not None:
-        linkage, link_index = linkage.restrict(sample.ids)
-        if rule.covariate == BEST_LINK:
-            best = _best_for(inputs, linkage)
-        elif rule.covariate in (REVERSE_SUM, LINK_SET):
-            scheme = _reverse_scheme(inputs, linkage, link_index, q)
-
-    unit_inputs = build_unit_inputs(estimator, linkage, aux, scheme, best, inputs.y)
+    sample = inputs.sample
+    linkage, scheme, best = _resolve_links(inputs, estimator, q)
+    unit_inputs = build_unit_inputs(estimator, linkage, inputs.aux, scheme, best, inputs.y)
     pos = np.searchsorted(linkage.covered_units, sample.ids)
     fit = fit_unit_inputs(unit_inputs, pos[None], inputs.y[None], sample.pi[None],
                           sample.design, target, strict=True)
-    diag = None
-    if rule.diagnostic is not None:
-        diag = consistency_diagnostics(linkage, aux, sample, rule.diagnostic,
-                                       scheme=scheme, best_links=best)
+    kind = ESTIMATORS[estimator].diagnostic
+    diag = None if kind is None else consistency_diagnostics(
+        unit_inputs.rows[0][pos], inputs.aux, sample, kind)
     return fit.first(estimator, target), diag
 
 
@@ -242,6 +244,27 @@ def _print_npa(linkage: LinkageStructure, aux: AuxDatabase,
           f"({npa.n_linked_records} of {linkage.n_records} records linked)")
 
 
+def _sample_diagnostics(inputs: EstimationInputs, q: float) -> list[DiagnosticsReport]:
+    """The consistency diagnostics the files allow, each on the rows its
+    estimator fits: ``sbl`` needs best-link flags, ``sls`` no weights.
+
+    ``sri`` is left out when the weight column fails as reverse weights on
+    the sampled units yet covers the population, for ``_print_npa`` has then
+    taken it as ``pi``'s incidence weights.
+    """
+    rows = {"sls": link_sums(inputs.linkage.restrict(inputs.sample.ids)[0], inputs.aux)}
+    for tag in ("sri", "sbl") if inputs.best_links is not None else ("sri",):
+        try:
+            linkage, scheme, best = _resolve_links(inputs, tag, q)
+        except ValidationError:
+            if tag == "sri" and inputs.weights is not None and inputs.linkage.scope == POPULATION:
+                continue
+            raise
+        rows[tag] = build_unit_inputs(tag, linkage, inputs.aux, scheme, best).rows[0]
+    return [consistency_diagnostics(rows[tag], inputs.aux, inputs.sample, tag)
+            for tag in DIAGNOSTIC_KINDS if tag in rows]
+
+
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     if args.sample is not None:
         if args.big_n is None:
@@ -251,21 +274,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         _echo_structure(inputs.linkage, inputs.unit_keys, inputs.record_keys,
                         args.limit)
         _print_npa(inputs.linkage, inputs.aux, inputs.weights)
-        sub_linkage, link_index = inputs.linkage.restrict(inputs.sample.ids)
-        reports = []
-        try:
-            scheme = _reverse_scheme(inputs, sub_linkage, link_index, args.q)
-            reports.append(consistency_diagnostics(sub_linkage, inputs.aux,
-                                                   inputs.sample, "sri",
-                                                   scheme=scheme))
-        except ValidationError:
-            pass
-        if inputs.best_links is not None:
-            reports.append(consistency_diagnostics(
-                sub_linkage, inputs.aux, inputs.sample, "sbl",
-                best_links=_best_for(inputs, sub_linkage)))
-        reports.append(consistency_diagnostics(sub_linkage, inputs.aux,
-                                               inputs.sample, "sls"))
+        reports = _sample_diagnostics(inputs, args.q)
         print()
         for report in reports:
             _print_diagnostic(report)

@@ -190,6 +190,7 @@ def build_file_linkage(aux_table: AuxTable, link_table: LinkTable,
     ``unit_index`` holds ``n_population`` units, otherwise sample-scoped over
     all of them, so each must carry a link. Indexing a per-row column of the
     link file with the returned rows aligns it with the linkage's link order.
+    A link given twice is rejected by its unit and record keys.
     """
     n_links = len(link_table.record_keys)
     try:
@@ -200,13 +201,19 @@ def build_file_linkage(aux_table: AuxTable, link_table: LinkTable,
             f"link file references unknown record {exc.args[0]!r}"
         ) from exc
     units = np.fromiter(map(unit_index.__getitem__, link_table.unit_keys), np.int64, n_links)
+    rows = np.lexsort((records, units))
+    repeats = np.flatnonzero((np.diff(units[rows]) == 0) & (np.diff(records[rows]) == 0))
+    if len(repeats):
+        row = rows[repeats[0]]
+        raise ValidationError(f"link file repeats the link of unit {link_table.unit_keys[row]!r}"
+                              f" to record {link_table.record_keys[row]!r}")
     n_units = len(unit_index)
     linkage = build_linkage(
         np.column_stack([units, records]),
         n_population if n_units == n_population else np.arange(n_units, dtype=np.int64),
         aux_table.aux,
     )
-    return linkage, np.lexsort((records, units))
+    return linkage, rows
 
 
 def _best_links(linkage: LinkageStructure, flags: np.ndarray,

@@ -62,12 +62,6 @@ class SurveyDesign:
         """Sampling fraction n/N."""
         return self.sample_size / self.n_population
 
-    @property
-    def inclusion_probability(self) -> float:
-        if self.kind != "srswor":
-            raise ValidationError("per-design probability only defined for SRSWOR")
-        return self.f
-
 
 @dataclass(frozen=True)
 class Sample:
@@ -286,22 +280,21 @@ def exact_design_moments(
     y: np.ndarray,
     sample_size: int,
     statistic: Callable[[Sample, np.ndarray], tuple[float, float]] | None = None,
-    guard: int = ENUMERATION_GUARD,
 ) -> ExactMoments:
     """Enumerate every SRSWOR sample and return exact estimator moments.
 
     ``statistic(sample, y_sample)`` returns (value, variance estimate) per
     sample; the default is the HT total with its closed-form variance. All
     C(N, n) samples carry probability 1 / C(N, n); the enumeration refuses
-    to run past ``guard`` samples.
+    to run past ``ENUMERATION_GUARD`` samples.
     """
     y = np.asarray(y, dtype=np.float64)
     n_population = len(y)
     n_samples = math.comb(n_population, sample_size)
-    if n_samples > guard:
+    if n_samples > ENUMERATION_GUARD:
         raise NumericalError(
             f"C({n_population},{sample_size}) = {n_samples} exceeds the "
-            f"enumeration guard of {guard}"
+            f"enumeration guard of {ENUMERATION_GUARD}"
         )
     design = SurveyDesign.srswor(n_population, sample_size)
     pi = np.full(sample_size, design.f)

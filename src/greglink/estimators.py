@@ -37,7 +37,6 @@ from .design import (
     check_finite_values,
     equal_probability_variances,
     ht_total_batch,
-    residual_variance,
     residual_variances,
     scale_to_target,
 )
@@ -50,7 +49,6 @@ from .linkage import (
     AuxDatabase,
     LinkageStructure,
     WeightScheme,
-    align_best_links,
     derive_covariates,
 )
 
@@ -281,23 +279,34 @@ def _subsample_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return wls_coefficients(x_full, y, np.ones(n_sub))
 
 
+def _per_unit(linkage: LinkageStructure):
+    """A function summing per-link values over each covered unit's links,
+    in link order."""
+    unit_idx = linkage.unit_index_per_link()
+    return lambda values: np.bincount(unit_idx, weights=values, minlength=linkage.n_covered)
+
+
+def link_sums(linkage: LinkageStructure, aux: AuxDatabase) -> np.ndarray:
+    """Σ x_l over each covered unit's links, with x_l = (1, record values of
+    link l): (n_covered, q), the degree first. The link-set estimator fits on
+    these sums and its consistency diagnostic tests them."""
+    per_unit = _per_unit(linkage)
+    x_links = with_intercept(aux.x[linkage.link_records])
+    return np.column_stack([per_unit(x_links[:, i]) for i in range(x_links.shape[1])])
+
+
 def link_aggregates(linkage: LinkageStructure, weights: np.ndarray,
                     aux: AuxDatabase) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per covered unit, the sums over its links that the link-set fit needs.
 
     With x_l = (1, record values of link l) and w_l the link weight, returns
-    Σ x_l (n_covered, q), whose first column is the degree; Σ x_l x_l'
-    (n_covered, q, q); and Σ w_l x_l (n_covered, q). The link-set estimator
-    is linear in these once the sample is fixed, so they are computed once
-    per linkage.
+    the ``link_sums`` Σ x_l (n_covered, q); Σ x_l x_l' (n_covered, q, q);
+    and Σ w_l x_l (n_covered, q). The link-set estimator is linear in these
+    once the sample is fixed, so they are computed once per linkage.
     """
-    unit_idx = linkage.unit_index_per_link()
+    per_unit = _per_unit(linkage)
     x_links = with_intercept(aux.x[linkage.link_records])
     q = x_links.shape[1]
-
-    def per_unit(values: np.ndarray) -> np.ndarray:
-        return np.bincount(unit_idx, weights=values, minlength=linkage.n_covered)
-
     link_sum = np.column_stack([per_unit(x_links[:, i]) for i in range(q)])
     gram = np.empty((linkage.n_covered, q, q))
     for i in range(q):
@@ -555,43 +564,32 @@ class DiagnosticsReport:
 DIAGNOSTIC_KINDS = ("sri", "sbl", "sls")
 
 
-def consistency_diagnostics(linkage: LinkageStructure, aux: AuxDatabase,
-                            sample: Sample, kind: str,
-                            scheme: WeightScheme | None = None,
-                            best_links=None) -> DiagnosticsReport:
+def consistency_diagnostics(rows: np.ndarray, aux: AuxDatabase, sample: Sample,
+                            kind: str) -> DiagnosticsReport:
     """Observable check of the consistency condition behind a sample-link estimator.
 
-    Each kind compares a sample estimate of a constructed covariate mean with
-    the auxiliary-file mean: the reverse-weighted mean ("sri"), the best-link
-    mean ("sbl"), or the ratio-estimated mean over linked records ("sls").
+    ``rows`` are the estimator's fitted rows, one per sampled unit: the
+    reverse-weighted link sums ("sri") or the best link's values ("sbl"),
+    whose sample mean is compared with the auxiliary-file mean; or the
+    ``link_sums`` ("sls"), whose ratio-estimated mean over linked records is.
     The variance comes from the per-unit contributions of the linearised
     statistic. A component whose contributions are constant across units
     (a degenerate covariate) is reported with zero variance, and zero z when
-    its statistic is also zero.
+    its statistic is also zero, infinite z otherwise.
     """
     if kind not in DIAGNOSTIC_KINDS:
         raise ValidationError(f"unknown diagnostic kind {kind!r}")
-    if not np.array_equal(linkage.covered_units, sample.ids):
-        raise ValidationError("diagnostics need the sample's own links")
+    if rows.shape != (sample.n, aux.dim + (kind == "sls")):
+        raise ValidationError(f"{kind} diagnostic rows must align with the sample")
     if not sample.equal_probability:
         raise ValidationError("diagnostics need an equal-probability sample")
     n_population = sample.design.n_population
 
-    if kind == "sri" and (scheme is None or scheme.kind != REVERSE):
-        raise ValidationError("reverse weights are required for this diagnostic")
-    if kind == "sbl" and best_links is None:
-        raise ValidationError("best links are required for this diagnostic")
     if kind != "sls":
-        # the estimator's own covariate, so statistic and estimator agree
-        best = None if best_links is None else align_best_links(linkage, best_links)
-        covariate = build_unit_inputs(kind, linkage, aux, scheme, best).rows[0]
-        contributions = covariate / n_population
+        contributions = rows / n_population
         value = np.sum(contributions / sample.pi[:, None], axis=0) - aux.mean
     else:
-        unit_idx = linkage.unit_index_per_link()
-        link_sum = np.zeros((sample.n, aux.dim))
-        np.add.at(link_sum, unit_idx, aux.x[linkage.link_records])
-        d = linkage.degrees.astype(np.float64)
+        d, link_sum = rows[:, 0], rows[:, 1:]
         n_links_hat = float(np.sum(d / sample.pi))
         link_mean_hat = np.sum(link_sum / sample.pi[:, None], axis=0) / n_links_hat
         value = link_mean_hat - aux.mean
@@ -600,14 +598,10 @@ def consistency_diagnostics(linkage: LinkageStructure, aux: AuxDatabase,
     spread = contributions.std(axis=0)
     scale = np.maximum(np.abs(contributions).max(axis=0), 1.0 / n_population)
     degenerate = spread <= 1e-9 * scale
-
-    variance = np.zeros(aux.dim)
-    z = np.zeros(aux.dim)
-    for j in range(aux.dim):
-        if degenerate[j]:
-            if abs(value[j]) > 1e-6 * scale[j] * n_population:
-                z[j] = np.inf if value[j] > 0 else -np.inf
-            continue
-        variance[j] = residual_variance(contributions[:, j], sample.design)
-        z[j] = value[j] / np.sqrt(variance[j])
+    off = np.abs(value) > 1e-6 * scale * n_population
+    variance = np.where(degenerate, 0.0, residual_variances(
+        np.ascontiguousarray(contributions.T), sample.design))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(degenerate, np.where(off, np.copysign(np.inf, value), 0.0),
+                     value / np.sqrt(variance))
     return DiagnosticsReport(statistic=kind, value=value, variance=variance, z=z)

@@ -76,7 +76,6 @@ class ScenarioConfig:
     match_rate: float = 0.4
     correct_best_rate: float = 0.4
     best_link_weight: float = 0.4
-    incidence_weight: float | None = None
     sigma: float = 1.5
     gamma: float = 0.0
     estimators: tuple[str, ...] = ESTIMATOR_ORDER
@@ -109,10 +108,6 @@ class ScenarioConfig:
                             correct_best_rate=self.correct_best_rate,
                             best_link_weight=self.best_link_weight)
 
-    @property
-    def pi_q(self) -> float:
-        return self.best_link_weight if self.incidence_weight is None else self.incidence_weight
-
 
 @dataclass
 class _ScenarioState:
@@ -136,7 +131,7 @@ def _build_unit_inputs(config: ScenarioConfig, aux: AuxDatabase, y: np.ndarray,
     if "pi-m" in wanted:
         schemes["pi-m"] = multiplicity_weights(linkage)
     if "pi-q" in wanted:
-        schemes["pi-q"] = gen_pi_q_weights(linkage, matches, config.pi_q, rng_weights)
+        schemes["pi-q"] = gen_pi_q_weights(linkage, matches, config.best_link_weight, rng_weights)
     if wanted & {"sri-q", "sls"}:
         schemes["sri-q"] = schemes["sls"] = reverse_weights_best_link(
             linkage, best, config.best_link_weight)
@@ -373,7 +368,6 @@ _SCENARIO_KEYS = {
     "match_rate": ("match_rate", float),
     "correct_best_rate": ("correct_best_rate", float),
     "q": ("best_link_weight", float),
-    "q_incidence": ("incidence_weight", float),
     "sigma": ("sigma", float),
     "gamma": ("gamma", float),
     "seed": ("seed", int),

@@ -13,9 +13,11 @@ import pytest
 from greglink.design import draw_srswor, exact_design_moments, ht_total, rng_stream
 from greglink.estimators import (
     GregSpec,
+    build_unit_inputs,
     calibration_weights,
     consistency_diagnostics,
     greg,
+    link_sums,
     sls_greg,
     sub_greg,
 )
@@ -317,6 +319,14 @@ def test_criterion_8_weight_constraint_suite():
     report.finish()
 
 
+def _diagnostics(sub_linkage, scheme, best_s, aux, sample):
+    """The three diagnostics on the rows their estimators fit."""
+    rows = {"sri": build_unit_inputs("sri", sub_linkage, aux, scheme).rows[0],
+            "sbl": build_unit_inputs("sbl", sub_linkage, aux, best=best_s).rows[0],
+            "sls": link_sums(sub_linkage, aux)}
+    return [consistency_diagnostics(rows[kind], aux, sample, kind) for kind in rows]
+
+
 def test_criterion_9_diagnostics_calibration():
     report = Report("criterion 9: consistency diagnostics calibrate and detect")
     n_population, n, replicates = 5000, 100, 2000
@@ -335,13 +345,7 @@ def test_criterion_9_diagnostics_calibration():
         sample = draw_srswor(n_population, n, rng_stream(SEED, 9, k))
         sub_linkage, link_index = linkage.restrict(sample.ids)
         scheme = reverse.restrict(sub_linkage, link_index)
-        best_s = best[sample.ids]
-        reports = (
-            consistency_diagnostics(sub_linkage, aux, sample, "sri", scheme=scheme),
-            consistency_diagnostics(sub_linkage, aux, sample, "sbl", best_links=best_s),
-            consistency_diagnostics(sub_linkage, aux, sample, "sls"),
-        )
-        for item in reports:
+        for item in _diagnostics(sub_linkage, scheme, best[sample.ids], aux, sample):
             rejections[item.statistic] += item.max_abs_z > 1.96
     for kind in ("sri", "sbl", "sls"):
         report.check(f"{kind} rejection rate under the neutral generator",
@@ -372,13 +376,7 @@ def test_criterion_9_diagnostics_calibration():
         sample = draw_srswor(n_population, n, rng_stream(SEED, 11, k))
         sub_linkage, link_index = adv_linkage.restrict(sample.ids)
         scheme = adv_reverse.restrict(sub_linkage, link_index)
-        best_s = best_adv[sample.ids]
-        reports = (
-            consistency_diagnostics(sub_linkage, aux, sample, "sri", scheme=scheme),
-            consistency_diagnostics(sub_linkage, aux, sample, "sbl", best_links=best_s),
-            consistency_diagnostics(sub_linkage, aux, sample, "sls"),
-        )
-        for item in reports:
+        for item in _diagnostics(sub_linkage, scheme, best_adv[sample.ids], aux, sample):
             adv_rejections[item.statistic] += item.max_abs_z > 1.96
     for kind in ("sri", "sbl", "sls"):
         report.check(f"{kind} rejection rate under the biased generator",

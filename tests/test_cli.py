@@ -196,12 +196,85 @@ def test_diagnose_with_sample_prints_statistics(linear_fixture, capsys):
     assert "consistency diagnostic (sls)" in out
 
 
+@pytest.mark.parametrize("links, big_n, outcome", [
+    # sample-scope links: unit 1's weights sum to 1.7, so the column is not
+    # reverse weights and nothing else
+    ("0,a,1.0\n1,a,0.8\n1,b,0.9\n2,c,1.0\n", "10", "error"),
+    # population links: the column is incidence weights (each record's
+    # weights sum to 1 over its units) but not reverse weights on unit 1
+    ("0,a,0.5\n1,a,0.5\n1,b,1.0\n2,c,1.0\n3,d,1.0\n", "4", "no sri"),
+    # one link per unit: the column is valid both ways
+    ("0,a,1.0\n1,b,1.0\n2,c,1.0\n3,d,1.0\n", "4", "sri"),
+], ids=["invalid", "incidence", "both"])
+def test_diagnose_sri_with_a_weight_column(tmp_path, capsys, links, big_n, outcome):
+    aux = write(tmp_path / "aux.csv", "record_id,x1\na,1\nb,2\nc,4\nd,3\n")
+    links = write(tmp_path / "links.csv", "unit_id,record_id,weight\n" + links)
+    sample = write(tmp_path / "sample.csv",
+                   "unit_id,y,pi\n0,1.0,0.5\n1,2.0,0.5\n2,3.5,0.5\n")
+    files = ["--aux", aux, "--links", links, "--sample", sample, "--big-n", big_n]
+    estimate_code = main(["estimate", *files, "--estimator", "sri"])
+    estimate = capsys.readouterr()
+    code = main(["diagnose", *files])
+    diagnose = capsys.readouterr()
+    if outcome == "error":
+        assert (code, estimate_code) == (1, 1)
+        assert diagnose.err == estimate.err == (
+            "error: reverse weights for unit 1 sum to 1.7000000000000002, not 1\n")
+        return
+    assert code == 0
+    assert "consistency diagnostic (sls)" in diagnose.out
+    assert ("consistency diagnostic (sri)" in diagnose.out) == (outcome == "sri")
+    assert estimate_code == (0 if outcome == "sri" else 1)
+
+
+def test_estimate_and_diagnose_print_the_same_diagnostics(tmp_path, capsys):
+    n_population, n = 200, 40
+    x, population = gen_population(PopulationModel(n_units=n_population),
+                                   rng_stream(5, 0))
+    model = LinkageModel(link_share=(0.2, 0.4, 0.4), match_rate=0.6,
+                         correct_best_rate=0.5, best_link_weight=0.4)
+    _, linkage, best = gen_linkage(n_population, model, rng_stream(5, 1))
+    sample = draw_srswor(n_population, n, rng_stream(5, 2))
+    sub, link_index = linkage.restrict(sample.ids)
+    reverse = reverse_weights_best_link(linkage, best, 0.3).values[link_index]
+    write_aux_csv(tmp_path / "aux.csv", AuxDatabase.from_values(x))
+    write_sample_csv(tmp_path / "sample.csv", sample, population.y[sample.ids])
+    write_links_csv(tmp_path / "flags.csv", linkage, best_links=best)
+    write_links_csv(tmp_path / "weights.csv", sub, weights=reverse,
+                    best_links=best[sample.ids])
+    for links in ("flags.csv", "weights.csv"):
+        files = ["--aux", str(tmp_path / "aux.csv"), "--links", str(tmp_path / links),
+                 "--sample", str(tmp_path / "sample.csv"), "--big-n", str(n_population)]
+        assert main(["estimate", *files, "--estimator", "sri,sbl,sls", "--q", "0.6"]) == 0
+        estimate = capsys.readouterr().out
+        assert main(["diagnose", *files, "--q", "0.6"]) == 0
+        diagnose = capsys.readouterr().out
+
+        def diagnostics(out):
+            return [line for line in out.splitlines()
+                    if line.startswith("consistency diagnostic (")]
+        assert len(diagnostics(diagnose)) == 3
+        assert diagnostics(estimate) == diagnostics(diagnose)
+
+
 def test_diagnose_unknown_record_exits_with_validation_code(tmp_path, capsys):
     aux = write(tmp_path / "aux.csv", "record_id,x1\na,0.5\nb,0.1\n")
     links = write(tmp_path / "links.csv", "unit_id,record_id\n1,a\n2,zz\n")
     code = main(["diagnose", "--aux", aux, "--links", links])
     assert code == 1
     assert capsys.readouterr().err == "error: link file references unknown record 'zz'\n"
+
+
+def test_repeated_link_names_its_file_ids(tmp_path, capsys):
+    aux = write(tmp_path / "aux.csv", "record_id,x1\na,1\nb,2\n")
+    links = write(tmp_path / "links.csv", "unit_id,record_id\n1,a\n7,b\n7,b\n")
+    sample = write(tmp_path / "sample.csv", "unit_id,y,pi\n1,2.0,0.5\n7,3.0,0.5\n")
+    for argv in (["diagnose", "--aux", aux, "--links", links],
+                 ["estimate", "--sample", sample, "--aux", aux, "--links", links,
+                  "--big-n", "10"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: link file repeats the link of unit '7' to record 'b'\n")
 
 
 def test_diagnose_rejects_non_utf8_file(tmp_path, capsys):

@@ -5,15 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greglink.design import SurveyDesign, draw_srswor, ht_total, rng_stream
+from greglink.design import (
+    SurveyDesign,
+    draw_srswor,
+    ht_total,
+    residual_variance,
+    rng_stream,
+)
 from greglink.errors import NumericalError, ValidationError
 from greglink.estimators import (
     GregSpec,
+    build_unit_inputs,
     calibration_weights,
     consistency_diagnostics,
     greg,
     greg_batch,
     link_aggregates,
+    link_sums,
     npa_covariances,
     sls_greg,
     sls_greg_batch,
@@ -385,8 +393,8 @@ def test_diagnostics_variance_formula():
     sub_linkage, link_index = linkage.restrict(sample.ids)
     best = sample.ids.copy()
     reverse = reverse_weights_best_link(sub_linkage, best, 0.4)
-    report = consistency_diagnostics(sub_linkage, aux, sample, "sri",
-                                     scheme=reverse)
+    rows = build_unit_inputs("sri", sub_linkage, aux, reverse).rows[0]
+    report = consistency_diagnostics(rows, aux, sample, "sri")
     n_population = aux.n_records
     contributions = aux.x[sample.ids, 0] / n_population
     expected_value = (contributions / sample.pi).sum() - aux.mean[0]
@@ -407,16 +415,37 @@ def test_diagnostics_constant_covariate_degenerates():
     sample = draw_srswor(n_population, 6, rng_stream(31, 0))
     sub_linkage, link_index = linkage.restrict(sample.ids)
     scheme = reverse_weights_best_link(sub_linkage, sample.ids.copy(), 0.5)
-    report = consistency_diagnostics(sub_linkage, aux, sample, "sri",
-                                     scheme=scheme)
+    rows = build_unit_inputs("sri", sub_linkage, aux, scheme).rows[0]
+    report = consistency_diagnostics(rows, aux, sample, "sri")
     assert report.variance[0] == 0.0
     assert report.z[0] == 0.0
+
+
+def test_diagnostics_components_match_one_variance_per_component():
+    # several covariate columns, one of them constant: the variances and z
+    # of all components at once equal those taken one component at a time
+    n_population, n = 60, 12
+    rng = rng_stream(24, 0)
+    x = np.column_stack([rng.uniform(size=n_population), np.full(n_population, 3.0),
+                         rng.normal(size=n_population)])
+    aux = AuxDatabase(x=x)
+    sample = draw_srswor(n_population, n, rng_stream(24, 1))
+    rows = x[sample.ids] + 0.1
+    report = consistency_diagnostics(rows, aux, sample, "sbl")
+    contributions = rows / n_population
+    for j in (0, 2):
+        variance = residual_variance(contributions[:, j], sample.design)
+        assert report.variance[j] == variance
+        assert report.z[j] == report.value[j] / np.sqrt(variance)
+    # the constant column is off by 0.1 with no spread: infinite z
+    assert report.variance[1] == 0.0
+    assert report.z[1] == np.inf
 
 
 def test_diagnostics_sls_statistic_is_link_mean_gap():
     x, y, aux, linkage, sample = _perfect_linkage_setting(seed=22)
     sub_linkage, _ = linkage.restrict(sample.ids)
-    report = consistency_diagnostics(sub_linkage, aux, sample, "sls")
+    report = consistency_diagnostics(link_sums(sub_linkage, aux), aux, sample, "sls")
     # one-one links: estimated link mean is the plain sample mean of x
     assert report.value[0] == pytest.approx(
         aux.x[sample.ids, 0].mean() - aux.mean[0], rel=1e-10)
@@ -425,12 +454,14 @@ def test_diagnostics_sls_statistic_is_link_mean_gap():
 def test_diagnostics_kind_validation():
     x, y, aux, linkage, sample = _perfect_linkage_setting(seed=23)
     sub_linkage, _ = linkage.restrict(sample.ids)
+    rows = link_sums(sub_linkage, aux)
     with pytest.raises(ValidationError, match="unknown diagnostic"):
-        consistency_diagnostics(sub_linkage, aux, sample, "nope")
-    with pytest.raises(ValidationError, match="reverse weights"):
-        consistency_diagnostics(sub_linkage, aux, sample, "sri")
-    with pytest.raises(ValidationError, match="best links"):
-        consistency_diagnostics(sub_linkage, aux, sample, "sbl")
+        consistency_diagnostics(rows, aux, sample, "nope")
+    # the link sums carry the degree column that a covariate lacks
+    with pytest.raises(ValidationError, match="sri diagnostic rows must align"):
+        consistency_diagnostics(rows, aux, sample, "sri")
+    with pytest.raises(ValidationError, match="sls diagnostic rows must align"):
+        consistency_diagnostics(rows[:-1], aux, sample, "sls")
 
 
 @given(st.integers(0, 10_000), st.floats(0.25, 4.0), st.floats(-5.0, 5.0))

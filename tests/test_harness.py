@@ -218,6 +218,13 @@ def test_parse_scenario_unknown_key_names_line():
         parse_scenario_text(bad, source="inline")
 
 
+def test_parse_scenario_rejects_q_incidence():
+    # PI-q draws its record-side weights with the block's q
+    bad = "population = 10\nsample = 2\nreplicates = 5\nq_incidence = 0.3\n"
+    with pytest.raises(ValidationError, match=r"inline:4: unknown scenario key 'q_incidence'"):
+        parse_scenario_text(bad, source="inline")
+
+
 def test_parse_scenario_bad_value_names_line():
     bad = "population = ten\nsample = 2\nreplicates = 5\n"
     with pytest.raises(ValidationError, match=r"inline:1.*population"):
