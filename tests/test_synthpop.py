@@ -1,11 +1,17 @@
 """Population, linkage and weight generators."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from greglink.design import rng_stream
 from greglink.errors import ValidationError
-from greglink.linkage import INCIDENCE
+from greglink.estimators import link_aggregates
+from greglink.harness import load_scenario_file
+from greglink.linkage import INCIDENCE, derive_covariates, reverse_weights_best_link
 from greglink.synthpop import (
     LinkageModel,
     PopulationModel,
@@ -213,3 +219,49 @@ def test_aux_from_population_shape():
     aux = aux_from_population(x)
     assert aux.x.shape == (2, 1)
     assert aux.mean[0] == pytest.approx(0.5)
+
+
+# SHA-256 digests of the linkage set-up of the three bundled table blocks,
+# recorded before set-up was rewritten to sort by integer keys; every array
+# and generator state below must stay bit-identical
+GOLDEN_SETUP_PATH = Path(__file__).parent / "data" / "golden_setup.json"
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
+
+
+def _digest(value) -> str:
+    if isinstance(value, np.ndarray):
+        data = value.astype(value.dtype.newbyteorder("<")).tobytes()
+    else:
+        data = json.dumps(value, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def setup_digests(block: str) -> dict[str, str]:
+    """Digests of one block's population links, matches, best links,
+    incidence weights and covariates, and of both generators' states."""
+    (config,) = load_scenario_file(SCENARIOS / f"{block}.scenario")
+    n = config.n_population
+    x, _ = gen_population(config.population_model(), rng_stream(config.seed, 0))
+    aux = aux_from_population(x)
+    rng_links, rng_weights = rng_stream(config.seed, 1), rng_stream(config.seed, 2)
+    matches, linkage, best = gen_linkage(n, config.linkage_model(), rng_links)
+    incidence = gen_pi_q_weights(linkage, matches, config.best_link_weight, rng_weights)
+    reverse = reverse_weights_best_link(linkage, best, config.best_link_weight)
+    return {
+        "link_units": _digest(linkage.link_units),
+        "link_records": _digest(linkage.link_records),
+        "matches": _digest(np.array(sorted(matches.record_of_unit.items()), dtype=np.int64)),
+        "best": _digest(best),
+        "pi_q_weights": _digest(incidence.values),
+        "pi_q_covariates": _digest(derive_covariates(linkage, incidence, aux).weighted),
+        "link_aggregates": _digest(np.concatenate(
+            [a.ravel() for a in link_aggregates(linkage, reverse.values, aux)])),
+        "links_rng": _digest(rng_links.bit_generator.state),
+        "weights_rng": _digest(rng_weights.bit_generator.state),
+    }
+
+
+@pytest.mark.parametrize("block", ["table1_block1", "table2_block2", "table3_block3"])
+def test_setup_matches_golden_digests(block):
+    golden = json.loads(GOLDEN_SETUP_PATH.read_text(encoding="utf-8"))
+    assert setup_digests(block) == golden[block]
