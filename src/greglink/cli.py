@@ -52,6 +52,7 @@ from .linkage import (
     AuxDatabase,
     LinkageStructure,
     WeightScheme,
+    WeightSumError,
     multiplicity_weights,
     reverse_weights_best_link,
 )
@@ -95,6 +96,17 @@ def _best_for(inputs: EstimationInputs, sub_linkage: LinkageStructure) -> np.nda
     return inputs.best_links[pos]
 
 
+def _weight_scheme(kind: str, linkage: LinkageStructure, values: np.ndarray,
+                   unit_keys: list[str], record_keys: list[str]) -> WeightScheme:
+    """A link file's weight column as weights of ``kind``; a unit or record
+    whose weights miss 1 is named by its id in the files."""
+    try:
+        return WeightScheme(kind=kind, linkage=linkage, values=values)
+    except WeightSumError as exc:
+        keys = record_keys if kind == INCIDENCE else unit_keys
+        raise ValidationError(exc.message(keys[exc.index])) from None
+
+
 def _resolve_links(inputs: EstimationInputs, estimator: str, q: float
                    ) -> tuple[LinkageStructure, WeightScheme | None, np.ndarray | None]:
     """The linkage, weight scheme and best links of an estimator's rule.
@@ -111,7 +123,8 @@ def _resolve_links(inputs: EstimationInputs, estimator: str, q: float
         if linkage.scope != POPULATION:
             raise ValidationError("PI-GREG requires population-scope links")
         if weights is not None:
-            scheme = WeightScheme(kind=INCIDENCE, linkage=linkage, values=weights)
+            scheme = _weight_scheme(INCIDENCE, linkage, weights,
+                                    inputs.unit_keys, inputs.record_keys)
         else:
             scheme = multiplicity_weights(linkage)
     elif covariate is not None:
@@ -119,7 +132,8 @@ def _resolve_links(inputs: EstimationInputs, estimator: str, q: float
         if covariate == BEST_LINK:
             best = _best_for(inputs, linkage)
         elif covariate in (REVERSE_SUM, LINK_SET) and weights is not None:
-            scheme = WeightScheme(kind=REVERSE, linkage=linkage, values=weights[link_index])
+            scheme = _weight_scheme(REVERSE, linkage, weights[link_index],
+                                    inputs.unit_keys, inputs.record_keys)
         elif covariate in (REVERSE_SUM, LINK_SET) and inputs.best_links is not None:
             scheme = reverse_weights_best_link(linkage, _best_for(inputs, linkage), q)
         elif covariate in (REVERSE_SUM, LINK_SET):
@@ -220,14 +234,14 @@ def _echo_structure(linkage: LinkageStructure, unit_keys: list[str],
         print(f"... {len(linked) - limit} more records")
 
 
-def _print_npa(linkage: LinkageStructure, aux: AuxDatabase,
-               weights: np.ndarray | None) -> None:
+def _print_npa(linkage: LinkageStructure, aux: AuxDatabase, weights: np.ndarray | None,
+               unit_keys: list[str], record_keys: list[str]) -> None:
     """Informativeness covariances, printable only for population links."""
     if linkage.scope != POPULATION:
         return
     if weights is not None:
         try:
-            scheme = WeightScheme(kind=INCIDENCE, linkage=linkage, values=weights)
+            scheme = _weight_scheme(INCIDENCE, linkage, weights, unit_keys, record_keys)
         except ValidationError as incidence_error:
             # neither kind fits: report it as `estimate --estimator pi` does
             try:
@@ -273,7 +287,8 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
                                             n_population=args.big_n)
         _echo_structure(inputs.linkage, inputs.unit_keys, inputs.record_keys,
                         args.limit)
-        _print_npa(inputs.linkage, inputs.aux, inputs.weights)
+        _print_npa(inputs.linkage, inputs.aux, inputs.weights,
+                   inputs.unit_keys, inputs.record_keys)
         reports = _sample_diagnostics(inputs, args.q)
         print()
         for report in reports:
@@ -290,7 +305,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     weights = None
     if link_table.weights is not None:
         weights = link_table.weights[link_rows]
-    _print_npa(linkage, aux_table.aux, weights)
+    _print_npa(linkage, aux_table.aux, weights, unit_keys, aux_table.record_keys)
     return 0
 
 

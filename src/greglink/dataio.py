@@ -24,7 +24,7 @@ import numpy as np
 
 from .design import Sample, SurveyDesign
 from .errors import ValidationError
-from .linkage import AuxDatabase, LinkageStructure, build_linkage
+from .linkage import AuxDatabase, LinkageStructure, build_linkage, link_key
 
 _TRUE_FLAGS = frozenset({"1", "true", "yes"})
 _FLAGS = _TRUE_FLAGS | {"0", "false", "no", ""}
@@ -201,9 +201,11 @@ def build_file_linkage(aux_table: AuxTable, link_table: LinkTable,
             f"link file references unknown record {exc.args[0]!r}"
         ) from exc
     units = np.fromiter(map(unit_index.__getitem__, link_table.unit_keys), np.int64, n_links)
-    rows = np.lexsort((records, units))
-    repeats = np.flatnonzero((np.diff(units[rows]) == 0) & (np.diff(records[rows]) == 0))
+    key = link_key(units, records, aux_table.aux.n_records)
+    rows = np.argsort(key)
+    repeats = np.flatnonzero(np.diff(key[rows]) == 0)
     if len(repeats):
+        # the repeated rows carry the same keys, whichever of them sorts first
         row = rows[repeats[0]]
         raise ValidationError(f"link file repeats the link of unit {link_table.unit_keys[row]!r}"
                               f" to record {link_table.record_keys[row]!r}")

@@ -24,6 +24,7 @@ way and the command line a stack of one sample. ``greg``, ``sub_greg`` and
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -50,6 +51,7 @@ from .linkage import (
     LinkageStructure,
     WeightScheme,
     derive_covariates,
+    unit_sums,
 )
 
 RCOND_THRESHOLD = 1e-12
@@ -279,20 +281,12 @@ def _subsample_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return wls_coefficients(x_full, y, np.ones(n_sub))
 
 
-def _per_unit(linkage: LinkageStructure):
-    """A function summing per-link values over each covered unit's links,
-    in link order."""
-    unit_idx = linkage.unit_index_per_link()
-    return lambda values: np.bincount(unit_idx, weights=values, minlength=linkage.n_covered)
-
-
 def link_sums(linkage: LinkageStructure, aux: AuxDatabase) -> np.ndarray:
     """Σ x_l over each covered unit's links, with x_l = (1, record values of
     link l): (n_covered, q), the degree first. The link-set estimator fits on
     these sums and its consistency diagnostic tests them."""
-    per_unit = _per_unit(linkage)
-    x_links = with_intercept(aux.x[linkage.link_records])
-    return np.column_stack([per_unit(x_links[:, i]) for i in range(x_links.shape[1])])
+    return np.column_stack([linkage.degrees,
+                            unit_sums(linkage, aux.x[linkage.link_records].T)])
 
 
 def link_aggregates(linkage: LinkageStructure, weights: np.ndarray,
@@ -302,17 +296,18 @@ def link_aggregates(linkage: LinkageStructure, weights: np.ndarray,
     With x_l = (1, record values of link l) and w_l the link weight, returns
     the ``link_sums`` Σ x_l (n_covered, q); Σ x_l x_l' (n_covered, q, q);
     and Σ w_l x_l (n_covered, q). The link-set estimator is linear in these
-    once the sample is fixed, so they are computed once per linkage.
+    once the sample is fixed, so they are computed once per linkage. The
+    intercept's sums are the degree, Σ x_l and Σ w_l, so only products of
+    record values are summed for the Gram matrix.
     """
-    per_unit = _per_unit(linkage)
-    x_links = with_intercept(aux.x[linkage.link_records])
-    q = x_links.shape[1]
-    link_sum = np.column_stack([per_unit(x_links[:, i]) for i in range(q)])
-    gram = np.empty((linkage.n_covered, q, q))
-    for i in range(q):
-        for j in range(i, q):
-            gram[:, i, j] = gram[:, j, i] = per_unit(x_links[:, i] * x_links[:, j])
-    weighted = np.column_stack([per_unit(weights * x_links[:, i]) for i in range(q)])
+    x = aux.x[linkage.link_records]
+    link_sum = np.column_stack([linkage.degrees, unit_sums(linkage, x.T)])
+    gram = np.empty((linkage.n_covered, aux.dim + 1, aux.dim + 1))
+    gram[:, 0, :] = gram[:, :, 0] = link_sum
+    for i in range(aux.dim):
+        gram[:, i + 1, i + 1:] = gram[:, i + 1:, i + 1] = unit_sums(
+            linkage, (x[:, i] * x[:, j] for j in range(i, aux.dim)))
+    weighted = unit_sums(linkage, itertools.chain([weights], (weights * c for c in x.T)))
     return link_sum, gram, weighted
 
 
@@ -574,8 +569,9 @@ def consistency_diagnostics(rows: np.ndarray, aux: AuxDatabase, sample: Sample,
     ``link_sums`` ("sls"), whose ratio-estimated mean over linked records is.
     The variance comes from the per-unit contributions of the linearised
     statistic. A component whose contributions are constant across units
-    (a degenerate covariate) is reported with zero variance, and zero z when
-    its statistic is also zero, infinite z otherwise.
+    (a degenerate covariate), and every component of a census sample, is
+    reported with zero variance, and zero z when its statistic is also zero
+    up to rounding, infinite z otherwise.
     """
     if kind not in DIAGNOSTIC_KINDS:
         raise ValidationError(f"unknown diagnostic kind {kind!r}")
@@ -597,7 +593,8 @@ def consistency_diagnostics(rows: np.ndarray, aux: AuxDatabase, sample: Sample,
 
     spread = contributions.std(axis=0)
     scale = np.maximum(np.abs(contributions).max(axis=0), 1.0 / n_population)
-    degenerate = spread <= 1e-9 * scale
+    # a census (f = 1) has no sampling variance in any component
+    degenerate = (spread <= 1e-9 * scale) | (sample.design.f == 1)
     off = np.abs(value) > 1e-6 * scale * n_population
     variance = np.where(degenerate, 0.0, residual_variances(
         np.ascontiguousarray(contributions.T), sample.design))

@@ -230,12 +230,16 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> MonteCarloSummary:
     An estimator failing in a replicate (singular fit, starving subsample)
     is recorded and skipped; more than 1 percent failures for any estimator
     aborts the run. ``workers`` > 1 runs whole chunks of replicates in a
-    process pool. Aggregation is a sequential reduction in replicate order,
+    process pool of at most one worker per chunk, so a single chunk runs in
+    this process. Aggregation is a sequential reduction in replicate order,
     so results do not depend on worker scheduling.
     """
     state = _build_state(config)
     k_total = config.replicates
     chunks = _chunks(config)
+    # no more workers than chunks, so a single chunk starts no pool; chunk
+    # shapes do not depend on the worker count, so neither do the results
+    workers = min(workers, len(chunks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_chunk, [state] * len(chunks), chunks))

@@ -103,33 +103,44 @@ class Population:
 
 @dataclass(frozen=True)
 class MatchSet:
-    """True unit-record matches (simulation mode): an injective partial map."""
+    """True unit-record matches (simulation mode): an injective partial map,
+    held as the matched units in ascending order and the record of each."""
 
-    record_of_unit: dict[int, int]
+    units: np.ndarray
+    records: np.ndarray
 
     def __post_init__(self) -> None:
-        records = list(self.record_of_unit.values())
-        if len(set(records)) != len(records):
+        units = np.asarray(self.units, dtype=np.int64)
+        records = np.asarray(self.records, dtype=np.int64)
+        if units.ndim != 1 or records.shape != units.shape:
+            raise ValidationError("matches need one record per matched unit")
+        if np.any(np.diff(units) <= 0):
+            raise ValidationError("matched units must be distinct and ascending")
+        if np.any(np.diff(np.sort(records)) == 0):
             raise ValidationError("matches must map distinct units to distinct records")
+        object.__setattr__(self, "units", _readonly(units))
+        object.__setattr__(self, "records", _readonly(records))
 
     @property
-    def unit_of_record(self) -> dict[int, int]:
-        return {rec: unit for unit, rec in self.record_of_unit.items()}
+    def record_of_unit(self) -> dict[int, int]:
+        return dict(zip(self.units.tolist(), self.records.tolist()))
 
     def __len__(self) -> int:
-        return len(self.record_of_unit)
+        return len(self.units)
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         unit, rec = pair
-        return self.record_of_unit.get(unit) == rec
+        i = int(np.searchsorted(self.units, unit))
+        return i < len(self) and self.units[i] == unit and self.records[i] == rec
 
 
 class LinkageStructure:
     """Links between covered units and auxiliary records, with adjacency maps.
 
     Internally a CSR layout over links sorted by (unit, record); the record
-    side is a stable re-sort, so both directions of adjacency are O(1) slices
-    and provably transposes of each other.
+    side orders the links by (record, link position), a stable re-sort, so
+    both directions of adjacency are O(1) slices and provably transposes of
+    each other.
     """
 
     def __init__(self, scope: str, covered_units: np.ndarray, n_records: int,
@@ -143,9 +154,12 @@ class LinkageStructure:
         self.link_records = _readonly(link_records)
         self._unit_ptr = _readonly(np.searchsorted(
             link_units, np.append(covered_units, covered_units[-1] + 1)))
-        rec_order = np.argsort(link_records, kind="stable")
+        # one sort of a unique integer key gives the stable record order
+        n_links = len(link_records)
+        rec_sorted, rec_order = np.divmod(
+            np.sort(link_key(link_records, np.arange(n_links), n_links)), n_links)
         self._rec_order = _readonly(rec_order)
-        self._rec_sorted = _readonly(link_records[rec_order])
+        self._rec_sorted = _readonly(rec_sorted)
         self.degrees = _readonly(np.diff(self._unit_ptr).astype(np.int64))
         self.multiplicities = _readonly(
             np.bincount(link_records, minlength=n_records).astype(np.int64))
@@ -201,6 +215,8 @@ class LinkageStructure:
 
     def unit_index_per_link(self) -> np.ndarray:
         """Covered-unit position of each link, aligned with the link arrays."""
+        if self.scope == POPULATION:
+            return self.link_units  # units 0..N-1 are their own positions
         return np.repeat(np.arange(self.n_covered), self.degrees)
 
     def restrict(self, unit_ids: np.ndarray) -> tuple["LinkageStructure", np.ndarray]:
@@ -226,6 +242,16 @@ class LinkageStructure:
             link_records=self.link_records[link_index].copy(),
         )
         return sub, link_index
+
+
+def link_key(positions: np.ndarray, records: np.ndarray, n_records: int) -> np.ndarray:
+    """One int64 key per link, ordering links by (unit position, record).
+
+    Distinct links get distinct keys, so any sort of the keys puts the links
+    in the same order, and equal keys are repeated links. The key is exact
+    while the number of positions times ``n_records`` stays below 2**63.
+    """
+    return positions * np.int64(n_records) + records
 
 
 def build_linkage(links: Iterable[tuple[int, int]] | np.ndarray,
@@ -261,14 +287,20 @@ def build_linkage(links: Iterable[tuple[int, int]] | np.ndarray,
     if recs.min() < 0 or recs.max() >= n_records:
         bad = recs[(recs < 0) | (recs >= n_records)][0]
         raise ValidationError(f"link references nonexistent record {bad}")
-    pos = np.searchsorted(covered, units)
-    bad_mask = (pos >= len(covered)) | (covered[np.minimum(pos, len(covered) - 1)] != units)
+    if scope == POPULATION:
+        # covered units are 0..N-1, so a unit is its own position
+        pos = units
+        bad_mask = (units < 0) | (units >= len(covered))
+    else:
+        pos = np.searchsorted(covered, units)
+        bad_mask = (pos >= len(covered)) | (covered[np.minimum(pos, len(covered) - 1)] != units)
     if np.any(bad_mask):
         raise ValidationError(f"link references uncovered unit {units[bad_mask][0]}")
 
-    order = np.lexsort((recs, units))
-    units, recs = units[order], recs[order]
-    dup = (np.diff(units) == 0) & (np.diff(recs) == 0)
+    key = np.sort(link_key(pos, recs, n_records))
+    pos, recs = np.divmod(key, n_records)
+    units = pos if scope == POPULATION else covered[pos]
+    dup = np.diff(key) == 0
     if np.any(dup):
         k = int(np.flatnonzero(dup)[0])
         raise ValidationError(f"duplicate link ({units[k]}, {recs[k]})")
@@ -278,6 +310,20 @@ def build_linkage(links: Iterable[tuple[int, int]] | np.ndarray,
         missing = covered[np.flatnonzero(structure.degrees == 0)[0]]
         raise ValidationError(f"unit {missing} has no links")
     return structure
+
+
+class WeightSumError(ValidationError):
+    """Weights that do not sum to 1 over one record's units (incidence) or
+    one unit's records (reverse). ``index`` is that record's or unit's dense
+    index; ``message`` names it by an external id instead."""
+
+    def __init__(self, kind: str, index: int, total: float):
+        self.kind, self.index, self.total = kind, index, total
+        super().__init__(self.message(index))
+
+    def message(self, name) -> str:
+        side = "record" if self.kind == INCIDENCE else "unit"
+        return f"{self.kind} weights for {side} {name} sum to {self.total!r}, not 1"
 
 
 @dataclass(frozen=True)
@@ -312,19 +358,15 @@ class WeightScheme:
             linked = self.linkage.multiplicities > 0
             bad = np.abs(sums[linked] - 1.0) > WEIGHT_SUM_TOL
             if np.any(bad):
-                rec = np.flatnonzero(linked)[np.flatnonzero(bad)[0]]
-                raise ValidationError(
-                    f"incidence weights for record {rec} sum to {float(sums[rec])!r}, not 1"
-                )
+                rec = int(np.flatnonzero(linked)[np.flatnonzero(bad)[0]])
+                raise WeightSumError(INCIDENCE, rec, float(sums[rec]))
         else:
             sums = np.add.reduceat(values, self.linkage._unit_ptr[:-1])
             bad = np.abs(sums - 1.0) > WEIGHT_SUM_TOL
             if np.any(bad):
                 i = np.flatnonzero(bad)[0]
-                raise ValidationError(
-                    f"reverse weights for unit {self.linkage.covered_units[i]} sum to "
-                    f"{float(sums[i])!r}, not 1"
-                )
+                raise WeightSumError(REVERSE, int(self.linkage.covered_units[i]),
+                                     float(sums[i]))
         object.__setattr__(self, "values", _readonly(values))
 
     def restrict(self, sub: LinkageStructure, link_index: np.ndarray) -> "WeightScheme":
@@ -423,6 +465,18 @@ class DerivedCovariates:
     weighted_total: np.ndarray | None = None
 
 
+def unit_sums(linkage: LinkageStructure, columns: Iterable[np.ndarray]) -> np.ndarray:
+    """Each per-link column summed over every covered unit's links, added in
+    link order from 0.0: (n_covered, number of columns).
+
+    ``columns`` is consumed one column at a time, so a generator keeps a
+    single per-link temporary alive.
+    """
+    unit_idx = linkage.unit_index_per_link()
+    return np.column_stack([np.bincount(unit_idx, weights=column, minlength=linkage.n_covered)
+                            for column in columns])
+
+
 def derive_covariates(linkage: LinkageStructure, scheme: WeightScheme,
                       aux: AuxDatabase) -> DerivedCovariates:
     """Compute the scheme-weighted link sums over one linkage."""
@@ -431,9 +485,8 @@ def derive_covariates(linkage: LinkageStructure, scheme: WeightScheme,
     if aux.n_records != linkage.n_records:
         raise ValidationError("auxiliary database does not match the linkage")
 
-    weighted = np.zeros((linkage.n_covered, aux.dim))
-    np.add.at(weighted, linkage.unit_index_per_link(),
-              scheme.values[:, None] * aux.x[linkage.link_records])
+    weighted = unit_sums(linkage, (scheme.values * aux.x[linkage.link_records, j]
+                                   for j in range(aux.dim)))
     return DerivedCovariates(
         weighted=weighted,
         weighted_total=weighted.sum(axis=0) if linkage.scope == POPULATION else None,

@@ -189,8 +189,7 @@ def gen_linkage(n_units: int, model: LinkageModel, rng: np.random.Generator
     pick = rng.integers(0, n_false[rest])
     best[rest] = false_records[false_offsets[rest] + pick]
 
-    matches = MatchSet(record_of_unit={int(u): int(u) for u in matched_units})
-    return matches, linkage, best
+    return MatchSet(units=matched_units, records=matched_units), linkage, best
 
 
 def gen_pi_q_weights(linkage: LinkageStructure, matches: MatchSet, q: float,
@@ -203,19 +202,18 @@ def gen_pi_q_weights(linkage: LinkageStructure, matches: MatchSet, q: float,
     if not 0 < q < 1:
         raise ValidationError(f"q must lie in (0, 1), got {q}")
     m = linkage.multiplicities
-    m_per_link = m[linkage.link_records]
-    values = np.where(m_per_link == 1, 1.0, (1.0 - q) / np.maximum(m_per_link - 1, 1))
+    values = np.where(m == 1, 1.0, (1.0 - q) / np.maximum(m - 1, 1))[linkage.link_records]
     # links in record order, units ascending within each record
     order, records = linkage._rec_order, linkage._rec_sorted
     match_unit = np.full(linkage.n_records, -1, dtype=np.int64)
-    match_unit[np.fromiter(matches.record_of_unit.values(), dtype=np.int64,
-                           count=len(matches))] = np.fromiter(
-        matches.record_of_unit, dtype=np.int64, count=len(matches))
+    match_unit[matches.records] = matches.units
     hit = (linkage.link_units[order] == match_unit[records]) & (m[records] > 1)
     # q on the match link where it is among the record's links, otherwise on
     # a link drawn per record, records in ascending order
     values[order[hit]] = q
-    need = np.setdiff1d(np.flatnonzero(m > 1), records[hit])
+    need = m > 1
+    need[records[hit]] = False
+    need = np.flatnonzero(need)
     pick = rng.integers(0, m[need])
     values[order[np.cumsum(m)[need] - m[need] + pick]] = q
     return WeightScheme(kind=INCIDENCE, linkage=linkage, values=values)

@@ -227,6 +227,49 @@ def test_diagnose_sri_with_a_weight_column(tmp_path, capsys, links, big_n, outco
     assert estimate_code == (0 if outcome == "sri" else 1)
 
 
+@pytest.mark.parametrize("links, big_n, estimator, message", [
+    # sample-scope links: file unit 7 (dense index 1) weighs its records
+    # 0.8 and 0.9
+    ("5,a,1.0\n7,a,0.8\n7,b,0.9\n9,c,1.0\n", "10", "sri",
+     "reverse weights for unit 7 sum to 1.7000000000000002, not 1"),
+    # population links: file record b (dense index 1) gets 0.5 from unit 7
+    ("5,a,0.5\n7,a,0.5\n7,b,0.5\n9,c,1.0\n", "3", "pi",
+     "incidence weights for record b sum to 0.5, not 1"),
+], ids=["reverse", "incidence"])
+def test_weight_sum_errors_name_file_ids(tmp_path, capsys, links, big_n, estimator,
+                                         message):
+    aux = write(tmp_path / "aux.csv", "record_id,x1\na,1\nb,2\nc,4\nd,3\n")
+    links = write(tmp_path / "links.csv", "unit_id,record_id,weight\n" + links)
+    sample = write(tmp_path / "sample.csv",
+                   "unit_id,y,pi\n5,1.0,0.5\n7,2.0,0.5\n9,3.5,0.5\n")
+    files = ["--aux", aux, "--links", links, "--big-n", big_n]
+    runs = [["estimate", *files, "--sample", sample, "--estimator", estimator],
+            ["diagnose", *files, "--sample", sample]]
+    if estimator == "pi":
+        # without a sample, diagnose checks the column on population links only
+        runs.append(["diagnose", *files])
+    for argv in runs:
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("links, z", [
+    # one-one links: the statistics are zero up to rounding
+    ("1,a\n2,b\n3,c\n", ("0", "0")),
+    # unit 3 also links record a: both statistics are off zero
+    ("1,a\n2,b\n3,c\n3,a\n", ("-inf", "-inf")),
+], ids=["zero", "off"])
+def test_census_sample_diagnostics_have_no_sampling_variance(tmp_path, capsys, links, z):
+    aux = write(tmp_path / "aux.csv", "record_id,x1\na,0.1\nb,0.4\nc,0.9\n")
+    links = write(tmp_path / "links.csv", "unit_id,record_id\n" + links)
+    sample = write(tmp_path / "sample.csv", "unit_id,y,pi\n1,1.0,1\n2,2.5,1\n3,2.0,1\n")
+    assert main(["estimate", "--sample", sample, "--aux", aux, "--links", links,
+                 "--estimator", "sri,sls", "--big-n", "3"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("consistency diagnostic")]
+    assert [line.rsplit(" z ", 1)[1] for line in lines] == list(z)
+
+
 def test_estimate_and_diagnose_print_the_same_diagnostics(tmp_path, capsys):
     n_population, n = 200, 40
     x, population = gen_population(PopulationModel(n_units=n_population),

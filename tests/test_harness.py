@@ -48,6 +48,17 @@ def test_run_scenario_worker_invariance():
         assert e1 == e2
 
 
+def test_single_chunk_runs_without_a_pool(monkeypatch):
+    cfg = ScenarioConfig(name="one_chunk", **{**SMALL, "replicates": 25})
+    sequential = summary_csv_rows(run_scenario(cfg, workers=1))
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single chunk must not start a process pool")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    assert summary_csv_rows(run_scenario(cfg, workers=2)) == sequential
+
+
 @pytest.mark.parametrize("key, extra", [("small", {}),
                                         ("small_redraw", {"redraw_linkage": True})])
 def test_summaries_match_golden_fixture(key, extra):

@@ -283,13 +283,13 @@ def test_weight_scheme_rejects_non_finite_values(example_population_links, kind)
 
 
 def test_matchset_injective():
-    MatchSet(record_of_unit={0: 1, 1: 2})
+    MatchSet(units=[0, 1], records=[1, 2])
     with pytest.raises(ValidationError, match="distinct"):
-        MatchSet(record_of_unit={0: 1, 1: 1})
-    m = MatchSet(record_of_unit={0: 3, 2: 1})
+        MatchSet(units=[0, 1], records=[1, 1])
+    m = MatchSet(units=[0, 2], records=[3, 1])
     assert (0, 3) in m
     assert (0, 1) not in m
-    assert m.unit_of_record == {3: 0, 1: 2}
+    assert dict(zip(m.records.tolist(), m.units.tolist())) == {3: 0, 1: 2}
 
 
 # random small linkages: every unit picks a nonempty subset of records
@@ -348,3 +348,60 @@ def test_reverse_sums(linkage_aux, q):
     scheme = reverse_weights_best_link(L, best, q)
     sums = np.add.reduceat(scheme.values, L._unit_ptr[:-1])
     assert np.all(np.abs(sums - 1.0) <= 1e-12)
+
+
+@st.composite
+def shuffled_links(draw):
+    """Distinct (unit, record) pairs in random order, with the covered units
+    to build them under: N for population scope, or sparse unit ids."""
+    n_rec = draw(st.integers(1, 6))
+    n_units = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        units, covered = list(range(n_units)), n_units
+    else:
+        units = sorted(draw(st.sets(st.integers(0, 40), min_size=n_units,
+                                    max_size=n_units)))
+        covered = units
+    pairs = [(u, r) for u in units
+             for r in draw(st.sets(st.integers(0, n_rec - 1), min_size=1, max_size=3))]
+    return draw(st.permutations(pairs)), covered, n_rec
+
+
+def reference_links(pairs):
+    """Links in (unit, record) order by lexsort, and the stable record order."""
+    pairs = np.asarray(pairs, dtype=np.int64)
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    units, records = pairs[order, 0], pairs[order, 1]
+    return units, records, np.argsort(records, kind="stable")
+
+
+@given(shuffled_links())
+@settings(max_examples=80, deadline=None)
+def test_build_linkage_orders_links_like_lexsort(case):
+    pairs, covered, n_rec = case
+    L = build_linkage(pairs, covered, n_rec)
+    units, records, rec_order = reference_links(pairs)
+    assert np.array_equal(L.link_units, units)
+    assert np.array_equal(L.link_records, records)
+    assert np.array_equal(L._rec_order, rec_order)
+    assert np.array_equal(L._rec_sorted, records[rec_order])
+
+
+@given(shuffled_links(), st.sampled_from(["duplicate", "dangling", "uncovered"]),
+       st.data())
+@settings(max_examples=80, deadline=None)
+def test_build_linkage_rejects_bad_pairs_by_name(case, defect, data):
+    pairs, covered, n_rec = case
+    if defect == "duplicate":
+        bad = data.draw(st.sampled_from(pairs))
+        message = f"duplicate link ({bad[0]}, {bad[1]})"
+    elif defect == "dangling":
+        bad = (pairs[0][0], n_rec)
+        message = f"link references nonexistent record {n_rec}"
+    else:
+        unit = covered if isinstance(covered, int) else max(covered) + 1
+        bad = (unit, 0)
+        message = f"link references uncovered unit {unit}"
+    with pytest.raises(ValidationError) as excinfo:
+        build_linkage(data.draw(st.permutations(pairs + [bad])), covered, n_rec)
+    assert str(excinfo.value) == message

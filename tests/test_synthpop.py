@@ -147,7 +147,7 @@ def test_pi_q_weights_rules():
     matches, linkage, _ = gen_linkage(1000, model, rng_stream(9, 0))
     scheme = gen_pi_q_weights(linkage, matches, 0.4, rng_stream(9, 1))
     assert scheme.kind == INCIDENCE
-    unit_of_record = matches.unit_of_record
+    unit_of_record = dict(zip(matches.records.tolist(), matches.units.tolist()))
     m = linkage.multiplicities
     for record in range(linkage.n_records):
         if m[record] == 0:
@@ -182,7 +182,7 @@ def test_pi_q_weights_match_per_record_loop():
     m = linkage.multiplicities
     expected = np.where(m[linkage.link_records] == 1, 1.0,
                         0.7 / np.maximum(m[linkage.link_records] - 1, 1))
-    unit_of_record = matches.unit_of_record
+    unit_of_record = dict(zip(matches.records.tolist(), matches.units.tolist()))
     for record in np.flatnonzero(m > 1):
         positions = linkage.link_positions_of_record(int(record))
         hits = np.flatnonzero(linkage.link_units[positions]
