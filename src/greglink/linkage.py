@@ -123,6 +123,7 @@ class MatchSet:
 
     @property
     def record_of_unit(self) -> dict[int, int]:
+        """The matches as a dict from unit to record, built on each access."""
         return dict(zip(self.units.tolist(), self.records.tolist()))
 
     def __len__(self) -> int:
