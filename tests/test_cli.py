@@ -1,5 +1,7 @@
 """File ingestion and the command-line surface."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -396,6 +398,18 @@ def test_simulate_quick_scenario(tmp_path, capsys):
     csv_text = (tmp_path / "out" / "res_tiny.csv").read_text()
     assert csv_text.startswith("metric,estimator,value\n")
     assert "RE,ht,1.0" in csv_text
+
+
+def test_simulate_table_grid_stdout_is_golden(capsys):
+    # stdout of the bundled table grid at 30 replicates, recorded before the
+    # vectorised replicate draw; any change to the (seed, k) streams, the
+    # fits or the formatting shows here as a byte difference
+    root = Path(__file__).resolve().parents[1]
+    code = main(["simulate", str(root / "scenarios" / "tables_full.scenario"),
+                 "--k", "30"])
+    assert code == 0
+    golden = (root / "tests" / "data" / "tables_full_k30.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
 
 
 def test_simulate_small_k_warns(tmp_path, capsys):
