@@ -318,8 +318,11 @@ def sls_greg_batch(link_sum: np.ndarray, gram: np.ndarray, weighted: np.ndarray,
     """Link-set estimator over stacked samples, from each sampled unit's
     ``link_aggregates`` ((..., n, q), (..., n, q, q), (..., n, q)).
 
-    A sample with fewer than q links, or a near-singular fit, gives NaN;
-    under ``strict`` either raises.
+    The aggregates' sums over the n units add unit by unit, in order, over
+    the unit axis moved to the front; they run over contiguous blocks when
+    the aggregates are stored unit-major, as ``fit_unit_inputs`` gathers
+    them. A sample with fewer than q links, or a near-singular fit, gives
+    NaN; under ``strict`` either raises.
     """
     check_finite_values(y)
     n_population = design.n_population
@@ -330,11 +333,13 @@ def sls_greg_batch(link_sum: np.ndarray, gram: np.ndarray, weighted: np.ndarray,
         raise ValidationError(f"need at least {link_sum.shape[-1]} links, "
                               f"got {int(n_links[too_few][0])}")
     link_rate_hat = np.sum(d / pi, axis=-1) / n_population
-    link_total_hat = np.sum(link_sum / pi[..., None], axis=-2)
+    pi_units = np.moveaxis(pi, -1, 0)[..., None]
+    link_total_hat = np.sum(np.moveaxis(link_sum, -2, 0) / pi_units, axis=0)
     link_mean_hat = link_total_hat / (link_rate_hat * n_population)[..., None]
 
-    m = np.sum(gram / pi[..., None, None], axis=-3)
-    rhs = np.sum(weighted * (y / pi)[..., None], axis=-2)
+    m = np.sum(np.moveaxis(gram, -3, 0) / pi_units[..., None], axis=0)
+    rhs = np.sum(np.moveaxis(weighted, -2, 0) * np.moveaxis(y / pi, -1, 0)[..., None],
+                 axis=0)
     rate = link_rate_hat[..., None]
     b = rate * _solve_normal_equations(m, rhs, strict)
 
@@ -482,7 +487,13 @@ def fit_unit_inputs(inputs: UnitInputs, pos: np.ndarray, y: np.ndarray,
     fit gives NaN, or raises under ``strict``.
     """
     rule = ESTIMATORS[inputs.tag]
-    rows = [a[pos] for a in inputs.rows]
+    if rule.covariate == LINK_SET:
+        # unit-major, the layout in which sls_greg_batch sums fastest
+        units = np.moveaxis(pos, -1, 0)
+        rows = [np.moveaxis(np.take(a, units, axis=0), 0, pos.ndim - 1)
+                for a in inputs.rows]
+    else:
+        rows = [np.take(a, pos, axis=0) for a in inputs.rows]
     if rule.covariate is None:
         return ht_total_batch(y, pi, design, target)
     if rule.covariate == ONLY_LINK:

@@ -15,10 +15,14 @@ gathers them for all its samples and fits each estimator with
 for that estimator in that replicate only. With ``redraw_linkage`` a chunk
 is a single replicate with its own linkage.
 
-Replicate k always consumes the stream derived from (seed, k), and
-``workers`` > 1 hands whole chunks to a process pool, so every replicate is
-computed by the same operations on the same chunk shape and summaries are
-bitwise identical regardless of the worker count.
+Replicate k always draws the sample that the stream derived from (seed, k)
+gives, and ``workers`` > 1 hands whole chunks to a process pool, so every
+replicate is computed by the same operations on the same chunk shape and
+summaries are bitwise identical regardless of the worker count. A chunk
+draws its samples with ``design.replicate_ids``, which replays numpy's
+seeding, PCG64 and Floyd's sampler in array operations over the chunk and
+falls back to the stream itself for any row or case it cannot reproduce,
+so its ids equal the per-stream ``srswor_ids`` bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import SurveyDesign, rng_stream, srswor_ids
+from .design import SurveyDesign, replicate_ids, rng_stream
 from .errors import NumericalError, ValidationError
 from .estimators import UnitInputs, build_unit_inputs, fit_unit_inputs
 from .linkage import AuxDatabase, multiplicity_weights, reverse_weights_best_link
@@ -86,6 +90,11 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.replicates < 2:
             raise ValidationError("need at least 2 replicates")
+        if not 1 <= self.sample_size < self.n_population:
+            # a census (n = N) draws the same sample every replicate, so HT's
+            # variance and MSE are 0 and RE and RMSE are undefined
+            raise ValidationError(f"sample size {self.sample_size} outside "
+                                  f"1..{self.n_population - 1}")
         if self.target not in ("mean", "total"):
             raise ValidationError(f"unknown target {self.target!r}")
         unknown = [e for e in self.estimators if e not in ESTIMATOR_ORDER]
@@ -172,10 +181,9 @@ def _run_chunk(state: _ScenarioState, indices: range
             rng_stream(config.seed, _LINK_KEY, k),
             rng_stream(config.seed, _WEIGHT_KEY, k))
     design = SurveyDesign.srswor(config.n_population, config.sample_size)
-    ids = np.stack([srswor_ids(config.n_population, config.sample_size,
-                               rng_stream(config.seed, _REPLICATE_KEY, k))
-                    for k in indices])
-    y_s = state.y[ids]
+    ids = replicate_ids(config.n_population, config.sample_size, config.seed,
+                        (_REPLICATE_KEY,), indices)
+    y_s = np.take(state.y, ids)
     pi = np.full(ids.shape, design.f)
 
     values = np.empty((len(indices), len(inputs)))

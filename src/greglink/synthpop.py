@@ -117,17 +117,26 @@ def proportional_counts(n: int, shares: tuple[float, ...]) -> np.ndarray:
 
 def _draw_false_records(rng: np.random.Generator, owners: np.ndarray,
                         n_records: int) -> np.ndarray:
-    """Uniform distinct false records per owner, never the owner's own record."""
+    """Uniform distinct false records per owner, never the owner's own record.
+
+    ``owners`` is ascending, so a repeated (owner, record) pair lies within
+    one owner's run and is found by comparing each link with the links 1, 2,
+    ... places before it, up to the longest run. Every repeat after the
+    first is redrawn, in link order, until none is left.
+    """
     m = len(owners)
     cand = rng.integers(0, n_records - 1, size=m)
     cand = cand + (cand >= owners)
+    same_owner = []
+    for offset in range(1, m):
+        same = owners[offset:] == owners[:-offset]
+        if not same.any():
+            break
+        same_owner.append((offset, same))
     while True:
-        key = owners * np.int64(n_records) + cand
-        order = np.argsort(key, kind="stable")
-        dup_sorted = np.zeros(m, dtype=bool)
-        dup_sorted[1:] = key[order][1:] == key[order][:-1]
         dup = np.zeros(m, dtype=bool)
-        dup[order] = dup_sorted
+        for offset, same in same_owner:
+            dup[offset:] |= same & (cand[offset:] == cand[:-offset])
         if not dup.any():
             return cand
         redraw = rng.integers(0, n_records - 1, size=int(dup.sum()))

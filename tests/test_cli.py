@@ -412,6 +412,16 @@ def test_simulate_table_grid_stdout_is_golden(capsys):
     assert capsys.readouterr().out == golden
 
 
+def test_simulate_census_scenario_exits_with_error(tmp_path, capsys):
+    # n = N draws one sample every replicate: HT's variance is 0, so RE and
+    # RMSE are undefined and the block is refused before it runs
+    scenario = write(tmp_path / "census.scenario",
+                     "population = 50\nsample = 50\nreplicates = 20\n")
+    assert main(["simulate", scenario]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sample size 50 outside 1..49" in err
+
+
 def test_simulate_small_k_warns(tmp_path, capsys):
     scenario = write(tmp_path / "s.scenario",
                      "name = tiny\npopulation = 300\nsample = 40\n"

@@ -4,15 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import greglink.design as design
 from greglink.design import (
     Sample,
     SurveyDesign,
     draw_srswor,
     exact_design_moments,
     ht_total,
+    replicate_ids,
     residual_variance,
     rng_stream,
+    srswor_ids,
 )
 from greglink.errors import NumericalError, ValidationError
 from greglink.synthpop import PopulationModel, gen_population
@@ -176,3 +181,106 @@ def test_rng_streams_reproducible_and_distinct():
     b = rng_stream(9, 4, 3).uniform(size=5)
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
+
+
+def _stream_ids(n_population, sample_size, seed, key, indices):
+    return np.stack([srswor_ids(n_population, sample_size, rng_stream(seed, *key, k))
+                     for k in indices])
+
+
+def _floyd_rows(n_population, sample_size, seed, key, indices):
+    ks = np.asarray(list(indices), dtype=np.uint64)
+    return design._floyd_rows(n_population, sample_size,
+                              design._pcg64_seeds(seed, key, ks))
+
+
+@pytest.fixture
+def floyd_calls(monkeypatch):
+    """Counts the vectorised draws that replicate_ids makes."""
+    calls = []
+    floyd_rows = design._floyd_rows
+
+    def counted(*args):
+        calls.append(args[:2])
+        return floyd_rows(*args)
+
+    monkeypatch.setattr(design, "_floyd_rows", counted)
+    return calls
+
+
+_SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**140))
+_FIRST_K = st.one_of(st.integers(0, 2000), st.integers(2**32 - 40, 2**32 + 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_population=st.integers(1, 3000), data=st.data(), seed=_SEEDS,
+       key=st.sampled_from([(), (3,), (1, 2**33)]), first=_FIRST_K,
+       chunk=st.integers(1, 24))
+def test_replicate_ids_equal_the_streams(n_population, data, seed, key, first, chunk):
+    sample_size = data.draw(st.integers(1, min(n_population, 400)))
+    indices = range(first, first + chunk)
+    expected = _stream_ids(n_population, sample_size, seed, key, indices)
+    np.testing.assert_array_equal(
+        replicate_ids(n_population, sample_size, seed, key, indices), expected)
+    if first + chunk <= 2**32:
+        # the array path itself, whatever the chunk and sample sizes: every
+        # row it marks exact is the stream's row
+        ids, exact = _floyd_rows(n_population, sample_size, seed, key, indices)
+        np.testing.assert_array_equal(ids[exact], expected[exact])
+
+
+@pytest.mark.parametrize("n_population", [1, 2, 3, 4, 7, 50, 300])
+def test_census_rows_match_the_streams(n_population):
+    indices = range(40)
+    expected = _stream_ids(n_population, n_population, 15, (3,), indices)
+    assert np.all(expected == np.arange(n_population))
+    np.testing.assert_array_equal(
+        replicate_ids(n_population, n_population, 15, (3,), indices), expected)
+    ids, exact = _floyd_rows(n_population, n_population, 15, (3,), indices)
+    np.testing.assert_array_equal(ids[exact], expected[exact])
+
+
+@pytest.mark.parametrize("sample_size, vectorised", [(400, True), (401, False)])
+def test_floyd_and_tail_shuffle_sides_match_the_streams(floyd_calls, sample_size,
+                                                        vectorised):
+    # numpy shuffles a tail instead of running Floyd's loop once N > 10000
+    # and n > N // 50; N = 20000 puts n = 400 and 401 on either side
+    indices = range(30)
+    ids = replicate_ids(20000, sample_size, 7, (3,), indices)
+    np.testing.assert_array_equal(ids, _stream_ids(20000, sample_size, 7, (3,), indices))
+    assert bool(floyd_calls) == vectorised
+
+
+@pytest.mark.parametrize("n_population, rejections", [(2**31 + 1, True),
+                                                       (3 * 2**30, True),
+                                                       (2**32 - 1, False)])
+def test_lemire_rejection_rows_fall_back_to_the_streams(floyd_calls, n_population,
+                                                        rejections):
+    # a draw on 0..j is rejected with probability (2**32 mod (j + 1)) / 2**32:
+    # about 1/2 just above j = 2**31, 1/4 at 3 * 2**30, and 2**-32 at the
+    # largest N the array path takes; rejected rows are left to the stream
+    indices = range(32)
+    ids = replicate_ids(n_population, 3, 2**40 + 3, (3,), indices)
+    np.testing.assert_array_equal(ids, _stream_ids(n_population, 3, 2**40 + 3, (3,), indices))
+    assert floyd_calls == [(n_population, 3)]
+    _, exact = _floyd_rows(n_population, 3, 2**40 + 3, (3,), indices)
+    assert 0 < exact.sum()
+    assert (exact.sum() < len(indices)) == rejections
+
+
+@pytest.mark.parametrize("n_population", [2**32, 2**32 + 5, 2**40])
+def test_populations_beyond_32_bits_use_the_streams(floyd_calls, n_population):
+    indices = range(16)
+    ids = replicate_ids(n_population, 4, 15, (3,), indices)
+    np.testing.assert_array_equal(ids, _stream_ids(n_population, 4, 15, (3,), indices))
+    assert floyd_calls == []
+
+
+def test_short_chunks_use_the_streams(floyd_calls):
+    for chunk in (1, 2):
+        indices = range(100, 100 + chunk)
+        np.testing.assert_array_equal(replicate_ids(5000, 100, 15, (3,), indices),
+                                      _stream_ids(5000, 100, 15, (3,), indices))
+    assert floyd_calls == []
+    replicate_ids(5000, 100, 15, (3,), range(250))
+    assert floyd_calls == [(5000, 100)]

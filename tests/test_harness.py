@@ -92,6 +92,13 @@ def test_replicate_minimum():
         ScenarioConfig(name="bad", n_population=100, sample_size=10, replicates=1)
 
 
+@pytest.mark.parametrize("sample_size", [0, 100, 101])
+def test_sample_size_must_leave_units_out(sample_size):
+    with pytest.raises(ValidationError, match="sample size"):
+        ScenarioConfig(name="bad", n_population=100, sample_size=sample_size,
+                       replicates=20)
+
+
 def test_unknown_estimator_rejected():
     with pytest.raises(ValidationError, match="unknown estimators"):
         ScenarioConfig(name="bad", n_population=100, sample_size=10,

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greglink.design import rng_stream
 from greglink.errors import ValidationError
@@ -14,6 +16,7 @@ from greglink.harness import load_scenario_file
 from greglink.linkage import INCIDENCE, derive_covariates, reverse_weights_best_link
 from greglink.synthpop import (
     LinkageModel,
+    _draw_false_records,
     PopulationModel,
     aux_from_population,
     gen_linkage,
@@ -265,3 +268,36 @@ def setup_digests(block: str) -> dict[str, str]:
 def test_setup_matches_golden_digests(block):
     golden = json.loads(GOLDEN_SETUP_PATH.read_text(encoding="utf-8"))
     assert setup_digests(block) == golden[block]
+
+
+def _draw_false_records_by_argsort(rng, owners, n_records):
+    """The stable-argsort search for repeated (owner, record) pairs that
+    ``_draw_false_records`` replaced by neighbour compares."""
+    m = len(owners)
+    cand = rng.integers(0, n_records - 1, size=m)
+    cand = cand + (cand >= owners)
+    while True:
+        key = owners * np.int64(n_records) + cand
+        order = np.argsort(key, kind="stable")
+        dup_sorted = np.zeros(m, dtype=bool)
+        dup_sorted[1:] = key[order][1:] == key[order][:-1]
+        dup = np.zeros(m, dtype=bool)
+        dup[order] = dup_sorted
+        if not dup.any():
+            return cand
+        redraw = rng.integers(0, n_records - 1, size=int(dup.sum()))
+        cand[dup] = redraw + (redraw >= owners[dup])
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_records=st.integers(2, 12), seed=st.integers(0, 2**32),
+       runs=st.lists(st.integers(0, 4), max_size=40))
+def test_false_records_match_argsort_reference(n_records, seed, runs):
+    runs = np.minimum(np.array(runs, dtype=np.int64), n_records - 1)[:n_records]
+    owners = np.repeat(np.arange(len(runs), dtype=np.int64), runs)
+    rng, reference_rng = rng_stream(seed, 1), rng_stream(seed, 1)
+    cand = _draw_false_records(rng, owners, n_records)
+    expected = _draw_false_records_by_argsort(reference_rng, owners, n_records)
+    np.testing.assert_array_equal(cand, expected)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    assert np.all(cand != owners)
