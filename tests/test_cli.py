@@ -1,11 +1,12 @@
 """File ingestion and the command-line surface."""
 
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from greglink.cli import estimate_from_inputs, main
+from greglink.cli import FILE_ESTIMATORS, _sample_diagnostics, estimate_from_inputs, main
 from greglink.dataio import (
     assemble_estimation_inputs,
     read_aux_csv,
@@ -546,3 +547,39 @@ def test_estimate_sbl_needs_best_flags(tmp_path, capsys):
                  "--links", links, "--estimator", "sbl", "--big-n", "10"])
     assert code == 1
     assert "is_best" in capsys.readouterr().err
+
+
+GOLDEN_ESTIMATES_PATH = Path(__file__).parent / "data" / "golden_file_estimates.json"
+
+
+def file_estimate_reprs(directory: Path) -> dict:
+    """The ``repr`` of every file estimator's value and variance, of the
+    diagnostic ``estimate`` prints beside it, and of ``diagnose --sample``'s
+    statistics, on the files ``perfbench`` writes at N = 2000, n = 200."""
+    from perfbench.workloads import Size, write_estimate_inputs
+
+    paths = write_estimate_inputs(directory, Size(2000, 200), seed=15)
+    inputs = assemble_estimation_inputs(paths["sample"], paths["aux"], paths["links"],
+                                        n_population=2000)
+
+    def report(diag):
+        return {name: [repr(float(v)) for v in getattr(diag, name)]
+                for name in ("value", "variance", "z")}
+
+    out = {}
+    for target in ("total", "mean"):
+        for estimator in FILE_ESTIMATORS:
+            est, diag = estimate_from_inputs(inputs, estimator, target, 0.7)
+            out[f"{estimator} {target}"] = {
+                "value": repr(est.value), "variance": repr(est.variance),
+                "diagnostic": None if diag is None else report(diag)}
+    out["diagnose"] = {d.statistic: report(d) for d in _sample_diagnostics(inputs, 0.7)}
+    return out
+
+
+def test_file_estimates_match_golden_reprs(tmp_path):
+    # recorded at full precision before the link-set sums were slimmed; a
+    # change in summation order, even in the last bit, shows here, which
+    # the 6-digit CLI output cannot show
+    golden = json.loads(GOLDEN_ESTIMATES_PATH.read_text(encoding="utf-8"))
+    assert file_estimate_reprs(tmp_path) == golden
