@@ -162,7 +162,21 @@ def estimate_from_inputs(inputs: EstimationInputs, estimator: str, target: str,
     return fit.first(estimator, target), diag
 
 
+def _worker_count(text: str, source: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        raise ValidationError(f"{source} must be an integer, got {text!r}") from None
+    if workers < 1:
+        raise ValidationError(f"{source} must be at least 1, got {workers}")
+    return workers
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.workers is None:
+        workers = _worker_count(os.environ.get("GREGLINK_WORKERS", "1"), "GREGLINK_WORKERS")
+    else:
+        workers = _worker_count(args.workers, "--workers")
     configs = load_scenario_file(args.scenario)
     if not configs:
         raise ValidationError(f"{args.scenario}: no scenario blocks found")
@@ -175,7 +189,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"warning: fewer than 30 replicates in {', '.join(small)}; "
               "Monte Carlo error is large", file=sys.stderr)
 
-    summaries = [run_scenario(c, workers=args.workers) for c in configs]
+    summaries = [run_scenario(c, workers=workers) for c in configs]
     text = summarize_to_table(summaries)
     print(text)
 
@@ -333,16 +347,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_workers = int(os.environ.get("GREGLINK_WORKERS", "1"))
-
     p_sim = sub.add_parser("simulate", help="run scenario blocks and print metric tables")
     p_sim.add_argument("scenario", help="scenario file (key = value blocks)")
     p_sim.add_argument("--out", help="output prefix for CSV and text tables")
     p_sim.add_argument("--seed", type=int, default=None, help="override every block's seed")
     p_sim.add_argument("--k", "--replicates", dest="replicates", type=int,
                        default=None, help="override every block's replicate count")
-    p_sim.add_argument("--workers", type=int, default=default_workers,
-                       help="worker processes (default from GREGLINK_WORKERS)")
+    p_sim.add_argument("--workers", default=None,
+                       help="worker processes, at least 1 (default from "
+                            "GREGLINK_WORKERS, else 1)")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_est = sub.add_parser("estimate", help="estimate from sample, auxiliary and link files")

@@ -173,9 +173,10 @@ def read_sample_csv(path: str | Path) -> SampleTable:
 
 
 def order_keys(keys: set[str]) -> list[str]:
-    """Deterministic id ordering: numeric when every key is an integer."""
+    """Deterministic id ordering: numeric when every key is an integer, with
+    keys of equal value ("1" and "01") ordered as strings."""
     try:
-        return sorted(keys, key=lambda k: int(k))
+        return sorted(keys, key=lambda k: (int(k), k))
     except ValueError:
         return sorted(keys)
 

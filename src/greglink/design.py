@@ -446,12 +446,14 @@ def residual_variances(residuals: np.ndarray, design: SurveyDesign,
     samples.
     """
     e = np.asarray(residuals, dtype=np.float64)
-    if kept is None:
-        kept = np.ones(e.shape, dtype=bool)
-    n_eff = np.sum(kept, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        mean = np.sum(e * kept, axis=-1, keepdims=True) / n_eff[..., None]
-        dev = (e - mean) * kept
+        if kept is None:
+            n_eff = e.shape[-1]
+            dev = e - np.sum(e, axis=-1, keepdims=True) / n_eff
+        else:
+            n_eff = np.sum(kept, axis=-1)
+            mean = np.sum(e * kept, axis=-1, keepdims=True) / n_eff[..., None]
+            dev = (e - mean) * kept
         s2 = np.sum(dev * dev, axis=-1) / (n_eff - 1)
         return design.n_population**2 * (1.0 - design.f) * s2 / n_eff
 

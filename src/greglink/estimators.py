@@ -294,18 +294,19 @@ def link_aggregates(linkage: LinkageStructure, weights: np.ndarray,
     """Per covered unit, the sums over its links that the link-set fit needs.
 
     With x_l = (1, record values of link l) and w_l the link weight, returns
-    the ``link_sums`` Σ x_l (n_covered, q); Σ x_l x_l' (n_covered, q, q);
-    and Σ w_l x_l (n_covered, q). The link-set estimator is linear in these
-    once the sample is fixed, so they are computed once per linkage. The
-    intercept's sums are the degree, Σ x_l and Σ w_l, so only products of
-    record values are summed for the Gram matrix.
+    the ``link_sums`` Σ x_l (n_covered, q); the record-value block of
+    Σ x_l x_l', that is Σ over links of the products of record values
+    (n_covered, p, p) with p = q - 1; and Σ w_l x_l (n_covered, q). The
+    link-set estimator is linear in these once the sample is fixed, so they
+    are computed once per linkage. The intercept row and column of
+    Σ x_l x_l' equal Σ x_l, so they are not stored: ``sls_greg_batch``
+    fills them in from the ``link_sums``.
     """
     x = aux.x[linkage.link_records]
     link_sum = np.column_stack([linkage.degrees, unit_sums(linkage, x.T)])
-    gram = np.empty((linkage.n_covered, aux.dim + 1, aux.dim + 1))
-    gram[:, 0, :] = gram[:, :, 0] = link_sum
+    gram = np.empty((linkage.n_covered, aux.dim, aux.dim))
     for i in range(aux.dim):
-        gram[:, i + 1, i + 1:] = gram[:, i + 1:, i + 1] = unit_sums(
+        gram[:, i, i:] = gram[:, i:, i] = unit_sums(
             linkage, (x[:, i] * x[:, j] for j in range(i, aux.dim)))
     weighted = unit_sums(linkage, itertools.chain([weights], (weights * c for c in x.T)))
     return link_sum, gram, weighted
@@ -316,13 +317,17 @@ def sls_greg_batch(link_sum: np.ndarray, gram: np.ndarray, weighted: np.ndarray,
                    aux_mean: np.ndarray, target: str = "total",
                    strict: bool = False) -> BatchEstimate:
     """Link-set estimator over stacked samples, from each sampled unit's
-    ``link_aggregates`` ((..., n, q), (..., n, q, q), (..., n, q)).
+    ``link_aggregates`` ((..., n, q), (..., n, q - 1, q - 1), (..., n, q)).
 
     The aggregates' sums over the n units add unit by unit, in order, over
     the unit axis moved to the front; they run over contiguous blocks when
     the aggregates are stored unit-major, as ``fit_unit_inputs`` gathers
-    them. A sample with fewer than q links, or a near-singular fit, gives
-    NaN; under ``strict`` either raises.
+    them. The record-value block of the normal matrix is summed by
+    ``np.cumsum``: at one sample with one record value each unit holds one
+    number, and ``np.sum`` would add those pairwise rather than in order.
+    Its intercept row and column are the estimated link total, which is the
+    same sum of the same terms. A sample with fewer than q links, or a
+    near-singular fit, gives NaN; under ``strict`` either raises.
     """
     check_finite_values(y)
     n_population = design.n_population
@@ -337,7 +342,9 @@ def sls_greg_batch(link_sum: np.ndarray, gram: np.ndarray, weighted: np.ndarray,
     link_total_hat = np.sum(np.moveaxis(link_sum, -2, 0) / pi_units, axis=0)
     link_mean_hat = link_total_hat / (link_rate_hat * n_population)[..., None]
 
-    m = np.sum(np.moveaxis(gram, -3, 0) / pi_units[..., None], axis=0)
+    m = np.empty(link_total_hat.shape + link_total_hat.shape[-1:])
+    m[..., 0, :] = m[..., :, 0] = link_total_hat
+    m[..., 1:, 1:] = np.cumsum(np.moveaxis(gram, -3, 0) / pi_units[..., None], axis=0)[-1]
     rhs = np.sum(np.moveaxis(weighted, -2, 0) * np.moveaxis(y / pi, -1, 0)[..., None],
                  axis=0)
     rate = link_rate_hat[..., None]

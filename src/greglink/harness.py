@@ -132,20 +132,38 @@ def _build_unit_inputs(config: ScenarioConfig, aux: AuxDatabase, y: np.ndarray,
                        rng_weights: np.random.Generator) -> list[UnitInputs]:
     """Each estimator's per-unit inputs over one linkage realisation; the
     subsample estimator's coefficients are fit on the population's
-    single-link units."""
+    single-link units.
+
+    Each weight scheme is built just before the estimators that use it and
+    dropped after them, so at most one is alive at a time, and the matches
+    and best links are dropped after their last use. The order is fixed,
+    so the set-up's peak memory does not depend on the order of
+    ``config.estimators``: pi-q, whose weight draw has the largest
+    transient arrays, comes first while few inputs are alive, and the
+    link-set sums come last but before the reverse-weighted sums. Only pi-q
+    draws from ``rng_weights``, so the order moves no draw.
+    """
     matches, linkage, best = gen_linkage(config.n_population,
                                          config.linkage_model(), rng_links)
-    wanted = set(config.estimators)
-    schemes = {}
-    if "pi-m" in wanted:
-        schemes["pi-m"] = multiplicity_weights(linkage)
+    q = config.best_link_weight
+    wanted = dict.fromkeys(config.estimators)
+    built = {}
     if "pi-q" in wanted:
-        schemes["pi-q"] = gen_pi_q_weights(linkage, matches, config.best_link_weight, rng_weights)
-    if wanted & {"sri-q", "sls"}:
-        schemes["sri-q"] = schemes["sls"] = reverse_weights_best_link(
-            linkage, best, config.best_link_weight)
-    return [build_unit_inputs(tag, linkage, aux, schemes.get(tag), best, y)
-            for tag in config.estimators]
+        built["pi-q"] = build_unit_inputs(
+            "pi-q", linkage, aux, gen_pi_q_weights(linkage, matches, q, rng_weights))
+    del matches
+    if "pi-m" in wanted:
+        built["pi-m"] = build_unit_inputs("pi-m", linkage, aux, multiplicity_weights(linkage))
+    for tag in wanted:
+        if tag not in ("pi-m", "pi-q", "sri-q", "sls"):
+            built[tag] = build_unit_inputs(tag, linkage, aux, None, best, y)
+    if "sls" in wanted or "sri-q" in wanted:
+        reverse = reverse_weights_best_link(linkage, best, q)
+        del best
+        for tag in ("sls", "sri-q"):
+            if tag in wanted:
+                built[tag] = build_unit_inputs(tag, linkage, aux, reverse)
+    return [built[tag] for tag in config.estimators]
 
 
 def _build_state(config: ScenarioConfig) -> _ScenarioState:

@@ -139,9 +139,9 @@ class LinkageStructure:
     """Links between covered units and auxiliary records, with adjacency maps.
 
     Internally a CSR layout over links sorted by (unit, record); the record
-    side orders the links by (record, link position), a stable re-sort, so
-    both directions of adjacency are O(1) slices and provably transposes of
-    each other.
+    side orders the links by (record, link position), a stable re-sort, and
+    points into that order with one offset per record, so both directions of
+    adjacency are O(1) slices and provably transposes of each other.
     """
 
     def __init__(self, scope: str, covered_units: np.ndarray, n_records: int,
@@ -155,15 +155,17 @@ class LinkageStructure:
         self.link_records = _readonly(link_records)
         self._unit_ptr = _readonly(np.searchsorted(
             link_units, np.append(covered_units, covered_units[-1] + 1)))
-        # one sort of a unique integer key gives the stable record order
-        n_links = len(link_records)
-        rec_sorted, rec_order = np.divmod(
-            np.sort(link_key(link_records, np.arange(n_links), n_links)), n_links)
-        self._rec_order = _readonly(rec_order)
-        self._rec_sorted = _readonly(rec_sorted)
-        self.degrees = _readonly(np.diff(self._unit_ptr).astype(np.int64))
+        self.degrees = _readonly(np.diff(self._unit_ptr).astype(np.int64, copy=False))
         self.multiplicities = _readonly(
-            np.bincount(link_records, minlength=n_records).astype(np.int64))
+            np.bincount(link_records, minlength=n_records).astype(np.int64, copy=False))
+        # one in-place sort of a unique integer key gives the stable record
+        # order, which is the key's remainder; each record's links start at
+        # the running count of the links of the records before it
+        n_links = len(link_records)
+        key = link_key(link_records, np.arange(n_links), n_links)
+        key.sort()
+        self._rec_order = _readonly(np.remainder(key, n_links, out=key))
+        self._rec_ptr = _readonly(np.concatenate([[0], np.cumsum(self.multiplicities)]))
 
     @property
     def n_links(self) -> int:
@@ -194,8 +196,7 @@ class LinkageStructure:
         the observed sample link set otherwise."""
         if not 0 <= record < self.n_records:
             raise ValidationError(f"record {record} out of range")
-        lo = int(np.searchsorted(self._rec_sorted, record, side="left"))
-        hi = int(np.searchsorted(self._rec_sorted, record, side="right"))
+        lo, hi = self._rec_ptr[record], self._rec_ptr[record + 1]
         return self.link_units[self._rec_order[lo:hi]]
 
     def degree(self, unit: int) -> int:
@@ -210,9 +211,7 @@ class LinkageStructure:
         """Positions in the link arrays of all links touching a record."""
         if not 0 <= record < self.n_records:
             raise ValidationError(f"record {record} out of range")
-        lo = int(np.searchsorted(self._rec_sorted, record, side="left"))
-        hi = int(np.searchsorted(self._rec_sorted, record, side="right"))
-        return self._rec_order[lo:hi]
+        return self._rec_order[self._rec_ptr[record]:self._rec_ptr[record + 1]]
 
     def unit_index_per_link(self) -> np.ndarray:
         """Covered-unit position of each link, aligned with the link arrays."""
@@ -239,8 +238,8 @@ class LinkageStructure:
             scope=SAMPLE,
             covered_units=units,
             n_records=self.n_records,
-            link_units=self.link_units[link_index].copy(),
-            link_records=self.link_records[link_index].copy(),
+            link_units=self.link_units[link_index],
+            link_records=self.link_records[link_index],
         )
         return sub, link_index
 
@@ -252,7 +251,9 @@ def link_key(positions: np.ndarray, records: np.ndarray, n_records: int) -> np.n
     in the same order, and equal keys are repeated links. The key is exact
     while the number of positions times ``n_records`` stays below 2**63.
     """
-    return positions * np.int64(n_records) + records
+    key = positions * np.int64(n_records)
+    key += records
+    return key
 
 
 def build_linkage(links: Iterable[tuple[int, int]] | np.ndarray,
@@ -298,13 +299,14 @@ def build_linkage(links: Iterable[tuple[int, int]] | np.ndarray,
     if np.any(bad_mask):
         raise ValidationError(f"link references uncovered unit {units[bad_mask][0]}")
 
-    key = np.sort(link_key(pos, recs, n_records))
-    pos, recs = np.divmod(key, n_records)
+    key = link_key(pos, recs, n_records)
+    key.sort()
+    dup = np.flatnonzero(key[1:] == key[:-1])
+    recs = key % n_records
+    pos = np.floor_divide(key, n_records, out=key)
     units = pos if scope == POPULATION else covered[pos]
-    dup = np.diff(key) == 0
-    if np.any(dup):
-        k = int(np.flatnonzero(dup)[0])
-        raise ValidationError(f"duplicate link ({units[k]}, {recs[k]})")
+    if len(dup):
+        raise ValidationError(f"duplicate link ({units[dup[0]]}, {recs[dup[0]]})")
 
     structure = LinkageStructure(scope, covered, n_records, units, recs)
     if np.any(structure.degrees == 0):

@@ -176,10 +176,12 @@ def gen_linkage(n_units: int, model: LinkageModel, rng: np.random.Generator
     false_records = _draw_false_records(rng, owners, n_units)
 
     matched_units = np.flatnonzero(matched)
-    link_units = np.concatenate([matched_units, owners])
-    link_records = np.concatenate([matched_units, false_records])
-    linkage = build_linkage(np.column_stack([link_units, link_records]),
-                            n_units, n_units)
+    pairs = np.empty((len(matched_units) + len(owners), 2), dtype=np.int64)
+    pairs[:len(matched_units)] = matched_units[:, None]
+    pairs[len(matched_units):, 0] = owners
+    pairs[len(matched_units):, 1] = false_records
+    del owners  # not needed again; freed before build_linkage's own arrays
+    linkage = build_linkage(pairs, n_units, n_units)
 
     n_correct_best = round(n_units * model.correct_best_rate)
     n_extra_correct = n_correct_best - n_single
@@ -213,7 +215,8 @@ def gen_pi_q_weights(linkage: LinkageStructure, matches: MatchSet, q: float,
     m = linkage.multiplicities
     values = np.where(m == 1, 1.0, (1.0 - q) / np.maximum(m - 1, 1))[linkage.link_records]
     # links in record order, units ascending within each record
-    order, records = linkage._rec_order, linkage._rec_sorted
+    order = linkage._rec_order
+    records = np.repeat(np.arange(linkage.n_records), m)
     match_unit = np.full(linkage.n_records, -1, dtype=np.int64)
     match_unit[matches.records] = matches.units
     hit = (linkage.link_units[order] == match_unit[records]) & (m[records] > 1)

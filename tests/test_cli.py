@@ -423,6 +423,34 @@ def test_simulate_census_scenario_exits_with_error(tmp_path, capsys):
     assert err.startswith("error: ") and "sample size 50 outside 1..49" in err
 
 
+def test_bad_worker_variable_only_matters_to_simulate(tmp_path, capsys, monkeypatch):
+    # the variable used to be parsed for every subcommand, so diagnose died
+    # with a ValueError traceback
+    monkeypatch.setenv("GREGLINK_WORKERS", "two")
+    aux = write(tmp_path / "aux.csv", "record_id,x1\n1,0.5\n2,0.1\n")
+    links = write(tmp_path / "links.csv", "unit_id,record_id\n1,1\n2,2\n")
+    assert main(["diagnose", "--aux", aux, "--links", links]) == 0
+    capsys.readouterr()
+    scenario = write(tmp_path / "s.scenario",
+                     "population = 50\nsample = 10\nreplicates = 2\n")
+    assert main(["simulate", scenario]) == 1
+    assert capsys.readouterr().err == (
+        "error: GREGLINK_WORKERS must be an integer, got 'two'\n")
+
+
+@pytest.mark.parametrize("workers, message", [
+    ("0", "--workers must be at least 1, got 0"),
+    ("-2", "--workers must be at least 1, got -2"),
+    ("two", "--workers must be an integer, got 'two'"),
+])
+def test_simulate_rejects_a_bad_worker_count(tmp_path, capsys, workers, message):
+    scenario = write(tmp_path / "s.scenario",
+                     "population = 50\nsample = 10\nreplicates = 2\n")
+    assert main(["simulate", scenario, f"--workers={workers}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 def test_simulate_small_k_warns(tmp_path, capsys):
     scenario = write(tmp_path / "s.scenario",
                      "name = tiny\npopulation = 300\nsample = 40\n"

@@ -9,6 +9,7 @@ import pytest
 from greglink.cli import main
 from greglink.dataio import (
     assemble_estimation_inputs,
+    order_keys,
     read_aux_csv,
     read_links_csv,
     read_sample_csv,
@@ -166,3 +167,15 @@ def test_link_header_rejects_repeated_columns(tmp_path):
     path = write(tmp_path / "links.csv", "unit_id,record_id,weight,weight\n1,a,0.5,0.5\n")
     assert raised_text(read_links_csv, path) == (
         f"{path}: repeated link columns ['weight', 'weight']")
+
+
+@pytest.mark.parametrize("keys, expected", [
+    (["1", "01", "2"], ["01", "1", "2"]),
+    (["10", "1_0", "9"], ["9", "10", "1_0"]),
+    (["b", "a", "01", "1"], ["01", "1", "a", "b"]),
+])
+def test_order_keys_breaks_equal_values_on_the_string(keys, expected):
+    # keys of equal integer value came out in set iteration order, which
+    # follows PYTHONHASHSEED; both input orders now give one list
+    assert order_keys(keys) == expected
+    assert order_keys(keys[::-1]) == expected

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import greglink.design as design
 from greglink.design import (
@@ -16,6 +17,7 @@ from greglink.design import (
     ht_total,
     replicate_ids,
     residual_variance,
+    residual_variances,
     rng_stream,
     srswor_ids,
 )
@@ -284,3 +286,15 @@ def test_short_chunks_use_the_streams(floyd_calls):
     assert floyd_calls == []
     replicate_ids(5000, 100, 15, (3,), range(250))
     assert floyd_calls == [(5000, 100)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=12),
+                    elements=st.floats(-1e100, 1e100)),
+       n=st.integers(1, 10))
+def test_unmasked_residual_variances_equal_an_all_true_mask(e, n):
+    # the unmasked sums skip the mask; x * 1.0 = x, so no bit may move
+    design = SurveyDesign.srswor(n + 10, n)
+    np.testing.assert_array_equal(
+        residual_variances(e, design),
+        residual_variances(e, design, np.ones(e.shape, dtype=bool)))

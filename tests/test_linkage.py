@@ -384,7 +384,8 @@ def test_build_linkage_orders_links_like_lexsort(case):
     assert np.array_equal(L.link_units, units)
     assert np.array_equal(L.link_records, records)
     assert np.array_equal(L._rec_order, rec_order)
-    assert np.array_equal(L._rec_sorted, records[rec_order])
+    per_record = np.repeat(np.arange(n_rec), np.diff(L._rec_ptr))
+    assert np.array_equal(per_record, records[rec_order])
 
 
 @given(shuffled_links(), st.sampled_from(["duplicate", "dangling", "uncovered"]),

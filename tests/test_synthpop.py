@@ -239,6 +239,15 @@ def _digest(value) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def full_gram(link_sum, gram, weighted):
+    """The aggregates with the full Σ x_l x_l' (n, q, q), its intercept row
+    and column taken from the link sums, as the digests were recorded."""
+    full = np.empty(link_sum.shape + link_sum.shape[-1:])
+    full[:, 0, :] = full[:, :, 0] = link_sum
+    full[:, 1:, 1:] = gram
+    return link_sum, full, weighted
+
+
 def setup_digests(block: str) -> dict[str, str]:
     """Digests of one block's population links, matches, best links,
     incidence weights and covariates, and of both generators' states."""
@@ -258,7 +267,7 @@ def setup_digests(block: str) -> dict[str, str]:
         "pi_q_weights": _digest(incidence.values),
         "pi_q_covariates": _digest(derive_covariates(linkage, incidence, aux).weighted),
         "link_aggregates": _digest(np.concatenate(
-            [a.ravel() for a in link_aggregates(linkage, reverse.values, aux)])),
+            [a.ravel() for a in full_gram(*link_aggregates(linkage, reverse.values, aux))])),
         "links_rng": _digest(rng_links.bit_generator.state),
         "weights_rng": _digest(rng_weights.bit_generator.state),
     }
