@@ -302,8 +302,7 @@ def build_linkage(links: Iterable[tuple[int, int]] | np.ndarray,
     key = link_key(pos, recs, n_records)
     key.sort()
     dup = np.flatnonzero(key[1:] == key[:-1])
-    recs = key % n_records
-    pos = np.floor_divide(key, n_records, out=key)
+    pos, recs = np.divmod(key, n_records, out=(key, np.empty_like(key)))
     units = pos if scope == POPULATION else covered[pos]
     if len(dup):
         raise ValidationError(f"duplicate link ({units[dup[0]]}, {recs[dup[0]]})")
