@@ -10,15 +10,25 @@ External unit and record identifiers may be arbitrary strings; they are
 mapped to dense 0-based indices on ingestion (numerically when every id
 parses as an integer, lexicographically otherwise) and mapped back on
 output.
+
+A file is read along one of two paths, picked by its own text. A plain file
+(no quote, no NUL, no carriage return outside ``\\r\\n``, no blank row or key,
+every row as wide as the header, no field over ``csv.field_size_limit()``)
+is split into columns with ``str`` operations; the files ``write_*_csv``
+write are plain. Every other file, for example one with quoted fields as R's
+``write.csv`` writes them, is split by ``csv.reader``, and so is a plain file
+in which any error is found. Both paths give the same tables; every error
+text and line number comes from the ``csv.reader`` path.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -29,6 +39,8 @@ from .linkage import AuxDatabase, LinkageStructure, build_linkage, link_key
 _TRUE_FLAGS = frozenset({"1", "true", "yes"})
 _FLAGS = _TRUE_FLAGS | {"0", "false", "no", ""}
 
+T = TypeVar("T")
+
 
 def _parse_float(value: str, where: str) -> float:
     try:
@@ -37,61 +49,155 @@ def _parse_float(value: str, where: str) -> float:
         raise ValidationError(f"{where}: not a number: {value!r}") from exc
 
 
-def _read_rows(path: str | Path) -> tuple[list[str], list[int], list[list[str]]]:
-    """The stripped header, then the line numbers and cells of the non-blank rows."""
+@dataclass(frozen=True)
+class _Rows:
+    """A file's header and data rows, column by column."""
+
+    header: list[str]               # stripped header cells
+    linenos: Sequence[int]          # the line each data row starts on
+    columns: list[Sequence[str]]    # data cells per column; column 0, the key, stripped
+
+
+HeaderCheck = Callable[[Path, list[str]], None]
+
+
+def _read_table(path: str | Path, check_header: HeaderCheck,
+                build: Callable[[Path, _Rows], T]) -> T:
+    """``build`` applied to the rows of a CSV file whose header passes
+    ``check_header``.
+
+    A plain file is split by ``_plain_rows``; any other file, and any plain
+    file whose header, cells or keys raise an error, is read again by
+    ``_csv_rows``, so every error text and line number comes from the csv
+    path.
+    """
     path = Path(path)
+    rows = _plain_rows(path)
+    if rows is not None:
+        try:
+            check_header(path, rows.header)
+            return build(path, rows)
+        except ValidationError:
+            pass
+    return build(path, _csv_rows(path, check_header))
+
+
+def _plain_rows(path: Path) -> _Rows | None:
+    """The rows of a plain file, split with ``str`` operations; None for any
+    other file.
+
+    A file is plain when it is UTF-8 text without a quote, a NUL or a
+    carriage return outside ``\\r\\n``, has at least one data row, every row
+    as wide as the header and with a key that is not blank (so no blank row),
+    and no field longer than ``csv.field_size_limit()``. ``csv.reader`` splits
+    such a text into the same cells.
+    """
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError:
+        return None
+    if '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    text = text.removesuffix("\n")
+    header_end = text.find("\n")
+    if header_end < 0 or not _fields_fit(text, csv.field_size_limit()):
+        return None
+    width = text.count(",", 0, header_end) + 1
+    n_rows = text.count("\n")
+    # each line break now opens a cell, so every row is `width` cells wide
+    # exactly when the line breaks open the cells at multiples of `width`
+    cells = text.replace("\n", ",\n").split(",")
+    firsts = cells[width::width]
+    if len(cells) != (n_rows + 1) * width or "".join(firsts).count("\n") != n_rows:
+        return None
+    keys = list(map(str.strip, firsts))
+    if not all(keys):
+        return None
+    return _Rows(header=list(map(str.strip, cells[:width])),
+                 linenos=range(2, n_rows + 2),
+                 columns=[keys, *(cells[width + j::width] for j in range(1, width))])
+
+
+def _fields_fit(text: str, limit: int) -> bool:
+    """Whether no field of a quote-free text is longer than ``limit``. A
+    longer field covers one of the offsets limit, 2 limit, ..., so only the
+    fields at those offsets are measured."""
+    for offset in range(limit, len(text), limit):
+        start = max(text.rfind(",", 0, offset), text.rfind("\n", 0, offset)) + 1
+        ends = [end for end in (text.find(",", offset), text.find("\n", offset)) if end >= 0]
+        if min(ends, default=len(text)) - start > limit:
+            return False
+    return True
+
+
+def _csv_rows(path: Path, check_header: HeaderCheck) -> _Rows:
+    """The rows of any file, split by ``csv.reader``; whitespace-only rows
+    are skipped, and each error names the file and the line it is on."""
     try:
         with path.open(newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None:
-                raise ValidationError(f"{path}: empty file, header row required")
-            linenos, rows = [], []
-            for lineno, row in enumerate(reader, start=2):
-                if "".join(row).strip():
-                    linenos.append(lineno)
-                    rows.append(row)
+            records = list(reader)
+            starts: Sequence[int] = range(1, len(records) + 1)
+            if reader.line_num != len(records):
+                # a quoted field spans lines: read again for each record's last line
+                handle.seek(0)
+                reader = csv.reader(handle)
+                ends = [reader.line_num for _ in reader]
+                starts = [1, *(end + 1 for end in ends[:-1])]
     except UnicodeDecodeError as exc:
         raise ValidationError(
             f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
         ) from exc
     except csv.Error as exc:
         raise ValidationError(f"{path}:{reader.line_num}: {exc}") from exc
-    return [h.strip() for h in header], linenos, rows
-
-
-def _check_widths(path: str | Path, width: int, linenos: list[int],
-                  rows: list[list[str]]) -> None:
+    if not records:
+        raise ValidationError(f"{path}: empty file, header row required")
+    header = [h.strip() for h in records[0]]
+    check_header(path, header)
+    kept = list(map(str.strip, map("".join, records)))
+    kept[0] = ""  # the header is no data row
+    rows = list(compress(records, kept))
+    if not rows:
+        raise ValidationError(f"{path}: no data rows")
+    linenos = list(compress(starts, kept))
+    width = len(header)
     if any(map(width.__ne__, map(len, rows))):
         lineno = next(n for n, row in zip(linenos, rows) if len(row) != width)
         raise ValidationError(f"{path}:{lineno}: expected {width} fields")
+    columns = [list(map(itemgetter(j), rows)) for j in range(width)]
+    columns[0] = list(map(str.strip, columns[0]))
+    return _Rows(header=header, linenos=linenos, columns=columns)
 
 
-def _float_columns(path: str | Path, linenos: list[int], rows: list[list[str]],
-                   columns: Sequence[int]) -> list[np.ndarray]:
+def _float_columns(path: Path, rows: _Rows, columns: Sequence[int]) -> list[np.ndarray]:
     """Cells of each column parsed with ``float``; a bad cell is reported at
     the first line that holds one, as a row-by-row parse would."""
+    n_rows = len(rows.linenos)
     try:
-        return [np.fromiter(map(float, map(itemgetter(j), rows)), np.float64, len(rows))
-                for j in columns]
+        return [np.fromiter(map(float, rows.columns[j]), np.float64, n_rows) for j in columns]
     except ValueError:
-        for lineno, row in zip(linenos, rows):
+        for i, lineno in enumerate(rows.linenos):
             for j in columns:
-                _parse_float(row[j], f"{path}:{lineno}")
+                _parse_float(rows.columns[j][i], f"{path}:{lineno}")
         raise
 
 
-def _flag_column(path: str | Path, linenos: list[int], rows: list[list[str]],
-                 column: int) -> np.ndarray:
+def _flag_column(path: Path, rows: _Rows, column: int) -> np.ndarray:
     """Cells of a flag column: 1, true or yes; 0, false, no or empty; any case."""
-    cells = [row[column].strip().lower() for row in rows]
+    cells = list(map(str.lower, map(str.strip, rows.columns[column])))
     if not _FLAGS.issuperset(cells):
         i = next(i for i, cell in enumerate(cells) if cell not in _FLAGS)
-        raise ValidationError(f"{path}:{linenos[i]}: not a 0/1 flag: {rows[i][column]!r}")
+        raise ValidationError(f"{path}:{rows.linenos[i]}: not a 0/1 flag: "
+                              f"{rows.columns[column][i]!r}")
     return np.fromiter(map(_TRUE_FLAGS.__contains__, cells), bool, len(cells))
 
 
-def _unique_index(path: str | Path, keys: list[str], what: str) -> dict[str, int]:
+def _unique_index(path: Path, keys: list[str], what: str) -> dict[str, int]:
     """Position of each key; the error names the first key that repeats."""
     index = dict(zip(keys, range(len(keys))))
     if len(index) != len(keys):
@@ -108,17 +214,22 @@ class AuxTable:
     index_of: dict[str, int]
 
 
-def read_aux_csv(path: str | Path) -> AuxTable:
-    header, linenos, rows = _read_rows(path)
+def _check_aux_header(path: Path, header: list[str]) -> None:
     if len(header) < 2 or header[0] != "record_id":
         raise ValidationError(
             f"{path}: auxiliary header must be record_id,x1,...,xp, got {header}"
         )
-    _check_widths(path, len(header), linenos, rows)
-    values = np.column_stack(_float_columns(path, linenos, rows, range(1, len(header))))
-    keys = [row[0].strip() for row in rows]
+
+
+def _aux_table(path: Path, rows: _Rows) -> AuxTable:
+    values = np.column_stack(_float_columns(path, rows, range(1, len(rows.header))))
+    keys = rows.columns[0]
     index_of = _unique_index(path, keys, "record id")
     return AuxTable(aux=AuxDatabase(x=values), record_keys=keys, index_of=index_of)
+
+
+def read_aux_csv(path: str | Path) -> AuxTable:
+    return _read_table(path, _check_aux_header, _aux_table)
 
 
 @dataclass(frozen=True)
@@ -129,10 +240,8 @@ class LinkTable:
     is_best: np.ndarray | None
 
 
-def read_links_csv(path: str | Path) -> LinkTable:
-    header, linenos, rows = _read_rows(path)
-    expected_prefix = ["unit_id", "record_id"]
-    if header[:2] != expected_prefix:
+def _check_link_header(path: Path, header: list[str]) -> None:
+    if header[:2] != ["unit_id", "record_id"]:
         raise ValidationError(
             f"{path}: link header must start with unit_id,record_id, got {header}"
         )
@@ -141,15 +250,21 @@ def read_links_csv(path: str | Path) -> LinkTable:
         raise ValidationError(f"{path}: unknown link columns {extras}")
     if len(set(extras)) != len(extras):
         raise ValidationError(f"{path}: repeated link columns {extras}")
-    _check_widths(path, len(header), linenos, rows)
+
+
+def _link_table(path: Path, rows: _Rows) -> LinkTable:
     weights = is_best = None
-    if "weight" in extras:
-        [weights] = _float_columns(path, linenos, rows, [header.index("weight")])
-    if "is_best" in extras:
-        is_best = _flag_column(path, linenos, rows, header.index("is_best"))
-    return LinkTable(unit_keys=[row[0].strip() for row in rows],
-                     record_keys=[row[1].strip() for row in rows],
+    if "weight" in rows.header:
+        [weights] = _float_columns(path, rows, [rows.header.index("weight")])
+    if "is_best" in rows.header:
+        is_best = _flag_column(path, rows, rows.header.index("is_best"))
+    return LinkTable(unit_keys=rows.columns[0],
+                     record_keys=list(map(str.strip, rows.columns[1])),
                      weights=weights, is_best=is_best)
+
+
+def read_links_csv(path: str | Path) -> LinkTable:
+    return _read_table(path, _check_link_header, _link_table)
 
 
 @dataclass(frozen=True)
@@ -159,17 +274,20 @@ class SampleTable:
     pi: np.ndarray
 
 
-def read_sample_csv(path: str | Path) -> SampleTable:
-    header, linenos, rows = _read_rows(path)
+def _check_sample_header(path: Path, header: list[str]) -> None:
     if header != ["unit_id", "y", "pi"]:
-        if len(header) < 3 or "pi" not in header:
-            raise ValidationError(f"{path}: sample header must be unit_id,y,pi")
         raise ValidationError(f"{path}: sample header must be unit_id,y,pi, got {header}")
-    _check_widths(path, 3, linenos, rows)
-    y, pi = _float_columns(path, linenos, rows, (1, 2))
-    unit_keys = [row[0].strip() for row in rows]
+
+
+def _sample_table(path: Path, rows: _Rows) -> SampleTable:
+    y, pi = _float_columns(path, rows, (1, 2))
+    unit_keys = rows.columns[0]
     _unique_index(path, unit_keys, "sample unit")
     return SampleTable(unit_keys=unit_keys, y=y, pi=pi)
+
+
+def read_sample_csv(path: str | Path) -> SampleTable:
+    return _read_table(path, _check_sample_header, _sample_table)
 
 
 def order_keys(keys: set[str]) -> list[str]:

@@ -1,11 +1,17 @@
-"""CSV ingestion: exact error texts and line numbers, and invariance of the
-estimates to row order and to order-preserving renaming of unit ids."""
+"""CSV ingestion: exact error texts and line numbers, agreement of the plain
+and the csv path, and invariance of the estimates to row order, quoting, line
+ends and order-preserving renaming of unit ids."""
 
 import csv
+import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from greglink import dataio
 from greglink.cli import main
 from greglink.dataio import (
     assemble_estimation_inputs,
@@ -56,10 +62,32 @@ def raised_text(call, *args) -> str:
     (read_sample_csv, "unit_id,y,pi\n1,2.0,0.5\n   \n\n , \n2,x,0.5\n",
      "6: not a number: 'x'"),
     (read_aux_csv, "record_id,x1\n\na,1\n \t\nb,2,3\n", "5: expected 2 fields"),
+    # a quoted field spanning lines: each row is named by the line it starts on
+    (read_sample_csv, 'unit_id,y,pi\n"a\nb",1,0.5\n2,x,0.5\n', "4: not a number: 'x'"),
+    (read_sample_csv, 'unit_id,y,pi\n1,"2\r\n",0.5\n"b",3,0.5\n2,4,"\n\nhalf"\n',
+     "5: not a number: '\\n\\nhalf'"),
 ])
 def test_reader_errors_name_file_and_line(tmp_path, reader, text, message):
     path = write(tmp_path / "table.csv", text)
     assert raised_text(reader, path) == f"{path}:{message}"
+
+
+@pytest.mark.parametrize("reader, text", [
+    (read_aux_csv, "record_id,x1\n"),
+    (read_links_csv, "unit_id,record_id,is_best\r\n \r\n,,\r\n"),
+    (read_sample_csv, "unit_id,y,pi"),
+])
+def test_header_without_data_rows_is_rejected(tmp_path, reader, text):
+    path = write(tmp_path / "table.csv", text)
+    assert raised_text(reader, path) == f"{path}: no data rows"
+
+
+@pytest.mark.parametrize("header", ["unit_id,y", "unit_id,pi,y", "unit_id,y,pi,w", ""])
+def test_sample_header_error_names_the_header_found(tmp_path, header):
+    path = write(tmp_path / "sample.csv", f"{header}\n1,2.0,0.5\n")
+    found = next(csv.reader([header]), [])
+    assert raised_text(read_sample_csv, path) == (
+        f"{path}: sample header must be unit_id,y,pi, got {found}")
 
 
 def test_whitespace_rows_are_skipped(tmp_path):
@@ -128,11 +156,11 @@ def estimate_stdout(capsys, paths, n_population) -> str:
     return out
 
 
-def rewrite_rows(source, target, transform):
+def rewrite_rows(source, target, transform, **writer_options):
     with open(source, newline="", encoding="utf-8") as handle:
         header, *rows = list(csv.reader(handle))
     with open(target, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
+        writer = csv.writer(handle, **writer_options)
         writer.writerow(header)
         writer.writerows(transform(rows))
 
@@ -161,6 +189,127 @@ def test_estimates_invariant_to_order_preserving_unit_renaming(tmp_path, capsys,
         rewrite_rows(paths[name], renamed[name],
                      lambda rows: [[f"unit-{int(row[0]):06d}", *row[1:]] for row in rows])
     assert estimate_stdout(capsys, renamed, n_population) == reference
+
+
+@pytest.mark.parametrize("writer_options", [{"quoting": csv.QUOTE_ALL},
+                                            {"lineterminator": "\n"}])
+def test_estimates_invariant_to_quoting_and_line_ends(tmp_path, capsys, generated_files,
+                                                      writer_options):
+    paths, n_population = generated_files
+    reference = estimate_stdout(capsys, paths, n_population)
+    rewritten = {name: tmp_path / f"rewritten_{name}.csv" for name in paths}
+    for name in paths:
+        rewrite_rows(paths[name], rewritten[name], list, **writer_options)
+    assert estimate_stdout(capsys, rewritten, n_population) == reference
+
+
+READERS = {"aux": read_aux_csv, "links": read_links_csv, "sample": read_sample_csv}
+
+
+@pytest.mark.parametrize("line_end", ["\r\n", "\n"])
+def test_written_files_take_the_plain_path(tmp_path, generated_files, line_end):
+    paths, _ = generated_files
+    for name, reader in READERS.items():
+        path = paths[name]
+        assert b"\r\n" in path.read_bytes()
+        if line_end == "\n":
+            path = tmp_path / f"lf_{name}.csv"
+            rewrite_rows(paths[name], path, list, lineterminator="\n")
+            assert b"\r" not in path.read_bytes()
+        with mock.patch.object(dataio, "_csv_rows", side_effect=AssertionError(path)):
+            reader(path)
+
+
+FIELD_LIMIT = csv.field_size_limit()
+PADDING = st.sampled_from(["", "", "", " ", "\t", "\xa0", "\x1c", "\u2028", "\x85"])
+JUNK = st.text(alphabet=" \t\r\xa0\x1c\u2028\x85\v,01.eExn-_", max_size=4)
+
+
+def padded(cells):
+    return st.tuples(PADDING, cells, PADDING).map("".join)
+
+
+def mostly(common, rare, times=3):
+    """Draws from ``common`` ``times`` times as often as from ``rare``."""
+    return st.sampled_from([common] * times + [rare]).flatmap(lambda cells: cells)
+
+
+def with_junk(cells):
+    return mostly(cells, st.one_of(JUNK, st.just("k" * FIELD_LIMIT)))
+
+
+KEYS = with_junk(padded(st.text(alphabet="ab01\u2028\x1c-", min_size=1, max_size=4)
+                        .filter(lambda key: key.strip())))
+NUMBERS = with_junk(padded(st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                                     st.integers(-9, 9).map(str),
+                                     st.sampled_from(["nan", "-inf", "1_0", "1e3", "x", ""]))))
+FLAGS = with_junk(padded(st.sampled_from(["1", "0", "true", "No", "YES", "", "maybe"])))
+LAYOUTS = [
+    (read_aux_csv, [("record_id", KEYS), ("x1", NUMBERS)]),
+    (read_aux_csv, [("record_id", KEYS), ("x1", NUMBERS), ("x2", NUMBERS)]),
+    (read_links_csv, [("unit_id", KEYS), ("record_id", KEYS)]),
+    (read_links_csv, [("unit_id", KEYS), ("record_id", KEYS), ("weight", NUMBERS),
+                      ("is_best", FLAGS)]),
+    (read_links_csv, [("unit_id", KEYS), ("record_id", KEYS), ("is_best", FLAGS)]),
+    (read_sample_csv, [("unit_id", KEYS), ("y", NUMBERS), ("pi", NUMBERS)]),
+]
+BLANK_ROWS = ["", " ", ",", " , ", "\xa0", "\x1c,", "\u2028", "\t,\t,", "\x85,\u2029"]
+# inserted anywhere: each sends the text to the csv path, or is a cell of it
+INSERTS = ["\0", "\r", '"', '"a,\n"', ",", "\n", "x" * (FIELD_LIMIT + 1)]
+
+
+@st.composite
+def table_files(draw):
+    """A reader and the bytes of a file for it, mostly well formed."""
+    reader, columns = draw(st.sampled_from(LAYOUTS))
+    header = ",".join(name for name, _ in columns)
+    header = draw(st.sampled_from([header] * 9 + ["", f" {header} ", f"{header},x", "unit_id,y"]))
+    row = st.tuples(*(cells for _, cells in columns)).map(",".join)
+    odd_row = st.one_of(row.map(lambda cells: cells.rpartition(",")[0]),
+                        row.map(lambda cells: cells + ",1"), st.sampled_from(BLANK_ROWS))
+    rows = draw(st.lists(mostly(row, odd_row, times=3), min_size=1, max_size=6))
+    line_end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = line_end.join([header, *rows]) + draw(st.sampled_from(["", line_end]))
+    at = draw(st.integers(0, len(text)))
+    text = text[:at] + draw(st.sampled_from([""] * 2 * len(INSERTS) + INSERTS)) + text[at:]
+    data = text.encode("utf-8")
+    at = draw(st.integers(0, len(data)))
+    return reader, data[:at] + draw(st.sampled_from([b""] * 18 + [b"\xff", b"\xc3"])) + data[at:]
+
+
+def fingerprint(value):
+    """A value's fields, arrays as their dtype, shape and bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return [fingerprint(getattr(value, field.name)) for field in dataclasses.fields(value)]
+    return value
+
+
+def read_outcome(reader, path):
+    try:
+        return fingerprint(reader(path))
+    except ValidationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=table_files())
+# one case per condition of a plain file, each of which csv reads differently
+@example(case=(read_links_csv, b"unit_id,record_id\n1,a\n \xc2\xa0, \n"))
+@example(case=(read_links_csv, b"unit_id,record_id\n1,a,b\n2\n"))
+@example(case=(read_links_csv, b"unit_id,record_id\r\na\rb,c\r\n"))
+@example(case=(read_links_csv, b"unit_id,record_id\n1,a\x00\n"))
+@example(case=(read_links_csv, b'unit_id,record_id\n"a",b\n'))
+@example(case=(read_links_csv, b"unit_id,record_id\n1," + b"x" * (FIELD_LIMIT + 1)))
+@example(case=(read_links_csv, b"unit_id,record_id\n1," + b"x" * FIELD_LIMIT))
+def test_plain_and_csv_paths_give_one_table_or_error(tmp_path_factory, case):
+    reader, data = case
+    path = tmp_path_factory.getbasetemp() / "agreement.csv"
+    path.write_bytes(data)
+    with mock.patch.object(dataio, "_plain_rows", return_value=None):
+        expected = read_outcome(reader, path)
+    assert read_outcome(reader, path) == expected
 
 
 def test_link_header_rejects_repeated_columns(tmp_path):
