@@ -1,5 +1,7 @@
 """File ingestion and the command-line surface."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -611,3 +613,47 @@ def test_file_estimates_match_golden_reprs(tmp_path):
     # the 6-digit CLI output cannot show
     golden = json.loads(GOLDEN_ESTIMATES_PATH.read_text(encoding="utf-8"))
     assert file_estimate_reprs(tmp_path) == golden
+
+
+ORACLE_GOLDEN_PATH = Path(__file__).parent / "data" / "oracle_stdout.txt"
+DIAGNOSE_GOLDEN_PATH = Path(__file__).parent / "data" / "diagnose_stdout.txt"
+
+
+def cli_transcript(argvs: list[list[str]]) -> str:
+    """Each command line, its exit code and its stdout, one after another."""
+    parts = []
+    for argv in argvs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        parts.append(f"$ greglink {' '.join(argv)}\n[exit {code}]\n{out.getvalue()}")
+    return "".join(parts)
+
+
+def oracle_transcript() -> str:
+    return cli_transcript([["oracle", "--big-n", str(big_n), "--n", str(n)]
+                           for big_n in range(6, 13) for n in range(1, 5)])
+
+
+def diagnose_transcript() -> str:
+    """``diagnose`` on the files ``perfbench`` writes at N = 800, n = 60, in
+    the working directory: without a sample, as sample- and as
+    population-scope links, and with the sample."""
+    from perfbench.workloads import Size, write_estimate_inputs
+
+    write_estimate_inputs(Path("."), Size(800, 60), seed=15)
+    files = ["--aux", "aux.csv", "--links", "links.csv"]
+    return cli_transcript([["diagnose", *files],
+                           ["diagnose", *files, "--big-n", "800"],
+                           ["diagnose", *files, "--sample", "sample.csv", "--big-n", "800"]])
+
+
+def test_oracle_stdout_is_golden():
+    # recorded before the enumeration was stacked into batches
+    assert oracle_transcript() == ORACLE_GOLDEN_PATH.read_text(encoding="utf-8")
+
+
+def test_diagnose_stdout_is_golden(tmp_path, monkeypatch):
+    # recorded before the record-side link index was dropped
+    monkeypatch.chdir(tmp_path)
+    assert diagnose_transcript() == DIAGNOSE_GOLDEN_PATH.read_text(encoding="utf-8")

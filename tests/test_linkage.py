@@ -383,9 +383,9 @@ def test_build_linkage_orders_links_like_lexsort(case):
     units, records, rec_order = reference_links(pairs)
     assert np.array_equal(L.link_units, units)
     assert np.array_equal(L.link_records, records)
-    assert np.array_equal(L._rec_order, rec_order)
-    per_record = np.repeat(np.arange(n_rec), np.diff(L._rec_ptr))
-    assert np.array_equal(per_record, records[rec_order])
+    for record in range(n_rec):
+        assert np.array_equal(L.units_of(record),
+                              units[rec_order][records[rec_order] == record])
 
 
 @given(shuffled_links(), st.sampled_from(["duplicate", "dangling", "uncovered"]),
