@@ -9,7 +9,6 @@ from .design import (
     draw_srswor,
     exact_design_moments,
     ht_total,
-    residual_variance,
     rng_stream,
 )
 from .errors import GregLinkError, NumericalError, ValidationError
@@ -40,12 +39,10 @@ from .harness import (
 )
 from .linkage import (
     AuxDatabase,
-    DerivedCovariates,
     LinkageStructure,
     MatchSet,
     Population,
     WeightScheme,
-    align_best_links,
     best_link_indicator_weights,
     build_linkage,
     derive_covariates,

@@ -294,6 +294,8 @@ def _sample_diagnostics(inputs: EstimationInputs, q: float) -> list[DiagnosticsR
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
+    if args.limit < 0:
+        raise ValidationError(f"--limit must be nonnegative, got {args.limit}")
     if args.sample is not None:
         if args.big_n is None:
             raise ValidationError("--big-n is required when a sample file is given")
@@ -324,6 +326,8 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
     model = PopulationModel(n_units=args.big_n, sigma=args.sigma, gamma=args.gamma)
     _, population = gen_population(model, rng_stream(args.seed, 0))
     y = population.y

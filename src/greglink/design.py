@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, NamedTuple
+from itertools import chain, combinations, islice
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 
 ENUMERATION_GUARD = 10**6
+# samples stacked per batch of the exact enumeration
+ENUMERATION_CHUNK = 65536
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
@@ -159,15 +161,12 @@ class BatchEstimate(NamedTuple):
 
 
 def scale_to_target(value, variance, target: str, n_population: int):
-    """Convert a total-scale (value, variance) pair to the requested target.
-
-    Works elementwise on arrays; a variance of None stays None.
-    """
+    """Convert a total-scale (value, variance) pair to the requested target,
+    elementwise."""
     if target == "total":
         return value, variance
     if target == "mean":
-        v = None if variance is None else variance / n_population**2
-        return value / n_population, v
+        return value / n_population, variance / n_population**2
     raise ValidationError(f"unknown target {target!r}")
 
 
@@ -467,17 +466,6 @@ def equal_probability_variances(residuals: np.ndarray, pi: np.ndarray,
     return np.where(applies, residual_variances(residuals, design), np.nan)
 
 
-def residual_variance(residuals: np.ndarray, design: SurveyDesign) -> float:
-    """``residual_variances`` of one 1-d residual vector; the variance
-    engine of every estimator. Needs at least 2 residuals."""
-    e = np.asarray(residuals, dtype=np.float64)
-    if e.ndim != 1:
-        raise ValidationError("residuals must be a 1-d array")
-    if len(e) < 2:
-        raise ValidationError("variance needs at least 2 units")
-    return float(residual_variances(e, design))
-
-
 @dataclass(frozen=True)
 class ExactMoments:
     """Exact design moments of an estimator under full SRSWOR enumeration."""
@@ -488,17 +476,14 @@ class ExactMoments:
     n_samples: int
 
 
-def exact_design_moments(
-    y: np.ndarray,
-    sample_size: int,
-    statistic: Callable[[Sample, np.ndarray], tuple[float, float]] | None = None,
-) -> ExactMoments:
-    """Enumerate every SRSWOR sample and return exact estimator moments.
+def exact_design_moments(y: np.ndarray, sample_size: int) -> ExactMoments:
+    """Enumerate every SRSWOR sample and return the exact moments of the HT
+    total and of its closed-form variance estimate.
 
-    ``statistic(sample, y_sample)`` returns (value, variance estimate) per
-    sample; the default is the HT total with its closed-form variance. All
-    C(N, n) samples carry probability 1 / C(N, n); the enumeration refuses
-    to run past ``ENUMERATION_GUARD`` samples.
+    All C(N, n) samples carry probability 1 / C(N, n). They are taken in
+    lexicographic order and estimated in stacks of at most
+    ``ENUMERATION_CHUNK``; the enumeration refuses to run past
+    ``ENUMERATION_GUARD`` samples.
     """
     y = np.asarray(y, dtype=np.float64)
     n_population = len(y)
@@ -509,19 +494,17 @@ def exact_design_moments(
             f"enumeration guard of {ENUMERATION_GUARD}"
         )
     design = SurveyDesign.srswor(n_population, sample_size)
-    pi = np.full(sample_size, design.f)
 
-    if statistic is None:
-        def statistic(sample: Sample, y_s: np.ndarray) -> tuple[float, float]:
-            est = ht_total(y_s, sample)
-            return est.value, est.variance if est.variance is not None else math.nan
-
+    samples = combinations(range(n_population), sample_size)
     values = np.empty(n_samples)
     varests = np.empty(n_samples)
-    for k, ids in enumerate(combinations(range(n_population), sample_size)):
-        idx = np.asarray(ids, dtype=np.int64)
-        sample = Sample(ids=idx, pi=pi, design=design)
-        values[k], varests[k] = statistic(sample, y[idx])
+    for start in range(0, n_samples, ENUMERATION_CHUNK):
+        size = min(ENUMERATION_CHUNK, n_samples - start)
+        ids = np.fromiter(chain.from_iterable(islice(samples, size)), np.int64,
+                          size * sample_size).reshape(size, sample_size)
+        fit = ht_total_batch(y[ids], np.full(ids.shape, design.f), design)
+        values[start:start + size] = fit.values
+        varests[start:start + size] = fit.variances
 
     expectation = float(values.mean())
     variance = float(np.mean((values - expectation) ** 2))

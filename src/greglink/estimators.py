@@ -302,8 +302,8 @@ def link_aggregates(linkage: LinkageStructure, weights: np.ndarray,
     Σ x_l x_l' equal Σ x_l, so they are not stored: ``sls_greg_batch``
     fills them in from the ``link_sums``.
     """
+    link_sum = link_sums(linkage, aux)
     x = aux.x[linkage.link_records]
-    link_sum = np.column_stack([linkage.degrees, unit_sums(linkage, x.T)])
     gram = np.empty((linkage.n_covered, aux.dim, aux.dim))
     for i in range(aux.dim):
         gram[:, i, i:] = gram[:, i:, i] = unit_sums(
@@ -457,11 +457,11 @@ def build_unit_inputs(tag: str, linkage: LinkageStructure, aux: AuxDatabase,
     those built over the sample's own links.
     """
     rule = ESTIMATORS[tag]
-    source, known, coefficients = rule.covariate, None, None
+    source, coefficients = rule.covariate, None
     if source is None:
         return UnitInputs(tag)
     if source == MATCHED:
-        rows, known = (aux.x,), aux.total
+        rows = (aux.x,)
     elif source == BEST_LINK:
         rows = (aux.x[best],)
     elif source == ONLY_LINK:
@@ -477,9 +477,15 @@ def build_unit_inputs(tag: str, linkage: LinkageStructure, aux: AuxDatabase,
         if source == LINK_SET:
             rows = link_aggregates(linkage, scheme.values, aux)
         else:
-            derived = derive_covariates(linkage, scheme, aux)
-            rows, known = (derived.weighted,), derived.weighted_total
-    calibration = aux.mean if rule.total == AUX_MEAN else known
+            rows = (derive_covariates(linkage, scheme, aux),)
+    if rule.total == AUX_MEAN:
+        calibration = aux.mean
+    elif source == MATCHED:
+        calibration = aux.total
+    else:
+        # incidence weights need population links, so the column sums are
+        # the covariate's known population totals
+        calibration = rows[0].sum(axis=0)
     return UnitInputs(tag, rows, calibration, coefficients)
 
 

@@ -90,6 +90,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.replicates < 2:
             raise ValidationError("need at least 2 replicates")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         if not 1 <= self.sample_size < self.n_population:
             # a census (n = N) draws the same sample every replicate, so HT's
             # variance and MSE are 0 and RE and RMSE are undefined

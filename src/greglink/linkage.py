@@ -6,15 +6,18 @@ covers every unit 0..N-1 (all record link sets fully known) and sample-scoped
 when it covers only the sampled units, in which case a record's observed link
 set may be a strict subset of its true one.
 
-Weight schemes and the covariates derived from them are immutable once built:
-they are constants of the sampling process, and nothing downstream may mutate
-them.
+Links are stored in one direction only: sorted by (unit, record), with one
+offset per covered unit. The record side is kept only as per-record link
+counts; a record's units come from a scan of the link arrays.
+
+Weight schemes are immutable once built: they are constants of the sampling
+process, and nothing downstream may mutate them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -121,27 +124,15 @@ class MatchSet:
         object.__setattr__(self, "units", _readonly(units))
         object.__setattr__(self, "records", _readonly(records))
 
-    @property
-    def record_of_unit(self) -> dict[int, int]:
-        """The matches as a dict from unit to record, built on each access."""
-        return dict(zip(self.units.tolist(), self.records.tolist()))
-
-    def __len__(self) -> int:
-        return len(self.units)
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        unit, rec = pair
-        i = int(np.searchsorted(self.units, unit))
-        return i < len(self) and self.units[i] == unit and self.records[i] == rec
-
 
 class LinkageStructure:
-    """Links between covered units and auxiliary records, with adjacency maps.
+    """Links between covered units and auxiliary records.
 
-    Internally a CSR layout over links sorted by (unit, record); the record
-    side orders the links by (record, link position), a stable re-sort, and
-    points into that order with one offset per record, so both directions of
-    adjacency are O(1) slices and provably transposes of each other.
+    A CSR layout over the links sorted by (unit, record): a unit's links are
+    an O(1) slice, and ``degrees`` and ``multiplicities`` count the links of
+    each covered unit and each record. No record-side index is built; the
+    units of one record come from a scan of the link arrays, in the same
+    ascending order.
     """
 
     def __init__(self, scope: str, covered_units: np.ndarray, n_records: int,
@@ -158,14 +149,6 @@ class LinkageStructure:
         self.degrees = _readonly(np.diff(self._unit_ptr).astype(np.int64, copy=False))
         self.multiplicities = _readonly(
             np.bincount(link_records, minlength=n_records).astype(np.int64, copy=False))
-        # one in-place sort of a unique integer key gives the stable record
-        # order, which is the key's remainder; each record's links start at
-        # the running count of the links of the records before it
-        n_links = len(link_records)
-        key = link_key(link_records, np.arange(n_links), n_links)
-        key.sort()
-        self._rec_order = _readonly(np.remainder(key, n_links, out=key))
-        self._rec_ptr = _readonly(np.concatenate([[0], np.cumsum(self.multiplicities)]))
 
     @property
     def n_links(self) -> int:
@@ -192,26 +175,12 @@ class LinkageStructure:
         return self.link_records[self._unit_ptr[pos]:self._unit_ptr[pos + 1]]
 
     def units_of(self, record: int) -> np.ndarray:
-        """Units linked to a record: the full link set under population scope,
-        the observed sample link set otherwise."""
+        """Units linked to a record, ascending: the full link set under
+        population scope, the observed sample link set otherwise. Scans
+        every link."""
         if not 0 <= record < self.n_records:
             raise ValidationError(f"record {record} out of range")
-        lo, hi = self._rec_ptr[record], self._rec_ptr[record + 1]
-        return self.link_units[self._rec_order[lo:hi]]
-
-    def degree(self, unit: int) -> int:
-        return int(self.degrees[self.unit_position(unit)])
-
-    def multiplicity(self, record: int) -> int:
-        if not 0 <= record < self.n_records:
-            raise ValidationError(f"record {record} out of range")
-        return int(self.multiplicities[record])
-
-    def link_positions_of_record(self, record: int) -> np.ndarray:
-        """Positions in the link arrays of all links touching a record."""
-        if not 0 <= record < self.n_records:
-            raise ValidationError(f"record {record} out of range")
-        return self._rec_order[self._rec_ptr[record]:self._rec_ptr[record + 1]]
+        return self.link_units[self.link_records == record]
 
     def unit_index_per_link(self) -> np.ndarray:
         """Covered-unit position of each link, aligned with the link arrays."""
@@ -387,27 +356,16 @@ def multiplicity_weights(linkage: LinkageStructure) -> WeightScheme:
     return WeightScheme(kind=INCIDENCE, linkage=linkage, values=values)
 
 
-def align_best_links(linkage: LinkageStructure,
-                     best_links: Mapping[int, int] | np.ndarray) -> np.ndarray:
-    if isinstance(best_links, Mapping):
-        try:
-            arr = np.asarray([best_links[u] for u in linkage.covered_units],
-                             dtype=np.int64)
-        except KeyError as exc:
-            raise ValidationError(f"no best link given for unit {exc.args[0]}") from exc
-    else:
-        arr = np.asarray(best_links, dtype=np.int64)
-        if arr.shape != (linkage.n_covered,):
-            raise ValidationError("best links must align with the covered units")
-    return arr
-
-
-def _best_positions(linkage: LinkageStructure, best: np.ndarray) -> np.ndarray:
+def _best_positions(linkage: LinkageStructure, best_links: np.ndarray) -> np.ndarray:
     """Link-array position of each unit's best link, validating membership.
 
-    Links are distinct within a unit, so each unit's segment of the link
-    array matches its best record at most once.
+    ``best_links`` holds the best record of each covered unit, in covered
+    order. Links are distinct within a unit, so each unit's segment of the
+    link array matches its best record at most once.
     """
+    best = np.asarray(best_links, dtype=np.int64)
+    if best.shape != (linkage.n_covered,):
+        raise ValidationError("best links must align with the covered units")
     hit = linkage.link_records == np.repeat(best, linkage.degrees)
     found = np.logical_or.reduceat(hit, linkage._unit_ptr[:-1])
     if not found.all():
@@ -420,8 +378,7 @@ def _best_positions(linkage: LinkageStructure, best: np.ndarray) -> np.ndarray:
 
 
 def reverse_weights_best_link(linkage: LinkageStructure,
-                              best_links: Mapping[int, int] | np.ndarray,
-                              q: float) -> WeightScheme:
+                              best_links: np.ndarray, q: float) -> WeightScheme:
     """Reverse weights that put q on each unit's best link.
 
     A unit with a single link gets weight 1 regardless of q; with d > 1 links
@@ -429,8 +386,7 @@ def reverse_weights_best_link(linkage: LinkageStructure,
     """
     if not 0 < q <= 1:
         raise ValidationError(f"q must lie in (0, 1], got {q}")
-    best = align_best_links(linkage, best_links)
-    best_pos = _best_positions(linkage, best)
+    best_pos = _best_positions(linkage, best_links)
     d = linkage.degrees
     per_unit_other = np.where(d > 1, (1.0 - q) / np.maximum(d - 1, 1), 0.0)
     values = np.repeat(per_unit_other, d)
@@ -439,32 +395,16 @@ def reverse_weights_best_link(linkage: LinkageStructure,
 
 
 def best_link_indicator_weights(linkage: LinkageStructure,
-                                best_links: Mapping[int, int] | np.ndarray
-                                ) -> WeightScheme:
+                                best_links: np.ndarray) -> WeightScheme:
     """Degenerate reverse weights: full weight on each unit's best link.
 
     Not an incidence scheme: one record may be the best link of several units,
     so its unit-side weights need not sum to 1.
     """
-    best = align_best_links(linkage, best_links)
-    best_pos = _best_positions(linkage, best)
+    best_pos = _best_positions(linkage, best_links)
     values = np.zeros(linkage.n_links)
     values[best_pos] = 1.0
     return WeightScheme(kind=REVERSE, linkage=linkage, values=values)
-
-
-@dataclass(frozen=True)
-class DerivedCovariates:
-    """Per-unit covariates built from links, weights and auxiliary values.
-
-    ``weighted`` holds the scheme-weighted sums over each unit's link set
-    (the regression covariate for the incidence- and reverse-weighted
-    estimators). Their population total is exposed only under population
-    scope.
-    """
-
-    weighted: np.ndarray
-    weighted_total: np.ndarray | None = None
 
 
 def unit_sums(linkage: LinkageStructure, columns: Iterable[np.ndarray]) -> np.ndarray:
@@ -480,16 +420,13 @@ def unit_sums(linkage: LinkageStructure, columns: Iterable[np.ndarray]) -> np.nd
 
 
 def derive_covariates(linkage: LinkageStructure, scheme: WeightScheme,
-                      aux: AuxDatabase) -> DerivedCovariates:
-    """Compute the scheme-weighted link sums over one linkage."""
+                      aux: AuxDatabase) -> np.ndarray:
+    """The scheme-weighted sums of the record values over each covered
+    unit's links, (n_covered, dim): the covariate of the incidence- and
+    reverse-weighted estimators."""
     if scheme.linkage is not linkage:
         raise ValidationError("weight scheme was built for a different linkage")
     if aux.n_records != linkage.n_records:
         raise ValidationError("auxiliary database does not match the linkage")
-
-    weighted = unit_sums(linkage, (scheme.values * aux.x[linkage.link_records, j]
-                                   for j in range(aux.dim)))
-    return DerivedCovariates(
-        weighted=weighted,
-        weighted_total=weighted.sum(axis=0) if linkage.scope == POPULATION else None,
-    )
+    return unit_sums(linkage, (scheme.values * aux.x[linkage.link_records, j]
+                               for j in range(aux.dim)))

@@ -36,6 +36,7 @@ from .linkage import (
     Population,
     WeightScheme,
     build_linkage,
+    link_key,
 )
 
 
@@ -214,8 +215,12 @@ def gen_pi_q_weights(linkage: LinkageStructure, matches: MatchSet, q: float,
         raise ValidationError(f"q must lie in (0, 1), got {q}")
     m = linkage.multiplicities
     values = np.where(m == 1, 1.0, (1.0 - q) / np.maximum(m - 1, 1))[linkage.link_records]
-    # links in record order, units ascending within each record
-    order = linkage._rec_order
+    # links in record order, units ascending within each record: one
+    # in-place sort of a unique integer key, whose remainder is the order
+    n_links = linkage.n_links
+    order = link_key(linkage.link_records, np.arange(n_links), n_links)
+    order.sort()
+    np.remainder(order, n_links, out=order)
     records = np.repeat(np.arange(linkage.n_records), m)
     match_unit = np.full(linkage.n_records, -1, dtype=np.int64)
     match_unit[matches.records] = matches.units

@@ -228,15 +228,15 @@ def test_criterion_7_perfect_linkage_reduction():
         for scheme in (multiplicity_weights(linkage),
                        reverse_weights_best_link(linkage, identity, 0.4)):
             derived = derive_covariates(linkage, scheme, aux)
-            value = greg(GregSpec(derived.weighted[sample.ids],
-                                  derived.weighted_total), y_s, sample).value
+            value = greg(GregSpec(derived[sample.ids],
+                                  derived.sum(axis=0)), y_s, sample).value
             worst = max(worst, gap(value))
         # sample-scope estimators
         sub_linkage, link_index = linkage.restrict(sample.ids)
         reverse = reverse_weights_best_link(linkage, identity, 0.4).restrict(
             sub_linkage, link_index)
         derived_s = derive_covariates(sub_linkage, reverse, aux)
-        worst = max(worst, gap(greg(GregSpec(derived_s.weighted,
+        worst = max(worst, gap(greg(GregSpec(derived_s,
                                              n_population * aux.mean),
                                     y_s, sample).value))
         worst = max(worst, gap(sls_greg(sub_linkage, reverse, aux, y_s,
@@ -248,7 +248,7 @@ def test_criterion_7_perfect_linkage_reduction():
         from greglink.linkage import best_link_indicator_weights
         indicator = best_link_indicator_weights(sub_linkage, best_s)
         derived_b = derive_covariates(sub_linkage, indicator, aux)
-        worst = max(worst, gap(greg(GregSpec(derived_b.weighted,
+        worst = max(worst, gap(greg(GregSpec(derived_b,
                                              n_population * aux.mean),
                                     y_s, sample).value))
     report.check(f"max relative gap over {instances} instances", worst,
@@ -273,9 +273,9 @@ def test_criterion_8_weight_constraint_suite():
             matches, linkage, best = gen_linkage(n_population, model,
                                                  rng_stream(rng_master, 1))
 
-            counts_exact &= len(matches) == round(n_population * config.match_rate)
+            counts_exact &= len(matches.units) == round(n_population * config.match_rate)
             correct_best = sum(
-                1 for unit, record in matches.record_of_unit.items()
+                1 for unit, record in zip(matches.units.tolist(), matches.records.tolist())
                 if best[unit] == record)
             counts_exact &= correct_best == round(
                 n_population * config.correct_best_rate)
@@ -304,11 +304,11 @@ def test_criterion_8_weight_constraint_suite():
             derived = derive_covariates(sub_linkage,
                                         reverse.restrict(sub_linkage, link_index),
                                         aux)
-            spec = GregSpec(covariates=derived.weighted,
+            spec = GregSpec(covariates=derived,
                             total=n_population * aux.mean)
             w = calibration_weights(spec, sample)
             target = n_population * aux.mean[0]
-            gap = abs(float(w @ derived.weighted[:, 0]) - target) / abs(target)
+            gap = abs(float(w @ derived[:, 0]) - target) / abs(target)
             gap = max(gap, abs(w.sum() - n_population) / n_population)
             worst_calibration = max(worst_calibration, gap)
 

@@ -305,6 +305,15 @@ def test_estimate_and_diagnose_print_the_same_diagnostics(tmp_path, capsys):
         assert diagnostics(estimate) == diagnostics(diagnose)
 
 
+def test_diagnose_rejects_a_negative_limit(tmp_path, capsys):
+    aux = write(tmp_path / "aux.csv", "record_id,x1\na,1\nb,2\nc,3\n")
+    links = write(tmp_path / "links.csv", "unit_id,record_id\n1,a\n2,b\n3,c\n")
+    assert main(["diagnose", "--aux", aux, "--links", links, "--limit", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --limit must be nonnegative, got -1\n"
+    assert captured.out == ""
+
+
 def test_diagnose_unknown_record_exits_with_validation_code(tmp_path, capsys):
     aux = write(tmp_path / "aux.csv", "record_id,x1\na,0.5\nb,0.1\n")
     links = write(tmp_path / "links.csv", "unit_id,record_id\n1,a\n2,zz\n")
@@ -453,6 +462,25 @@ def test_simulate_rejects_a_bad_worker_count(tmp_path, capsys, workers, message)
     assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
+@pytest.mark.parametrize("source", ["--seed", "scenario", "oracle"])
+def test_negative_seeds_are_rejected_where_they_enter(tmp_path, capsys, source):
+    # numpy's seeding would raise a bare ValueError on them
+    scenario = write(tmp_path / "s.scenario",
+                     "population = 50\nsample = 10\nreplicates = 2\n"
+                     + ("seed = -2\n" if source == "scenario" else ""))
+    argv, message = {
+        "--seed": (["simulate", scenario, "--seed", "-1"],
+                   "seed must be nonnegative, got -1"),
+        "scenario": (["simulate", scenario],
+                     f"{scenario}: block 1: seed must be nonnegative, got -2"),
+        "oracle": (["oracle", "--big-n", "6", "--n", "2", "--seed", "-1"],
+                   "--seed must be nonnegative, got -1"),
+    }[source]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 def test_simulate_small_k_warns(tmp_path, capsys):
     scenario = write(tmp_path / "s.scenario",
                      "name = tiny\npopulation = 300\nsample = 40\n"
@@ -508,7 +536,7 @@ def test_round_trip_dump_and_estimate_bitwise(tmp_path):
     best_sub = best[sample.ids]
     scheme = reverse_weights_best_link(sub_linkage, best_sub, 0.4)
     derived = derive_covariates(sub_linkage, scheme, aux)
-    spec = GregSpec(covariates=derived.weighted,
+    spec = GregSpec(covariates=derived,
                     total=n_population * aux.mean, tag="sri")
     reference = greg(spec, population.y[sample.ids], sample, target="total")
 

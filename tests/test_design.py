@@ -16,7 +16,6 @@ from greglink.design import (
     exact_design_moments,
     ht_total,
     replicate_ids,
-    residual_variance,
     residual_variances,
     rng_stream,
     srswor_ids,
@@ -101,7 +100,7 @@ def test_residual_variance_matches_sample_variance_bitwise():
     e = rng_stream(8, 0).normal(size=37)
     design = SurveyDesign.srswor(500, 37)
     expected = 500**2 * (1.0 - design.f) * float(np.var(e, ddof=1)) / 37
-    assert residual_variance(e, design) == expected
+    assert residual_variances(e, design) == expected
 
 
 def test_ht_rejects_missing_values():
@@ -132,18 +131,18 @@ def test_ht_unequal_probabilities_variance_unavailable():
 
 
 def test_residual_variance_constant_residuals():
-    assert residual_variance(np.full(5, 2.5), SurveyDesign.srswor(50, 5)) == 0.0
+    assert residual_variances(np.full(5, 2.5), SurveyDesign.srswor(50, 5)) == 0.0
 
 
 def test_residual_variance_hand_example():
     # e=(1,-1), N=4, n=2: 16 * (1-0.5) * 2 / 2 = 8
-    value = residual_variance(np.array([1.0, -1.0]), SurveyDesign.srswor(4, 2))
+    value = residual_variances(np.array([1.0, -1.0]), SurveyDesign.srswor(4, 2))
     assert value == pytest.approx(8.0)
 
 
 def test_residual_variance_needs_two_units():
-    with pytest.raises(ValidationError, match="at least 2"):
-        residual_variance(np.array([1.0]), SurveyDesign.srswor(4, 2))
+    # one residual has no sample variance
+    assert math.isnan(residual_variances(np.array([1.0]), SurveyDesign.srswor(4, 2)))
 
 
 def test_exact_moments_ht_identities():
@@ -158,17 +157,13 @@ def test_exact_moments_ht_identities():
                                                                rel=1e-10)
 
 
-def test_exact_moments_custom_statistic():
-    y = np.array([1.0, 2.0, 3.0, 4.0])
-
-    def doubled(sample, y_s):
-        est = ht_total(y_s, sample)
-        return 2 * est.value, 4 * est.variance
-
-    base = exact_design_moments(y, 2)
-    double = exact_design_moments(y, 2, statistic=doubled)
-    assert double.expectation == pytest.approx(2 * base.expectation)
-    assert double.variance == pytest.approx(4 * base.variance)
+def test_exact_moments_do_not_depend_on_the_stack_size(monkeypatch):
+    # C(12, 4) = 495 samples in one stack, or in stacks of 7 with a partial
+    # last one, give the same moments bit for bit
+    _, population = gen_population(PopulationModel(n_units=12), rng_stream(5, 0))
+    whole = exact_design_moments(population.y, 4)
+    monkeypatch.setattr(design, "ENUMERATION_CHUNK", 7)
+    assert exact_design_moments(population.y, 4) == whole
 
 
 def test_enumeration_guard():

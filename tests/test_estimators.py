@@ -9,7 +9,7 @@ from greglink.design import (
     SurveyDesign,
     draw_srswor,
     ht_total,
-    residual_variance,
+    residual_variances,
     rng_stream,
 )
 from greglink.errors import NumericalError, ValidationError
@@ -222,8 +222,8 @@ def test_perfect_linkage_all_estimators_equal_ideal():
     ]:
         scheme = scheme_builder(linkage)
         derived = derive_covariates(linkage, scheme, aux)
-        spec = GregSpec(covariates=derived.weighted[sample.ids],
-                        total=derived.weighted_total)
+        spec = GregSpec(covariates=derived[sample.ids],
+                        total=derived.sum(axis=0))
         assert greg(spec, y_s, sample).value == pytest.approx(ideal.value, rel=1e-10)
 
     # sample-link estimators: reverse-weighted, best-link and link-set forms
@@ -231,13 +231,13 @@ def test_perfect_linkage_all_estimators_equal_ideal():
     reverse = reverse_weights_best_link(linkage, best, 0.4).restrict(sub_linkage,
                                                                      link_index)
     derived_s = derive_covariates(sub_linkage, reverse, aux)
-    sri = greg(GregSpec(covariates=derived_s.weighted,
+    sri = greg(GregSpec(covariates=derived_s,
                         total=n_population * aux.mean), y_s, sample)
     assert sri.value == pytest.approx(ideal.value, rel=1e-10)
 
     indicator = best_link_indicator_weights(sub_linkage, best[sample.ids])
     derived_b = derive_covariates(sub_linkage, indicator, aux)
-    sbl = greg(GregSpec(covariates=derived_b.weighted,
+    sbl = greg(GregSpec(covariates=derived_b,
                         total=n_population * aux.mean), y_s, sample)
     assert sbl.value == pytest.approx(ideal.value, rel=1e-10)
 
@@ -292,8 +292,8 @@ def test_location_scale_equivariance():
 
     scheme = multiplicity_weights(linkage)
     derived = derive_covariates(linkage, scheme, aux)
-    spec = GregSpec(covariates=derived.weighted[sample.ids],
-                    total=derived.weighted_total)
+    spec = GregSpec(covariates=derived[sample.ids],
+                    total=derived.sum(axis=0))
     v1 = greg(spec, y_s, sample).value
     v2 = greg(spec, y_s2, sample).value
     assert v2 == pytest.approx(a * v1 + c * n_population, rel=1e-10)
@@ -302,7 +302,7 @@ def test_location_scale_equivariance():
     best = np.array([linkage.records_of(int(u))[0] for u in sample.ids])
     reverse = reverse_weights_best_link(sub_linkage, best, 0.4)
     derived_s = derive_covariates(sub_linkage, reverse, aux)
-    spec_s = GregSpec(covariates=derived_s.weighted,
+    spec_s = GregSpec(covariates=derived_s,
                       total=n_population * aux.mean)
     v1 = greg(spec_s, y_s, sample).value
     v2 = greg(spec_s, y_s2, sample).value
@@ -434,7 +434,7 @@ def test_diagnostics_components_match_one_variance_per_component():
     report = consistency_diagnostics(rows, aux, sample, "sbl")
     contributions = rows / n_population
     for j in (0, 2):
-        variance = residual_variance(contributions[:, j], sample.design)
+        variance = residual_variances(contributions[:, j], sample.design)
         assert report.variance[j] == variance
         assert report.z[j] == report.value[j] / np.sqrt(variance)
     # the constant column is off by 0.1 with no spread: infinite z

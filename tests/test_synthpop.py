@@ -71,7 +71,7 @@ def test_linkage_identity_degenerate_case():
     model = LinkageModel(link_share=(1.0, 0.0, 0.0), match_rate=1.0,
                          correct_best_rate=1.0)
     matches, linkage, best = gen_linkage(50, model, rng_stream(4, 0))
-    assert len(matches) == 50
+    assert len(matches.units) == 50
     assert np.all(linkage.degrees == 1)
     assert np.all(linkage.link_units == linkage.link_records)
     assert np.array_equal(best, np.arange(50))
@@ -84,14 +84,14 @@ def test_linkage_counts_main_setting():
     counts = np.bincount(linkage.degrees)
     assert list(counts[1:]) == [2000, 1500, 1500]
     assert linkage.n_links == 2000 + 2 * 1500 + 3 * 1500
-    assert len(matches) == 4500
+    assert len(matches.units) == 4500
 
 
 def test_linkage_structural_audit():
     model = LinkageModel(link_share=(0.2, 0.4, 0.4), match_rate=0.4,
                          correct_best_rate=0.3)
     matches, linkage, best = gen_linkage(2000, model, rng_stream(6, 0))
-    record_of_unit = matches.record_of_unit
+    record_of_unit = dict(zip(matches.units.tolist(), matches.records.tolist()))
     assert len(record_of_unit) == round(2000 * 0.4)
     # every single-link unit's link is its match
     singles = np.flatnonzero(linkage.degrees == 1)
@@ -99,7 +99,7 @@ def test_linkage_structural_audit():
     for unit in singles:
         assert record_of_unit[int(unit)] == int(linkage.records_of(int(unit))[0])
     # exactly the matched multi-link units beyond the singles
-    matched_multi = [u for u in record_of_unit if linkage.degree(u) > 1]
+    matched_multi = [u for u in record_of_unit if linkage.degrees[u] > 1]
     assert len(matched_multi) == round(2000 * 0.4) - 400
     # matches always appear among their unit's links, false links never
     # reference the unit's own record
@@ -124,7 +124,8 @@ def test_linkage_determinism():
                          correct_best_rate=0.6)
     m1, l1, b1 = gen_linkage(800, model, rng_stream(7, 0))
     m2, l2, b2 = gen_linkage(800, model, rng_stream(7, 0))
-    assert m1.record_of_unit == m2.record_of_unit
+    assert np.array_equal(m1.units, m2.units)
+    assert np.array_equal(m1.records, m2.records)
     assert np.array_equal(l1.link_units, l2.link_units)
     assert np.array_equal(l1.link_records, l2.link_records)
     assert np.array_equal(b1, b2)
@@ -155,7 +156,7 @@ def test_pi_q_weights_rules():
     for record in range(linkage.n_records):
         if m[record] == 0:
             continue
-        positions = linkage.link_positions_of_record(record)
+        positions = np.flatnonzero(linkage.link_records == record)
         values = scheme.values[positions]
         units_here = linkage.link_units[positions]
         assert values.sum() == pytest.approx(1.0, abs=1e-12)
@@ -187,7 +188,7 @@ def test_pi_q_weights_match_per_record_loop():
                         0.7 / np.maximum(m[linkage.link_records] - 1, 1))
     unit_of_record = dict(zip(matches.records.tolist(), matches.units.tolist()))
     for record in np.flatnonzero(m > 1):
-        positions = linkage.link_positions_of_record(int(record))
+        positions = np.flatnonzero(linkage.link_records == record)
         hits = np.flatnonzero(linkage.link_units[positions]
                               == unit_of_record.get(int(record), -1))
         if len(hits):
@@ -262,10 +263,10 @@ def setup_digests(block: str) -> dict[str, str]:
     return {
         "link_units": _digest(linkage.link_units),
         "link_records": _digest(linkage.link_records),
-        "matches": _digest(np.array(sorted(matches.record_of_unit.items()), dtype=np.int64)),
+        "matches": _digest(np.column_stack([matches.units, matches.records])),
         "best": _digest(best),
         "pi_q_weights": _digest(incidence.values),
-        "pi_q_covariates": _digest(derive_covariates(linkage, incidence, aux).weighted),
+        "pi_q_covariates": _digest(derive_covariates(linkage, incidence, aux)),
         "link_aggregates": _digest(np.concatenate(
             [a.ravel() for a in full_gram(*link_aggregates(linkage, reverse.values, aux))])),
         "links_rng": _digest(rng_links.bit_generator.state),
