@@ -40,7 +40,6 @@ from .harness import (
 from .linkage import (
     AuxDatabase,
     LinkageStructure,
-    MatchSet,
     Population,
     WeightScheme,
     best_link_indicator_weights,

@@ -238,12 +238,18 @@ def _echo_structure(linkage: LinkageStructure, unit_keys: list[str],
         print(f"unit {unit_keys[unit]}: links {records} (d={len(records)})")
     if linkage.n_covered > limit:
         print(f"... {linkage.n_covered - limit} more units")
-    linked = linkage.covered_records
-    for record in linked[:limit]:
-        units = [unit_keys[u] for u in linkage.units_of(int(record))]
+    linked = np.flatnonzero(linkage.multiplicities)
+    shown = linked[:limit]
+    if len(shown):
+        # one stable sort by record of just the shown records' links keeps
+        # each record's units ascending, as the links are ordered by unit
+        near = np.flatnonzero(linkage.link_records <= shown[-1])
+        near = near[np.argsort(linkage.link_records[near], kind="stable")]
+        ends = np.cumsum(linkage.multiplicities[shown])
         name = "units" if linkage.scope == POPULATION else "sample units"
-        print(f"record {record_keys[record]}: {name} {units} "
-              f"(m={len(units)})")
+        for record, units in zip(shown, np.split(linkage.link_units[near], ends[:-1])):
+            print(f"record {record_keys[record]}: {name} "
+                  f"{[unit_keys[u] for u in units]} (m={len(units)})")
     if len(linked) > limit:
         print(f"... {len(linked) - limit} more records")
 
@@ -328,6 +334,9 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
+    if args.n < 2:
+        # one unit per sample leaves the variance estimator undefined
+        raise ValidationError(f"--n must be at least 2, got {args.n}")
     model = PopulationModel(n_units=args.big_n, sigma=args.sigma, gamma=args.gamma)
     _, population = gen_population(model, rng_stream(args.seed, 0))
     y = population.y

@@ -411,8 +411,7 @@ def assemble_estimation_inputs(sample_path: str | Path, aux_path: str | Path,
     sample_ids = np.fromiter(map(unit_index.__getitem__, sample_table.unit_keys),
                              np.int64, len(sample_table.unit_keys))
     order = np.argsort(sample_ids)
-    design = SurveyDesign(n_population=n_population,
-                          sample_size=len(sample_ids), kind="external")
+    design = SurveyDesign(n_population=n_population, sample_size=len(sample_ids))
     sample = Sample(ids=sample_ids[order], pi=sample_table.pi[order], design=design)
     return EstimationInputs(
         aux=aux_table.aux,
@@ -426,50 +425,35 @@ def assemble_estimation_inputs(sample_path: str | Path, aux_path: str | Path,
     )
 
 
-def write_aux_csv(path: str | Path, aux: AuxDatabase,
-                  record_keys: Sequence[str] | None = None) -> None:
-    keys = record_keys if record_keys is not None else [str(i) for i in range(aux.n_records)]
+def write_aux_csv(path: str | Path, aux: AuxDatabase) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["record_id"] + [f"x{j + 1}" for j in range(aux.dim)])
-        for key, row in zip(keys, aux.x):
+        for key, row in enumerate(aux.x):
             writer.writerow([key] + [repr(float(v)) for v in row])
 
 
 def write_links_csv(path: str | Path, linkage: LinkageStructure,
                     weights: np.ndarray | None = None,
-                    best_links: np.ndarray | None = None,
-                    unit_keys: Sequence[str] | None = None,
-                    record_keys: Sequence[str] | None = None) -> None:
-    ukey = (lambda u: unit_keys[u]) if unit_keys is not None else str
-    rkey = (lambda r: record_keys[r]) if record_keys is not None else str
-    best_record = None
-    if best_links is not None:
-        best_record = {int(u): int(r)
-                       for u, r in zip(linkage.covered_units, best_links)}
+                    best_links: np.ndarray | None = None) -> None:
     header = ["unit_id", "record_id"]
+    columns = [linkage.link_units.tolist(), linkage.link_records.tolist()]
     if weights is not None:
         header.append("weight")
-    if best_record is not None:
+        columns.append([repr(float(w)) for w in weights])
+    if best_links is not None:
         header.append("is_best")
+        is_best = linkage.link_records == np.repeat(best_links, linkage.degrees)
+        columns.append(is_best.astype(int).tolist())
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for pos, (unit, record) in enumerate(zip(linkage.link_units,
-                                                 linkage.link_records)):
-            row = [ukey(int(unit)), rkey(int(record))]
-            if weights is not None:
-                row.append(repr(float(weights[pos])))
-            if best_record is not None:
-                row.append("1" if best_record[int(unit)] == int(record) else "0")
-            writer.writerow(row)
+        writer.writerows(zip(*columns))
 
 
-def write_sample_csv(path: str | Path, sample: Sample, y: np.ndarray,
-                     unit_keys: Sequence[str] | None = None) -> None:
-    ukey = (lambda u: unit_keys[u]) if unit_keys is not None else str
+def write_sample_csv(path: str | Path, sample: Sample, y: np.ndarray) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["unit_id", "y", "pi"])
         for unit, value, prob in zip(sample.ids, y, sample.pi):
-            writer.writerow([ukey(int(unit)), repr(float(value)), repr(float(prob))])
+            writer.writerow([int(unit), repr(float(value)), repr(float(prob))])

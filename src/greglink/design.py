@@ -34,16 +34,16 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SurveyDesign:
-    """A sampling design over a population of ``n_population`` units.
+    """A fixed-size design of ``sample_size`` units from ``n_population``.
 
-    ``kind`` is either "srswor" (fixed size ``sample_size``, all inclusion
-    probabilities equal to the sampling fraction) or "external" (inclusion
-    probabilities supplied per sampled unit, fixed-size assumed).
+    The inclusion probabilities travel with each ``Sample``: all equal to
+    the sampling fraction under SRSWOR, supplied per unit from files. A
+    design-based variance exists only when they are equal
+    (``equal_probability_variances``).
     """
 
     n_population: int
     sample_size: int
-    kind: str = "srswor"
 
     def __post_init__(self) -> None:
         if self.n_population < 1:
@@ -52,12 +52,6 @@ class SurveyDesign:
             raise ValidationError(
                 f"sample size {self.sample_size} outside 1..{self.n_population}"
             )
-        if self.kind not in ("srswor", "external"):
-            raise ValidationError(f"unknown design kind {self.kind!r}")
-
-    @classmethod
-    def srswor(cls, n_population: int, sample_size: int) -> "SurveyDesign":
-        return cls(n_population, sample_size, "srswor")
 
     @property
     def f(self) -> float:
@@ -393,7 +387,7 @@ def _floyd_rows(n_population: int, sample_size: int, seeds
 def draw_srswor(n_population: int, sample_size: int,
                 rng: np.random.Generator) -> Sample:
     """Draw an SRSWOR sample of ``sample_size`` units from 0..N-1."""
-    design = SurveyDesign.srswor(n_population, sample_size)
+    design = SurveyDesign(n_population, sample_size)
     ids = srswor_ids(n_population, sample_size, rng)
     pi = np.full(sample_size, design.f)
     return Sample(ids=ids, pi=pi, design=design)
@@ -493,7 +487,7 @@ def exact_design_moments(y: np.ndarray, sample_size: int) -> ExactMoments:
             f"C({n_population},{sample_size}) = {n_samples} exceeds the "
             f"enumeration guard of {ENUMERATION_GUARD}"
         )
-    design = SurveyDesign.srswor(n_population, sample_size)
+    design = SurveyDesign(n_population, sample_size)
 
     samples = combinations(range(n_population), sample_size)
     values = np.empty(n_samples)

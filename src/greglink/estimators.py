@@ -538,7 +538,6 @@ class NpaCovariances:
     weight_x_cov: np.ndarray
     indicator_x_cov: np.ndarray
     n_linked_records: int
-    linked_total: np.ndarray
 
 
 def npa_covariances(linkage: LinkageStructure, scheme: WeightScheme,
@@ -562,7 +561,6 @@ def npa_covariances(linkage: LinkageStructure, scheme: WeightScheme,
         weight_x_cov=weight_x_cov,
         indicator_x_cov=indicator_x_cov,
         n_linked_records=n_linked,
-        linked_total=linked_total,
     )
 
 

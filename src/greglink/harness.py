@@ -92,11 +92,12 @@ class ScenarioConfig:
             raise ValidationError("need at least 2 replicates")
         if self.seed < 0:
             raise ValidationError(f"seed must be nonnegative, got {self.seed}")
-        if not 1 <= self.sample_size < self.n_population:
-            # a census (n = N) draws the same sample every replicate, so HT's
-            # variance and MSE are 0 and RE and RMSE are undefined
+        if not 2 <= self.sample_size < self.n_population:
+            # one unit leaves no variance estimator; a census (n = N) draws
+            # the same sample every replicate, so HT's variance and MSE are 0
+            # and RE and RMSE are undefined
             raise ValidationError(f"sample size {self.sample_size} outside "
-                                  f"1..{self.n_population - 1}")
+                                  f"2..{self.n_population - 1}")
         if self.target not in ("mean", "total"):
             raise ValidationError(f"unknown target {self.target!r}")
         unknown = [e for e in self.estimators if e not in ESTIMATOR_ORDER]
@@ -137,23 +138,23 @@ def _build_unit_inputs(config: ScenarioConfig, aux: AuxDatabase, y: np.ndarray,
     single-link units.
 
     Each weight scheme is built just before the estimators that use it and
-    dropped after them, so at most one is alive at a time, and the matches
-    and best links are dropped after their last use. The order is fixed,
+    dropped after them, so at most one is alive at a time, and the matched
+    units and best links are dropped after their last use. The order is fixed,
     so the set-up's peak memory does not depend on the order of
     ``config.estimators``: pi-q, whose weight draw has the largest
     transient arrays, comes first while few inputs are alive, and the
     link-set sums come last but before the reverse-weighted sums. Only pi-q
     draws from ``rng_weights``, so the order moves no draw.
     """
-    matches, linkage, best = gen_linkage(config.n_population,
+    matched, linkage, best = gen_linkage(config.n_population,
                                          config.linkage_model(), rng_links)
     q = config.best_link_weight
     wanted = dict.fromkeys(config.estimators)
     built = {}
     if "pi-q" in wanted:
         built["pi-q"] = build_unit_inputs(
-            "pi-q", linkage, aux, gen_pi_q_weights(linkage, matches, q, rng_weights))
-    del matches
+            "pi-q", linkage, aux, gen_pi_q_weights(linkage, matched, q, rng_weights))
+    del matched
     if "pi-m" in wanted:
         built["pi-m"] = build_unit_inputs("pi-m", linkage, aux, multiplicity_weights(linkage))
     for tag in wanted:
@@ -200,7 +201,7 @@ def _run_chunk(state: _ScenarioState, indices: range
             config, state.aux, state.y,
             rng_stream(config.seed, _LINK_KEY, k),
             rng_stream(config.seed, _WEIGHT_KEY, k))
-    design = SurveyDesign.srswor(config.n_population, config.sample_size)
+    design = SurveyDesign(config.n_population, config.sample_size)
     ids = replicate_ids(config.n_population, config.sample_size, config.seed,
                         (_REPLICATE_KEY,), indices)
     y_s = np.take(state.y, ids)

@@ -8,7 +8,11 @@ set may be a strict subset of its true one.
 
 Links are stored in one direction only: sorted by (unit, record), with one
 offset per covered unit. The record side is kept only as per-record link
-counts; a record's units come from a scan of the link arrays.
+counts.
+
+Simulated populations (``synthpop``) take the auxiliary file to be the
+population, so unit i's match is record i, and the units whose match is
+among their links stand for the matches; no unit-record match map exists.
 
 Weight schemes are immutable once built: they are constants of the sampling
 process, and nothing downstream may mutate them.
@@ -104,35 +108,12 @@ class Population:
         return float(self.y.mean())
 
 
-@dataclass(frozen=True)
-class MatchSet:
-    """True unit-record matches (simulation mode): an injective partial map,
-    held as the matched units in ascending order and the record of each."""
-
-    units: np.ndarray
-    records: np.ndarray
-
-    def __post_init__(self) -> None:
-        units = np.asarray(self.units, dtype=np.int64)
-        records = np.asarray(self.records, dtype=np.int64)
-        if units.ndim != 1 or records.shape != units.shape:
-            raise ValidationError("matches need one record per matched unit")
-        if np.any(np.diff(units) <= 0):
-            raise ValidationError("matched units must be distinct and ascending")
-        if np.any(np.diff(np.sort(records)) == 0):
-            raise ValidationError("matches must map distinct units to distinct records")
-        object.__setattr__(self, "units", _readonly(units))
-        object.__setattr__(self, "records", _readonly(records))
-
-
 class LinkageStructure:
     """Links between covered units and auxiliary records.
 
     A CSR layout over the links sorted by (unit, record): a unit's links are
     an O(1) slice, and ``degrees`` and ``multiplicities`` count the links of
-    each covered unit and each record. No record-side index is built; the
-    units of one record come from a scan of the link arrays, in the same
-    ascending order.
+    each covered unit and each record. No record-side index is built.
     """
 
     def __init__(self, scope: str, covered_units: np.ndarray, n_records: int,
@@ -158,11 +139,6 @@ class LinkageStructure:
     def n_covered(self) -> int:
         return len(self.covered_units)
 
-    @property
-    def covered_records(self) -> np.ndarray:
-        """Records reached by at least one link."""
-        return np.unique(self.link_records)
-
     def unit_position(self, unit: int) -> int:
         pos = int(np.searchsorted(self.covered_units, unit))
         if pos >= self.n_covered or self.covered_units[pos] != unit:
@@ -173,14 +149,6 @@ class LinkageStructure:
         """The link set of a covered unit."""
         pos = self.unit_position(unit)
         return self.link_records[self._unit_ptr[pos]:self._unit_ptr[pos + 1]]
-
-    def units_of(self, record: int) -> np.ndarray:
-        """Units linked to a record, ascending: the full link set under
-        population scope, the observed sample link set otherwise. Scans
-        every link."""
-        if not 0 <= record < self.n_records:
-            raise ValidationError(f"record {record} out of range")
-        return self.link_units[self.link_records == record]
 
     def unit_index_per_link(self) -> np.ndarray:
         """Covered-unit position of each link, aligned with the link arrays."""

@@ -2,8 +2,9 @@
 
 The generators follow one fixed recipe. Study values come from a linear
 model with uniform covariate and optionally heteroscedastic noise. The
-auxiliary file equals the population (record i is the matching record of
-unit i), so the ideal matched-data estimator is computable as a reference.
+auxiliary file equals the population, so unit i's match is record i, and
+the matches are given by the matched units alone; the ideal matched-data
+estimator is computable as a reference.
 Link counts, match coverage and best-link quality are controlled by three
 proportions:
 
@@ -32,7 +33,6 @@ from .linkage import (
     POPULATION,
     AuxDatabase,
     LinkageStructure,
-    MatchSet,
     Population,
     WeightScheme,
     build_linkage,
@@ -145,11 +145,12 @@ def _draw_false_records(rng: np.random.Generator, owners: np.ndarray,
 
 
 def gen_linkage(n_units: int, model: LinkageModel, rng: np.random.Generator
-                ) -> tuple[MatchSet, LinkageStructure, np.ndarray]:
+                ) -> tuple[np.ndarray, LinkageStructure, np.ndarray]:
     """Generate matches, population links and best links over A = U.
 
-    Returns the realised matches (the units whose match is among their
-    links), the population-scope linkage, and the best-link record per unit.
+    Returns the matched units in ascending order (the units whose match,
+    record i for unit i, is among their links), the population-scope
+    linkage, and the best-link record per unit.
     """
     counts = proportional_counts(n_units, model.link_share)
     n_single = int(counts[0])
@@ -201,14 +202,15 @@ def gen_linkage(n_units: int, model: LinkageModel, rng: np.random.Generator
     pick = rng.integers(0, n_false[rest])
     best[rest] = false_records[false_offsets[rest] + pick]
 
-    return MatchSet(units=matched_units, records=matched_units), linkage, best
+    return matched_units, linkage, best
 
 
-def gen_pi_q_weights(linkage: LinkageStructure, matches: MatchSet, q: float,
+def gen_pi_q_weights(linkage: LinkageStructure, matched: np.ndarray, q: float,
                      rng: np.random.Generator) -> WeightScheme:
-    """Unequal incidence weights: q on each record's match when the matched
-    unit is among its links, otherwise q on a uniformly chosen link; the
-    other links share (1 - q) equally. Single-link records get weight 1."""
+    """Unequal incidence weights: q on record r's link to its match, unit r,
+    when r is among the ``matched`` units, otherwise q on a uniformly chosen
+    link; the other links share (1 - q) equally. Single-link records get
+    weight 1."""
     if linkage.scope != POPULATION:
         raise ValidationError("incidence weights require population links")
     if not 0 < q < 1:
@@ -222,9 +224,9 @@ def gen_pi_q_weights(linkage: LinkageStructure, matches: MatchSet, q: float,
     order.sort()
     np.remainder(order, n_links, out=order)
     records = np.repeat(np.arange(linkage.n_records), m)
-    match_unit = np.full(linkage.n_records, -1, dtype=np.int64)
-    match_unit[matches.records] = matches.units
-    hit = (linkage.link_units[order] == match_unit[records]) & (m[records] > 1)
+    is_matched = np.zeros(linkage.n_records, dtype=bool)
+    is_matched[matched] = True
+    hit = (linkage.link_units[order] == records) & (is_matched & (m > 1))[records]
     # q on the match link where it is among the record's links, otherwise on
     # a link drawn per record, records in ascending order
     values[order[hit]] = q

@@ -188,7 +188,7 @@ def test_criterion_6_exact_oracle_suite():
             from itertools import combinations
 
             from greglink.design import Sample, SurveyDesign
-            design = SurveyDesign.srswor(n_population, n)
+            design = SurveyDesign(n_population, n)
             pi = np.full(n, design.f)
             worst = 0.0
             for ids in combinations(range(n_population), n):
@@ -270,12 +270,12 @@ def test_criterion_8_weight_constraint_suite():
             x, population = gen_population(PopulationModel(n_units=n_population),
                                            rng_stream(rng_master, 0))
             aux = AuxDatabase.from_values(x)
-            matches, linkage, best = gen_linkage(n_population, model,
+            matched, linkage, best = gen_linkage(n_population, model,
                                                  rng_stream(rng_master, 1))
 
-            counts_exact &= len(matches.units) == round(n_population * config.match_rate)
+            counts_exact &= len(matched) == round(n_population * config.match_rate)
             correct_best = sum(
-                1 for unit, record in zip(matches.units.tolist(), matches.records.tolist())
+                1 for unit, record in zip(matched.tolist(), matched.tolist())
                 if best[unit] == record)
             counts_exact &= correct_best == round(
                 n_population * config.correct_best_rate)
@@ -289,7 +289,7 @@ def test_criterion_8_weight_constraint_suite():
             worst_reverse = max(worst_reverse,
                                 float(np.abs(unit_sums - 1.0).max()))
             from greglink.synthpop import gen_pi_q_weights
-            incidence = gen_pi_q_weights(linkage, matches, 0.35,
+            incidence = gen_pi_q_weights(linkage, matched, 0.35,
                                          rng_stream(rng_master, 2))
             record_sums = np.bincount(linkage.link_records,
                                       weights=incidence.values,
@@ -336,7 +336,7 @@ def test_criterion_9_diagnostics_calibration():
     aux = AuxDatabase.from_values(x)
     model = LinkageModel(link_share=(0.2, 0.4, 0.4), match_rate=0.4,
                          correct_best_rate=0.4, best_link_weight=0.4)
-    matches, linkage, best = gen_linkage(n_population, model,
+    matched, linkage, best = gen_linkage(n_population, model,
                                          rng_stream(SEED, 1))
     reverse = reverse_weights_best_link(linkage, best, 0.4)
 

@@ -431,7 +431,7 @@ def test_simulate_census_scenario_exits_with_error(tmp_path, capsys):
                      "population = 50\nsample = 50\nreplicates = 20\n")
     assert main(["simulate", scenario]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "sample size 50 outside 1..49" in err
+    assert err.startswith("error: ") and "sample size 50 outside 2..49" in err
 
 
 def test_bad_worker_variable_only_matters_to_simulate(tmp_path, capsys, monkeypatch):
@@ -475,6 +475,24 @@ def test_negative_seeds_are_rejected_where_they_enter(tmp_path, capsys, source):
                      f"{scenario}: block 1: seed must be nonnegative, got -2"),
         "oracle": (["oracle", "--big-n", "6", "--n", "2", "--seed", "-1"],
                    "--seed must be nonnegative, got -1"),
+    }[source]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("source", ["scenario", "oracle"])
+def test_one_unit_samples_are_rejected_where_they_enter(tmp_path, capsys, source):
+    # one unit per sample leaves no variance estimator: the oracle printed a
+    # nan deviation with exit 0, and a block failed every replicate of the
+    # ideal estimator with exit 2
+    scenario = write(tmp_path / "s.scenario",
+                     "population = 50\nsample = 1\nreplicates = 40\n")
+    argv, message = {
+        "scenario": (["simulate", scenario],
+                     f"{scenario}: block 1: sample size 1 outside 2..49"),
+        "oracle": (["oracle", "--big-n", "8", "--n", "1"],
+                   "--n must be at least 2, got 1"),
     }[source]
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -529,7 +547,7 @@ def test_round_trip_dump_and_estimate_bitwise(tmp_path):
     aux = AuxDatabase.from_values(x)
     model = LinkageModel(link_share=(0.4, 0.3, 0.3), match_rate=0.8,
                          correct_best_rate=0.7)
-    matches, linkage, best = gen_linkage(n_population, model, rng_stream(42, 1))
+    _, linkage, best = gen_linkage(n_population, model, rng_stream(42, 1))
     sample = draw_srswor(n_population, n, rng_stream(42, 2))
 
     sub_linkage, link_index = linkage.restrict(sample.ids)
@@ -677,7 +695,8 @@ def diagnose_transcript() -> str:
 
 
 def test_oracle_stdout_is_golden():
-    # recorded before the enumeration was stacked into batches
+    # recorded before the enumeration was stacked into batches; the --n 1
+    # entries were recorded again when one-unit samples began to exit 1
     assert oracle_transcript() == ORACLE_GOLDEN_PATH.read_text(encoding="utf-8")
 
 
@@ -685,3 +704,28 @@ def test_diagnose_stdout_is_golden(tmp_path, monkeypatch):
     # recorded before the record-side link index was dropped
     monkeypatch.chdir(tmp_path)
     assert diagnose_transcript() == DIAGNOSE_GOLDEN_PATH.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("scope", ["population", "sample"])
+def test_diagnose_echoes_every_record_of_a_full_echo(tmp_path, monkeypatch, capsys, scope):
+    # the golden echo stops at the default --limit 50; here every linked
+    # record is echoed and checked against a scan of the links for it
+    from perfbench.workloads import Size, write_estimate_inputs
+
+    monkeypatch.chdir(tmp_path)
+    write_estimate_inputs(Path("."), Size(2000, 200), seed=15)
+    argv = ["diagnose", "--aux", "aux.csv", "--links", "links.csv", "--limit", "2000"]
+    if scope == "population":
+        argv += ["--big-n", "2000"]
+    assert main(argv) == 0
+    echoed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("record ")]
+
+    links = np.loadtxt("links.csv", delimiter=",", skiprows=1, usecols=(0, 1), dtype=np.int64)
+    link_units, link_records = links[:, 0], links[:, 1]
+    name = "units" if scope == "population" else "sample units"
+    expected = []
+    for r in np.unique(link_records):
+        units = [str(u) for u in link_units[link_records == r]]
+        expected.append(f"record {r}: {name} {units} (m={len(units)})")
+    assert echoed == expected

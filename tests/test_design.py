@@ -67,14 +67,14 @@ def test_srswor_rejects_bad_sizes():
 
 def test_ht_census_is_exact():
     y = np.array([3.0, 1.0, 4.0, 1.5])
-    sample = Sample(ids=np.arange(4), pi=np.ones(4), design=SurveyDesign.srswor(4, 4))
+    sample = Sample(ids=np.arange(4), pi=np.ones(4), design=SurveyDesign(4, 4))
     est = ht_total(y, sample)
     assert est.value == pytest.approx(y.sum(), rel=1e-15)
 
 
 def test_ht_hand_example():
     # N=4, n=2, s={0,2}, y=(1,2,3,4): pi=1/2, estimate 2*(1+3)=8
-    design = SurveyDesign.srswor(4, 2)
+    design = SurveyDesign(4, 2)
     sample = Sample(ids=np.array([0, 2]), pi=np.full(2, 0.5), design=design)
     est = ht_total(np.array([1.0, 3.0]), sample)
     assert est.value == pytest.approx(8.0)
@@ -83,13 +83,13 @@ def test_ht_hand_example():
 
 
 def test_sample_rejects_non_finite_inclusion_probabilities():
-    design = SurveyDesign.srswor(4, 2)
+    design = SurveyDesign(4, 2)
     with pytest.raises(ValidationError, match="inclusion probabilities"):
         Sample(ids=np.array([0, 2]), pi=np.array([0.5, np.nan]), design=design)
 
 
 def test_sample_rejects_size_other_than_design():
-    design = SurveyDesign.srswor(10, 5)
+    design = SurveyDesign(10, 5)
     with pytest.raises(ValidationError, match="sample has 3 units but the design's sample size is 5"):
         Sample(ids=np.array([0, 2, 4]), pi=np.full(3, 0.5), design=design)
     with pytest.raises(ValidationError, match="sample has 0 units"):
@@ -98,13 +98,13 @@ def test_sample_rejects_size_other_than_design():
 
 def test_residual_variance_matches_sample_variance_bitwise():
     e = rng_stream(8, 0).normal(size=37)
-    design = SurveyDesign.srswor(500, 37)
+    design = SurveyDesign(500, 37)
     expected = 500**2 * (1.0 - design.f) * float(np.var(e, ddof=1)) / 37
     assert residual_variances(e, design) == expected
 
 
 def test_ht_rejects_missing_values():
-    design = SurveyDesign.srswor(4, 2)
+    design = SurveyDesign(4, 2)
     sample = Sample(ids=np.array([0, 2]), pi=np.full(2, 0.5), design=design)
     with pytest.raises(ValidationError):
         ht_total(np.array([1.0]), sample)
@@ -113,7 +113,7 @@ def test_ht_rejects_missing_values():
 
 
 def test_ht_mean_target_scaling():
-    design = SurveyDesign.srswor(4, 2)
+    design = SurveyDesign(4, 2)
     sample = Sample(ids=np.array([0, 2]), pi=np.full(2, 0.5), design=design)
     y = np.array([1.0, 3.0])
     total = ht_total(y, sample, target="total")
@@ -123,7 +123,7 @@ def test_ht_mean_target_scaling():
 
 
 def test_ht_unequal_probabilities_variance_unavailable():
-    design = SurveyDesign(n_population=4, sample_size=2, kind="external")
+    design = SurveyDesign(n_population=4, sample_size=2)
     sample = Sample(ids=np.array([0, 2]), pi=np.array([0.3, 0.6]), design=design)
     est = ht_total(np.array([1.0, 3.0]), sample)
     assert est.value == pytest.approx(1.0 / 0.3 + 3.0 / 0.6)
@@ -131,18 +131,18 @@ def test_ht_unequal_probabilities_variance_unavailable():
 
 
 def test_residual_variance_constant_residuals():
-    assert residual_variances(np.full(5, 2.5), SurveyDesign.srswor(50, 5)) == 0.0
+    assert residual_variances(np.full(5, 2.5), SurveyDesign(50, 5)) == 0.0
 
 
 def test_residual_variance_hand_example():
     # e=(1,-1), N=4, n=2: 16 * (1-0.5) * 2 / 2 = 8
-    value = residual_variances(np.array([1.0, -1.0]), SurveyDesign.srswor(4, 2))
+    value = residual_variances(np.array([1.0, -1.0]), SurveyDesign(4, 2))
     assert value == pytest.approx(8.0)
 
 
 def test_residual_variance_needs_two_units():
     # one residual has no sample variance
-    assert math.isnan(residual_variances(np.array([1.0]), SurveyDesign.srswor(4, 2)))
+    assert math.isnan(residual_variances(np.array([1.0]), SurveyDesign(4, 2)))
 
 
 def test_exact_moments_ht_identities():
@@ -289,7 +289,7 @@ def test_short_chunks_use_the_streams(floyd_calls):
        n=st.integers(1, 10))
 def test_unmasked_residual_variances_equal_an_all_true_mask(e, n):
     # the unmasked sums skip the mask; x * 1.0 = x, so no bit may move
-    design = SurveyDesign.srswor(n + 10, n)
+    design = SurveyDesign(n + 10, n)
     np.testing.assert_array_equal(
         residual_variances(e, design),
         residual_variances(e, design, np.ones(e.shape, dtype=bool)))

@@ -123,7 +123,7 @@ def test_greg_batch_marks_singular_fits_nan():
                   with_intercept(np.full((3, 1), 0.5))])
     y = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
     batch = greg_batch(x, y, np.full((2, 3), 0.3), np.array([10.0, 5.0]),
-                       SurveyDesign.srswor(10, 3))
+                       SurveyDesign(10, 3))
     assert np.isfinite(batch.values[0]) and np.isfinite(batch.variances[0])
     assert np.isnan(batch.values[1]) and np.isnan(batch.variances[1])
 
@@ -261,7 +261,7 @@ def test_sub_greg_fixed_coefficients_difference_form():
 
 
 def test_sub_greg_too_small():
-    design = SurveyDesign.srswor(40, 10)
+    design = SurveyDesign(40, 10)
     with pytest.raises(ValidationError, match="subsample too small"):
         sub_greg(np.array([1.0, 2.0]), np.array([[1.0], [2.0]]),
                  np.array([0.5]), design)
@@ -377,7 +377,6 @@ def test_npa_matches_brute_force():
             - len(linked) / 5 * x.mean())
     assert npa.indicator_x_cov[0] == pytest.approx(cov2, rel=1e-12)
     assert npa.n_linked_records == len(linked)
-    assert npa.linked_total[0] == pytest.approx(sum(x[r] for r in linked))
 
 
 def test_npa_rejects_sample_scope():

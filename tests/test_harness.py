@@ -95,7 +95,7 @@ def test_replicate_minimum():
         ScenarioConfig(name="bad", n_population=100, sample_size=10, replicates=1)
 
 
-@pytest.mark.parametrize("sample_size", [0, 100, 101])
+@pytest.mark.parametrize("sample_size", [0, 1, 100, 101])
 def test_sample_size_must_leave_units_out(sample_size):
     with pytest.raises(ValidationError, match="sample size"):
         ScenarioConfig(name="bad", n_population=100, sample_size=sample_size,

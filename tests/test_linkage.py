@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from greglink.errors import ValidationError
 from greglink.linkage import (
     AuxDatabase,
-    MatchSet,
     WeightScheme,
     best_link_indicator_weights,
     build_linkage,
@@ -38,7 +37,6 @@ def test_population_adjacency(example_population_links):
     assert L.n_links == 9
     assert list(L.records_of(2)) == [2, 3]
     assert list(L.records_of(3)) == [2, 3, 4]
-    assert list(L.units_of(1)) == [0, 1]
     assert list(L.multiplicities) == [0, 2, 2, 2, 1, 2]
     assert list(L.degrees) == [1, 1, 2, 3, 1, 1]
 
@@ -49,11 +47,9 @@ def test_sample_adjacency(example_aux):
     L = build_linkage(links, [1, 2, 3], example_aux)
     assert L.scope == "sample"
     assert list(L.records_of(2)) == [2, 3]
-    assert list(L.units_of(2)) == [2, 3]
-    assert list(L.units_of(3)) == [2, 3]
-    assert list(L.units_of(4)) == [3]
     assert list(L.degrees) == [1, 2, 3]
-    assert set(L.covered_records) == {1, 2, 3, 4}
+    # records 2 and 3 are shared by units 2 and 3, record 4 is unit 3's alone
+    assert list(L.multiplicities) == [0, 1, 2, 2, 1, 0]
 
 
 def test_identity_links_all_degrees_one():
@@ -66,8 +62,7 @@ def test_identity_links_all_degrees_one():
 def test_hand_built_two_unit_linkage():
     aux = AuxDatabase.from_values(np.array([2.0, 4.0]))
     L = build_linkage([(0, 0), (1, 0), (1, 1)], 2, aux)
-    assert list(L.units_of(0)) == [0, 1]
-    assert list(L.units_of(1)) == [1]
+    assert list(L.multiplicities) == [2, 1]
     assert list(L.degrees) == [1, 2]
 
 
@@ -276,14 +271,6 @@ def test_weight_scheme_rejects_non_finite_values(example_population_links, kind)
                      values=np.full(example_population_links.n_links, np.nan))
 
 
-def test_matchset_injective():
-    MatchSet(units=[0, 1], records=[1, 2])
-    with pytest.raises(ValidationError, match="distinct"):
-        MatchSet(units=[0, 1], records=[1, 1])
-    m = MatchSet(units=[0, 2], records=[3, 1])
-    assert dict(zip(m.records.tolist(), m.units.tolist())) == {3: 0, 1: 2}
-
-
 # random small linkages: every unit picks a nonempty subset of records
 links_strategy = st.integers(2, 7).flatmap(
     lambda n_rec: st.lists(
@@ -306,12 +293,10 @@ def random_linkage(draw):
 @settings(max_examples=60, deadline=None)
 def test_transpose_consistency(linkage_aux):
     L, _ = linkage_aux
-    for unit in L.covered_units:
-        for rec in L.records_of(int(unit)):
-            assert unit in L.units_of(int(rec))
-    for rec in range(L.n_records):
-        for unit in L.units_of(rec):
-            assert rec in L.records_of(int(unit))
+    # each record's link count is the number of unit link sets it is in
+    unit_sets = [L.records_of(int(unit)) for unit in L.covered_units]
+    assert np.array_equal(np.bincount(np.concatenate(unit_sets), minlength=L.n_records),
+                          L.multiplicities)
     assert L.multiplicities.sum() == L.n_links
     assert L.degrees.sum() == L.n_links
 
@@ -360,11 +345,10 @@ def shuffled_links(draw):
 
 
 def reference_links(pairs):
-    """Links in (unit, record) order by lexsort, and the stable record order."""
+    """Links in (unit, record) order by lexsort."""
     pairs = np.asarray(pairs, dtype=np.int64)
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    units, records = pairs[order, 0], pairs[order, 1]
-    return units, records, np.argsort(records, kind="stable")
+    return pairs[order, 0], pairs[order, 1]
 
 
 @given(shuffled_links())
@@ -372,12 +356,10 @@ def reference_links(pairs):
 def test_build_linkage_orders_links_like_lexsort(case):
     pairs, covered, n_rec = case
     L = build_linkage(pairs, covered, n_rec)
-    units, records, rec_order = reference_links(pairs)
+    units, records = reference_links(pairs)
     assert np.array_equal(L.link_units, units)
     assert np.array_equal(L.link_records, records)
-    for record in range(n_rec):
-        assert np.array_equal(L.units_of(record),
-                              units[rec_order][records[rec_order] == record])
+    assert np.array_equal(L.multiplicities, np.bincount(records, minlength=n_rec))
 
 
 @given(shuffled_links(), st.sampled_from(["duplicate", "dangling", "uncovered"]),

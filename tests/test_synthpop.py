@@ -70,8 +70,8 @@ def test_proportional_counts_rounding():
 def test_linkage_identity_degenerate_case():
     model = LinkageModel(link_share=(1.0, 0.0, 0.0), match_rate=1.0,
                          correct_best_rate=1.0)
-    matches, linkage, best = gen_linkage(50, model, rng_stream(4, 0))
-    assert len(matches.units) == 50
+    matched, linkage, best = gen_linkage(50, model, rng_stream(4, 0))
+    assert len(matched) == 50
     assert np.all(linkage.degrees == 1)
     assert np.all(linkage.link_units == linkage.link_records)
     assert np.array_equal(best, np.arange(50))
@@ -80,18 +80,18 @@ def test_linkage_identity_degenerate_case():
 def test_linkage_counts_main_setting():
     model = LinkageModel(link_share=(0.4, 0.3, 0.3), match_rate=0.9,
                          correct_best_rate=0.9)
-    matches, linkage, best = gen_linkage(5000, model, rng_stream(5, 0))
+    matched, linkage, best = gen_linkage(5000, model, rng_stream(5, 0))
     counts = np.bincount(linkage.degrees)
     assert list(counts[1:]) == [2000, 1500, 1500]
     assert linkage.n_links == 2000 + 2 * 1500 + 3 * 1500
-    assert len(matches.units) == 4500
+    assert len(matched) == 4500
 
 
 def test_linkage_structural_audit():
     model = LinkageModel(link_share=(0.2, 0.4, 0.4), match_rate=0.4,
                          correct_best_rate=0.3)
-    matches, linkage, best = gen_linkage(2000, model, rng_stream(6, 0))
-    record_of_unit = dict(zip(matches.units.tolist(), matches.records.tolist()))
+    matched, linkage, best = gen_linkage(2000, model, rng_stream(6, 0))
+    record_of_unit = dict(zip(matched.tolist(), matched.tolist()))
     assert len(record_of_unit) == round(2000 * 0.4)
     # every single-link unit's link is its match
     singles = np.flatnonzero(linkage.degrees == 1)
@@ -124,8 +124,7 @@ def test_linkage_determinism():
                          correct_best_rate=0.6)
     m1, l1, b1 = gen_linkage(800, model, rng_stream(7, 0))
     m2, l2, b2 = gen_linkage(800, model, rng_stream(7, 0))
-    assert np.array_equal(m1.units, m2.units)
-    assert np.array_equal(m1.records, m2.records)
+    assert np.array_equal(m1, m2)
     assert np.array_equal(l1.link_units, l2.link_units)
     assert np.array_equal(l1.link_records, l2.link_records)
     assert np.array_equal(b1, b2)
@@ -148,10 +147,10 @@ def test_linkage_model_validation():
 def test_pi_q_weights_rules():
     model = LinkageModel(link_share=(0.2, 0.4, 0.4), match_rate=0.6,
                          correct_best_rate=0.5)
-    matches, linkage, _ = gen_linkage(1000, model, rng_stream(9, 0))
-    scheme = gen_pi_q_weights(linkage, matches, 0.4, rng_stream(9, 1))
+    matched, linkage, _ = gen_linkage(1000, model, rng_stream(9, 0))
+    scheme = gen_pi_q_weights(linkage, matched, 0.4, rng_stream(9, 1))
     assert scheme.kind == INCIDENCE
-    unit_of_record = dict(zip(matches.records.tolist(), matches.units.tolist()))
+    unit_of_record = dict(zip(matched.tolist(), matched.tolist()))
     m = linkage.multiplicities
     for record in range(linkage.n_records):
         if m[record] == 0:
@@ -178,15 +177,15 @@ def test_pi_q_weights_match_per_record_loop():
     # the same links and leave the generator in the same state
     model = LinkageModel(link_share=(0.2, 0.4, 0.4), match_rate=0.6,
                          correct_best_rate=0.5)
-    matches, linkage, _ = gen_linkage(2000, model, rng_stream(12, 0))
+    matched, linkage, _ = gen_linkage(2000, model, rng_stream(12, 0))
     rng = rng_stream(12, 1)
-    scheme = gen_pi_q_weights(linkage, matches, 0.3, rng)
+    scheme = gen_pi_q_weights(linkage, matched, 0.3, rng)
 
     ref_rng = rng_stream(12, 1)
     m = linkage.multiplicities
     expected = np.where(m[linkage.link_records] == 1, 1.0,
                         0.7 / np.maximum(m[linkage.link_records] - 1, 1))
-    unit_of_record = dict(zip(matches.records.tolist(), matches.units.tolist()))
+    unit_of_record = dict(zip(matched.tolist(), matched.tolist()))
     for record in np.flatnonzero(m > 1):
         positions = np.flatnonzero(linkage.link_records == record)
         hits = np.flatnonzero(linkage.link_units[positions]
@@ -204,7 +203,7 @@ def test_pi_q_weights_multiplicity_range():
     # most records still carry at most 3 links
     model = LinkageModel(link_share=(0.2, 0.4, 0.4), match_rate=0.4,
                          correct_best_rate=0.4)
-    matches, linkage, _ = gen_linkage(5000, model, rng_stream(10, 0))
+    matched, linkage, _ = gen_linkage(5000, model, rng_stream(10, 0))
     m = linkage.multiplicities
     assert m.max() > linkage.degrees.max()
     assert np.mean(m <= 3) > 0.75
@@ -213,9 +212,9 @@ def test_pi_q_weights_multiplicity_range():
 def test_pi_q_weights_validation():
     model = LinkageModel(link_share=(1.0, 0.0, 0.0), match_rate=1.0,
                          correct_best_rate=1.0)
-    matches, linkage, _ = gen_linkage(20, model, rng_stream(11, 0))
+    matched, linkage, _ = gen_linkage(20, model, rng_stream(11, 0))
     with pytest.raises(ValidationError, match="q must lie"):
-        gen_pi_q_weights(linkage, matches, 1.0, rng_stream(11, 1))
+        gen_pi_q_weights(linkage, matched, 1.0, rng_stream(11, 1))
 
 
 def test_aux_from_population_shape():
@@ -257,13 +256,13 @@ def setup_digests(block: str) -> dict[str, str]:
     x, _ = gen_population(config.population_model(), rng_stream(config.seed, 0))
     aux = aux_from_population(x)
     rng_links, rng_weights = rng_stream(config.seed, 1), rng_stream(config.seed, 2)
-    matches, linkage, best = gen_linkage(n, config.linkage_model(), rng_links)
-    incidence = gen_pi_q_weights(linkage, matches, config.best_link_weight, rng_weights)
+    matched, linkage, best = gen_linkage(n, config.linkage_model(), rng_links)
+    incidence = gen_pi_q_weights(linkage, matched, config.best_link_weight, rng_weights)
     reverse = reverse_weights_best_link(linkage, best, config.best_link_weight)
     return {
         "link_units": _digest(linkage.link_units),
         "link_records": _digest(linkage.link_records),
-        "matches": _digest(np.column_stack([matches.units, matches.records])),
+        "matches": _digest(np.column_stack([matched, matched])),
         "best": _digest(best),
         "pi_q_weights": _digest(incidence.values),
         "pi_q_covariates": _digest(derive_covariates(linkage, incidence, aux)),
