@@ -16,7 +16,6 @@ from .estimators import (
     DiagnosticsReport,
     GregSpec,
     NpaCovariances,
-    calibration_weights,
     consistency_diagnostics,
     greg,
     npa_covariances,

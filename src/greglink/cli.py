@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -162,21 +161,18 @@ def estimate_from_inputs(inputs: EstimationInputs, estimator: str, target: str,
     return fit.first(estimator, target), diag
 
 
-def _worker_count(text: str, source: str) -> int:
+def _worker_count(text: str) -> int:
     try:
         workers = int(text)
     except ValueError:
-        raise ValidationError(f"{source} must be an integer, got {text!r}") from None
+        raise ValidationError(f"--workers must be an integer, got {text!r}") from None
     if workers < 1:
-        raise ValidationError(f"{source} must be at least 1, got {workers}")
+        raise ValidationError(f"--workers must be at least 1, got {workers}")
     return workers
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.workers is None:
-        workers = _worker_count(os.environ.get("GREGLINK_WORKERS", "1"), "GREGLINK_WORKERS")
-    else:
-        workers = _worker_count(args.workers, "--workers")
+    workers = _worker_count(args.workers)
     configs = load_scenario_file(args.scenario)
     if not configs:
         raise ValidationError(f"{args.scenario}: no scenario blocks found")
@@ -366,9 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=None, help="override every block's seed")
     p_sim.add_argument("--k", "--replicates", dest="replicates", type=int,
                        default=None, help="override every block's replicate count")
-    p_sim.add_argument("--workers", default=None,
-                       help="worker processes, at least 1 (default from "
-                            "GREGLINK_WORKERS, else 1)")
+    p_sim.add_argument("--workers", default="1",
+                       help="worker processes, at least 1 (default 1)")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_est = sub.add_parser("estimate", help="estimate from sample, auxiliary and link files")

@@ -24,6 +24,7 @@ text and line number comes from the ``csv.reader`` path.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
@@ -44,9 +45,12 @@ T = TypeVar("T")
 
 def _parse_float(value: str, where: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError as exc:
         raise ValidationError(f"{where}: not a number: {value!r}") from exc
+    if not math.isfinite(number):
+        raise ValidationError(f"{where}: not a finite number: {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -175,16 +179,21 @@ def _csv_rows(path: Path, check_header: HeaderCheck) -> _Rows:
 
 
 def _float_columns(path: Path, rows: _Rows, columns: Sequence[int]) -> list[np.ndarray]:
-    """Cells of each column parsed with ``float``; a bad cell is reported at
-    the first line that holds one, as a row-by-row parse would."""
+    """Cells of each column parsed with ``float``; a cell that is not a
+    number, or not a finite one, is reported at the first line that holds
+    one, as a row-by-row parse would."""
     n_rows = len(rows.linenos)
     try:
-        return [np.fromiter(map(float, rows.columns[j]), np.float64, n_rows) for j in columns]
+        values = [np.fromiter(map(float, rows.columns[j]), np.float64, n_rows) for j in columns]
     except ValueError:
-        for i, lineno in enumerate(rows.linenos):
-            for j in columns:
-                _parse_float(rows.columns[j][i], f"{path}:{lineno}")
-        raise
+        pass
+    else:
+        if all(np.isfinite(v).all() for v in values):
+            return values
+    for i, lineno in enumerate(rows.linenos):
+        for j in columns:
+            _parse_float(rows.columns[j][i], f"{path}:{lineno}")
+    raise AssertionError("no bad cell found")
 
 
 def _flag_column(path: Path, rows: _Rows, column: int) -> np.ndarray:
@@ -281,6 +290,11 @@ def _check_sample_header(path: Path, header: list[str]) -> None:
 
 def _sample_table(path: Path, rows: _Rows) -> SampleTable:
     y, pi = _float_columns(path, rows, (1, 2))
+    outside = (pi <= 0) | (pi > 1)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ValidationError(f"{path}:{rows.linenos[i]}: inclusion probability "
+                              f"not in (0, 1]: {rows.columns[2][i]!r}")
     unit_keys = rows.columns[0]
     _unique_index(path, unit_keys, "sample unit")
     return SampleTable(unit_keys=unit_keys, y=y, pi=pi)

@@ -100,19 +100,16 @@ class Sample:
 
 @dataclass(frozen=True)
 class Estimate:
-    """A point estimate with its variance estimate and fit by-products.
+    """A point estimate with its variance estimate.
 
     ``variance`` is None when no design-based variance estimator is available
-    (externally supplied unequal probabilities). ``coefficients`` and
-    ``residuals`` are populated by the regression estimators only.
+    (externally supplied unequal probabilities).
     """
 
     value: float
     variance: float | None
     estimator: str
     target: str = "total"
-    coefficients: np.ndarray | None = None
-    residuals: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.target not in ("total", "mean"):
@@ -132,14 +129,11 @@ class BatchEstimate(NamedTuple):
 
     A failed fit (singular normal equations, too few units or links) has a
     NaN value. ``variances`` is also NaN where no design-based variance
-    estimator applies. ``coefficients`` and ``residuals`` are populated by
-    the regression estimators only.
+    estimator applies.
     """
 
     values: np.ndarray
     variances: np.ndarray
-    coefficients: np.ndarray | None = None
-    residuals: np.ndarray | None = None
 
     def first(self, estimator: str, target: str) -> Estimate:
         """The estimate of the first sample of the stack."""
@@ -149,8 +143,6 @@ class BatchEstimate(NamedTuple):
             variance=None if math.isnan(variance) else variance,
             estimator=estimator,
             target=target,
-            coefficients=None if self.coefficients is None else self.coefficients[0],
-            residuals=None if self.residuals is None else self.residuals[0],
         )
 
 

@@ -149,12 +149,6 @@ class GregSpec:
         object.__setattr__(self, "covariates", x)
         object.__setattr__(self, "total", t)
 
-    def design_matrix(self) -> np.ndarray:
-        return with_intercept(self.covariates)
-
-    def full_total(self, n_population: int) -> np.ndarray:
-        return np.concatenate([[float(n_population)], self.total])
-
 
 def greg_batch(x: np.ndarray, y: np.ndarray, pi: np.ndarray, total: np.ndarray,
                design: SurveyDesign, target: str = "total",
@@ -172,40 +166,27 @@ def greg_batch(x: np.ndarray, y: np.ndarray, pi: np.ndarray, total: np.ndarray,
     residuals = y - _fitted(x, b)
     values = b @ total + np.sum(residuals / pi, axis=-1)
     variances = equal_probability_variances(residuals, pi, design)
-    values, variances = scale_to_target(values, variances, target,
-                                        design.n_population)
-    return BatchEstimate(values, variances, b, residuals)
+    return BatchEstimate(*scale_to_target(values, variances, target,
+                                          design.n_population))
 
 
 def greg(spec: GregSpec, y: np.ndarray, sample: Sample,
          target: str = "total") -> Estimate:
     """Regression estimator: T'b plus the design-weighted residual total.
 
-    The implied linear weights calibrate exactly: summing them against the
-    model columns reproduces the full calibration total (population size and
-    covariate total).
+    It is linear in y, and its implied weights calibrate exactly: ``greg``
+    of y = 1 is the population size, and of y = a covariate column that
+    column's total.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (sample.n,):
         raise ValidationError("need one response per sampled unit")
     if spec.covariates.shape[0] != sample.n:
         raise ValidationError("covariate rows must align with the sample")
-    batch = greg_batch(spec.design_matrix()[None], y[None], sample.pi[None],
-                       spec.full_total(sample.design.n_population),
+    batch = greg_batch(with_intercept(spec.covariates)[None], y[None], sample.pi[None],
+                       np.concatenate([[float(sample.design.n_population)], spec.total]),
                        sample.design, target, strict=True)
     return batch.first(spec.tag, target)
-
-
-def calibration_weights(spec: GregSpec, sample: Sample) -> np.ndarray:
-    """The linear weights w_i that make greg() equal to sum_i w_i y_i."""
-    x = spec.design_matrix()
-    total = spec.full_total(sample.design.n_population)
-    xw = x * (1.0 / sample.pi)[:, None]
-    m = xw.T @ x
-    ht_x = np.sum(x / sample.pi[:, None], axis=0)
-    adjust = _solve_normal_equations(m, total - ht_x)
-    g = 1.0 + x @ adjust
-    return g / sample.pi
 
 
 def sub_greg_batch(x: np.ndarray, y: np.ndarray, kept: np.ndarray,
@@ -231,8 +212,8 @@ def sub_greg_batch(x: np.ndarray, y: np.ndarray, kept: np.ndarray,
     mean_variances = np.where(too_few, np.nan, mean_variances)
     if target == "total":
         return BatchEstimate(mean_values * design.n_population,
-                             mean_variances * design.n_population**2, b, residuals)
-    return BatchEstimate(mean_values, mean_variances, b, residuals)
+                             mean_variances * design.n_population**2)
+    return BatchEstimate(mean_values, mean_variances)
 
 
 def sub_greg(y: np.ndarray, covariates: np.ndarray, aux_mean: np.ndarray,
@@ -359,8 +340,7 @@ def sls_greg_batch(link_sum: np.ndarray, gram: np.ndarray, weighted: np.ndarray,
     variances = equal_probability_variances(taylor_residuals, pi, design)
     values = np.where(too_few, np.nan, values)
     variances = np.where(too_few, np.nan, variances)
-    values, variances = scale_to_target(values, variances, target, n_population)
-    return BatchEstimate(values, variances, b, taylor_residuals)
+    return BatchEstimate(*scale_to_target(values, variances, target, n_population))
 
 
 def sls_greg(linkage: LinkageStructure, scheme: WeightScheme, aux: AuxDatabase,

@@ -1,9 +1,7 @@
 """Monte Carlo driver: repeated samples, estimator summaries, result tables.
 
 One population and one linkage are generated per scenario block and held
-fixed while samples are redrawn, matching the fixed-links inference frame;
-``redraw_linkage`` regenerates the linkage every replicate as a sensitivity
-check.
+fixed while samples are redrawn, matching the fixed-links inference frame.
 
 Replicates run in chunks of ``REPLICATE_CHUNK`` consecutive indices. Every
 estimator the harness runs is linear in y once its per-unit covariates are
@@ -12,8 +10,7 @@ fixed, so ``estimators.build_unit_inputs`` builds those once per linkage
 gathers them for all its samples and fits each estimator with
 ``estimators.fit_unit_inputs``, in stacked array operations. A failed fit
 (singular normal equations, too few single-link units or links) records NaN
-for that estimator in that replicate only. With ``redraw_linkage`` a chunk
-is a single replicate with its own linkage.
+for that estimator in that replicate only.
 
 Replicate k always draws the sample that the stream derived from (seed, k)
 gives, and ``workers`` > 1 hands whole chunks to a process pool, so every
@@ -37,7 +34,7 @@ import numpy as np
 from .design import SurveyDesign, replicate_ids, rng_stream
 from .errors import NumericalError, ValidationError
 from .estimators import UnitInputs, build_unit_inputs, fit_unit_inputs
-from .linkage import AuxDatabase, multiplicity_weights, reverse_weights_best_link
+from .linkage import multiplicity_weights, reverse_weights_best_link
 from .synthpop import (
     LinkageModel,
     PopulationModel,
@@ -85,7 +82,6 @@ class ScenarioConfig:
     estimators: tuple[str, ...] = ESTIMATOR_ORDER
     seed: int = 0
     target: str = "mean"
-    redraw_linkage: bool = False
 
     def __post_init__(self) -> None:
         if self.replicates < 2:
@@ -124,18 +120,15 @@ class ScenarioConfig:
 @dataclass
 class _ScenarioState:
     config: ScenarioConfig
-    aux: AuxDatabase
     y: np.ndarray
     truth: float
-    inputs: list[UnitInputs] | None  # one per estimator, unless redrawn
+    inputs: list[UnitInputs]  # one per estimator
 
 
-def _build_unit_inputs(config: ScenarioConfig, aux: AuxDatabase, y: np.ndarray,
-                       rng_links: np.random.Generator,
-                       rng_weights: np.random.Generator) -> list[UnitInputs]:
-    """Each estimator's per-unit inputs over one linkage realisation; the
-    subsample estimator's coefficients are fit on the population's
-    single-link units.
+def _build_state(config: ScenarioConfig) -> _ScenarioState:
+    """The block's population and each estimator's per-unit inputs over its
+    one linkage; the subsample estimator's coefficients are fit on the
+    population's single-link units.
 
     Each weight scheme is built just before the estimators that use it and
     dropped after them, so at most one is alive at a time, and the matched
@@ -144,16 +137,19 @@ def _build_unit_inputs(config: ScenarioConfig, aux: AuxDatabase, y: np.ndarray,
     ``config.estimators``: pi-q, whose weight draw has the largest
     transient arrays, comes first while few inputs are alive, and the
     link-set sums come last but before the reverse-weighted sums. Only pi-q
-    draws from ``rng_weights``, so the order moves no draw.
+    draws from the weight stream, so the order moves no draw.
     """
-    matched, linkage, best = gen_linkage(config.n_population,
-                                         config.linkage_model(), rng_links)
+    x, population = gen_population(config.population_model(),
+                                   rng_stream(config.seed, _POP_KEY))
+    aux, y = aux_from_population(x), population.y
+    matched, linkage, best = gen_linkage(config.n_population, config.linkage_model(),
+                                         rng_stream(config.seed, _LINK_KEY))
     q = config.best_link_weight
     wanted = dict.fromkeys(config.estimators)
     built = {}
     if "pi-q" in wanted:
-        built["pi-q"] = build_unit_inputs(
-            "pi-q", linkage, aux, gen_pi_q_weights(linkage, matched, q, rng_weights))
+        built["pi-q"] = build_unit_inputs("pi-q", linkage, aux, gen_pi_q_weights(
+            linkage, matched, q, rng_stream(config.seed, _WEIGHT_KEY)))
     del matched
     if "pi-m" in wanted:
         built["pi-m"] = build_unit_inputs("pi-m", linkage, aux, multiplicity_weights(linkage))
@@ -166,27 +162,9 @@ def _build_unit_inputs(config: ScenarioConfig, aux: AuxDatabase, y: np.ndarray,
         for tag in ("sls", "sri-q"):
             if tag in wanted:
                 built[tag] = build_unit_inputs(tag, linkage, aux, reverse)
-    return [built[tag] for tag in config.estimators]
-
-
-def _build_state(config: ScenarioConfig) -> _ScenarioState:
-    x, population = gen_population(config.population_model(),
-                                   rng_stream(config.seed, _POP_KEY))
-    aux = aux_from_population(x)
     truth = population.mean if config.target == "mean" else population.total
-    inputs = None
-    if not config.redraw_linkage:
-        inputs = _build_unit_inputs(config, aux, population.y,
-                                    rng_stream(config.seed, _LINK_KEY),
-                                    rng_stream(config.seed, _WEIGHT_KEY))
-    return _ScenarioState(config=config, aux=aux, y=population.y,
-                          truth=truth, inputs=inputs)
-
-
-def _chunks(config: ScenarioConfig) -> list[range]:
-    size = 1 if config.redraw_linkage else REPLICATE_CHUNK
-    return [range(start, min(start + size, config.replicates))
-            for start in range(0, config.replicates, size)]
+    return _ScenarioState(config=config, y=y, truth=truth,
+                          inputs=[built[tag] for tag in config.estimators])
 
 
 def _run_chunk(state: _ScenarioState, indices: range
@@ -194,22 +172,15 @@ def _run_chunk(state: _ScenarioState, indices: range
     """Values and variance estimates (len(indices), n_estimators) of one
     chunk of replicates; NaN where an estimator failed."""
     config = state.config
-    inputs = state.inputs
-    if inputs is None:
-        (k,) = indices
-        inputs = _build_unit_inputs(
-            config, state.aux, state.y,
-            rng_stream(config.seed, _LINK_KEY, k),
-            rng_stream(config.seed, _WEIGHT_KEY, k))
     design = SurveyDesign(config.n_population, config.sample_size)
     ids = replicate_ids(config.n_population, config.sample_size, config.seed,
                         (_REPLICATE_KEY,), indices)
     y_s = np.take(state.y, ids)
     pi = np.full(ids.shape, design.f)
 
-    values = np.empty((len(indices), len(inputs)))
+    values = np.empty((len(indices), len(state.inputs)))
     varests = np.empty_like(values)
-    for j, unit_inputs in enumerate(inputs):
+    for j, unit_inputs in enumerate(state.inputs):
         fit = fit_unit_inputs(unit_inputs, ids, y_s, pi, design, config.target)
         values[:, j] = fit.values
         varests[:, j] = fit.variances
@@ -265,7 +236,8 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> MonteCarloSummary:
     """
     state = _build_state(config)
     k_total = config.replicates
-    chunks = _chunks(config)
+    chunks = [range(start, min(start + REPLICATE_CHUNK, k_total))
+              for start in range(0, k_total, REPLICATE_CHUNK)]
     # no more workers than chunks, so a single chunk starts no pool; chunk
     # shapes do not depend on the worker count, so neither do the results
     workers = min(workers, len(chunks))
@@ -406,7 +378,6 @@ _SCENARIO_KEYS = {
     "seed": ("seed", int),
     "target": ("target", str),
     "estimators": ("estimators", lambda v: tuple(t.strip() for t in v.split(",") if t.strip())),
-    "redraw_linkage": ("redraw_linkage", lambda v: v.strip().lower() in ("1", "true", "yes")),
 }
 
 _REQUIRED_KEYS = ("population", "sample", "replicates")
@@ -448,20 +419,26 @@ def parse_scenario_text(text: str, source: str = "<string>") -> list[ScenarioCon
     close_block()
 
     configs = []
-    for i, fields in enumerate(blocks):
+    block_of: dict[str, int] = {}  # each name's block, numbered from 1
+    for i, fields in enumerate(blocks, start=1):
         for key in _REQUIRED_KEYS:
             field_name = _SCENARIO_KEYS[key][0]
             if field_name not in fields:
                 raise ValidationError(
-                    f"{source}: block {i + 1} is missing required key {key!r}"
+                    f"{source}: block {i} is missing required key {key!r}"
                 )
         shares = (fields.pop("_p1", 0.2), fields.pop("_p2", 0.4), fields.pop("_p3", 0.4))
         fields["link_share"] = shares
-        fields.setdefault("name", f"block{i + 1}")
+        name = fields.setdefault("name", f"block{i}")
+        if name in block_of:
+            # --out writes one file per block name
+            raise ValidationError(f"{source}: block {i} repeats the name {name!r} "
+                                  f"of block {block_of[name]}")
+        block_of[name] = i
         try:
             configs.append(ScenarioConfig(**fields))
         except ValidationError as exc:
-            raise ValidationError(f"{source}: block {i + 1}: {exc}") from exc
+            raise ValidationError(f"{source}: block {i}: {exc}") from exc
     return configs
 
 

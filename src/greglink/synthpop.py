@@ -40,9 +40,12 @@ from .linkage import (
 )
 
 
+INTERCEPT, SLOPE = 1.0, 5.0
+
+
 @dataclass(frozen=True)
 class PopulationModel:
-    """Linear study-variable model y = intercept + slope * x + noise.
+    """Linear study-variable model y = INTERCEPT + SLOPE * x + noise.
 
     The covariate is uniform on (0, 1); the noise is centred normal with
     per-unit scale sigma * x**gamma, so gamma = 0 is homoscedastic and
@@ -52,8 +55,6 @@ class PopulationModel:
     n_units: int
     sigma: float = 1.5
     gamma: float = 0.0
-    intercept: float = 1.0
-    slope: float = 5.0
 
     def __post_init__(self) -> None:
         if self.n_units < 1:
@@ -102,7 +103,7 @@ def gen_population(model: PopulationModel,
     x = rng.uniform(size=model.n_units)
     scale = model.sigma * x**model.gamma
     noise = rng.normal(0.0, 1.0, size=model.n_units) * scale
-    y = model.intercept + model.slope * x + noise
+    y = INTERCEPT + SLOPE * x + noise
     return x, Population(y=y)
 
 

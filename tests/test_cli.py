@@ -116,7 +116,7 @@ def test_estimate_rejects_nan_inclusion_probability(tmp_path, capsys):
     code = main(["estimate", "--sample", sample, "--aux", aux,
                  "--links", links, "--estimator", "ht", "--big-n", "4"])
     assert code == 1
-    assert "inclusion probabilities" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {sample}:2: not a finite number: 'nan'\n"
 
 
 def test_estimate_sub_rejects_nan_response_of_multi_link_unit(tmp_path, capsys):
@@ -130,7 +130,7 @@ def test_estimate_sub_rejects_nan_response_of_multi_link_unit(tmp_path, capsys):
     code = main(["estimate", "--sample", sample, "--aux", aux,
                  "--links", links, "--estimator", "sub", "--big-n", "10"])
     assert code == 1
-    assert "non-finite value" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {sample}:5: not a finite number: 'nan'\n"
 
 
 def test_estimate_rejects_unknown_estimator(linear_fixture, capsys):
@@ -360,7 +360,7 @@ def test_estimate_rejects_nan_link_weight(tmp_path, capsys):
     code = main(["estimate", "--sample", sample, "--aux", aux,
                  "--links", links, "--estimator", "sri", "--big-n", "10"])
     assert code == 1
-    assert "weights must be finite" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {links}:2: not a finite number: 'nan'\n"
 
 
 def test_estimate_sls_needs_as_many_links_as_model_columns(tmp_path, capsys):
@@ -434,19 +434,34 @@ def test_simulate_census_scenario_exits_with_error(tmp_path, capsys):
     assert err.startswith("error: ") and "sample size 50 outside 2..49" in err
 
 
-def test_bad_worker_variable_only_matters_to_simulate(tmp_path, capsys, monkeypatch):
-    # the variable used to be parsed for every subcommand, so diagnose died
-    # with a ValueError traceback
+def test_simulate_reads_no_worker_variable(tmp_path, capsys, monkeypatch):
+    # --workers is the one way to set the worker count; GREGLINK_WORKERS was
+    # a second one
     monkeypatch.setenv("GREGLINK_WORKERS", "two")
-    aux = write(tmp_path / "aux.csv", "record_id,x1\n1,0.5\n2,0.1\n")
-    links = write(tmp_path / "links.csv", "unit_id,record_id\n1,1\n2,2\n")
-    assert main(["diagnose", "--aux", aux, "--links", links]) == 0
-    capsys.readouterr()
     scenario = write(tmp_path / "s.scenario",
                      "population = 50\nsample = 10\nreplicates = 2\n")
+    assert main(["simulate", scenario]) == 0
+    assert "GREGLINK_WORKERS" not in capsys.readouterr().err
+
+
+def test_simulate_rejects_the_redraw_linkage_key(tmp_path, capsys):
+    # every block holds one linkage fixed over its replicates
+    scenario = write(tmp_path / "s.scenario", "population = 50\nsample = 10\n"
+                     "replicates = 2\nredraw_linkage = true\n")
     assert main(["simulate", scenario]) == 1
     assert capsys.readouterr().err == (
-        "error: GREGLINK_WORKERS must be an integer, got 'two'\n")
+        f"error: {scenario}:4: unknown scenario key 'redraw_linkage'\n")
+
+
+def test_simulate_rejects_repeated_block_names_before_writing(tmp_path, capsys):
+    # both blocks went to res_a.csv, which kept the second one only
+    block = "name = a\npopulation = 50\nsample = 10\nreplicates = 2\n"
+    scenario = write(tmp_path / "s.scenario", f"{block}\n{block}")
+    out_prefix = tmp_path / "out" / "res"
+    assert main(["simulate", scenario, "--out", str(out_prefix)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {scenario}: block 2 repeats the name 'a' of block 1\n"
+    assert captured.out == "" and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("workers, message", [

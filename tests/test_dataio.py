@@ -53,6 +53,27 @@ def raised_text(call, *args) -> str:
      "3: not a number: 'two'"),
     (read_sample_csv, "unit_id,y,pi\n1,2.0,0.5\n2,3.0,half\n",
      "3: not a number: 'half'"),
+    # the first bad cell in row order, whether no number or not a finite one
+    (read_sample_csv, "unit_id,y,pi\n1,2.0,0.5\n2,x,0.5\n3,-inf,0.5\n",
+     "3: not a number: 'x'"),
+    (read_sample_csv, "unit_id,y,pi\n1,2.0,0.5\n2,3.0, NaN\n3,x,0.5\n",
+     "3: not a finite number: ' NaN'"),
+    (read_sample_csv, "unit_id,y,pi\n1,2.0,0.5\n2,3.0,0\n3,4.0,nan\n",
+     "4: not a finite number: 'nan'"),
+    (read_sample_csv, "unit_id,y,pi\n1,2.0,0.5\n2,3.0,-0.5\n3,4.0,2\n",
+     "3: inclusion probability not in (0, 1]: '-0.5'"),
+    # values the data model used to reject with no file or line, plain and quoted
+    (read_aux_csv, "record_id,x1\na,1\nb,nan\n", "3: not a finite number: 'nan'"),
+    (read_aux_csv, 'record_id,x1\n"a","1"\n"b","nan"\n', "3: not a finite number: 'nan'"),
+    (read_sample_csv, "unit_id,y,pi\n1,inf,0.5\n", "2: not a finite number: 'inf'"),
+    (read_sample_csv, 'unit_id,y,pi\n"1","inf","0.5"\n', "2: not a finite number: 'inf'"),
+    (read_sample_csv, "unit_id,y,pi\n1,2.0,0.5\n2,3.0,1.5\n",
+     "3: inclusion probability not in (0, 1]: '1.5'"),
+    (read_sample_csv, 'unit_id,y,pi\n"1","2.0","0.5"\n"2","3.0","1.5"\n',
+     "3: inclusion probability not in (0, 1]: '1.5'"),
+    (read_links_csv, "unit_id,record_id,weight\n1,a,nan\n", "2: not a finite number: 'nan'"),
+    (read_links_csv, 'unit_id,record_id,weight\n"1","a","nan"\n',
+     "2: not a finite number: 'nan'"),
     (read_links_csv, "unit_id,record_id,weight,is_best\n1,a,1.0,1\n2,b,1.0,maybe\n",
      "3: not a 0/1 flag: 'maybe'"),
     (read_aux_csv, "record_id,x1\na,1\nb,2,3\n", "3: expected 2 fields"),

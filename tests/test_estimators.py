@@ -16,7 +16,6 @@ from greglink.errors import NumericalError, ValidationError
 from greglink.estimators import (
     GregSpec,
     build_unit_inputs,
-    calibration_weights,
     consistency_diagnostics,
     greg,
     greg_batch,
@@ -176,13 +175,16 @@ def test_greg_calibration_identity():
     rng = rng_stream(6, 0)
     x_pop = rng.uniform(size=(40, 2))
     y = rng.normal(size=sample.n)
-    spec = GregSpec(covariates=x_pop[sample.ids], total=x_pop.sum(axis=0))
-    w = calibration_weights(spec, sample)
-    # weights reproduce the full total (size and covariate components)
-    assert w.sum() == pytest.approx(40.0, rel=1e-10)
-    assert w @ x_pop[sample.ids] == pytest.approx(x_pop.sum(axis=0), rel=1e-8)
-    est = greg(spec, y, sample)
-    assert w @ y == pytest.approx(est.value, rel=1e-10)
+    x_s = x_pop[sample.ids]
+    spec = GregSpec(covariates=x_s, total=x_pop.sum(axis=0))
+    # greg is linear in y, so its weights reproduce the full total (size and
+    # covariate components) when greg of y = 1 and of y = x_j returns them
+    assert greg(spec, y + 2.0 * x_s[:, 0], sample).value == pytest.approx(
+        greg(spec, y, sample).value + 2.0 * greg(spec, x_s[:, 0], sample).value, rel=1e-10)
+    assert greg(spec, np.ones(sample.n), sample).value == pytest.approx(40.0, rel=1e-10)
+    for j in range(2):
+        assert greg(spec, x_s[:, j], sample).value == pytest.approx(x_pop[:, j].sum(),
+                                                                    rel=1e-8)
 
 
 def test_greg_mean_total_scaling():

@@ -62,8 +62,7 @@ def test_single_chunk_runs_without_a_pool(monkeypatch):
     assert summary_csv_rows(run_scenario(cfg, workers=2)) == sequential
 
 
-@pytest.mark.parametrize("key, extra", [("small", {}),
-                                        ("small_redraw", {"redraw_linkage": True})])
+@pytest.mark.parametrize("key, extra", [("small", {})])
 def test_summaries_match_golden_fixture(key, extra):
     cfg = ScenarioConfig(name=key, **SMALL, **extra)
     rows = summary_csv_rows(run_scenario(cfg))
@@ -152,14 +151,6 @@ def test_chunk_boundaries_worker_invariance(replicates):
     parallel = run_scenario(cfg, workers=2)
     assert sequential.estimators == parallel.estimators
     assert all(est.failures == 0 for est in sequential.estimators)
-
-
-def test_redraw_linkage_runs_and_differs():
-    cfg_fixed = ScenarioConfig(name="fixed", **SMALL)
-    cfg_redraw = ScenarioConfig(name="redraw", redraw_linkage=True, **SMALL)
-    fixed = run_scenario(cfg_fixed)
-    redraw = run_scenario(cfg_redraw)
-    assert fixed.get("sri-q").variance != redraw.get("sri-q").variance
 
 
 def test_empty_estimator_list_gives_empty_table():
@@ -261,6 +252,22 @@ def test_parse_scenario_duplicate_key():
     bad = "population = 10\npopulation = 12\nsample = 2\nreplicates = 5\n"
     with pytest.raises(ValidationError, match="duplicate key"):
         parse_scenario_text(bad, source="inline")
+
+
+@pytest.mark.parametrize("names, message", [
+    (("a", "a"), "inline: block 2 repeats the name 'a' of block 1"),
+    (("a", "b", "a"), "inline: block 3 repeats the name 'a' of block 1"),
+    # a default name collides with an explicit one too
+    ((None, "block1"), "inline: block 2 repeats the name 'block1' of block 1"),
+    (("block2", None), "inline: block 2 repeats the name 'block2' of block 1"),
+])
+def test_parse_scenario_rejects_a_repeated_block_name(names, message):
+    # --out writes one CSV per block name, so the later block overwrote the earlier
+    block = "population = 10\nsample = 2\nreplicates = 5\n"
+    text = "\n".join(block if name is None else f"name = {name}\n{block}" for name in names)
+    with pytest.raises(ValidationError) as info:
+        parse_scenario_text(text, source="inline")
+    assert str(info.value) == message
 
 
 def test_mse_decomposition_identity():
