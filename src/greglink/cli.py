@@ -13,14 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import (
-    EstimationInputs,
-    assemble_estimation_inputs,
-    build_file_linkage,
-    order_keys,
-    read_aux_csv,
-    read_links_csv,
-)
+from .dataio import EstimationInputs, assemble_estimation_inputs, read_link_files
 from .design import Estimate, exact_design_moments, rng_stream
 from .errors import NumericalError, ValidationError
 from .estimators import (
@@ -298,32 +291,22 @@ def _sample_diagnostics(inputs: EstimationInputs, q: float) -> list[DiagnosticsR
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     if args.limit < 0:
         raise ValidationError(f"--limit must be nonnegative, got {args.limit}")
-    if args.sample is not None:
-        if args.big_n is None:
-            raise ValidationError("--big-n is required when a sample file is given")
+    if args.sample is None:
+        inputs = read_link_files(args.aux, args.links, args.big_n)
+    elif args.big_n is None:
+        raise ValidationError("--big-n is required when a sample file is given")
+    else:
         inputs = assemble_estimation_inputs(args.sample, args.aux, args.links,
                                             n_population=args.big_n)
-        _echo_structure(inputs.linkage, inputs.unit_keys, inputs.record_keys,
-                        args.limit)
-        _print_npa(inputs.linkage, inputs.aux, inputs.weights,
-                   inputs.unit_keys, inputs.record_keys)
+    # both kinds of inputs carry the linkage, its keys and weights alike
+    _echo_structure(inputs.linkage, inputs.unit_keys, inputs.record_keys, args.limit)
+    _print_npa(inputs.linkage, inputs.aux, inputs.weights, inputs.unit_keys,
+               inputs.record_keys)
+    if args.sample is not None:
         reports = _sample_diagnostics(inputs, args.q)
         print()
         for report in reports:
             _print_diagnostic(report)
-        return 0
-
-    aux_table = read_aux_csv(args.aux)
-    link_table = read_links_csv(args.links)
-    unit_keys = order_keys(set(link_table.unit_keys))
-    unit_index = dict(zip(unit_keys, range(len(unit_keys))))
-    linkage, link_rows = build_file_linkage(aux_table, link_table, unit_index,
-                                            args.big_n)
-    _echo_structure(linkage, unit_keys, aux_table.record_keys, args.limit)
-    weights = None
-    if link_table.weights is not None:
-        weights = link_table.weights[link_rows]
-    _print_npa(linkage, aux_table.aux, weights, unit_keys, aux_table.record_keys)
     return 0
 
 
@@ -363,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--k", "--replicates", dest="replicates", type=int,
                        default=None, help="override every block's replicate count")
     p_sim.add_argument("--workers", default="1",
-                       help="worker processes, at least 1 (default 1)")
+                       help="worker threads, at least 1 (default 1)")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_est = sub.add_parser("estimate", help="estimate from sample, auxiliary and link files")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -318,18 +318,51 @@ def order_keys(keys: set[str]) -> list[str]:
         return ordered
 
 
-def build_file_linkage(aux_table: AuxTable, link_table: LinkTable,
-                       unit_index: Mapping[str, int],
-                       n_population: int | None) -> tuple[LinkageStructure, np.ndarray]:
-    """The linkage of a link file's rows, and the row of each of its links.
+@dataclass(frozen=True)
+class LinkFiles:
+    """An auxiliary file and a link file read together, densely indexed, and
+    the sample file read with them, if any."""
 
-    Unit keys map to dense indices through ``unit_index``, record keys
+    aux: AuxDatabase
+    linkage: LinkageStructure
+    weights: np.ndarray | None    # per link, aligned with linkage order
+    is_best: np.ndarray | None    # per link, aligned with linkage order
+    unit_index: dict[str, int]    # external unit id -> dense index
+    unit_keys: list[str]          # dense unit index -> external id
+    record_keys: list[str]
+    sample: SampleTable | None
+
+
+def read_link_files(aux_path: str | Path, links_path: str | Path,
+                    n_population: int | None,
+                    sample_path: str | Path | None = None) -> LinkFiles:
+    """Read a link file's linkage over an auxiliary file, and a sample file
+    if one is given, whose units must all carry links and, with the linked
+    units, number at most ``n_population``.
+
+    Unit keys map to dense indices in ``order_keys`` order, record keys
     through the auxiliary file. The linkage is population-scoped exactly when
-    ``unit_index`` holds ``n_population`` units, otherwise sample-scoped over
-    all of them, so each must carry a link. Indexing a per-row column of the
-    link file with the returned rows aligns it with the linkage's link order.
-    A link given twice is rejected by its unit and record keys.
+    the link file covers ``n_population`` distinct units, otherwise
+    sample-scoped over the units it covers. A link given twice is rejected by
+    its unit and record keys.
     """
+    aux_table = read_aux_csv(aux_path)
+    link_table = read_links_csv(links_path)
+    linked = set(link_table.unit_keys)
+    sample_table = None
+    if sample_path is not None:
+        # read and checked before the linkage is built, whose errors come last
+        sample_table = read_sample_csv(sample_path)
+        n_referenced = len(linked.union(sample_table.unit_keys))
+        if n_referenced > n_population:
+            raise ValidationError(f"files reference {n_referenced} units but the "
+                                  f"population size is {n_population}")
+        missing = [k for k in sample_table.unit_keys if k not in linked]
+        if missing:
+            raise ValidationError(f"sampled units without links: {missing[:5]}")
+
+    unit_keys = order_keys(linked)
+    unit_index = dict(zip(unit_keys, range(len(unit_keys))))
     n_links = len(link_table.record_keys)
     try:
         records = np.fromiter(map(aux_table.index_of.__getitem__, link_table.record_keys),
@@ -347,13 +380,23 @@ def build_file_linkage(aux_table: AuxTable, link_table: LinkTable,
         row = rows[repeats[0]]
         raise ValidationError(f"link file repeats the link of unit {link_table.unit_keys[row]!r}"
                               f" to record {link_table.record_keys[row]!r}")
-    n_units = len(unit_index)
+    n_units = len(unit_keys)
     linkage = build_linkage(
         np.column_stack([units, records]),
         n_population if n_units == n_population else np.arange(n_units, dtype=np.int64),
         aux_table.aux,
     )
-    return linkage, rows
+    # indexing a per-row column with the sorted rows aligns it with the links
+    return LinkFiles(
+        aux=aux_table.aux,
+        linkage=linkage,
+        weights=None if link_table.weights is None else link_table.weights[rows],
+        is_best=None if link_table.is_best is None else link_table.is_best[rows],
+        unit_index=unit_index,
+        unit_keys=unit_keys,
+        record_keys=aux_table.record_keys,
+        sample=sample_table,
+    )
 
 
 def _best_links(linkage: LinkageStructure, flags: np.ndarray,
@@ -391,51 +434,28 @@ class EstimationInputs:
 def assemble_estimation_inputs(sample_path: str | Path, aux_path: str | Path,
                                links_path: str | Path,
                                n_population: int) -> EstimationInputs:
-    """Read and cross-validate the three files against a known population size.
-
-    The linkage is population-scoped exactly when the link file covers
-    ``n_population`` distinct units, otherwise sample-scoped over the units
-    it covers. Sampled units must all carry links.
-    """
-    aux_table = read_aux_csv(aux_path)
-    link_table = read_links_csv(links_path)
-    sample_table = read_sample_csv(sample_path)
-
-    linked = set(link_table.unit_keys)
-    unit_keys = order_keys(linked.union(sample_table.unit_keys))
-    if len(unit_keys) > n_population:
-        raise ValidationError(
-            f"files reference {len(unit_keys)} units but the population size is {n_population}"
-        )
-    missing = [k for k in sample_table.unit_keys if k not in linked]
-    if missing:
-        raise ValidationError(f"sampled units without links: {missing[:5]}")
-
-    # every unit is linked now, so unit_keys are exactly the link file's units
-    unit_index = dict(zip(unit_keys, range(len(unit_keys))))
-    linkage, link_rows = build_file_linkage(aux_table, link_table, unit_index,
-                                            n_population)
-    weights = None
-    if link_table.weights is not None:
-        weights = link_table.weights[link_rows]
+    """Read and cross-validate the three files against a known population
+    size, as ``read_link_files`` does, and resolve each unit's best link."""
+    files = read_link_files(aux_path, links_path, n_population, sample_path)
+    sample_table = files.sample
     best_links = None
-    if link_table.is_best is not None:
-        best_links = _best_links(linkage, link_table.is_best[link_rows], unit_keys)
+    if files.is_best is not None:
+        best_links = _best_links(files.linkage, files.is_best, files.unit_keys)
 
-    sample_ids = np.fromiter(map(unit_index.__getitem__, sample_table.unit_keys),
+    sample_ids = np.fromiter(map(files.unit_index.__getitem__, sample_table.unit_keys),
                              np.int64, len(sample_table.unit_keys))
     order = np.argsort(sample_ids)
     design = SurveyDesign(n_population=n_population, sample_size=len(sample_ids))
     sample = Sample(ids=sample_ids[order], pi=sample_table.pi[order], design=design)
     return EstimationInputs(
-        aux=aux_table.aux,
-        linkage=linkage,
+        aux=files.aux,
+        linkage=files.linkage,
         sample=sample,
         y=sample_table.y[order],
-        weights=weights,
+        weights=files.weights,
         best_links=best_links,
-        unit_keys=unit_keys,
-        record_keys=aux_table.record_keys,
+        unit_keys=files.unit_keys,
+        record_keys=files.record_keys,
     )
 
 

@@ -13,20 +13,24 @@ gathers them for all its samples and fits each estimator with
 for that estimator in that replicate only.
 
 Replicate k always draws the sample that the stream derived from (seed, k)
-gives, and ``workers`` > 1 hands whole chunks to a process pool, so every
+gives, and ``workers`` > 1 hands whole chunks to a thread pool, so every
 replicate is computed by the same operations on the same chunk shape and
-summaries are bitwise identical regardless of the worker count. A chunk
-draws its samples with ``design.replicate_ids``, which replays numpy's
-seeding, PCG64 and Floyd's sampler in array operations over the chunk and
-falls back to the stream itself for any row or case it cannot reproduce,
-so its ids equal the per-stream ``srswor_ids`` bit for bit.
+summaries are bitwise identical regardless of the worker count. A chunk is
+a few large numpy and LAPACK calls, which release the GIL, so threads run
+chunks in parallel and share the block's inputs without copying them.
+
+A chunk draws its samples with ``design.replicate_ids``, which replays
+numpy's seeding, PCG64 and Floyd's sampler in array operations over the
+chunk and falls back to the stream itself for any row or case it cannot
+reproduce, so its ids equal the per-stream ``srswor_ids`` bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +98,9 @@ class ScenarioConfig:
             # and RE and RMSE are undefined
             raise ValidationError(f"sample size {self.sample_size} outside "
                                   f"2..{self.n_population - 1}")
+        if "/" in self.name or "\\" in self.name or self.name in (".", ".."):
+            # simulate --out writes one file per block, named after the block
+            raise ValidationError(f"name {self.name!r} cannot be part of a file name")
         if self.target not in ("mean", "total"):
             raise ValidationError(f"unknown target {self.target!r}")
         unknown = [e for e in self.estimators if e not in ESTIMATOR_ORDER]
@@ -117,18 +124,11 @@ class ScenarioConfig:
                             best_link_weight=self.best_link_weight)
 
 
-@dataclass
-class _ScenarioState:
-    config: ScenarioConfig
-    y: np.ndarray
-    truth: float
-    inputs: list[UnitInputs]  # one per estimator
-
-
-def _build_state(config: ScenarioConfig) -> _ScenarioState:
-    """The block's population and each estimator's per-unit inputs over its
-    one linkage; the subsample estimator's coefficients are fit on the
-    population's single-link units.
+def _build_block(config: ScenarioConfig
+                 ) -> tuple[np.ndarray, float, list[UnitInputs]]:
+    """The block's population values, their true mean or total, and each
+    estimator's per-unit inputs over its one linkage; the subsample
+    estimator's coefficients are fit on the population's single-link units.
 
     Each weight scheme is built just before the estimators that use it and
     dropped after them, so at most one is alive at a time, and the matched
@@ -163,24 +163,22 @@ def _build_state(config: ScenarioConfig) -> _ScenarioState:
             if tag in wanted:
                 built[tag] = build_unit_inputs(tag, linkage, aux, reverse)
     truth = population.mean if config.target == "mean" else population.total
-    return _ScenarioState(config=config, y=y, truth=truth,
-                          inputs=[built[tag] for tag in config.estimators])
+    return y, truth, [built[tag] for tag in config.estimators]
 
 
-def _run_chunk(state: _ScenarioState, indices: range
-               ) -> tuple[np.ndarray, np.ndarray]:
+def _run_chunk(config: ScenarioConfig, y: np.ndarray, inputs: list[UnitInputs],
+               indices: range) -> tuple[np.ndarray, np.ndarray]:
     """Values and variance estimates (len(indices), n_estimators) of one
     chunk of replicates; NaN where an estimator failed."""
-    config = state.config
     design = SurveyDesign(config.n_population, config.sample_size)
     ids = replicate_ids(config.n_population, config.sample_size, config.seed,
                         (_REPLICATE_KEY,), indices)
-    y_s = np.take(state.y, ids)
+    y_s = np.take(y, ids)
     pi = np.full(ids.shape, design.f)
 
-    values = np.empty((len(indices), len(state.inputs)))
+    values = np.empty((len(indices), len(inputs)))
     varests = np.empty_like(values)
-    for j, unit_inputs in enumerate(state.inputs):
+    for j, unit_inputs in enumerate(inputs):
         fit = fit_unit_inputs(unit_inputs, ids, y_s, pi, design, config.target)
         values[:, j] = fit.values
         varests[:, j] = fit.variances
@@ -230,62 +228,56 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> MonteCarloSummary:
     An estimator failing in a replicate (singular fit, starving subsample)
     is recorded and skipped; more than 1 percent failures for any estimator
     aborts the run. ``workers`` > 1 runs whole chunks of replicates in a
-    process pool of at most one worker per chunk, so a single chunk runs in
-    this process. Aggregation is a sequential reduction in replicate order,
-    so results do not depend on worker scheduling.
+    thread pool of at most one thread per chunk, so a single chunk runs in
+    the calling thread; an error raised in a chunk is raised here as it is.
+    Aggregation is a sequential reduction in replicate order, so results do
+    not depend on thread scheduling.
     """
-    state = _build_state(config)
+    y, truth, inputs = _build_block(config)
     k_total = config.replicates
     chunks = [range(start, min(start + REPLICATE_CHUNK, k_total))
               for start in range(0, k_total, REPLICATE_CHUNK)]
-    # no more workers than chunks, so a single chunk starts no pool; chunk
+    run_chunk = partial(_run_chunk, config, y, inputs)
+    # no more threads than chunks, so a single chunk starts no pool; chunk
     # shapes do not depend on the worker count, so neither do the results
     workers = min(workers, len(chunks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_chunk, [state] * len(chunks), chunks))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run_chunk, chunks))
     else:
-        results = [_run_chunk(state, chunk) for chunk in chunks]
+        results = list(map(run_chunk, chunks))
     tags = config.estimators
     values = np.concatenate([r[0] for r in results])
     varests = np.concatenate([r[1] for r in results])
 
-    summaries = {}
-    for j, tag in enumerate(tags):
-        ok = np.isfinite(values[:, j])
-        failures = int(k_total - ok.sum())
-        if failures > MAX_FAILURE_SHARE * k_total:
+    ok = np.isfinite(values)
+    failures = [int(k_total - n_ok) for n_ok in ok.sum(axis=0)]
+    for tag, n_failed in zip(tags, failures):
+        if n_failed > MAX_FAILURE_SHARE * k_total:
             raise NumericalError(
-                f"estimator {tag} failed in {failures} of {k_total} replicates"
+                f"estimator {tag} failed in {n_failed} of {k_total} replicates"
             )
-        v = values[ok, j]
-        mean = float(v.mean())
-        variance = float(v.var(ddof=1))
-        mse = float(np.mean((v - state.truth) ** 2))
-        mean_varest = float(np.nanmean(varests[ok, j])) if ok.any() else math.nan
-        summaries[tag] = dict(mean=mean, variance=variance, mse=mse,
-                              mean_variance_estimate=mean_varest,
-                              failures=failures)
-
-    ht_var = summaries.get("ht", {}).get("variance")
-    ht_mse = summaries.get("ht", {}).get("mse")
+    # at most 1 percent failed, so every estimator kept at least 2 replicates
+    kept = [values[ok[:, j], j] for j in range(len(tags))]
+    variances = [float(v.var(ddof=1)) for v in kept]
+    mses = [float(np.mean((v - truth) ** 2)) for v in kept]
+    ht = tags.index("ht") if "ht" in tags else None
     rows = []
-    for tag in tags:
-        s = summaries[tag]
+    for j, tag in enumerate(tags):
+        mean_varest = float(np.nanmean(varests[ok[:, j], j]))
         rows.append(EstimatorSummary(
             estimator=tag,
-            mean=s["mean"],
-            variance=s["variance"],
-            mse=s["mse"],
-            mean_variance_estimate=s["mean_variance_estimate"],
-            se=math.sqrt(s["variance"]),
-            ese=math.sqrt(s["mean_variance_estimate"]),
-            re=None if ht_var is None else s["variance"] / ht_var,
-            rmse=None if ht_mse is None else s["mse"] / ht_mse,
-            failures=s["failures"],
+            mean=float(kept[j].mean()),
+            variance=variances[j],
+            mse=mses[j],
+            mean_variance_estimate=mean_varest,
+            se=math.sqrt(variances[j]),
+            ese=math.sqrt(mean_varest),
+            re=None if ht is None else variances[j] / variances[ht],
+            rmse=None if ht is None else mses[j] / mses[ht],
+            failures=failures[j],
         ))
-    return MonteCarloSummary(config=config, truth=state.truth,
-                             estimators=tuple(rows))
+    return MonteCarloSummary(config=config, truth=truth, estimators=tuple(rows))
 
 
 _METRICS = ("SE", "ESE", "RE", "RMSE")

@@ -464,6 +464,18 @@ def test_simulate_rejects_repeated_block_names_before_writing(tmp_path, capsys):
     assert captured.out == "" and not (tmp_path / "out").exists()
 
 
+def test_simulate_rejects_a_path_in_a_block_name_before_running(tmp_path, capsys):
+    # the blocks used to run and print before --out failed on res_a/b.csv
+    scenario = write(tmp_path / "s.scenario",
+                     "name = a/b\npopulation = 50\nsample = 10\nreplicates = 2\n")
+    out_prefix = tmp_path / "out" / "res"
+    assert main(["simulate", scenario, "--out", str(out_prefix)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {scenario}: block 1: "
+                            "name 'a/b' cannot be part of a file name\n")
+    assert captured.out == "" and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("workers, message", [
     ("0", "--workers must be at least 1, got 0"),
     ("-2", "--workers must be at least 1, got -2"),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -56,10 +57,29 @@ def test_single_chunk_runs_without_a_pool(monkeypatch):
     sequential = summary_csv_rows(run_scenario(cfg, workers=1))
 
     def no_pool(*args, **kwargs):
-        raise AssertionError("a single chunk must not start a process pool")
+        raise AssertionError("a single chunk must not start a thread pool")
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
     assert summary_csv_rows(run_scenario(cfg, workers=2)) == sequential
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_error_in_a_chunk_surfaces_unchanged(monkeypatch, workers):
+    # the second chunk holds the last 7 replicates, so only its batches have 7 rows
+    original = estimators.sub_greg_batch
+
+    def fails_in_second_chunk(x, *args, **kwargs):
+        if x.shape[0] == 7:
+            raise ValidationError("sub fit rejected chunk 2")
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(estimators, "sub_greg_batch", fails_in_second_chunk)
+    cfg = ScenarioConfig(name="chunk_error", estimators=("ht", "sub"),
+                         **{**SMALL, "replicates": harness.REPLICATE_CHUNK + 7})
+    with pytest.raises(ValidationError) as info:
+        run_scenario(cfg, workers=workers)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == "sub fit rejected chunk 2"
 
 
 @pytest.mark.parametrize("key, extra", [("small", {})])
@@ -151,6 +171,21 @@ def test_chunk_boundaries_worker_invariance(replicates):
     parallel = run_scenario(cfg, workers=2)
     assert sequential.estimators == parallel.estimators
     assert all(est.failures == 0 for est in sequential.estimators)
+
+
+def test_more_threads_than_cores_match_one_worker():
+    # the threads share the block's inputs, so a chunk writing to them would
+    # move other chunks' results; frequent switches make such a race show
+    cfg = ScenarioConfig(name="threads",
+                         **{**SMALL, "replicates": 4 * harness.REPLICATE_CHUNK + 3})
+    sequential = run_scenario(cfg, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = run_scenario(cfg, workers=5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel.estimators == sequential.estimators
 
 
 def test_empty_estimator_list_gives_empty_table():
@@ -268,6 +303,16 @@ def test_parse_scenario_rejects_a_repeated_block_name(names, message):
     with pytest.raises(ValidationError) as info:
         parse_scenario_text(text, source="inline")
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", ["a/b", "../escaped", "a\\b", ".", ".."])
+def test_parse_scenario_rejects_a_name_that_is_no_file_name(name):
+    # simulate --out writes <prefix>_<name>.csv, so a separator left the prefix directory
+    block = "population = 10\nsample = 2\nreplicates = 5\n"
+    text = f"name = ok\n{block}\nname = {name}\n{block}"
+    with pytest.raises(ValidationError) as info:
+        parse_scenario_text(text, source="inline")
+    assert str(info.value) == f"inline: block 2: name {name!r} cannot be part of a file name"
 
 
 def test_mse_decomposition_identity():
