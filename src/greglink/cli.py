@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import EstimationInputs, assemble_estimation_inputs, read_link_files
+from .dataio import EstimationInputs, assemble_estimation_inputs
 from .design import Estimate, exact_design_moments, rng_stream
 from .errors import NumericalError, ValidationError
 from .estimators import (
@@ -291,18 +291,14 @@ def _sample_diagnostics(inputs: EstimationInputs, q: float) -> list[DiagnosticsR
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     if args.limit < 0:
         raise ValidationError(f"--limit must be nonnegative, got {args.limit}")
-    if args.sample is None:
-        inputs = read_link_files(args.aux, args.links, args.big_n)
-    elif args.big_n is None:
+    if args.sample is not None and args.big_n is None:
         raise ValidationError("--big-n is required when a sample file is given")
-    else:
-        inputs = assemble_estimation_inputs(args.sample, args.aux, args.links,
-                                            n_population=args.big_n)
-    # both kinds of inputs carry the linkage, its keys and weights alike
+    inputs = assemble_estimation_inputs(args.sample, args.aux, args.links,
+                                        n_population=args.big_n)
     _echo_structure(inputs.linkage, inputs.unit_keys, inputs.record_keys, args.limit)
     _print_npa(inputs.linkage, inputs.aux, inputs.weights, inputs.unit_keys,
                inputs.record_keys)
-    if args.sample is not None:
+    if inputs.sample is not None:
         reports = _sample_diagnostics(inputs, args.q)
         print()
         for report in reports:

@@ -16,9 +16,8 @@ A file is read along one of two paths, picked by its own text. A plain file
 every row as wide as the header, no field over ``csv.field_size_limit()``)
 is split into columns with ``str`` operations; the files ``write_*_csv``
 write are plain. Every other file, for example one with quoted fields as R's
-``write.csv`` writes them, is split by ``csv.reader``, and so is a plain file
-in which any error is found. Both paths give the same tables; every error
-text and line number comes from the ``csv.reader`` path.
+``write.csv`` writes them, is split by ``csv.reader``. Both paths give the
+same tables, error texts and line numbers.
 """
 
 from __future__ import annotations
@@ -70,20 +69,15 @@ def _read_table(path: str | Path, check_header: HeaderCheck,
     """``build`` applied to the rows of a CSV file whose header passes
     ``check_header``.
 
-    A plain file is split by ``_plain_rows``; any other file, and any plain
-    file whose header, cells or keys raise an error, is read again by
-    ``_csv_rows``, so every error text and line number comes from the csv
-    path.
+    A plain file is split by ``_plain_rows``, any other file by ``_csv_rows``;
+    on a plain file both give the same header, cells and line numbers.
     """
     path = Path(path)
     rows = _plain_rows(path)
-    if rows is not None:
-        try:
-            check_header(path, rows.header)
-            return build(path, rows)
-        except ValidationError:
-            pass
-    return build(path, _csv_rows(path, check_header))
+    if rows is None:
+        return build(path, _csv_rows(path, check_header))
+    check_header(path, rows.header)
+    return build(path, rows)
 
 
 def _plain_rows(path: Path) -> _Rows | None:
@@ -319,44 +313,47 @@ def order_keys(keys: set[str]) -> list[str]:
 
 
 @dataclass(frozen=True)
-class LinkFiles:
+class EstimationInputs:
     """An auxiliary file and a link file read together, densely indexed, and
     the sample file read with them, if any."""
 
     aux: AuxDatabase
     linkage: LinkageStructure
+    sample: Sample | None         # None without a sample file
+    y: np.ndarray | None          # aligned with sample.ids
     weights: np.ndarray | None    # per link, aligned with linkage order
-    is_best: np.ndarray | None    # per link, aligned with linkage order
-    unit_index: dict[str, int]    # external unit id -> dense index
+    best_links: np.ndarray | None  # per covered unit
     unit_keys: list[str]          # dense unit index -> external id
     record_keys: list[str]
-    sample: SampleTable | None
 
 
-def read_link_files(aux_path: str | Path, links_path: str | Path,
-                    n_population: int | None,
-                    sample_path: str | Path | None = None) -> LinkFiles:
+def assemble_estimation_inputs(sample_path: str | Path | None, aux_path: str | Path,
+                               links_path: str | Path,
+                               n_population: int | None) -> EstimationInputs:
     """Read a link file's linkage over an auxiliary file, and a sample file
-    if one is given, whose units must all carry links and, with the linked
-    units, number at most ``n_population``.
+    if one is given, whose units must all carry links; resolve each unit's
+    best link when the link file flags one.
 
-    Unit keys map to dense indices in ``order_keys`` order, record keys
-    through the auxiliary file. The linkage is population-scoped exactly when
-    the link file covers ``n_population`` distinct units, otherwise
-    sample-scoped over the units it covers. A link given twice is rejected by
-    its unit and record keys.
+    The linked and sampled units must number at most ``n_population`` when
+    it is given; a sample file needs it. Unit keys map to dense indices in
+    ``order_keys`` order, record keys through the auxiliary file. The linkage
+    is population-scoped exactly when the link file covers ``n_population``
+    distinct units, otherwise sample-scoped over the units it covers. A link
+    given twice is rejected by its unit and record keys.
     """
     aux_table = read_aux_csv(aux_path)
     link_table = read_links_csv(links_path)
     linked = set(link_table.unit_keys)
+    n_referenced = len(linked)
     sample_table = None
     if sample_path is not None:
         # read and checked before the linkage is built, whose errors come last
         sample_table = read_sample_csv(sample_path)
         n_referenced = len(linked.union(sample_table.unit_keys))
-        if n_referenced > n_population:
-            raise ValidationError(f"files reference {n_referenced} units but the "
-                                  f"population size is {n_population}")
+    if n_population is not None and n_referenced > n_population:
+        raise ValidationError(f"files reference {n_referenced} units but the "
+                              f"population size is {n_population}")
+    if sample_table is not None:
         missing = [k for k in sample_table.unit_keys if k not in linked]
         if missing:
             raise ValidationError(f"sampled units without links: {missing[:5]}")
@@ -387,15 +384,27 @@ def read_link_files(aux_path: str | Path, links_path: str | Path,
         aux_table.aux,
     )
     # indexing a per-row column with the sorted rows aligns it with the links
-    return LinkFiles(
+    best_links = None
+    if link_table.is_best is not None:
+        best_links = _best_links(linkage, link_table.is_best[rows], unit_keys)
+
+    sample = y = None
+    if sample_table is not None:
+        sample_ids = np.fromiter(map(unit_index.__getitem__, sample_table.unit_keys),
+                                 np.int64, len(sample_table.unit_keys))
+        order = np.argsort(sample_ids)
+        design = SurveyDesign(n_population=n_population, sample_size=len(sample_ids))
+        sample = Sample(ids=sample_ids[order], pi=sample_table.pi[order], design=design)
+        y = sample_table.y[order]
+    return EstimationInputs(
         aux=aux_table.aux,
         linkage=linkage,
+        sample=sample,
+        y=y,
         weights=None if link_table.weights is None else link_table.weights[rows],
-        is_best=None if link_table.is_best is None else link_table.is_best[rows],
-        unit_index=unit_index,
+        best_links=best_links,
         unit_keys=unit_keys,
         record_keys=aux_table.record_keys,
-        sample=sample_table,
     )
 
 
@@ -415,48 +424,6 @@ def _best_links(linkage: LinkageStructure, flags: np.ndarray,
             f"unit {unit_keys[unit]!r} has multiple links but none flagged as best"
         )
     return linkage.link_records[flags | single[unit_of_link]]
-
-
-@dataclass(frozen=True)
-class EstimationInputs:
-    """Everything the file-based estimation path needs, densely indexed."""
-
-    aux: AuxDatabase
-    linkage: LinkageStructure
-    sample: Sample
-    y: np.ndarray                 # aligned with sample.ids
-    weights: np.ndarray | None    # per link, aligned with linkage order
-    best_links: np.ndarray | None  # per covered unit
-    unit_keys: list[str]          # dense unit index -> external id
-    record_keys: list[str]
-
-
-def assemble_estimation_inputs(sample_path: str | Path, aux_path: str | Path,
-                               links_path: str | Path,
-                               n_population: int) -> EstimationInputs:
-    """Read and cross-validate the three files against a known population
-    size, as ``read_link_files`` does, and resolve each unit's best link."""
-    files = read_link_files(aux_path, links_path, n_population, sample_path)
-    sample_table = files.sample
-    best_links = None
-    if files.is_best is not None:
-        best_links = _best_links(files.linkage, files.is_best, files.unit_keys)
-
-    sample_ids = np.fromiter(map(files.unit_index.__getitem__, sample_table.unit_keys),
-                             np.int64, len(sample_table.unit_keys))
-    order = np.argsort(sample_ids)
-    design = SurveyDesign(n_population=n_population, sample_size=len(sample_ids))
-    sample = Sample(ids=sample_ids[order], pi=sample_table.pi[order], design=design)
-    return EstimationInputs(
-        aux=files.aux,
-        linkage=files.linkage,
-        sample=sample,
-        y=sample_table.y[order],
-        weights=files.weights,
-        best_links=best_links,
-        unit_keys=files.unit_keys,
-        record_keys=files.record_keys,
-    )
 
 
 def write_aux_csv(path: str | Path, aux: AuxDatabase) -> None:

@@ -98,7 +98,7 @@ class ScenarioConfig:
             # and RE and RMSE are undefined
             raise ValidationError(f"sample size {self.sample_size} outside "
                                   f"2..{self.n_population - 1}")
-        if "/" in self.name or "\\" in self.name or self.name in (".", ".."):
+        if "/" in self.name or "\\" in self.name or self.name in ("", ".", ".."):
             # simulate --out writes one file per block, named after the block
             raise ValidationError(f"name {self.name!r} cannot be part of a file name")
         if self.target not in ("mean", "total"):

@@ -191,6 +191,24 @@ def test_diagnose_rejects_weights_of_neither_kind(tmp_path, capsys):
         "error: incidence weights for record 0 sum to 0.5, not 1\n")
 
 
+@pytest.mark.parametrize("links, big_n, message", [
+    ("unit_id,record_id\n1,a\n2,b\n3,c\n", "2",
+     "files reference 3 units but the population size is 2"),
+    ("unit_id,record_id,is_best\n1,a,0\n1,b,0\n2,b,1\n", "10",
+     "unit '1' has multiple links but none flagged as best"),
+], ids=["population-size", "best-link-flags"])
+def test_diagnose_checks_the_files_with_or_without_a_sample(tmp_path, capsys, links,
+                                                           big_n, message):
+    aux = write(tmp_path / "aux.csv", "record_id,x1\na,1\nb,2\nc,3\n")
+    links = write(tmp_path / "links.csv", links)
+    sample = write(tmp_path / "sample.csv", "unit_id,y,pi\n1,2.0,0.5\n2,3.0,0.5\n")
+    for extra in ([], ["--sample", sample]):
+        assert main(["diagnose", "--aux", aux, "--links", links, "--big-n", big_n, *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+
 def test_diagnose_with_sample_prints_statistics(linear_fixture, capsys):
     sample, aux, links = linear_fixture
     code = main(["diagnose", "--aux", aux, "--links", links,

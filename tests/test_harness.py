@@ -305,7 +305,7 @@ def test_parse_scenario_rejects_a_repeated_block_name(names, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("name", ["a/b", "../escaped", "a\\b", ".", ".."])
+@pytest.mark.parametrize("name", ["a/b", "../escaped", "a\\b", ".", "..", ""])
 def test_parse_scenario_rejects_a_name_that_is_no_file_name(name):
     # simulate --out writes <prefix>_<name>.csv, so a separator left the prefix directory
     block = "population = 10\nsample = 2\nreplicates = 5\n"
