@@ -143,6 +143,8 @@ def estimate_from_inputs(inputs: EstimationInputs, estimator: str, target: str,
             f"unknown estimator {estimator!r}; choose from {', '.join(FILE_ESTIMATORS)}"
         )
     sample = inputs.sample
+    if sample is None:
+        raise ValidationError("estimation needs a sample file")
     linkage, scheme, best = _resolve_links(inputs, estimator, q)
     unit_inputs = build_unit_inputs(estimator, linkage, inputs.aux, scheme, best, inputs.y)
     pos = np.searchsorted(linkage.covered_units, sample.ids)

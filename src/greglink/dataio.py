@@ -12,12 +12,13 @@ parses as an integer, lexicographically otherwise) and mapped back on
 output.
 
 A file is read along one of two paths, picked by its own text. A plain file
-(no quote, no NUL, no carriage return outside ``\\r\\n``, no blank row or key,
-every row as wide as the header, no field over ``csv.field_size_limit()``)
-is split into columns with ``str`` operations; the files ``write_*_csv``
-write are plain. Every other file, for example one with quoted fields as R's
-``write.csv`` writes them, is split by ``csv.reader``. Both paths give the
-same tables, error texts and line numbers.
+(no quote, no NUL, no carriage return outside ``\\r\\n``, no empty header
+line, no blank row or key, every row as wide as the header, no field over
+``csv.field_size_limit()``) is split into columns with ``str`` operations;
+the files ``write_*_csv`` write are plain. Every other file, for example one
+with quoted fields as R's ``write.csv`` writes them, is split by
+``csv.reader``. Both paths give the same tables, error texts and line
+numbers.
 """
 
 from __future__ import annotations
@@ -85,10 +86,11 @@ def _plain_rows(path: Path) -> _Rows | None:
     other file.
 
     A file is plain when it is UTF-8 text without a quote, a NUL or a
-    carriage return outside ``\\r\\n``, has at least one data row, every row
-    as wide as the header and with a key that is not blank (so no blank row),
-    and no field longer than ``csv.field_size_limit()``. ``csv.reader`` splits
-    such a text into the same cells.
+    carriage return outside ``\\r\\n``, has a header line that is not empty
+    (``csv.reader`` reads an empty line as no cells) and at least one data
+    row, every row as wide as the header and with a key that is not blank (so
+    no blank row), and no field longer than ``csv.field_size_limit()``.
+    ``csv.reader`` splits such a text into the same cells.
     """
     try:
         with path.open(newline="", encoding="utf-8") as handle:
@@ -103,7 +105,7 @@ def _plain_rows(path: Path) -> _Rows | None:
             return None
     text = text.removesuffix("\n")
     header_end = text.find("\n")
-    if header_end < 0 or not _fields_fit(text, csv.field_size_limit()):
+    if header_end <= 0 or not _fields_fit(text, csv.field_size_limit()):
         return None
     width = text.count(",", 0, header_end) + 1
     n_rows = text.count("\n")
@@ -341,6 +343,8 @@ def assemble_estimation_inputs(sample_path: str | Path | None, aux_path: str | P
     distinct units, otherwise sample-scoped over the units it covers. A link
     given twice is rejected by its unit and record keys.
     """
+    if sample_path is not None and n_population is None:
+        raise ValidationError("a sample file needs the population size")
     aux_table = read_aux_csv(aux_path)
     link_table = read_links_csv(links_path)
     linked = set(link_table.unit_keys)

@@ -20,6 +20,12 @@ batched kernel (``ht_total_batch``, ``greg_batch``, ``sub_greg_batch``,
 ``sls_greg_batch``). The Monte Carlo harness fits chunks of replicates this
 way and the command line a stack of one sample. ``greg``, ``sub_greg`` and
 ``sls_greg`` validate one sample and run the same kernels on it.
+
+A sample's fit does not depend on the samples stacked with it: every
+matrix product runs sample by sample, and each value's T'b is an
+elementwise product summed over the model columns, not a matrix-vector
+product over the stack, whose BLAS kernel may order its sums by the
+stack's size.
 """
 
 from __future__ import annotations
@@ -164,7 +170,7 @@ def greg_batch(x: np.ndarray, y: np.ndarray, pi: np.ndarray, total: np.ndarray,
     check_finite_values(y)
     b = _weighted_least_squares(x, y, 1.0 / pi, strict)
     residuals = y - _fitted(x, b)
-    values = b @ total + np.sum(residuals / pi, axis=-1)
+    values = np.sum(b * total, axis=-1) + np.sum(residuals / pi, axis=-1)
     variances = equal_probability_variances(residuals, pi, design)
     return BatchEstimate(*scale_to_target(values, variances, target,
                                           design.n_population))
@@ -204,7 +210,7 @@ def sub_greg_batch(x: np.ndarray, y: np.ndarray, kept: np.ndarray,
     residuals = y - _fitted(x, b)
     n_sub = np.sum(kept, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        mean_values = (b @ np.concatenate([[1.0], aux_mean])
+        mean_values = (np.sum(b * np.concatenate([[1.0], aux_mean]), axis=-1)
                        + np.sum(residuals * kept, axis=-1) / n_sub)
     mean_variances = residual_variances(residuals, design, kept) / design.n_population**2
     too_few = n_sub < 2
@@ -333,7 +339,8 @@ def sls_greg_batch(link_sum: np.ndarray, gram: np.ndarray, weighted: np.ndarray,
 
     fit_residuals = y - _fitted(link_sum, b) / rate
     aux_mean_full = np.concatenate([[1.0], aux_mean])
-    values = b @ (n_population * aux_mean_full) + np.sum(fit_residuals / pi, axis=-1)
+    values = (np.sum(b * (n_population * aux_mean_full), axis=-1)
+              + np.sum(fit_residuals / pi, axis=-1))
 
     taylor_residuals = (fit_residuals
                         + (d / rate) * np.sum(link_mean_hat * b, axis=-1)[..., None])

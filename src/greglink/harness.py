@@ -13,11 +13,12 @@ gathers them for all its samples and fits each estimator with
 for that estimator in that replicate only.
 
 Replicate k always draws the sample that the stream derived from (seed, k)
-gives, and ``workers`` > 1 hands whole chunks to a thread pool, so every
-replicate is computed by the same operations on the same chunk shape and
-summaries are bitwise identical regardless of the worker count. A chunk is
-a few large numpy and LAPACK calls, which release the GIL, so threads run
-chunks in parallel and share the block's inputs without copying them.
+gives, and its result depends only on that sample: ``fit_unit_inputs``
+fits a sample alone as it fits it in a stack. So neither the chunk size
+nor the worker count moves any bit of the summaries. ``workers`` > 1 hands
+whole chunks to a thread pool. A chunk is a few large numpy and LAPACK
+calls, which release the GIL, so threads run chunks in parallel and share
+the block's inputs without copying them.
 
 A chunk draws its samples with ``design.replicate_ids``, which replays
 numpy's seeding, PCG64 and Floyd's sampler in array operations over the
@@ -238,8 +239,7 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> MonteCarloSummary:
     chunks = [range(start, min(start + REPLICATE_CHUNK, k_total))
               for start in range(0, k_total, REPLICATE_CHUNK)]
     run_chunk = partial(_run_chunk, config, y, inputs)
-    # no more threads than chunks, so a single chunk starts no pool; chunk
-    # shapes do not depend on the worker count, so neither do the results
+    # no more threads than chunks, so a single chunk starts no pool
     workers = min(workers, len(chunks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

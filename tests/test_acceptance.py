@@ -15,16 +15,14 @@ from greglink.estimators import (
     GregSpec,
     build_unit_inputs,
     consistency_diagnostics,
+    fit_unit_inputs,
     greg,
     link_sums,
-    sls_greg,
-    sub_greg,
 )
 from greglink.harness import ScenarioConfig, load_scenario_file, run_scenario
 from greglink.linkage import (
     AuxDatabase,
     build_linkage,
-    derive_covariates,
     multiplicity_weights,
     reverse_weights_best_link,
 )
@@ -201,6 +199,15 @@ def test_criterion_6_exact_oracle_suite():
     report.finish()
 
 
+def _fit_at(inputs, linkage, y_s, sample):
+    """The table's fit of ``inputs``, built over ``linkage``, at ``sample``
+    with responses ``y_s``, as a stack of one sample with no failure
+    tolerated, as ``greglink estimate`` fits it."""
+    pos = np.searchsorted(linkage.covered_units, sample.ids)
+    return fit_unit_inputs(inputs, pos[None], y_s[None], sample.pi[None],
+                           sample.design, strict=True).values[0]
+
+
 def test_criterion_7_perfect_linkage_reduction():
     report = Report("criterion 7: perfect one-one linkage collapses the family")
     worst = 0.0
@@ -217,39 +224,24 @@ def test_criterion_7_perfect_linkage_reduction():
                                 n_population, aux)
         sample = draw_srswor(n_population, n, rng)
         y_s = y[sample.ids]
-        ideal = greg(GregSpec(aux.x[sample.ids], aux.total, tag="ideal"),
-                     y_s, sample).value
+        reverse = reverse_weights_best_link(linkage, identity, 0.4)
+        ideal = _fit_at(build_unit_inputs("ideal", linkage, aux), linkage, y_s, sample)
 
-        def gap(value):
-            return abs(value - ideal) / abs(ideal)
-
-        # population-scope estimators: incidence and reverse weighted
-        for scheme in (multiplicity_weights(linkage),
-                       reverse_weights_best_link(linkage, identity, 0.4)):
-            derived = derive_covariates(linkage, scheme, aux)
-            value = greg(GregSpec(derived[sample.ids],
-                                  derived.sum(axis=0)), y_s, sample).value
-            worst = max(worst, gap(value))
-        # sample-scope estimators
+        # population scope: built over the population links and gathered at
+        # the sample, as the harness fits them; the unique link is the best
+        values = [_fit_at(build_unit_inputs(tag, linkage, aux, scheme, identity),
+                          linkage, y_s, sample)
+                  for tag, scheme in (("pi-m", multiplicity_weights(linkage)),
+                                      ("sbl", None), ("sri-q", reverse), ("sls", reverse))]
+        # sample scope: built over the sample's own links with its responses,
+        # as `greglink estimate` fits them
         sub_linkage, link_index = linkage.restrict(sample.ids)
-        reverse = reverse_weights_best_link(linkage, identity, 0.4).restrict(
-            sub_linkage, link_index)
-        derived_s = derive_covariates(sub_linkage, reverse, aux)
-        worst = max(worst, gap(greg(GregSpec(derived_s,
-                                             n_population * aux.mean),
-                                    y_s, sample).value))
-        worst = max(worst, gap(sls_greg(sub_linkage, reverse, aux, y_s,
-                                        sample).value))
-        worst = max(worst, gap(sub_greg(y_s, aux.x[sample.ids], aux.mean,
-                                        sample.design).value))
-        # best-link estimator: the unique link is the best link
-        best_s = sample.ids.copy()
-        from greglink.linkage import best_link_indicator_weights
-        indicator = best_link_indicator_weights(sub_linkage, best_s)
-        derived_b = derive_covariates(sub_linkage, indicator, aux)
-        worst = max(worst, gap(greg(GregSpec(derived_b,
-                                             n_population * aux.mean),
-                                    y_s, sample).value))
+        sub_reverse = reverse.restrict(sub_linkage, link_index)
+        values += [_fit_at(build_unit_inputs(tag, sub_linkage, aux, sub_reverse,
+                                             y=y[sub_linkage.covered_units]),
+                           sub_linkage, y_s, sample)
+                   for tag in ("sri-q", "sls", "sub")]
+        worst = max(worst, *(abs(value - ideal) / abs(ideal) for value in values))
     report.check(f"max relative gap over {instances} instances", worst,
                  0.0, 1e-10)
     report.finish()
@@ -297,19 +289,19 @@ def test_criterion_8_weight_constraint_suite():
             worst_incidence = max(worst_incidence,
                                   float(np.abs(record_sums[linked] - 1.0).max()))
 
-            # calibration identity of the reverse-weighted estimator
+            # calibration identity of the table's reverse-weighted estimator,
+            # built over the sample's own links
             sample = draw_srswor(n_population, n, rng_stream(rng_master, 3))
             sub_linkage, link_index = linkage.restrict(sample.ids)
-            derived = derive_covariates(sub_linkage,
-                                        reverse.restrict(sub_linkage, link_index),
-                                        aux)
-            spec = GregSpec(covariates=derived,
-                            total=n_population * aux.mean)
-            # greg is linear in y: its weights calibrate when greg of the
-            # covariate and of y = 1 give the covariate total and N
+            inputs = build_unit_inputs("sri-q", sub_linkage, aux,
+                                       reverse.restrict(sub_linkage, link_index))
+            covariate = inputs.rows[0][np.searchsorted(sub_linkage.covered_units,
+                                                       sample.ids), 0]
+            # the fit is linear in y: its weights calibrate when the fits of
+            # the covariate and of y = 1 give the covariate total and N
             target = n_population * aux.mean[0]
-            gap = abs(greg(spec, derived[:, 0], sample).value - target) / abs(target)
-            size = greg(spec, np.ones(n), sample).value
+            gap = abs(_fit_at(inputs, sub_linkage, covariate, sample) - target) / abs(target)
+            size = _fit_at(inputs, sub_linkage, np.ones(n), sample)
             gap = max(gap, abs(size - n_population) / n_population)
             worst_calibration = max(worst_calibration, gap)
 

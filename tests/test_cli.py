@@ -641,6 +641,19 @@ def test_assemble_rejects_sampled_unit_without_links(tmp_path):
         assemble_estimation_inputs(sample, aux, links, 4)
 
 
+def test_assemble_rejects_a_sample_without_the_population_size(linear_fixture):
+    sample, aux, links = linear_fixture
+    with pytest.raises(ValidationError, match="^a sample file needs the population size$"):
+        assemble_estimation_inputs(sample, aux, links, n_population=None)
+
+
+def test_estimate_from_inputs_rejects_inputs_without_a_sample(linear_fixture):
+    _, aux, links = linear_fixture
+    inputs = assemble_estimation_inputs(None, aux, links, n_population=None)
+    with pytest.raises(ValidationError, match="^estimation needs a sample file$"):
+        estimate_from_inputs(inputs, "sri", "total", 0.4)
+
+
 def test_assemble_weight_column_used_for_reverse_scheme(tmp_path):
     aux = write(tmp_path / "aux.csv", "record_id,x1\na,1\nb,2\n")
     links = write(tmp_path / "links.csv",

@@ -324,6 +324,8 @@ def read_outcome(reader, path):
 @example(case=(read_links_csv, b'unit_id,record_id\n"a",b\n'))
 @example(case=(read_links_csv, b"unit_id,record_id\n1," + b"x" * (FIELD_LIMIT + 1)))
 @example(case=(read_links_csv, b"unit_id,record_id\n1," + b"x" * FIELD_LIMIT))
+# an empty header line, which csv reads as no cells
+@example(case=(read_aux_csv, b"\n0"))
 # a plain file with a bad cell, whose error the plain path raises itself
 @example(case=(read_aux_csv, b"record_id,x1\na,0.5\nb,x\n"))
 def test_plain_and_csv_paths_give_one_table_or_error(tmp_path_factory, case):

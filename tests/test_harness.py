@@ -11,6 +11,14 @@ import pytest
 
 import greglink.estimators as estimators
 import greglink.harness as harness
+from greglink.cli import estimate_from_inputs
+from greglink.dataio import (
+    assemble_estimation_inputs,
+    write_aux_csv,
+    write_links_csv,
+    write_sample_csv,
+)
+from greglink.design import Sample, SurveyDesign, replicate_ids, rng_stream
 from greglink.errors import NumericalError, ValidationError
 from greglink.harness import (
     ESTIMATOR_ORDER,
@@ -22,6 +30,12 @@ from greglink.harness import (
     se_drift,
     summarize_to_table,
     summary_csv_rows,
+)
+from greglink.synthpop import (
+    aux_from_population,
+    gen_linkage,
+    gen_pi_q_weights,
+    gen_population,
 )
 
 SMALL = dict(n_population=400, sample_size=60, replicates=60,
@@ -186,6 +200,79 @@ def test_more_threads_than_cores_match_one_worker():
     finally:
         sys.setswitchinterval(interval)
     assert parallel.estimators == sequential.estimators
+
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+@pytest.fixture(scope="module")
+def reference_blocks():
+    """The low- and the high-quality reference block: each config with the
+    y, truth and per-estimator inputs the harness builds for it."""
+    blocks = {}
+    for name in ("table1_block1", "table3_block3"):
+        (config,) = load_scenario_file(SCENARIO_DIR / f"{name}.scenario")
+        assert config.estimators == ESTIMATOR_ORDER
+        blocks[name] = (config, *harness._build_block(config))
+    return blocks
+
+
+@pytest.mark.parametrize("block", ["table1_block1", "table3_block3"])
+def test_a_replicate_fits_alike_alone_and_in_its_chunk(reference_blocks, block):
+    # a replicate's result depends only on its sample, not on the samples
+    # fitted with it, so the chunk size is no parameter of any output bit
+    config, y, _, inputs = reference_blocks[block]
+    chunk = range(harness.REPLICATE_CHUNK)
+    values, varests = harness._run_chunk(config, y, inputs, chunk)
+    alone = [harness._run_chunk(config, y, inputs, range(k, k + 1)) for k in chunk]
+    # equal, NaN positions included
+    np.testing.assert_array_equal(values, np.concatenate([v for v, _ in alone]))
+    np.testing.assert_array_equal(varests, np.concatenate([e for _, e in alone]))
+
+
+# the file form of each harness estimator, by the link file it reads; ideal
+# needs the matched records, which no file holds, and the file's sub fits its
+# coefficients on the sample rather than on the population
+FILE_FORMS = {"ht": ("ht", "links"), "pi-m": ("pi", "links"), "pi-q": ("pi", "pi_q_links"),
+              "sbl": ("sbl", "links"), "sri-q": ("sri", "links"), "sls": ("sls", "links")}
+NO_FILE_FORM = ("ideal", "sub")
+
+
+@pytest.mark.parametrize("block", ["table1_block1", "table3_block3"])
+def test_estimate_from_files_gives_the_harness_bits(reference_blocks, block, tmp_path):
+    assert sorted([*FILE_FORMS, *NO_FILE_FORM]) == sorted(ESTIMATOR_ORDER)
+    config, y, _, inputs = reference_blocks[block]
+    # the block's auxiliary file, links and pi-q weights, from the harness's streams
+    x, _ = gen_population(config.population_model(),
+                          rng_stream(config.seed, harness._POP_KEY))
+    matched, linkage, best = gen_linkage(config.n_population, config.linkage_model(),
+                                         rng_stream(config.seed, harness._LINK_KEY))
+    pi_q = gen_pi_q_weights(linkage, matched, config.best_link_weight,
+                            rng_stream(config.seed, harness._WEIGHT_KEY))
+    write_aux_csv(tmp_path / "aux.csv", aux_from_population(x))
+    write_links_csv(tmp_path / "links.csv", linkage, best_links=best)
+    write_links_csv(tmp_path / "pi_q_links.csv", linkage, weights=pi_q.values)
+
+    replicates = range(20)
+    values, varests = harness._run_chunk(config, y, inputs, replicates)
+    design = SurveyDesign(config.n_population, config.sample_size)
+    ids = replicate_ids(config.n_population, config.sample_size, config.seed,
+                        (harness._REPLICATE_KEY,), replicates)
+    for k, sample_ids in enumerate(ids):
+        sample = Sample(ids=sample_ids, pi=np.full(design.sample_size, design.f),
+                        design=design)
+        write_sample_csv(tmp_path / "sample.csv", sample, y[sample.ids])
+        files = {links: assemble_estimation_inputs(
+                     tmp_path / "sample.csv", tmp_path / "aux.csv", tmp_path / f"{links}.csv",
+                     config.n_population)
+                 for links in ("links", "pi_q_links")}
+        for j, tag in enumerate(config.estimators):
+            if tag in NO_FILE_FORM:
+                continue
+            estimator, links = FILE_FORMS[tag]
+            est, _ = estimate_from_inputs(files[links], estimator, config.target,
+                                          config.best_link_weight)
+            assert (est.value, est.variance) == (values[k, j], varests[k, j]), (k, tag)
 
 
 def test_empty_estimator_list_gives_empty_table():
