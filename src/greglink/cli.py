@@ -70,8 +70,8 @@ def _print_estimate(est: Estimate, diagnostics: DiagnosticsReport | None) -> Non
 
 def _print_diagnostic(report: DiagnosticsReport) -> None:
     stats = ", ".join(
-        f"component {j + 1}: value {report.value[j]:.6g} z {report.z[j]:.3g}"
-        for j in range(len(report.value))
+        f"component {j + 1}: value {value:.6g} z {'unavailable' if np.isnan(z) else f'{z:.3g}'}"
+        for j, (value, z) in enumerate(zip(report.value[0], report.z[0]))
     )
     print(f"consistency diagnostic ({report.statistic}): {stats}")
 
@@ -137,7 +137,7 @@ def _resolve_links(inputs: EstimationInputs, estimator: str, q: float
 def estimate_from_inputs(inputs: EstimationInputs, estimator: str, target: str,
                          q: float) -> tuple[Estimate, DiagnosticsReport | None]:
     """Compute one file-based estimator, and its diagnostic, when defined, on
-    the rows it was fitted on."""
+    the rows it was fitted on, as a stack of one sample."""
     if estimator not in FILE_ESTIMATORS:
         raise ValidationError(
             f"unknown estimator {estimator!r}; choose from {', '.join(FILE_ESTIMATORS)}"
@@ -145,6 +145,8 @@ def estimate_from_inputs(inputs: EstimationInputs, estimator: str, target: str,
     sample = inputs.sample
     if sample is None:
         raise ValidationError("estimation needs a sample file")
+    if estimator == "sub" and not sample.equal_probability:
+        raise ValidationError("sub needs an equal-probability sample")
     linkage, scheme, best = _resolve_links(inputs, estimator, q)
     unit_inputs = build_unit_inputs(estimator, linkage, inputs.aux, scheme, best, inputs.y)
     pos = np.searchsorted(linkage.covered_units, sample.ids)
@@ -152,7 +154,7 @@ def estimate_from_inputs(inputs: EstimationInputs, estimator: str, target: str,
                           sample.design, target, strict=True)
     kind = ESTIMATORS[estimator].diagnostic
     diag = None if kind is None else consistency_diagnostics(
-        unit_inputs.rows[0][pos], inputs.aux, sample, kind)
+        unit_inputs.rows[0][pos[None]], sample.pi[None], inputs.aux, sample.design, kind)
     return fit.first(estimator, target), diag
 
 
@@ -286,7 +288,8 @@ def _sample_diagnostics(inputs: EstimationInputs, q: float) -> list[DiagnosticsR
                 continue
             raise
         rows[tag] = build_unit_inputs(tag, linkage, inputs.aux, scheme, best).rows[0]
-    return [consistency_diagnostics(rows[tag], inputs.aux, inputs.sample, tag)
+    return [consistency_diagnostics(rows[tag][None], inputs.sample.pi[None], inputs.aux,
+                                    inputs.sample.design, tag)
             for tag in DIAGNOSTIC_KINDS if tag in rows]
 
 

@@ -553,60 +553,57 @@ def npa_covariances(linkage: LinkageStructure, scheme: WeightScheme,
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
-    """A consistency statistic with componentwise variance and z-scores."""
+    """A consistency statistic with componentwise variance and z-scores (..., c)."""
 
     statistic: str
     value: np.ndarray
     variance: np.ndarray
     z: np.ndarray
 
-    @property
-    def max_abs_z(self) -> float:
-        return float(np.max(np.abs(self.z)))
-
 
 DIAGNOSTIC_KINDS = ("sri", "sbl", "sls")
 
 
-def consistency_diagnostics(rows: np.ndarray, aux: AuxDatabase, sample: Sample,
-                            kind: str) -> DiagnosticsReport:
-    """Observable check of the consistency condition behind a sample-link estimator.
+def consistency_diagnostics(rows: np.ndarray, pi: np.ndarray, aux: AuxDatabase,
+                            design: SurveyDesign, kind: str) -> DiagnosticsReport:
+    """Observable check of the consistency condition behind a sample-link
+    estimator, on stacked samples: ``rows`` (..., n, c), ``pi`` (..., n).
 
     ``rows`` are the estimator's fitted rows, one per sampled unit: the
     reverse-weighted link sums ("sri") or the best link's values ("sbl"),
-    whose sample mean is compared with the auxiliary-file mean; or the
+    whose estimated mean is compared with the auxiliary-file mean; or the
     ``link_sums`` ("sls"), whose ratio-estimated mean over linked records is.
     The variance comes from the per-unit contributions of the linearised
-    statistic. A component whose contributions are constant across units
-    (a degenerate covariate), and every component of a census sample, is
-    reported with zero variance, and zero z when its statistic is also zero
-    up to rounding, infinite z otherwise.
+    statistic. Per sample, a component whose contributions are constant
+    across units (a degenerate covariate), and every component of a census,
+    has zero variance, and zero z when its statistic is also zero up to
+    rounding, infinite z otherwise; unequal ``pi`` give NaN variance and z.
     """
     if kind not in DIAGNOSTIC_KINDS:
         raise ValidationError(f"unknown diagnostic kind {kind!r}")
-    if rows.shape != (sample.n, aux.dim + (kind == "sls")):
+    if rows.shape[-1] != aux.dim + (kind == "sls") or rows.shape[:-1] != pi.shape:
         raise ValidationError(f"{kind} diagnostic rows must align with the sample")
-    if not sample.equal_probability:
-        raise ValidationError("diagnostics need an equal-probability sample")
-    n_population = sample.design.n_population
+    n_population = design.n_population
 
     if kind != "sls":
         contributions = rows / n_population
-        value = np.sum(contributions / sample.pi[:, None], axis=0) - aux.mean
+        value = np.sum(contributions / pi[..., None], axis=-2) - aux.mean
     else:
-        d, link_sum = rows[:, 0], rows[:, 1:]
-        n_links_hat = float(np.sum(d / sample.pi))
-        link_mean_hat = np.sum(link_sum / sample.pi[:, None], axis=0) / n_links_hat
+        d, link_sum = rows[..., :1], rows[..., 1:]
+        n_links_hat = np.sum(d / pi[..., None], axis=-2)
+        link_mean_hat = np.sum(link_sum / pi[..., None], axis=-2) / n_links_hat
         value = link_mean_hat - aux.mean
-        contributions = (link_sum - link_mean_hat[None, :] * d[:, None]) / n_links_hat
+        contributions = (link_sum - link_mean_hat[..., None, :] * d) / n_links_hat[..., None]
 
-    spread = contributions.std(axis=0)
-    scale = np.maximum(np.abs(contributions).max(axis=0), 1.0 / n_population)
+    spread = contributions.std(axis=-2)
+    scale = np.maximum(np.abs(contributions).max(axis=-2), 1.0 / n_population)
+    equal = np.all(pi == pi[..., :1], axis=-1)[..., None]
     # a census (f = 1) has no sampling variance in any component
-    degenerate = (spread <= 1e-9 * scale) | (sample.design.f == 1)
+    degenerate = ((spread <= 1e-9 * scale) | (design.f == 1)) & equal
     off = np.abs(value) > 1e-6 * scale * n_population
-    variance = np.where(degenerate, 0.0, residual_variances(
-        np.ascontiguousarray(contributions.T), sample.design))
+    variance = np.where(degenerate, 0.0, equal_probability_variances(
+        np.ascontiguousarray(np.swapaxes(contributions, -1, -2)), pi[..., None, :],
+        design))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(degenerate, np.where(off, np.copysign(np.inf, value), 0.0),
                      value / np.sqrt(variance))

@@ -10,7 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from greglink.design import draw_srswor, exact_design_moments, ht_total, rng_stream
+from greglink.design import (
+    SurveyDesign,
+    draw_srswor,
+    exact_design_moments,
+    ht_total,
+    replicate_ids,
+    rng_stream,
+)
 from greglink.estimators import (
     GregSpec,
     build_unit_inputs,
@@ -184,7 +191,7 @@ def test_criterion_6_exact_oracle_suite():
             # estimator on every enumerated sample
             from itertools import combinations
 
-            from greglink.design import Sample, SurveyDesign
+            from greglink.design import Sample
             design = SurveyDesign(n_population, n)
             pi = np.full(n, design.f)
             worst = 0.0
@@ -312,17 +319,27 @@ def test_criterion_8_weight_constraint_suite():
     report.finish()
 
 
-def _diagnostics(sub_linkage, scheme, best_s, aux, sample):
-    """The three diagnostics on the rows their estimators fit."""
-    rows = {"sri": build_unit_inputs("sri", sub_linkage, aux, scheme).rows[0],
-            "sbl": build_unit_inputs("sbl", sub_linkage, aux, best=best_s).rows[0],
-            "sls": link_sums(sub_linkage, aux)}
-    return [consistency_diagnostics(rows[kind], aux, sample, kind) for kind in rows]
+def _rejections(linkage, reverse, best, aux, key, replicates):
+    """Per diagnostic, the samples among ``replicates`` SRSWOR draws of 100
+    units, stream ``key``, whose largest |z| exceeds 1.96. Each diagnostic's rows are
+    built once over the population links and gathered at every sample, as
+    the harness gathers its fits; link sums are local to each unit, so they
+    equal the rows over the sample's own links."""
+    n_population, n = aux.n_records, 100
+    design = SurveyDesign(n_population, n)
+    ids = replicate_ids(n_population, n, SEED, (key,), range(replicates))
+    pi = np.full(ids.shape, design.f)
+    rows = {"sri": build_unit_inputs("sri", linkage, aux, reverse).rows[0],
+            "sbl": build_unit_inputs("sbl", linkage, aux, best=best).rows[0],
+            "sls": link_sums(linkage, aux)}
+    return {kind: int(np.sum(np.max(np.abs(consistency_diagnostics(
+                rows[kind][ids], pi, aux, design, kind).z), axis=-1) > 1.96))
+            for kind in rows}
 
 
 def test_criterion_9_diagnostics_calibration():
     report = Report("criterion 9: consistency diagnostics calibrate and detect")
-    n_population, n, replicates = 5000, 100, 2000
+    n_population, replicates = 5000, 2000
     x, population = gen_population(PopulationModel(n_units=n_population,
                                                    sigma=1.5),
                                    rng_stream(SEED, 0))
@@ -333,44 +350,32 @@ def test_criterion_9_diagnostics_calibration():
                                          rng_stream(SEED, 1))
     reverse = reverse_weights_best_link(linkage, best, 0.4)
 
-    rejections = {"sri": 0, "sbl": 0, "sls": 0}
-    for k in range(replicates):
-        sample = draw_srswor(n_population, n, rng_stream(SEED, 9, k))
-        sub_linkage, link_index = linkage.restrict(sample.ids)
-        scheme = reverse.restrict(sub_linkage, link_index)
-        for item in _diagnostics(sub_linkage, scheme, best[sample.ids], aux, sample):
-            rejections[item.statistic] += item.max_abs_z > 1.96
+    rejections = _rejections(linkage, reverse, best, aux, 9, replicates)
     for kind in ("sri", "sbl", "sls"):
         report.check(f"{kind} rejection rate under the neutral generator",
                      rejections[kind] / replicates, 0.03, 0.07)
 
     # adversarial linkage: every unit gains a false link drawn from the
     # top quarter of records by value, flagged as best; all three
-    # statistics should blow up
+    # statistics should blow up. A unit that draws its own record draws
+    # again, so every later unit takes its draw one further on.
     rng = rng_stream(SEED, 10)
-    order = np.argsort(x)
-    top_quarter = order[3 * n_population // 4:]
+    top_quarter = np.argsort(x)[3 * n_population // 4:]
     identity = np.arange(n_population)
-    links = [(int(i), int(i)) for i in identity]
-    best_adv = identity.copy()
-    for unit in identity:
-        while True:
-            record = int(top_quarter[rng.integers(len(top_quarter))])
-            if record != unit:
-                break
-        links.append((int(unit), record))
-        best_adv[unit] = record
-    adv_linkage = build_linkage(links, n_population, aux)
+    draws = top_quarter[rng.integers(len(top_quarter), size=n_population)]
+    skipped = np.zeros(n_population, dtype=np.int64)
+    while np.any(own := draws[identity + skipped] == identity):
+        skipped[np.argmax(own):] += 1
+        draws = np.append(draws, top_quarter[rng.integers(len(top_quarter))])
+    best_adv = draws[identity + skipped]
+    adv_linkage = build_linkage(
+        np.column_stack([np.tile(identity, 2), np.concatenate([identity, best_adv])]),
+        n_population, aux)
     adv_reverse = reverse_weights_best_link(adv_linkage, best_adv, 0.4)
 
-    adv_rejections = {"sri": 0, "sbl": 0, "sls": 0}
     adv_replicates = 300
-    for k in range(adv_replicates):
-        sample = draw_srswor(n_population, n, rng_stream(SEED, 11, k))
-        sub_linkage, link_index = adv_linkage.restrict(sample.ids)
-        scheme = adv_reverse.restrict(sub_linkage, link_index)
-        for item in _diagnostics(sub_linkage, scheme, best_adv[sample.ids], aux, sample):
-            adv_rejections[item.statistic] += item.max_abs_z > 1.96
+    adv_rejections = _rejections(adv_linkage, adv_reverse, best_adv, aux, 11,
+                                 adv_replicates)
     for kind in ("sri", "sbl", "sls"):
         report.check(f"{kind} rejection rate under the biased generator",
                      adv_rejections[kind] / adv_replicates, 0.80, 1.0)

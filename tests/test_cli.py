@@ -293,6 +293,48 @@ def test_census_sample_diagnostics_have_no_sampling_variance(tmp_path, capsys, l
     assert [line.rsplit(" z ", 1)[1] for line in lines] == list(z)
 
 
+@pytest.fixture
+def unequal_pi_files(tmp_path):
+    # 8 population units, 6 sampled with pi 0.5 and 0.6; units 2 and 4 have
+    # two links each
+    aux = write(tmp_path / "aux.csv", "record_id,x1\n"
+                "a,0.1\nb,0.4\nc,0.9\nd,0.2\ne,0.6\nf,0.8\ng,0.3\nh,0.5\n")
+    links = write(tmp_path / "links.csv", "unit_id,record_id,is_best\n"
+                  "0,a,1\n1,b,1\n2,c,1\n2,d,0\n3,d,1\n4,e,1\n4,a,0\n"
+                  "5,f,1\n6,g,1\n7,h,1\n")
+    sample = write(tmp_path / "sample.csv", "unit_id,y,pi\n"
+                   "0,1.2,0.5\n1,1.9,0.6\n2,2.7,0.5\n3,1.4,0.6\n4,2.2,0.5\n5,2.5,0.6\n")
+    return ["--sample", sample, "--aux", aux, "--links", links, "--big-n", "8"]
+
+
+@pytest.mark.parametrize("estimator", FILE_ESTIMATORS)
+def test_unequal_pi_gives_no_variance_or_rejects_sub(unequal_pi_files, capsys, estimator):
+    # no design-based variance without equal pi: the estimate is printed with
+    # its variance and diagnostic z unavailable; sub's unweighted subsample
+    # mean is no estimate at all
+    code = main(["estimate", *unequal_pi_files, "--estimator", estimator])
+    captured = capsys.readouterr()
+    if estimator == "sub":
+        assert code == 1
+        assert captured.err == "error: sub needs an equal-probability sample\n"
+        return
+    assert code == 0
+    assert "point estimate: unavailable" not in captured.out
+    assert "variance estimate: unavailable" in captured.out
+    diagnostics = [line for line in captured.out.splitlines()
+                   if line.startswith("consistency diagnostic")]
+    assert len(diagnostics) == (estimator in ("sbl", "sri", "sls"))
+    assert all(line.endswith("z unavailable") for line in diagnostics)
+
+
+def test_diagnose_unequal_pi_sample_has_no_z(unequal_pi_files, capsys):
+    assert main(["diagnose", *unequal_pi_files]) == 0
+    diagnostics = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("consistency diagnostic")]
+    assert len(diagnostics) == 3
+    assert all(line.endswith("z unavailable") for line in diagnostics)
+
+
 def test_estimate_and_diagnose_print_the_same_diagnostics(tmp_path, capsys):
     n_population, n = 200, 40
     x, population = gen_population(PopulationModel(n_units=n_population),
@@ -697,7 +739,7 @@ def file_estimate_reprs(directory: Path) -> dict:
                                         n_population=2000)
 
     def report(diag):
-        return {name: [repr(float(v)) for v in getattr(diag, name)]
+        return {name: [repr(float(v)) for v in getattr(diag, name)[0]]
                 for name in ("value", "variance", "z")}
 
     out = {}

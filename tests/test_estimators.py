@@ -14,6 +14,8 @@ from greglink.design import (
 )
 from greglink.errors import NumericalError, ValidationError
 from greglink.estimators import (
+    DIAGNOSTIC_KINDS,
+    DiagnosticsReport,
     GregSpec,
     build_unit_inputs,
     consistency_diagnostics,
@@ -389,13 +391,19 @@ def test_npa_rejects_sample_scope():
         npa_covariances(linkage, scheme, aux)
 
 
+def _one_sample_diagnostics(rows, aux, sample, kind):
+    """The diagnostic of ``sample`` run as a stack of one, its row taken."""
+    report = consistency_diagnostics(rows[None], sample.pi[None], aux, sample.design, kind)
+    return DiagnosticsReport(kind, report.value[0], report.variance[0], report.z[0])
+
+
 def test_diagnostics_variance_formula():
     x, y, aux, linkage, sample = _perfect_linkage_setting(seed=21)
     sub_linkage, link_index = linkage.restrict(sample.ids)
     best = sample.ids.copy()
     reverse = reverse_weights_best_link(sub_linkage, best, 0.4)
     rows = build_unit_inputs("sri", sub_linkage, aux, reverse).rows[0]
-    report = consistency_diagnostics(rows, aux, sample, "sri")
+    report = _one_sample_diagnostics(rows, aux, sample, "sri")
     n_population = aux.n_records
     contributions = aux.x[sample.ids, 0] / n_population
     expected_value = (contributions / sample.pi).sum() - aux.mean[0]
@@ -417,7 +425,7 @@ def test_diagnostics_constant_covariate_degenerates():
     sub_linkage, link_index = linkage.restrict(sample.ids)
     scheme = reverse_weights_best_link(sub_linkage, sample.ids.copy(), 0.5)
     rows = build_unit_inputs("sri", sub_linkage, aux, scheme).rows[0]
-    report = consistency_diagnostics(rows, aux, sample, "sri")
+    report = _one_sample_diagnostics(rows, aux, sample, "sri")
     assert report.variance[0] == 0.0
     assert report.z[0] == 0.0
 
@@ -432,7 +440,7 @@ def test_diagnostics_components_match_one_variance_per_component():
     aux = AuxDatabase(x=x)
     sample = draw_srswor(n_population, n, rng_stream(24, 1))
     rows = x[sample.ids] + 0.1
-    report = consistency_diagnostics(rows, aux, sample, "sbl")
+    report = _one_sample_diagnostics(rows, aux, sample, "sbl")
     contributions = rows / n_population
     for j in (0, 2):
         variance = residual_variances(contributions[:, j], sample.design)
@@ -446,7 +454,7 @@ def test_diagnostics_components_match_one_variance_per_component():
 def test_diagnostics_sls_statistic_is_link_mean_gap():
     x, y, aux, linkage, sample = _perfect_linkage_setting(seed=22)
     sub_linkage, _ = linkage.restrict(sample.ids)
-    report = consistency_diagnostics(link_sums(sub_linkage, aux), aux, sample, "sls")
+    report = _one_sample_diagnostics(link_sums(sub_linkage, aux), aux, sample, "sls")
     # one-one links: estimated link mean is the plain sample mean of x
     assert report.value[0] == pytest.approx(
         aux.x[sample.ids, 0].mean() - aux.mean[0], rel=1e-10)
@@ -457,12 +465,67 @@ def test_diagnostics_kind_validation():
     sub_linkage, _ = linkage.restrict(sample.ids)
     rows = link_sums(sub_linkage, aux)
     with pytest.raises(ValidationError, match="unknown diagnostic"):
-        consistency_diagnostics(rows, aux, sample, "nope")
+        _one_sample_diagnostics(rows, aux, sample, "nope")
     # the link sums carry the degree column that a covariate lacks
     with pytest.raises(ValidationError, match="sri diagnostic rows must align"):
-        consistency_diagnostics(rows, aux, sample, "sri")
+        _one_sample_diagnostics(rows, aux, sample, "sri")
     with pytest.raises(ValidationError, match="sls diagnostic rows must align"):
-        consistency_diagnostics(rows[:-1], aux, sample, "sls")
+        _one_sample_diagnostics(rows[:-1], aux, sample, "sls")
+
+
+def _assert_rows_alone_equal_the_stack(rows, pi, aux, design, kind):
+    """Each sample's diagnostic as a stack of one equals its row of the
+    stack, bit for bit."""
+    stacked = consistency_diagnostics(rows, pi, aux, design, kind)
+    for b in range(len(rows)):
+        alone = consistency_diagnostics(rows[b:b + 1], pi[b:b + 1], aux, design, kind)
+        for name in ("value", "variance", "z"):
+            assert getattr(alone, name)[0].tobytes() == getattr(stacked, name)[b].tobytes()
+    return stacked
+
+
+@pytest.mark.parametrize("kind", DIAGNOSTIC_KINDS)
+def test_diagnostics_of_a_stack_equal_each_sample_alone(kind):
+    # 6 seeds, n from 2 to 333, 1 to 3 auxiliary columns with the second
+    # constant; each unit links 1 to 3 random records
+    n_population, stack = 1000, 5
+    for seed in range(6):
+        rng = rng_stream(seed, 0)
+        for n in (2, 3, 41, 150, 333):
+            design = SurveyDesign(n_population, n)
+            pi = np.full((stack, n), design.f)
+            for p in (1, 2, 3):
+                x = rng.normal(size=(n_population, p))
+                x[:, 1:2] = 2.0
+                aux = AuxDatabase(x=x)
+                degree = rng.integers(1, 4, size=(stack, n))
+                linked = np.arange(3) < degree[..., None]
+                weights = rng.uniform(0.1, 1.0, size=(stack, n, 3)) * linked
+                weights /= weights.sum(axis=-1, keepdims=True)
+                xs = x[rng.integers(n_population, size=(stack, n, 3))]
+                rows = {"sri": np.sum(weights[..., None] * xs, axis=-2),
+                        "sbl": xs[..., 0, :],
+                        "sls": np.concatenate([degree[..., None],
+                                               np.sum(linked[..., None] * xs, axis=-2)],
+                                              axis=-1)}[kind]
+                _assert_rows_alone_equal_the_stack(rows, pi, aux, design, kind)
+
+
+def test_diagnostic_rules_act_per_sample():
+    # sample 0 has unequal pi, so no variance even in its constant column;
+    # sample 1 has equal pi, and only its constant column is degenerate
+    n_population, n = 60, 6
+    x = np.column_stack([rng_stream(25, 0).uniform(size=n_population),
+                         np.full(n_population, 3.0)])
+    aux = AuxDatabase(x=x)
+    design = SurveyDesign(n_population, n)
+    rows = x[np.array([np.arange(0, 6), np.arange(10, 16)])]
+    pi = np.array([[0.5, 0.6] * 3, [design.f] * n])
+    report = _assert_rows_alone_equal_the_stack(rows, pi, aux, design, "sbl")
+    assert np.all(np.isfinite(report.value))
+    assert np.all(np.isnan(report.variance[0])) and np.all(np.isnan(report.z[0]))
+    assert report.variance[1, 1] == 0.0 and report.z[1, 1] == 0.0
+    assert report.variance[1, 0] > 0.0 and np.isfinite(report.z[1, 0])
 
 
 @given(st.integers(0, 10_000), st.floats(0.25, 4.0), st.floats(-5.0, 5.0))
