@@ -1,7 +1,7 @@
 """Command-line interface: simulate, estimate, diagnose, oracle.
 
-Exit codes: 0 success, 1 validation error (bad files, parameters or
-invariants), 2 numerical failure (singular fits, enumeration guard).
+Exit codes: 0 success, 1 validation error (bad options, files, parameters
+or invariants), 2 numerical failure (singular fits, enumeration guard).
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .estimators import (
     LINK_SET,
     REVERSE_SUM,
     DiagnosticsReport,
+    UnitInputs,
     build_unit_inputs,
     consistency_diagnostics,
     fit_unit_inputs,
@@ -76,18 +78,6 @@ def _print_diagnostic(report: DiagnosticsReport) -> None:
     print(f"consistency diagnostic ({report.statistic}): {stats}")
 
 
-def _best_for(inputs: EstimationInputs, sub_linkage: LinkageStructure) -> np.ndarray:
-    if inputs.best_links is None:
-        if np.all(sub_linkage.degrees == 1):
-            # a unit's only link is trivially its best link
-            return sub_linkage.link_records.copy()
-        raise ValidationError(
-            "this estimator needs an is_best column in the link file"
-        )
-    pos = np.searchsorted(inputs.linkage.covered_units, sub_linkage.covered_units)
-    return inputs.best_links[pos]
-
-
 def _weight_scheme(kind: str, linkage: LinkageStructure, values: np.ndarray,
                    unit_keys: list[str], record_keys: list[str]) -> WeightScheme:
     """A link file's weight column as weights of ``kind``; a unit or record
@@ -99,39 +89,44 @@ def _weight_scheme(kind: str, linkage: LinkageStructure, values: np.ndarray,
         raise ValidationError(exc.message(keys[exc.index])) from None
 
 
-def _resolve_links(inputs: EstimationInputs, estimator: str, q: float
-                   ) -> tuple[LinkageStructure, WeightScheme | None, np.ndarray | None]:
-    """The linkage, weight scheme and best links of an estimator's rule.
+def _unit_inputs(inputs: EstimationInputs, estimator: str, q: float
+                 ) -> tuple[UnitInputs, np.ndarray]:
+    """One estimator's inputs from the files, and the sampled units'
+    positions among the units they cover.
 
-    The file's weight column, or else its best-link flags with best-link
-    weight ``q``, or else equal weights, become the weight scheme. ``pi`` is
-    built over the population links, every other estimator over the sampled
-    units' own links, so their weights and flags are checked on those units
-    only.
+    ``pi`` is built over the population links, every other estimator over
+    the sampled units' own links, so weights and flags are checked on those
+    units only. The weights are the file's column read as the rule's kind,
+    else reverse weights with ``q`` on the best links, else equal weights.
+    The best links are the flagged ones, or the only ones when each sampled
+    unit has one link.
     """
     covariate, weights = ESTIMATORS[estimator].covariate, inputs.weights
     linkage, scheme, best = inputs.linkage, None, None
     if covariate == INCIDENCE_SUM:
         if linkage.scope != POPULATION:
             raise ValidationError("PI-GREG requires population-scope links")
-        if weights is not None:
-            scheme = _weight_scheme(INCIDENCE, linkage, weights,
-                                    inputs.unit_keys, inputs.record_keys)
-        else:
-            scheme = multiplicity_weights(linkage)
+        scheme = multiplicity_weights(linkage) if weights is None else _weight_scheme(
+            INCIDENCE, linkage, weights, inputs.unit_keys, inputs.record_keys)
     elif covariate is not None:
         linkage, link_index = linkage.restrict(inputs.sample.ids)
-        if covariate == BEST_LINK:
-            best = _best_for(inputs, linkage)
-        elif covariate in (REVERSE_SUM, LINK_SET) and weights is not None:
+        if inputs.best_links is not None:
+            best = inputs.best_links[np.searchsorted(inputs.linkage.covered_units,
+                                                     linkage.covered_units)]
+        elif np.all(linkage.degrees == 1):
+            best = linkage.link_records
+        if covariate == BEST_LINK and best is None:
+            raise ValidationError("this estimator needs an is_best column in the link file")
+        if covariate in (REVERSE_SUM, LINK_SET) and weights is not None:
             scheme = _weight_scheme(REVERSE, linkage, weights[link_index],
                                     inputs.unit_keys, inputs.record_keys)
-        elif covariate in (REVERSE_SUM, LINK_SET) and inputs.best_links is not None:
-            scheme = reverse_weights_best_link(linkage, _best_for(inputs, linkage), q)
+        elif covariate in (REVERSE_SUM, LINK_SET) and best is not None:
+            scheme = reverse_weights_best_link(linkage, best, q)
         elif covariate in (REVERSE_SUM, LINK_SET):
             equal = 1.0 / linkage.degrees[linkage.unit_index_per_link()]
             scheme = WeightScheme(kind=REVERSE, linkage=linkage, values=equal)
-    return linkage, scheme, best
+    unit_inputs = build_unit_inputs(estimator, linkage, inputs.aux, scheme, best, inputs.y)
+    return unit_inputs, np.searchsorted(linkage.covered_units, inputs.sample.ids)
 
 
 def estimate_from_inputs(inputs: EstimationInputs, estimator: str, target: str,
@@ -147,9 +142,7 @@ def estimate_from_inputs(inputs: EstimationInputs, estimator: str, target: str,
         raise ValidationError("estimation needs a sample file")
     if estimator == "sub" and not sample.equal_probability:
         raise ValidationError("sub needs an equal-probability sample")
-    linkage, scheme, best = _resolve_links(inputs, estimator, q)
-    unit_inputs = build_unit_inputs(estimator, linkage, inputs.aux, scheme, best, inputs.y)
-    pos = np.searchsorted(linkage.covered_units, sample.ids)
+    unit_inputs, pos = _unit_inputs(inputs, estimator, q)
     fit = fit_unit_inputs(unit_inputs, pos[None], inputs.y[None], sample.pi[None],
                           sample.design, target, strict=True)
     kind = ESTIMATORS[estimator].diagnostic
@@ -158,18 +151,14 @@ def estimate_from_inputs(inputs: EstimationInputs, estimator: str, target: str,
     return fit.first(estimator, target), diag
 
 
-def _worker_count(text: str) -> int:
-    try:
-        workers = int(text)
-    except ValueError:
-        raise ValidationError(f"--workers must be an integer, got {text!r}") from None
-    if workers < 1:
-        raise ValidationError(f"--workers must be at least 1, got {workers}")
-    return workers
+def _check_q(q: float) -> None:
+    if not 0 < q <= 1:
+        raise ValidationError(f"--q must lie in (0, 1], got {q}")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    workers = _worker_count(args.workers)
+    if args.workers < 1:
+        raise ValidationError(f"--workers must be at least 1, got {args.workers}")
     configs = load_scenario_file(args.scenario)
     if not configs:
         raise ValidationError(f"{args.scenario}: no scenario blocks found")
@@ -182,7 +171,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"warning: fewer than 30 replicates in {', '.join(small)}; "
               "Monte Carlo error is large", file=sys.stderr)
 
-    summaries = [run_scenario(c, workers=workers) for c in configs]
+    summaries = [run_scenario(c, workers=args.workers) for c in configs]
     text = summarize_to_table(summaries)
     print(text)
 
@@ -210,6 +199,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    _check_q(args.q)
     inputs = assemble_estimation_inputs(args.sample, args.aux, args.links,
                                         n_population=args.big_n)
     estimators = [e.strip() for e in args.estimator.split(",") if e.strip()]
@@ -282,18 +272,19 @@ def _sample_diagnostics(inputs: EstimationInputs, q: float) -> list[DiagnosticsR
     rows = {"sls": link_sums(inputs.linkage.restrict(inputs.sample.ids)[0], inputs.aux)}
     for tag in ("sri", "sbl") if inputs.best_links is not None else ("sri",):
         try:
-            linkage, scheme, best = _resolve_links(inputs, tag, q)
+            unit_inputs, pos = _unit_inputs(inputs, tag, q)
         except ValidationError:
             if tag == "sri" and inputs.weights is not None and inputs.linkage.scope == POPULATION:
                 continue
             raise
-        rows[tag] = build_unit_inputs(tag, linkage, inputs.aux, scheme, best).rows[0]
+        rows[tag] = unit_inputs.rows[0][pos]
     return [consistency_diagnostics(rows[tag][None], inputs.sample.pi[None], inputs.aux,
                                     inputs.sample.design, tag)
             for tag in DIAGNOSTIC_KINDS if tag in rows]
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
+    _check_q(args.q)
     if args.limit < 0:
         raise ValidationError(f"--limit must be nonnegative, got {args.limit}")
     if args.sample is not None and args.big_n is None:
@@ -332,8 +323,15 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a validation error (exit 1)."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="greglink",
         description="Population total and mean estimation from imperfectly "
                     "linked auxiliary data",
@@ -346,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=None, help="override every block's seed")
     p_sim.add_argument("--k", "--replicates", dest="replicates", type=int,
                        default=None, help="override every block's replicate count")
-    p_sim.add_argument("--workers", default="1",
+    p_sim.add_argument("--workers", type=int, default=1,
                        help="worker threads, at least 1 (default 1)")
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -385,9 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -216,10 +216,12 @@ def sub_greg_batch(x: np.ndarray, y: np.ndarray, kept: np.ndarray,
     too_few = n_sub < 2
     mean_values = np.where(too_few, np.nan, mean_values)
     mean_variances = np.where(too_few, np.nan, mean_variances)
-    if target == "total":
-        return BatchEstimate(mean_values * design.n_population,
-                             mean_variances * design.n_population**2)
-    return BatchEstimate(mean_values, mean_variances)
+    if target == "mean":
+        return BatchEstimate(mean_values, mean_variances)
+    if target != "total":
+        raise ValidationError(f"unknown target {target!r}")
+    return BatchEstimate(mean_values * design.n_population,
+                         mean_variances * design.n_population**2)
 
 
 def sub_greg(y: np.ndarray, covariates: np.ndarray, aux_mean: np.ndarray,

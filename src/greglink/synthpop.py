@@ -59,8 +59,8 @@ class PopulationModel:
     def __post_init__(self) -> None:
         if self.n_units < 1:
             raise ValidationError("population must have at least 1 unit")
-        if self.sigma <= 0:
-            raise ValidationError("sigma must be positive")
+        if not 0 < self.sigma < np.inf:
+            raise ValidationError(f"sigma must be positive and finite, got {self.sigma}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValidationError("gamma must lie in [0, 1]")
 
@@ -77,12 +77,12 @@ class LinkageModel:
 
     def __post_init__(self) -> None:
         share = tuple(float(v) for v in self.link_share)
-        if len(share) != 3 or any(v < 0 for v in share):
-            raise ValidationError("link shares must be three nonnegative numbers")
+        if len(share) != 3 or not all(0 <= v <= 1 for v in share):
+            raise ValidationError(f"link shares must be three numbers in [0, 1], got {share}")
         if abs(sum(share) - 1.0) > 1e-9:
             raise ValidationError(f"link shares must sum to 1, got {sum(share)}")
         p1 = share[0]
-        if self.match_rate < p1 - 1e-12 or self.match_rate > 1 + 1e-12:
+        if not p1 - 1e-12 <= self.match_rate <= 1 + 1e-12:
             raise ValidationError(
                 f"match rate {self.match_rate} outside [{p1}, 1] "
                 "(every single-link unit is matched)"

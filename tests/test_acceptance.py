@@ -5,6 +5,7 @@ seed 15) and are shared across the metric criteria. Run with ``pytest -s``
 to see the per-criterion lines.
 """
 
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -14,16 +15,15 @@ from greglink.design import (
     SurveyDesign,
     draw_srswor,
     exact_design_moments,
-    ht_total,
+    ht_total_batch,
     replicate_ids,
     rng_stream,
 )
 from greglink.estimators import (
-    GregSpec,
     build_unit_inputs,
     consistency_diagnostics,
     fit_unit_inputs,
-    greg,
+    greg_batch,
     link_sums,
 )
 from greglink.harness import ScenarioConfig, load_scenario_file, run_scenario
@@ -188,19 +188,14 @@ def test_criterion_6_exact_oracle_suite():
                 / moments.variance, 0.0, 1e-10)
 
             # intercept-only regression estimator equals the plain expansion
-            # estimator on every enumerated sample
-            from itertools import combinations
-
-            from greglink.design import Sample
+            # estimator on every enumerated sample, all fitted as one stack
+            ids = np.array(list(combinations(range(n_population), n)))
             design = SurveyDesign(n_population, n)
-            pi = np.full(n, design.f)
-            worst = 0.0
-            for ids in combinations(range(n_population), n):
-                sample = Sample(ids=np.asarray(ids), pi=pi, design=design)
-                ht = ht_total(y[sample.ids], sample)
-                est = greg(GregSpec(covariates=np.empty((n, 0)),
-                                    total=np.empty(0)), y[sample.ids], sample)
-                worst = max(worst, abs(est.value - ht.value) / abs(ht.value))
+            pi = np.full(ids.shape, design.f)
+            ht = ht_total_batch(y[ids], pi, design).values
+            est = greg_batch(np.ones(ids.shape + (1,)), y[ids], pi,
+                             np.array([float(n_population)]), design).values
+            worst = np.max(np.abs(est - ht) / np.abs(ht))
             report.check(f"N={n_population} n={n} max intercept-only gap", worst,
                          0.0, 1e-10)
     report.finish()

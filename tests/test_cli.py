@@ -539,7 +539,7 @@ def test_simulate_rejects_a_path_in_a_block_name_before_running(tmp_path, capsys
 @pytest.mark.parametrize("workers, message", [
     ("0", "--workers must be at least 1, got 0"),
     ("-2", "--workers must be at least 1, got -2"),
-    ("two", "--workers must be an integer, got 'two'"),
+    ("two", "argument --workers: invalid int value: 'two'"),
 ])
 def test_simulate_rejects_a_bad_worker_count(tmp_path, capsys, workers, message):
     scenario = write(tmp_path / "s.scenario",
@@ -547,6 +547,79 @@ def test_simulate_rejects_a_bad_worker_count(tmp_path, capsys, workers, message)
     assert main(["simulate", scenario, f"--workers={workers}"]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "s.scenario", "--k", "abc"],
+    ["simulate", "s.scenario", "--seed", "x"],
+    ["estimate", "--sample", "s.csv", "--aux", "a.csv", "--links", "l.csv", "--big-n", "x"],
+    ["estimate", "--sample", "s.csv", "--aux", "a.csv", "--links", "l.csv", "--big-n", "5",
+     "--target", "bogus"],
+    ["estimate", "--sample", "s.csv", "--aux", "a.csv", "--big-n", "5"],
+    ["diagnose", "--aux", "a.csv", "--links", "l.csv", "--limit", "many"],
+    ["oracle", "--big-n", "8"],
+    ["oracle", "--big-n", "8", "--n", "3", "--unknown", "1"],
+    [],
+], ids=["simulate-k", "simulate-seed", "estimate-big-n", "estimate-target",
+        "estimate-missing-links", "diagnose-limit", "oracle-missing-n", "oracle-unknown",
+        "no-command"])
+def test_malformed_options_exit_with_validation_code(capsys, argv):
+    # argparse exited 2, the code of a numerical failure; its wording
+    # differs across Python versions, so only the prefix is pinned
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--help"])
+    assert exc.value.code == 0
+    assert "--big-n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, estimator, with_sample", [
+    ("estimate", "ht", True),
+    ("estimate", "ht,sri", True),
+    ("diagnose", None, False),
+    ("diagnose", None, True),
+], ids=["estimate-ht", "estimate-ht-sri", "diagnose", "diagnose-sample"])
+def test_q_is_checked_before_any_file_is_read(linear_fixture, capsys, command,
+                                              estimator, with_sample):
+    # ht ignores q, so these ran to exit 0, or printed the ht estimate or the
+    # echo before sri or the sample's diagnostics failed on it; the fixture's
+    # sampled units have one link each and no flags, the one file that gives
+    # sri best-link weights
+    sample, aux, links = linear_fixture
+    argv = [command, "--aux", aux, "--links", links, "--q", "5"]
+    if with_sample:
+        argv += ["--sample", sample, "--big-n", "6"]
+    if estimator is not None:
+        argv += ["--estimator", estimator]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --q must lie in (0, 1], got 5.0\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("key, name", [
+    ("sigma", "sigma"), ("p1", "link shares"), ("match_rate", "match rate"),
+    ("oracle", "sigma")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_model_parameters_are_rejected_by_name(tmp_path, capsys, key, name,
+                                                          value):
+    # nan slipped past every bound, and sigma = inf too: the run went on until
+    # the replicate loop failed on a non-finite value, or a later bound
+    # reported nan for another parameter
+    scenario = write(tmp_path / "s.scenario",
+                     f"population = 50\nsample = 10\nreplicates = 2\n{key} = {value}\n")
+    if key == "oracle":
+        argv, where = ["oracle", "--big-n", "6", "--n", "2", "--sigma", value], ""
+    else:
+        argv, where = ["simulate", scenario], f"{scenario}: block 1: "
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {where}{name} ")
+    assert value in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("source", ["--seed", "scenario", "oracle"])

@@ -15,10 +15,13 @@ from greglink.design import (
 from greglink.errors import NumericalError, ValidationError
 from greglink.estimators import (
     DIAGNOSTIC_KINDS,
+    ESTIMATORS,
+    INCIDENCE_SUM,
     DiagnosticsReport,
     GregSpec,
     build_unit_inputs,
     consistency_diagnostics,
+    fit_unit_inputs,
     greg,
     greg_batch,
     link_aggregates,
@@ -252,6 +255,22 @@ def test_perfect_linkage_all_estimators_equal_ideal():
     ideal_mean = greg(GregSpec(covariates=aux.x[sample.ids], total=aux.total),
                       y_s, sample, target="mean")
     assert sub.value == pytest.approx(ideal_mean.value * n_population, rel=1e-10)
+
+
+@pytest.mark.parametrize("tag", ESTIMATORS)
+def test_every_rule_rejects_an_unknown_target(tag):
+    # the subsample rule read any target other than "total" as the mean
+    x, population = gen_population(PopulationModel(n_units=500), rng_stream(4, 0))
+    aux = AuxDatabase.from_values(x)
+    model = LinkageModel(link_share=(0.2, 0.4, 0.4), match_rate=0.6, correct_best_rate=0.5)
+    _, linkage, best = gen_linkage(500, model, rng_stream(4, 1))
+    scheme = (multiplicity_weights(linkage) if ESTIMATORS[tag].covariate == INCIDENCE_SUM
+              else reverse_weights_best_link(linkage, best, 0.4))
+    inputs = build_unit_inputs(tag, linkage, aux, scheme, best, population.y)
+    sample = draw_srswor(500, 50, rng_stream(4, 2))
+    with pytest.raises(ValidationError, match="^unknown target 'Total'$"):
+        fit_unit_inputs(inputs, sample.ids[None], population.y[sample.ids][None],
+                        sample.pi[None], sample.design, "Total")
 
 
 def test_sub_greg_fixed_coefficients_difference_form():
