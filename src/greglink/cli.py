@@ -110,11 +110,7 @@ def _unit_inputs(inputs: EstimationInputs, estimator: str, q: float
             INCIDENCE, linkage, weights, inputs.unit_keys, inputs.record_keys)
     elif covariate is not None:
         linkage, link_index = linkage.restrict(inputs.sample.ids)
-        if inputs.best_links is not None:
-            best = inputs.best_links[np.searchsorted(inputs.linkage.covered_units,
-                                                     linkage.covered_units)]
-        elif np.all(linkage.degrees == 1):
-            best = linkage.link_records
+        best = _sampled_best_links(inputs, linkage)
         if covariate == BEST_LINK and best is None:
             raise ValidationError("this estimator needs an is_best column in the link file")
         if covariate in (REVERSE_SUM, LINK_SET) and weights is not None:
@@ -127,6 +123,18 @@ def _unit_inputs(inputs: EstimationInputs, estimator: str, q: float
             scheme = WeightScheme(kind=REVERSE, linkage=linkage, values=equal)
     unit_inputs = build_unit_inputs(estimator, linkage, inputs.aux, scheme, best, inputs.y)
     return unit_inputs, np.searchsorted(linkage.covered_units, inputs.sample.ids)
+
+
+def _sampled_best_links(inputs: EstimationInputs, sampled: LinkageStructure
+                        ) -> np.ndarray | None:
+    """The best links of the sampled units' linkage ``sampled``: the flagged
+    ones, or the only ones when each sampled unit has one link; else None."""
+    if inputs.best_links is not None:
+        return inputs.best_links[np.searchsorted(inputs.linkage.covered_units,
+                                                 sampled.covered_units)]
+    if np.all(sampled.degrees == 1):
+        return sampled.link_records
+    return None
 
 
 def estimate_from_inputs(inputs: EstimationInputs, estimator: str, target: str,
@@ -263,14 +271,17 @@ def _print_npa(linkage: LinkageStructure, aux: AuxDatabase, weights: np.ndarray 
 
 def _sample_diagnostics(inputs: EstimationInputs, q: float) -> list[DiagnosticsReport]:
     """The consistency diagnostics the files allow, each on the rows its
-    estimator fits: ``sbl`` needs best-link flags, ``sls`` no weights.
+    estimator fits: ``sbl`` needs best links, as ``_unit_inputs`` resolves
+    them, ``sls`` no weights.
 
     ``sri`` is left out when the weight column fails as reverse weights on
     the sampled units yet covers the population, for ``_print_npa`` has then
     taken it as ``pi``'s incidence weights.
     """
-    rows = {"sls": link_sums(inputs.linkage.restrict(inputs.sample.ids)[0], inputs.aux)}
-    for tag in ("sri", "sbl") if inputs.best_links is not None else ("sri",):
+    sampled = inputs.linkage.restrict(inputs.sample.ids)[0]
+    rows = {"sls": link_sums(sampled, inputs.aux)}
+    has_best = _sampled_best_links(inputs, sampled) is not None
+    for tag in ("sri", "sbl") if has_best else ("sri",):
         try:
             unit_inputs, pos = _unit_inputs(inputs, tag, q)
         except ValidationError:

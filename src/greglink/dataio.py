@@ -7,9 +7,15 @@ File schemas (header row required, UTF-8, decimal point):
 * sample file:     ``unit_id,y,pi``
 
 External unit and record identifiers may be arbitrary strings; they are
-mapped to dense 0-based indices on ingestion (numerically when every id
-parses as an integer, lexicographically otherwise) and mapped back on
-output.
+mapped to dense 0-based indices on ingestion and mapped back on output.
+Units (link and sample files) are indexed in ``order_keys`` order, records
+by their row in the auxiliary file. Each id namespace is first mapped to
+int64 codes by ``_key_codes``: the ids' values when every id of the
+namespace is canonical decimal, as ``write_*_csv`` write them, else a
+numbering of the distinct strings. Every later step (repeated ids, unknown
+records, unit positions, unlinked sampled units, repeated links) runs once
+on the codes with ``argsort`` and ``searchsorted``, so both kinds of id give
+the same indices and the same errors.
 
 A file is read along one of two paths, picked by its own text. A plain file
 (no quote, no NUL, no carriage return outside ``\\r\\n``, no empty header
@@ -26,10 +32,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, count
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -194,6 +200,12 @@ def _float_columns(path: Path, rows: _Rows, columns: Sequence[int]) -> list[np.n
 
 def _flag_column(path: Path, rows: _Rows, column: int) -> np.ndarray:
     """Cells of a flag column: 1, true or yes; 0, false, no or empty; any case."""
+    text = ",".join(rows.columns[column]) + ","
+    flags = text[::2]
+    if text[1::2] == "," * len(flags) and not flags.strip("01"):
+        # a comma after every character, and each character a 0 or a 1: the
+        # cells are exactly "0" and "1", as ``write_links_csv`` writes them
+        return np.frombuffer(flags.encode("ascii"), np.uint8) == ord("1")
     cells = list(map(str.lower, map(str.strip, rows.columns[column])))
     if not _FLAGS.issuperset(cells):
         i = next(i for i, cell in enumerate(cells) if cell not in _FLAGS)
@@ -202,21 +214,77 @@ def _flag_column(path: Path, rows: _Rows, column: int) -> np.ndarray:
     return np.fromiter(map(_TRUE_FLAGS.__contains__, cells), bool, len(cells))
 
 
-def _unique_index(path: Path, keys: list[str], what: str) -> dict[str, int]:
-    """Position of each key; the error names the first key that repeats."""
-    index = dict(zip(keys, range(len(keys))))
-    if len(index) != len(keys):
-        # a repeated key maps to its last position, so its first one differs
-        dup = next(k for i, k in enumerate(keys) if index[k] != i)
-        raise ValidationError(f"{path}: duplicate {what} {dup!r}")
-    return index
+def _decimal_values(keys: Sequence[str]) -> np.ndarray | None:
+    """The values of keys that are all canonical decimal, else None.
+
+    A canonical decimal key is what ``write_*_csv`` write: ASCII digits with
+    no leading zero (bar ``"0"`` itself), at most 18 of them, so its value
+    fits in int64 and no other canonical key has that value. The keys are
+    checked and parsed in one pass over their joined bytes.
+    """
+    if not keys:
+        return np.zeros(0, np.int64)
+    text = ",".join(keys) + ","
+    if not text.isascii():
+        return None
+    chars = np.frombuffer(text.encode("ascii"), np.uint8)
+    digits = chars - np.uint8(ord("0"))  # any byte but a digit wraps to 10 or more
+    if np.count_nonzero(digits < 10) != len(chars) - len(keys):
+        return None  # a byte other than the joining commas is no digit
+    ends = np.flatnonzero(chars == ord(","))
+    lengths = np.diff(ends, prepend=-1) - 1
+    if (lengths.min() < 1 or lengths.max() > 18
+            or np.any(chars[(ends - lengths)[lengths > 1]] == ord("0"))):
+        return None
+    values = np.zeros(len(keys), np.int64)
+    for shift in range(lengths.max(), 0, -1):
+        # the digit `shift` places before each key's end; none before its start
+        values *= 10
+        values += digits[ends - shift] * (lengths >= shift)
+    return values
+
+
+def _key_codes(columns: Sequence[Sequence[str]], ordered: bool) -> list[np.ndarray]:
+    """An int64 code for each key of the key columns of one id namespace;
+    two keys get the same code exactly when they are the same string.
+
+    When every key is canonical decimal, each code is the key's value.
+    Otherwise the codes number the distinct keys: by ``order_keys`` rank when
+    ``ordered``, else by each key's last place in the columns. On either
+    path the codes of ``ordered`` columns sort as ``order_keys`` sorts their
+    keys.
+    """
+    values = []
+    for column in columns:
+        column_values = _decimal_values(column)
+        if column_values is None:
+            break
+        values.append(column_values)
+    else:
+        return values
+    # each distinct key to its last place in the columns, then to its rank
+    index = dict(zip(chain.from_iterable(columns), count()))
+    if ordered:
+        index = dict(zip(order_keys(index), count()))
+    return [np.fromiter(map(index.__getitem__, column), np.int64, len(column))
+            for column in columns]
+
+
+def _check_unique(path: Path, keys: Sequence[str], what: str) -> None:
+    """Reject a repeated key; the error names the first key that recurs."""
+    [codes] = _key_codes([keys], ordered=False)
+    order = np.argsort(codes)
+    repeats = np.flatnonzero(codes[order[1:]] == codes[order[:-1]])
+    if len(repeats):
+        # the earliest row holding a repeated key, whichever way the sort broke ties
+        first = min(order[repeats].min(), order[repeats + 1].min())
+        raise ValidationError(f"{path}: duplicate {what} {keys[first]!r}")
 
 
 @dataclass(frozen=True)
 class AuxTable:
     aux: AuxDatabase
     record_keys: list[str]
-    index_of: dict[str, int]
 
 
 def _check_aux_header(path: Path, header: list[str]) -> None:
@@ -229,8 +297,8 @@ def _check_aux_header(path: Path, header: list[str]) -> None:
 def _aux_table(path: Path, rows: _Rows) -> AuxTable:
     values = np.column_stack(_float_columns(path, rows, range(1, len(rows.header))))
     keys = rows.columns[0]
-    index_of = _unique_index(path, keys, "record id")
-    return AuxTable(aux=AuxDatabase(x=values), record_keys=keys, index_of=index_of)
+    _check_unique(path, keys, "record id")
+    return AuxTable(aux=AuxDatabase(x=values), record_keys=keys)
 
 
 def read_aux_csv(path: str | Path) -> AuxTable:
@@ -292,7 +360,7 @@ def _sample_table(path: Path, rows: _Rows) -> SampleTable:
         raise ValidationError(f"{path}:{rows.linenos[i]}: inclusion probability "
                               f"not in (0, 1]: {rows.columns[2][i]!r}")
     unit_keys = rows.columns[0]
-    _unique_index(path, unit_keys, "sample unit")
+    _check_unique(path, unit_keys, "sample unit")
     return SampleTable(unit_keys=unit_keys, y=y, pi=pi)
 
 
@@ -300,12 +368,13 @@ def read_sample_csv(path: str | Path) -> SampleTable:
     return _read_table(path, _check_sample_header, _sample_table)
 
 
-def order_keys(keys: set[str]) -> list[str]:
+def order_keys(keys: Iterable[str]) -> list[str]:
     """Deterministic id ordering: numeric when every key is an integer, with
     keys of equal value ("1" and "01") ordered as strings.
 
     The keys are sorted as strings, then stably by value, which costs less
-    than one sort on (value, string) pairs.
+    than one sort on (value, string) pairs. Ids that are all canonical
+    decimal never come here: ``_key_codes`` orders them by their values.
     """
     ordered = sorted(keys)
     try:
@@ -338,8 +407,9 @@ def assemble_estimation_inputs(sample_path: str | Path | None, aux_path: str | P
 
     The linked and sampled units must number at most ``n_population`` when
     it is given; a sample file needs it. Unit keys map to dense indices in
-    ``order_keys`` order, record keys through the auxiliary file. The linkage
-    is population-scoped exactly when the link file covers ``n_population``
+    ``order_keys`` order, record keys to their rows in the auxiliary file;
+    both go through the codes of ``_key_codes``. The linkage is
+    population-scoped exactly when the link file covers ``n_population``
     distinct units, otherwise sample-scoped over the units it covers. A link
     given twice is rejected by its unit and record keys.
     """
@@ -347,32 +417,36 @@ def assemble_estimation_inputs(sample_path: str | Path | None, aux_path: str | P
         raise ValidationError("a sample file needs the population size")
     aux_table = read_aux_csv(aux_path)
     link_table = read_links_csv(links_path)
-    linked = set(link_table.unit_keys)
-    n_referenced = len(linked)
-    sample_table = None
-    if sample_path is not None:
-        # read and checked before the linkage is built, whose errors come last
-        sample_table = read_sample_csv(sample_path)
-        n_referenced = len(linked.union(sample_table.unit_keys))
+    # read and checked before the linkage is built, whose errors come last
+    sample_table = None if sample_path is None else read_sample_csv(sample_path)
+    sample_keys = [] if sample_table is None else sample_table.unit_keys
+
+    link_units, sample_units = _key_codes([link_table.unit_keys, sample_keys], ordered=True)
+    # the linked units' codes in ascending order, and each link's position among them
+    by_unit = np.argsort(link_units)
+    sorted_units = link_units[by_unit]
+    firsts = np.append(True, sorted_units[1:] != sorted_units[:-1])
+    linked = sorted_units[firsts]
+    units = np.empty(len(link_units), np.int64)
+    units[by_unit] = np.cumsum(firsts) - 1
+    sample_ids, sampled_linked = _search(linked, sample_units)
+    n_referenced = len(linked) + len(sample_ids) - np.count_nonzero(sampled_linked)
     if n_population is not None and n_referenced > n_population:
         raise ValidationError(f"files reference {n_referenced} units but the "
                               f"population size is {n_population}")
-    if sample_table is not None:
-        missing = [k for k in sample_table.unit_keys if k not in linked]
-        if missing:
-            raise ValidationError(f"sampled units without links: {missing[:5]}")
+    if not sampled_linked.all():
+        missing = [sample_keys[i] for i in np.flatnonzero(~sampled_linked)[:5]]
+        raise ValidationError(f"sampled units without links: {missing}")
 
-    unit_keys = order_keys(linked)
-    unit_index = dict(zip(unit_keys, range(len(unit_keys))))
-    n_links = len(link_table.record_keys)
-    try:
-        records = np.fromiter(map(aux_table.index_of.__getitem__, link_table.record_keys),
-                              np.int64, n_links)
-    except KeyError as exc:
+    aux_records, link_records = _key_codes(
+        [aux_table.record_keys, link_table.record_keys], ordered=False)
+    by_record = np.argsort(aux_records)
+    records, known = _search(aux_records[by_record], link_records)
+    if not known.all():
+        row = np.argmin(known)
         raise ValidationError(
-            f"link file references unknown record {exc.args[0]!r}"
-        ) from exc
-    units = np.fromiter(map(unit_index.__getitem__, link_table.unit_keys), np.int64, n_links)
+            f"link file references unknown record {link_table.record_keys[row]!r}")
+    records = by_record[records]
     key = link_key(units, records, aux_table.aux.n_records)
     rows = np.argsort(key)
     repeats = np.flatnonzero(np.diff(key[rows]) == 0)
@@ -381,6 +455,7 @@ def assemble_estimation_inputs(sample_path: str | Path | None, aux_path: str | P
         row = rows[repeats[0]]
         raise ValidationError(f"link file repeats the link of unit {link_table.unit_keys[row]!r}"
                               f" to record {link_table.record_keys[row]!r}")
+    unit_keys = list(map(link_table.unit_keys.__getitem__, by_unit[firsts].tolist()))
     n_units = len(unit_keys)
     linkage = build_linkage(
         np.column_stack([units, records]),
@@ -394,8 +469,6 @@ def assemble_estimation_inputs(sample_path: str | Path | None, aux_path: str | P
 
     sample = y = None
     if sample_table is not None:
-        sample_ids = np.fromiter(map(unit_index.__getitem__, sample_table.unit_keys),
-                                 np.int64, len(sample_table.unit_keys))
         order = np.argsort(sample_ids)
         design = SurveyDesign(n_population=n_population, sample_size=len(sample_ids))
         sample = Sample(ids=sample_ids[order], pi=sample_table.pi[order], design=design)
@@ -410,6 +483,17 @@ def assemble_estimation_inputs(sample_path: str | Path | None, aux_path: str | P
         unit_keys=unit_keys,
         record_keys=aux_table.record_keys,
     )
+
+
+def _search(ordered: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each code sits in the ascending, nonempty ``ordered``, and
+    whether it is there."""
+    # a search for ascending codes resumes where the last one ended, so
+    # sorting them first costs less than searching them in file order
+    by_code = np.argsort(codes)
+    at = np.empty_like(by_code)
+    at[by_code] = np.searchsorted(ordered, codes[by_code])
+    return at, ordered[np.minimum(at, len(ordered) - 1)] == codes
 
 
 def _best_links(linkage: LinkageStructure, flags: np.ndarray,

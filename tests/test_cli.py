@@ -217,6 +217,15 @@ def test_diagnose_with_sample_prints_statistics(linear_fixture, capsys):
     out = capsys.readouterr().out
     assert "consistency diagnostic (sri)" in out
     assert "consistency diagnostic (sls)" in out
+    # one link per sampled unit resolves the best links without flags, as in
+    # `estimate`, whose sbl line `diagnose` repeats
+    assert "consistency diagnostic (sbl)" in out
+    main(["estimate", "--aux", aux, "--links", links, "--sample", sample, "--big-n", "6",
+          "--estimator", "sri,sbl,sls"])
+    estimated = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("consistency diagnostic")]
+    assert sorted(estimated) == sorted(line for line in out.splitlines()
+                                       if line.startswith("consistency diagnostic"))
 
 
 @pytest.mark.parametrize("links, big_n, outcome", [

@@ -2,8 +2,11 @@
 and the csv path, and invariance of the estimates to row order, quoting, line
 ends and order-preserving renaming of unit ids."""
 
+import contextlib
 import csv
 import dataclasses
+import io
+import re
 from unittest import mock
 
 import numpy as np
@@ -76,6 +79,7 @@ def raised_text(call, *args) -> str:
      "2: not a finite number: 'nan'"),
     (read_links_csv, "unit_id,record_id,weight,is_best\n1,a,1.0,1\n2,b,1.0,maybe\n",
      "3: not a 0/1 flag: 'maybe'"),
+    (read_links_csv, "unit_id,record_id,is_best\n1,a,0\n2,b,000\n", "3: not a 0/1 flag: '000'"),
     (read_aux_csv, "record_id,x1\na,1\nb,2,3\n", "3: expected 2 fields"),
     (read_links_csv, "unit_id,record_id,is_best\n1,a,1\n2,b\n", "3: expected 3 fields"),
     (read_sample_csv, "unit_id,y,pi\n1,2.0,0.5\n2,3.0\n", "3: expected 3 fields"),
@@ -353,3 +357,181 @@ def test_order_keys_breaks_equal_values_on_the_string(keys, expected):
     # follows PYTHONHASHSEED; both input orders now give one list
     assert order_keys(keys) == expected
     assert order_keys(keys[::-1]) == expected
+
+
+@st.composite
+def id_structures(draw):
+    """A small linkage, sample and auxiliary file over drawn integer ids, in
+    drawn row orders."""
+    n_units = draw(st.integers(2, 7))
+    n_records = draw(st.integers(1, 5))
+    # up to 18 digits, the longest canonical decimal id
+    ids = st.integers(0, 10**18 - 1) | st.integers(0, 20)
+    unit_ids = draw(st.lists(ids, min_size=n_units, max_size=n_units, unique=True))
+    record_ids = draw(st.lists(ids, min_size=n_records, max_size=n_records, unique=True))
+    values = st.floats(-9, 9, allow_nan=False).map(repr)
+    aux = draw(st.lists(values, min_size=n_records, max_size=n_records))
+    links = []
+    for unit in unit_ids:
+        records = sorted(draw(st.sets(st.sampled_from(record_ids), min_size=1)))
+        best = draw(st.sampled_from(records))
+        links += [(unit, record, int(record == best)) for record in records]
+    links = draw(st.permutations(links))
+    sampled = draw(st.lists(st.sampled_from(unit_ids), min_size=2, max_size=n_units,
+                            unique=True))
+    y = draw(st.lists(values, min_size=len(sampled), max_size=len(sampled)))
+    n_population = n_units + draw(st.integers(0, 2))
+    return {"aux": list(zip(record_ids, aux)), "links": links,
+            "sample": [(unit, value, repr(len(sampled) / n_population))
+                       for unit, value in zip(sampled, y)],
+            "n_population": n_population, "flagged": draw(st.booleans())}
+
+
+def write_structure(directory, structure, unit_id, record_id):
+    """The structure's three files, each id written by ``unit_id`` or ``record_id``."""
+    directory.mkdir()
+    best = ",is_best" if structure["flagged"] else ""
+    rows = {
+        "aux": ["record_id,x1", *(f"{record_id(r)},{x}" for r, x in structure["aux"])],
+        "links": [f"unit_id,record_id{best}",
+                  *(f"{unit_id(u)},{record_id(r)}" + (f",{flag}" if best else "")
+                    for u, r, flag in structure["links"])],
+        "sample": ["unit_id,y,pi", *(f"{unit_id(u)},{y},{pi}" for u, y, pi in structure["sample"])],
+    }
+    return {name: write(directory / f"{name}.csv", "\n".join(lines) + "\n")
+            for name, lines in rows.items()}
+
+
+def cli_outcomes(paths, n_population):
+    """Exit code and output of ``diagnose`` and of ``estimate`` with each estimator."""
+    files = ["--aux", paths["aux"], "--links", paths["links"], "--sample", paths["sample"],
+             "--big-n", str(n_population)]
+    outcomes = []
+    for argv in (["diagnose", *files], *(["estimate", *files, "--estimator", estimator]
+                                         for estimator in FILE_ESTIMATORS.split(","))):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        text = out.getvalue() + err.getvalue()
+        for name, path in paths.items():
+            text = text.replace(path, name)
+        outcomes.append(f"{code}\n{text}")
+    return outcomes
+
+
+def prefixed(prefix):
+    # a fixed width: the strings sort as the values do
+    return lambda unit_or_record: f"{prefix}{unit_or_record:018d}"
+
+
+def unprefixed(text):
+    return re.sub(r"\b[ur](\d{18})\b", lambda match: str(int(match.group(1))), text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(structure=id_structures())
+def test_canonical_and_string_ids_give_one_result(tmp_path_factory, structure):
+    directory = tmp_path_factory.mktemp("ids")
+    plain = write_structure(directory / "canonical", structure, str, str)
+    named = write_structure(directory / "prefixed", structure, prefixed("u"), prefixed("r"))
+    n_population = structure["n_population"]
+    with mock.patch.object(dataio, "order_keys", side_effect=AssertionError("string path")):
+        by_value = assemble_estimation_inputs(plain["sample"], plain["aux"], plain["links"],
+                                              n_population)
+    by_string = assemble_estimation_inputs(named["sample"], named["aux"], named["links"],
+                                           n_population)
+    assert by_value.unit_keys == list(map(str, sorted({unit for unit, *_ in structure["links"]})))
+    assert list(map(unprefixed, by_string.unit_keys)) == by_value.unit_keys
+    assert list(map(unprefixed, by_string.record_keys)) == by_value.record_keys
+    for name in ("aux", "sample", "y", "weights", "best_links"):
+        assert fingerprint(getattr(by_string, name)) == fingerprint(getattr(by_value, name))
+    for name in ("scope", "covered_units", "n_records", "link_units", "link_records"):
+        assert fingerprint(getattr(by_string.linkage, name)) == fingerprint(
+            getattr(by_value.linkage, name))
+    assert list(map(unprefixed, cli_outcomes(named, n_population))) == cli_outcomes(
+        plain, n_population)
+
+
+def write_id_files(directory, aux_ids, links, sample_ids, quoting=csv.QUOTE_MINIMAL):
+    """Aux, link and sample files over the given ids, every value 1."""
+    tables = {"aux": (["record_id", "x1"], [(key, "1") for key in aux_ids]),
+              "links": (["unit_id", "record_id"], links),
+              "sample": (["unit_id", "y", "pi"], [(key, "1", "0.5") for key in sample_ids])}
+    paths = {}
+    for name, (header, rows) in tables.items():
+        paths[name] = str(directory / f"{name}.csv")
+        with open(paths[name], "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, quoting=quoting)
+            writer.writerow(header)
+            writer.writerows(rows)
+    return paths
+
+
+def assembled(paths):
+    """The unit keys of the assembled files, or the error text."""
+    try:
+        inputs = assemble_estimation_inputs(paths["sample"], paths["aux"], paths["links"], 99)
+    except ValidationError as exc:
+        return str(exc).replace(paths["aux"], "aux").replace(paths["sample"], "sample")
+    return inputs.unit_keys
+
+
+# ids that are no canonical decimal; the first is left out of one file in turn
+EDGE_IDS = {
+    "00": (["00", "3", "10"], ["00", "3", "10"]),
+    "007 beside 7": (["007", "7", "3"], ["3", "007", "7"]),
+    "+1": (["+1", "10", "2"], ["+1", "2", "10"]),
+    "1_0 beside 10": (["1_0", "10", "9"], ["9", "10", "1_0"]),
+    "-1": (["-1", "5", "10"], ["-1", "5", "10"]),
+    "arabic-indic": (["١٢", "3", "20"], ["3", "١٢", "20"]),
+    "19 digits": (["9999999999999999999", "5", "10"], ["5", "10", "9999999999999999999"]),
+    "space, quoted": ([" 1", "10", "2"], ["1", "2", "10"]),
+}
+
+
+@pytest.mark.parametrize("ids, unit_keys", EDGE_IDS.values(), ids=EDGE_IDS.keys())
+def test_ids_off_the_decimal_path_keep_order_and_errors(tmp_path, ids, unit_keys):
+    quoting = csv.QUOTE_ALL if ids[0].startswith(" ") else csv.QUOTE_MINIMAL
+    edge, key = ids[0], ids[0].strip()
+
+    def outcome(name, aux_ids=ids, links=ids, sample_ids=ids):
+        directory = tmp_path / name
+        directory.mkdir()
+        return assembled(write_id_files(directory, aux_ids, [(k, k) for k in links],
+                                        sample_ids, quoting))
+
+    assert outcome("whole") == unit_keys
+    assert outcome("unlinked", links=ids[1:]) == f"sampled units without links: [{key!r}]"
+    assert outcome("unknown", aux_ids=ids[1:]) == f"link file references unknown record {key!r}"
+    assert outcome("repeated", links=[*ids, edge]) == (
+        f"link file repeats the link of unit {key!r} to record {key!r}")
+    assert outcome("duplicate", aux_ids=[*ids, edge]) == f"aux: duplicate record id {key!r}"
+    assert outcome("duplicate unit", sample_ids=[*ids, edge]) == (
+        f"sample: duplicate sample unit {key!r}")
+
+
+@pytest.mark.parametrize("name", [str, prefixed("k")], ids=["canonical", "prefixed"])
+def test_first_of_two_faults_is_reported(tmp_path, name):
+    ids = list(map(name, [4, 17, 9]))
+    pairs = [(k, k) for k in ids]
+    # a repeated aux id is found on reading, before the unknown record
+    (tmp_path / "dup").mkdir()
+    assert assembled(write_id_files(tmp_path / "dup", [*ids[1:], ids[2]], pairs, ids[1:])) == (
+        f"aux: duplicate record id {ids[2]!r}")
+    # a sampled unit without links is found before the repeated link
+    (tmp_path / "unlinked").mkdir()
+    assert assembled(write_id_files(tmp_path / "unlinked", ids, [*pairs[1:], pairs[2]],
+                                    ids)) == f"sampled units without links: [{ids[0]!r}]"
+
+
+def test_empty_record_id_is_unknown(tmp_path):
+    paths = write_id_files(tmp_path, ["0", "1"], [("1", "0"), ("2", "")], ["1", "2"])
+    assert assembled(paths) == "link file references unknown record ''"
+
+
+def test_duplicate_error_names_the_earliest_of_several_repeated_keys(tmp_path):
+    # every key twice, so the first key to recur is the first one, 99; the
+    # sort may put either row of a key first
+    keys = [str(k) for k in [*range(99, -1, -1)] * 2]
+    path = write(tmp_path / "aux.csv", "record_id,x1\n" + "".join(f"{k},1\n" for k in keys))
+    assert raised_text(read_aux_csv, path) == f"{path}: duplicate record id '99'"
