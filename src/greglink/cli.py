@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import NoReturn
 
@@ -208,11 +209,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     _check_q(args.q)
-    inputs = assemble_estimation_inputs(args.sample, args.aux, args.links,
-                                        n_population=args.big_n)
     estimators = [e.strip() for e in args.estimator.split(",") if e.strip()]
     if not estimators:
         raise ValidationError("no estimator requested")
+    repeated = [tag for tag, n in Counter(estimators).items() if n > 1]
+    if repeated:
+        raise ValidationError(f"--estimator repeats {', '.join(repeated)}")
+    inputs = assemble_estimation_inputs(args.sample, args.aux, args.links,
+                                        n_population=args.big_n)
     for estimator in estimators:
         est, diag = estimate_from_inputs(inputs, estimator, args.target, args.q)
         _print_estimate(est, diag)

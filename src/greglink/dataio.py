@@ -12,10 +12,11 @@ Units (link and sample files) are indexed in ``order_keys`` order, records
 by their row in the auxiliary file. Each id namespace is first mapped to
 int64 codes by ``_key_codes``: the ids' values when every id of the
 namespace is canonical decimal, as ``write_*_csv`` write them, else a
-numbering of the distinct strings. Every later step (repeated ids, unknown
-records, unit positions, unlinked sampled units, repeated links) runs once
-on the codes with ``argsort`` and ``searchsorted``, so both kinds of id give
-the same indices and the same errors.
+numbering of the distinct strings. Every later step (unknown records, unit
+positions, unlinked sampled units, repeated links) runs once on the codes
+with ``argsort`` and ``searchsorted``, so both kinds of id give the same
+indices and the same errors. Repeated aux and sample ids are rejected as
+each file is read, by a set of the id strings.
 
 A file is read along one of two paths, picked by its own text. A plain file
 (no quote, no NUL, no carriage return outside ``\\r\\n``, no empty header
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, count
 from operator import itemgetter
@@ -271,14 +273,12 @@ def _key_codes(columns: Sequence[Sequence[str]], ordered: bool) -> list[np.ndarr
 
 
 def _check_unique(path: Path, keys: Sequence[str], what: str) -> None:
-    """Reject a repeated key; the error names the first key that recurs."""
-    [codes] = _key_codes([keys], ordered=False)
-    order = np.argsort(codes)
-    repeats = np.flatnonzero(codes[order[1:]] == codes[order[:-1]])
-    if len(repeats):
-        # the earliest row holding a repeated key, whichever way the sort broke ties
-        first = min(order[repeats].min(), order[repeats + 1].min())
-        raise ValidationError(f"{path}: duplicate {what} {keys[first]!r}")
+    """Reject a repeated key; the error names the key of the earliest row
+    whose key recurs."""
+    if len(set(keys)) < len(keys):
+        counts = Counter(keys)
+        first = next(key for key in keys if counts[key] > 1)
+        raise ValidationError(f"{path}: duplicate {what} {first!r}")
 
 
 @dataclass(frozen=True)

@@ -218,8 +218,10 @@ def replicate_ids(n_population: int, sample_size: int, seed: int,
 # The vectorised draw replays three fixed algorithms as numpy runs them:
 # SeedSequence (numpy/random/bit_generator.pyx), PCG64 XSL-RR seeded from
 # its 4-word state (O'Neill 2014), and Generator.choice's Floyd loop over
-# Lemire's bounded 32-bit draw (numpy/random/src/distributions). Tests pin
-# every row against the stream-by-stream reference.
+# Lemire's bounded 32-bit draw (numpy/random/src/distributions). Of
+# SeedSequence only the last steps are replayed: numpy supplies the pool of
+# seed and key, and k's mixing into it and generate_state run here. Tests
+# pin every row against the stream-by-stream reference.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
@@ -228,27 +230,17 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 
 
-def _words32(value: int) -> list[int]:
-    """SeedSequence's 32-bit words of a non-negative int, least significant
-    first; 0 is one zero word."""
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
+def _n_words32(value: int) -> int:
+    """How many 32-bit words SeedSequence makes of a non-negative int; 0 is
+    one zero word."""
+    return max(1, -(-int(value).bit_length() // 32))
 
 
-def _hashmix(value, hash_const, mult: int = _MULT_A):
-    """SeedSequence's hash of the 32-bit ``value`` under ``hash_const``, and
-    the next hash constant; ints, or uint64 arrays that broadcast."""
-    next_const = (hash_const * mult) & _MASK32
-    value = ((value ^ hash_const) * next_const) & _MASK32
-    return value ^ (value >> 16), next_const
-
-
-def _mix(x, y):
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ (result >> 16)
+def _hashmix(value: np.ndarray, hash_const: np.ndarray, mult: int) -> np.ndarray:
+    """SeedSequence's hash of the 32-bit ``value`` under ``hash_const``, on
+    uint64 arrays that broadcast."""
+    value = ((value ^ hash_const) * ((hash_const * mult) & _MASK32)) & _MASK32
+    return value ^ (value >> 16)
 
 
 def _hash_constants(start: int, mult: int, count: int) -> np.ndarray:
@@ -264,34 +256,22 @@ def _pcg64_seeds(seed: int, key: tuple[int, ...], ks: np.ndarray):
     entry per k of ``ks`` (k < 2**32), as ``rng_stream(seed, *key, k)``
     seeds them.
 
-    The entropy words are seed (padded to the pool size), key, k. Only the
-    last word varies with k, so the mixing of all the others runs once, in
-    Python, and k enters through the pool's last four mix steps.
+    The entropy words are seed (padded to the pool size), key, k. numpy's
+    SeedSequence of (seed, key) holds the pool with every word but k mixed
+    in, after four hashes per word; k, the last word, is mixed into each
+    pool word under the hash constants that follow.
     """
-    words = _words32(seed)
-    words += [0] * (_POOL_SIZE - len(words))
-    for part in key:
-        words += _words32(part)
-    hash_const, pool = _INIT_A, []
-    for word in words[:_POOL_SIZE]:
-        value, hash_const = _hashmix(word, hash_const)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], value)
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            value, hash_const = _hashmix(word, hash_const)
-            pool[dst] = _mix(pool[dst], value)
-    # k mixed into each pool word, one hash constant per word
-    value, _ = _hashmix(ks, _hash_constants(hash_const, _MULT_A, _POOL_SIZE))
-    pool = _mix(np.array(pool, dtype=np.uint64)[:, None], value)
+    pool = np.random.SeedSequence(seed, spawn_key=key).pool.astype(np.uint64)[:, None]
+    n_words = max(_POOL_SIZE, _n_words32(seed)) + sum(map(_n_words32, key))
+    hash_const = (_INIT_A * pow(_MULT_A, 4 * n_words, 1 << 32)) & _MASK32
+    value = _hashmix(ks, _hash_constants(hash_const, _MULT_A, _POOL_SIZE), _MULT_A)
+    # k's hash mixed into each pool word
+    pool = (_MIX_MULT_L * pool - _MIX_MULT_R * value) & _MASK32
+    pool ^= pool >> 16
     # generate_state(4, uint64): eight words cycled from the pool, paired
     # little-endian; PCG64 reads (seed high, seed low, inc high, inc low)
-    state, _ = _hashmix(np.tile(pool, (2, 1)),
-                        _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE), _MULT_B)
+    state = _hashmix(np.tile(pool, (2, 1)),
+                     _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE), _MULT_B)
     return state[0::2] | (state[1::2] << 32)
 
 

@@ -21,14 +21,16 @@ calls, which release the GIL, so threads run chunks in parallel and share
 the block's inputs without copying them.
 
 A chunk draws its samples with ``design.replicate_ids``, which replays
-numpy's seeding, PCG64 and Floyd's sampler in array operations over the
-chunk and falls back to the stream itself for any row or case it cannot
-reproduce, so its ids equal the per-stream ``srswor_ids`` bit for bit.
+the end of numpy's seeding, PCG64 and Floyd's sampler in array operations
+over the chunk and falls back to the stream itself for any row or case it
+cannot reproduce, so its ids equal the per-stream ``srswor_ids`` bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -107,6 +109,10 @@ class ScenarioConfig:
         unknown = [e for e in self.estimators if e not in ESTIMATOR_ORDER]
         if unknown:
             raise ValidationError(f"unknown estimators: {unknown}")
+        repeated = [tag for tag, n in Counter(self.estimators).items() if n > 1]
+        if repeated:
+            # each would be fitted and reported twice
+            raise ValidationError(f"repeated estimators: {repeated}")
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "link_share",
                            tuple(float(v) for v in self.link_share))

@@ -96,10 +96,6 @@ class Population:
         object.__setattr__(self, "y", _readonly(y))
 
     @property
-    def n(self) -> int:
-        return len(self.y)
-
-    @property
     def total(self) -> float:
         return float(self.y.sum())
 

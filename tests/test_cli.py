@@ -610,6 +610,57 @@ def test_q_is_checked_before_any_file_is_read(linear_fixture, capsys, command,
     assert captured.err == "error: --q must lie in (0, 1], got 5.0\n" and captured.out == ""
 
 
+def test_a_repeated_estimator_in_a_scenario_block_is_rejected(tmp_path, capsys):
+    # the block printed two HT columns and wrote every HT row twice to --out
+    scenario = write(tmp_path / "s.scenario", "population = 50\nsample = 10\n"
+                     "replicates = 2\nestimators = ht,ht,sri-q\n")
+    out_prefix = tmp_path / "out" / "res"
+    assert main(["simulate", scenario, "--out", str(out_prefix)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {scenario}: block 1: repeated estimators: ['ht']\n"
+    assert captured.out == "" and not (tmp_path / "out").exists()
+
+
+def test_a_repeated_estimate_estimator_is_rejected(linear_fixture, capsys):
+    # the same estimate was printed twice
+    sample, aux, links = linear_fixture
+    assert main(["estimate", "--sample", sample, "--aux", aux, "--links", links,
+                 "--estimator", "sri, ht,sri", "--big-n", "6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --estimator repeats sri\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("case", ["no-blocks", "no-estimator", "sample-without-big-n",
+                                  "empty-csv", "line-without-equals", "median-target"])
+def test_rarely_taken_errors_exit_with_validation_code(linear_fixture, tmp_path, capsys,
+                                                       case):
+    sample, aux, links = linear_fixture
+    scenario = write(tmp_path / "s.scenario", {
+        "no-blocks": "# nothing here\n\n",
+        "line-without-equals": "population = 50\nsample 10\n",
+        "median-target": "population = 50\nsample = 10\nreplicates = 2\ntarget = median\n",
+    }.get(case, ""))
+    empty = write(tmp_path / "empty.csv", "")
+    argv, message = {
+        "no-blocks": (["simulate", scenario], f"{scenario}: no scenario blocks found"),
+        "no-estimator": (["estimate", "--sample", sample, "--aux", aux, "--links", links,
+                          "--estimator", ",", "--big-n", "6"],
+                         "no estimator requested"),
+        "sample-without-big-n": (["diagnose", "--aux", aux, "--links", links,
+                                  "--sample", sample],
+                                 "--big-n is required when a sample file is given"),
+        "empty-csv": (["diagnose", "--aux", empty, "--links", links],
+                      f"{empty}: empty file, header row required"),
+        "line-without-equals": (["simulate", scenario],
+                                f"{scenario}:2: expected 'key = value', got 'sample 10'"),
+        "median-target": (["simulate", scenario],
+                          f"{scenario}: block 1: unknown target 'median'"),
+    }[case]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 @pytest.mark.parametrize("key, name", [
     ("sigma", "sigma"), ("p1", "link shares"), ("match_rate", "match rate"),
     ("oracle", "sigma")])

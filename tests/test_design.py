@@ -191,6 +191,19 @@ def _floyd_rows(n_population, sample_size, seed, key, indices):
                               design._pcg64_seeds(seed, key, ks))
 
 
+@pytest.mark.parametrize("key", [(), (3,), (9,), (11,), (1, 2**33)])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64,
+                                  2**96, 2**128 - 1, 2**128, 2**140])
+def test_pcg64_seeds_equal_numpys_seed_sequence(seed, key):
+    # the seed's word count crosses the pool size (4 words) at 2**96 and
+    # 2**128; keys of one and of three words; k of one word at its edges
+    ks = [0, 1, 2**31, 2**32 - 1]
+    expected = [np.random.SeedSequence(seed, spawn_key=(*key, k)).generate_state(4, np.uint64)
+                for k in ks]
+    got = design._pcg64_seeds(seed, key, np.asarray(ks, dtype=np.uint64))
+    np.testing.assert_array_equal(np.column_stack(got), expected)
+
+
 @pytest.fixture
 def floyd_calls(monkeypatch):
     """Counts the vectorised draws that replicate_ids makes."""

@@ -123,6 +123,23 @@ def test_ht_only_run_has_unit_ratios():
     assert est.rmse == 1.0
 
 
+def test_total_target_scales_the_mean_target_by_n():
+    # the estimates are the same fits on the total scale, so truth, SE and
+    # ESE scale by N and the ratios RE and RMSE do not move
+    mean, total = (run_scenario(ScenarioConfig(name=target, target=target, **SMALL))
+                   for target in ("mean", "total"))
+    n_population = SMALL["n_population"]
+    assert total.truth == pytest.approx(n_population * mean.truth, rel=1e-12, abs=0)
+    for est_mean, est_total in zip(mean.estimators, total.estimators, strict=True):
+        assert est_total.estimator == est_mean.estimator
+        for field in ("se", "ese"):
+            assert getattr(est_total, field) == pytest.approx(
+                n_population * getattr(est_mean, field), rel=1e-12, abs=0)
+        for field in ("re", "rmse"):
+            assert getattr(est_total, field) == pytest.approx(
+                getattr(est_mean, field), rel=1e-12, abs=0)
+
+
 def test_replicate_minimum():
     with pytest.raises(ValidationError, match="replicates"):
         ScenarioConfig(name="bad", n_population=100, sample_size=10, replicates=1)
@@ -160,6 +177,8 @@ def test_failed_replicates_counted(monkeypatch):
     summary = run_scenario(cfg)
     assert summary.get("sub").failures == 1
     assert summary.get("ht").failures == 0
+    # the table names the failing estimators only, by label, below the metrics
+    assert summarize_to_table([summary]).splitlines()[-1] == "failed replicates: {'Sub': 1}"
 
 
 def test_failure_threshold_aborts(monkeypatch):
