@@ -32,7 +32,6 @@ from .harness import (
     load_scenario_file,
     parse_scenario_text,
     run_scenario,
-    se_drift,
     summarize_to_table,
     summary_csv_rows,
 )

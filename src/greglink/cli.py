@@ -36,7 +36,6 @@ from .estimators import (
 from .harness import (
     load_scenario_file,
     run_scenario,
-    se_drift,
     summarize_to_table,
     summary_csv_rows,
 )
@@ -92,60 +91,41 @@ def _weight_scheme(kind: str, linkage: LinkageStructure, values: np.ndarray,
 
 def _unit_inputs(inputs: EstimationInputs, estimator: str, q: float
                  ) -> tuple[UnitInputs, np.ndarray]:
-    """One estimator's inputs from the files, and the sampled units'
-    positions among the units they cover.
+    """One estimator's inputs over the file's links, and the sampled units'
+    positions among the units they cover, at which they are gathered, as the
+    harness gathers inputs built over the population links.
 
-    ``pi`` is built over the population links, every other estimator over
-    the sampled units' own links, so weights and flags are checked on those
-    units only. The weights are the file's column read as the rule's kind,
-    else reverse weights with ``q`` on the best links, else equal weights.
-    The best links are the flagged ones, or the only ones when each sampled
-    unit has one link.
+    Weights and flags are thus checked on every unit of the link file. The
+    weights are the file's column read as the rule's kind, else reverse
+    weights with ``q`` on the best links, else equal weights. ``sub`` fits
+    its coefficients on the sampled single-link units.
     """
     covariate, weights = ESTIMATORS[estimator].covariate, inputs.weights
-    linkage, scheme, best = inputs.linkage, None, None
+    linkage, best, scheme = inputs.linkage, inputs.best_links, None
     if covariate == INCIDENCE_SUM:
         if linkage.scope != POPULATION:
             raise ValidationError("PI-GREG requires population-scope links")
         scheme = multiplicity_weights(linkage) if weights is None else _weight_scheme(
             INCIDENCE, linkage, weights, inputs.unit_keys, inputs.record_keys)
-    elif covariate is not None:
-        linkage, link_index = linkage.restrict(inputs.sample.ids)
-        best = _sampled_best_links(inputs, linkage)
-        if covariate == BEST_LINK and best is None:
-            raise ValidationError("this estimator needs an is_best column in the link file")
-        if covariate in (REVERSE_SUM, LINK_SET) and weights is not None:
-            scheme = _weight_scheme(REVERSE, linkage, weights[link_index],
-                                    inputs.unit_keys, inputs.record_keys)
-        elif covariate in (REVERSE_SUM, LINK_SET) and best is not None:
-            scheme = reverse_weights_best_link(linkage, best, q)
-        elif covariate in (REVERSE_SUM, LINK_SET):
-            equal = 1.0 / linkage.degrees[linkage.unit_index_per_link()]
-            scheme = WeightScheme(kind=REVERSE, linkage=linkage, values=equal)
-    unit_inputs = build_unit_inputs(estimator, linkage, inputs.aux, scheme, best, inputs.y)
-    return unit_inputs, np.searchsorted(linkage.covered_units, inputs.sample.ids)
-
-
-def _sampled_best_links(inputs: EstimationInputs, sampled: LinkageStructure
-                        ) -> np.ndarray | None:
-    """The best links of the sampled units' linkage ``sampled``: the flagged
-    ones, or the only ones when each sampled unit has one link; else None."""
-    if inputs.best_links is not None:
-        return inputs.best_links[np.searchsorted(inputs.linkage.covered_units,
-                                                 sampled.covered_units)]
-    if np.all(sampled.degrees == 1):
-        return sampled.link_records
-    return None
+    elif covariate == BEST_LINK and best is None:
+        raise ValidationError("this estimator needs an is_best column in the link file")
+    elif covariate in (REVERSE_SUM, LINK_SET) and weights is not None:
+        scheme = _weight_scheme(REVERSE, linkage, weights, inputs.unit_keys,
+                                inputs.record_keys)
+    elif covariate in (REVERSE_SUM, LINK_SET) and best is not None:
+        scheme = reverse_weights_best_link(linkage, best, q)
+    elif covariate in (REVERSE_SUM, LINK_SET):
+        equal = 1.0 / linkage.degrees[linkage.unit_index_per_link()]
+        scheme = WeightScheme(kind=REVERSE, linkage=linkage, values=equal)
+    pos = np.searchsorted(linkage.covered_units, inputs.sample.ids)
+    return build_unit_inputs(estimator, linkage, inputs.aux, scheme, best, inputs.y, pos), pos
 
 
 def estimate_from_inputs(inputs: EstimationInputs, estimator: str, target: str,
                          q: float) -> tuple[Estimate, DiagnosticsReport | None]:
     """Compute one file-based estimator, and its diagnostic, when defined, on
     the rows it was fitted on, as a stack of one sample."""
-    if estimator not in FILE_ESTIMATORS:
-        raise ValidationError(
-            f"unknown estimator {estimator!r}; choose from {', '.join(FILE_ESTIMATORS)}"
-        )
+    _check_estimator(estimator)
     sample = inputs.sample
     if sample is None:
         raise ValidationError("estimation needs a sample file")
@@ -158,6 +138,13 @@ def estimate_from_inputs(inputs: EstimationInputs, estimator: str, target: str,
     diag = None if kind is None else consistency_diagnostics(
         unit_inputs.rows[0][pos[None]], sample.pi[None], inputs.aux, sample.design, kind)
     return fit.first(estimator, target), diag
+
+
+def _check_estimator(estimator: str) -> None:
+    if estimator not in FILE_ESTIMATORS:
+        raise ValidationError(
+            f"unknown estimator {estimator!r}; choose from {', '.join(FILE_ESTIMATORS)}"
+        )
 
 
 def _check_q(q: float) -> None:
@@ -184,15 +171,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     text = summarize_to_table(summaries)
     print(text)
 
-    drift = se_drift(summaries)
-    for key, per_est in drift.items():
-        n_pop, n_s, sigma, gamma, target = key
-        spread = ", ".join(f"{tag} {value:.6g}" for tag, value in per_est.items())
-        print(f"SE drift across blocks sharing (N={n_pop}, n={n_s}, "
-              f"sigma={sigma}, gamma={gamma}, target={target}): {spread}")
-    if not drift:
-        print("SE drift: not applicable (needs several blocks with a shared population)")
-
     if args.out:
         prefix = Path(args.out)
         prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -215,10 +193,14 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     repeated = [tag for tag, n in Counter(estimators).items() if n > 1]
     if repeated:
         raise ValidationError(f"--estimator repeats {', '.join(repeated)}")
+    for estimator in estimators:
+        _check_estimator(estimator)
     inputs = assemble_estimation_inputs(args.sample, args.aux, args.links,
                                         n_population=args.big_n)
-    for estimator in estimators:
-        est, diag = estimate_from_inputs(inputs, estimator, args.target, args.q)
+    # every estimate is computed before any is printed, so a failure prints none
+    results = [estimate_from_inputs(inputs, estimator, args.target, args.q)
+               for estimator in estimators]
+    for est, diag in results:
         _print_estimate(est, diag)
     return 0
 
@@ -275,19 +257,17 @@ def _print_npa(linkage: LinkageStructure, aux: AuxDatabase, weights: np.ndarray 
 
 def _sample_diagnostics(inputs: EstimationInputs, q: float) -> list[DiagnosticsReport]:
     """The consistency diagnostics the files allow, each on the rows its
-    estimator fits: ``sbl`` needs best links, as ``_unit_inputs`` resolves
-    them, ``sls`` no weights.
+    estimator fits: ``sbl`` needs best links, ``sls`` no weights.
 
-    ``sri`` is left out when the weight column fails as reverse weights on
-    the sampled units yet covers the population, for ``_print_npa`` has then
-    taken it as ``pi``'s incidence weights.
+    ``sri`` is left out when the weight column fails as reverse weights yet
+    covers the population, for ``_print_npa`` has then taken it as ``pi``'s
+    incidence weights.
     """
-    sampled = inputs.linkage.restrict(inputs.sample.ids)[0]
-    rows = {"sls": link_sums(sampled, inputs.aux)}
-    has_best = _sampled_best_links(inputs, sampled) is not None
-    for tag in ("sri", "sbl") if has_best else ("sri",):
+    pos = np.searchsorted(inputs.linkage.covered_units, inputs.sample.ids)
+    rows = {"sls": link_sums(inputs.linkage, inputs.aux)[pos]}
+    for tag in ("sri", "sbl") if inputs.best_links is not None else ("sri",):
         try:
-            unit_inputs, pos = _unit_inputs(inputs, tag, q)
+            unit_inputs = _unit_inputs(inputs, tag, q)[0]
         except ValidationError:
             if tag == "sri" and inputs.weights is not None and inputs.linkage.scope == POPULATION:
                 continue

@@ -393,7 +393,9 @@ class EstimationInputs:
     sample: Sample | None         # None without a sample file
     y: np.ndarray | None          # aligned with sample.ids
     weights: np.ndarray | None    # per link, aligned with linkage order
-    best_links: np.ndarray | None  # per covered unit
+    # per covered unit: the flagged record, or the only one when the file has
+    # no is_best column and each unit has one link; else None
+    best_links: np.ndarray | None
     unit_keys: list[str]          # dense unit index -> external id
     record_keys: list[str]
 
@@ -403,7 +405,8 @@ def assemble_estimation_inputs(sample_path: str | Path | None, aux_path: str | P
                                n_population: int | None) -> EstimationInputs:
     """Read a link file's linkage over an auxiliary file, and a sample file
     if one is given, whose units must all carry links; resolve each unit's
-    best link when the link file flags one.
+    best link when the link file flags one, or when every linked unit has a
+    single link.
 
     The linked and sampled units must number at most ``n_population`` when
     it is given; a sample file needs it. Unit keys map to dense indices in
@@ -466,6 +469,8 @@ def assemble_estimation_inputs(sample_path: str | Path | None, aux_path: str | P
     best_links = None
     if link_table.is_best is not None:
         best_links = _best_links(linkage, link_table.is_best[rows], unit_keys)
+    elif np.all(linkage.degrees == 1):
+        best_links = linkage.link_records
 
     sample = y = None
     if sample_table is not None:

@@ -434,13 +434,15 @@ class UnitInputs(NamedTuple):
 def build_unit_inputs(tag: str, linkage: LinkageStructure, aux: AuxDatabase,
                       scheme: WeightScheme | None = None,
                       best: np.ndarray | None = None,
-                      y: np.ndarray | None = None) -> UnitInputs:
+                      y: np.ndarray | None = None,
+                      at: np.ndarray | None = None) -> UnitInputs:
     """The per-unit inputs of estimator ``tag`` over ``linkage``.
 
     ``scheme`` holds the link weights of the weighted-sum and link-set rules,
-    ``best`` the best record of each covered unit, and ``y`` the response of
-    each covered unit, from which the subsample rule fits its coefficients
-    on the single-link units. The matched value of unit i is record i, which
+    ``best`` the best record of each covered unit, and ``y`` the responses
+    from which the subsample rule fits its coefficients on the single-link
+    units: of the covered units at positions ``at``, or of every covered
+    unit when ``at`` is None. The matched value of unit i is record i, which
     only a simulated population has. Link sums are local to each unit, so
     inputs built over the population links and gathered at a sample equal
     those built over the sample's own links.
@@ -458,7 +460,9 @@ def build_unit_inputs(tag: str, linkage: LinkageStructure, aux: AuxDatabase,
         first = np.cumsum(linkage.degrees) - linkage.degrees
         x = aux.x[linkage.link_records[first]]
         single = linkage.degrees == 1
-        rows, coefficients = (x, single), _subsample_coefficients(x[single], y[single])
+        fit_x, fit_single = (x, single) if at is None else (x[at], single[at])
+        rows = (x, single)
+        coefficients = _subsample_coefficients(fit_x[fit_single], y[fit_single])
     else:
         kind = INCIDENCE if source == INCIDENCE_SUM else REVERSE
         if scheme is None or scheme.kind != kind:

@@ -330,34 +330,6 @@ def summarize_to_table(summaries: list[MonteCarloSummary]) -> str:
     return "\n\n".join(blocks)
 
 
-def se_drift(summaries: list[MonteCarloSummary],
-             estimators: tuple[str, ...] = ("ht", "ideal")) -> dict:
-    """Spread of the Monte Carlo SE across blocks with the same population.
-
-    The listed estimators do not depend on the linkage, so their SE should
-    agree across blocks sharing (N, n, sigma, gamma) up to simulation error;
-    a large spread flags an under-replicated run.
-    """
-    groups: dict[tuple, list[MonteCarloSummary]] = {}
-    for summary in summaries:
-        cfg = summary.config
-        key = (cfg.n_population, cfg.sample_size, cfg.sigma, cfg.gamma, cfg.target)
-        groups.setdefault(key, []).append(summary)
-    drift: dict[tuple, dict[str, float]] = {}
-    for key, members in groups.items():
-        if len(members) < 2:
-            continue
-        per_est = {}
-        for tag in estimators:
-            ses = [m.get(tag).se for m in members
-                   if any(e.estimator == tag for e in m.estimators)]
-            if len(ses) >= 2:
-                per_est[tag] = max(ses) - min(ses)
-        if per_est:
-            drift[key] = per_est
-    return drift
-
-
 # scenario files: flat "key = value" lines, blocks separated by blank lines
 
 _SCENARIO_KEYS = {

@@ -858,6 +858,75 @@ def test_estimate_sbl_needs_best_flags(tmp_path, capsys):
     assert "is_best" in capsys.readouterr().err
 
 
+@pytest.fixture
+def unsampled_two_link_unit(tmp_path):
+    """Sampled units 1 and 2 with one link each; unsampled unit 3 links c
+    and d. Called with a weight column, it writes the links with it."""
+    aux = write(tmp_path / "aux.csv", "record_id,x1\na,1\nb,2\nc,4\nd,3\n")
+    sample = write(tmp_path / "sample.csv", "unit_id,y,pi\n1,2.0,0.5\n2,3.5,0.5\n")
+
+    def files(weights=None):
+        rows = ["1,a", "2,b", "3,c", "3,d"]
+        header = "unit_id,record_id"
+        if weights is not None:
+            header += ",weight"
+            rows = [f"{row},{w}" for row, w in zip(rows, weights)]
+        links = write(tmp_path / "links.csv", "\n".join([header, *rows]) + "\n")
+        return ["--sample", sample, "--aux", aux, "--links", links, "--big-n", "4"]
+    return files
+
+
+@pytest.mark.parametrize("estimator", ["sri", "sls"])
+def test_weights_are_checked_on_unsampled_units(unsampled_two_link_unit, capsys, estimator):
+    # the estimators were built over the sampled units' links only, so unit
+    # 3's weights went unchecked and the run exited 0
+    files = unsampled_two_link_unit(weights=["1.0", "1.0", "0.5", "0.9"])
+    assert main(["estimate", *files, "--estimator", estimator]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: reverse weights for unit 3 sum to 1.4, not 1\n"
+    assert captured.out == ""
+
+
+def test_sbl_takes_only_links_as_best_only_when_every_unit_has_one(
+        unsampled_two_link_unit, capsys):
+    # the sampled units' only links stood in for best links, though unit 3
+    # has two links and no flag
+    assert main(["estimate", *unsampled_two_link_unit(), "--estimator", "sbl"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: this estimator needs an is_best column "
+                            "in the link file\n")
+    assert captured.out == ""
+
+
+def test_diagnose_has_no_sbl_line_without_best_links(unsampled_two_link_unit, capsys):
+    # the sbl line was printed on the sampled units' only links
+    assert main(["diagnose", *unsampled_two_link_unit()]) == 0
+    diagnostics = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("consistency diagnostic")]
+    assert diagnostics == ["consistency diagnostic (sri)", "consistency diagnostic (sls)"]
+
+
+@pytest.mark.parametrize("estimators, files_exist, message", [
+    ("ht,mystery", True,
+     "unknown estimator 'mystery'; choose from ht, pi, sub, sbl, sri, sls"),
+    # the name is checked before any file is read
+    ("ht,mystery", False,
+     "unknown estimator 'mystery'; choose from ht, pi, sub, sbl, sri, sls"),
+    ("sri,sls,sub", True, "subsample too small: 2 single-link units for 2 model columns"),
+], ids=["unknown", "unknown-no-files", "sub-fails-last"])
+def test_a_failed_estimate_prints_no_estimate(unsampled_two_link_unit, tmp_path, capsys,
+                                              estimators, files_exist, message):
+    # the estimates before the failing one were printed, then the run exited 1
+    files = unsampled_two_link_unit()
+    if not files_exist:
+        files = [str(tmp_path / "missing.csv") if arg.endswith(".csv") else arg
+                 for arg in files]
+    assert main(["estimate", *files, "--estimator", estimators]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 GOLDEN_ESTIMATES_PATH = Path(__file__).parent / "data" / "golden_file_estimates.json"
 
 

@@ -155,6 +155,20 @@ def test_assemble_cross_check_errors(tmp_path, links, message):
     assert raised_text(assemble_estimation_inputs, sample, aux, links, 10) == message
 
 
+@pytest.mark.parametrize("links, best", [
+    ("unit_id,record_id,is_best\n1,a,0\n1,b,1\n2,c,0\n", ["b", "c"]),
+    # no flags: each unit's only link, when every linked unit has one
+    ("unit_id,record_id\n1,b\n2,a\n3,c\n", ["b", "a", "c"]),
+    ("unit_id,record_id\n1,b\n2,a\n3,a\n3,c\n", None),
+], ids=["flagged", "only-links", "unresolved"])
+def test_best_links_are_flagged_or_every_unit_s_only_link(tmp_path, links, best):
+    aux = write(tmp_path / "aux.csv", "record_id,x1\na,1\nb,2\nc,3\n")
+    inputs = assemble_estimation_inputs(None, aux, write(tmp_path / "links.csv", links),
+                                        n_population=None)
+    resolved = inputs.best_links
+    assert best == (None if resolved is None else [inputs.record_keys[r] for r in resolved])
+
+
 @pytest.fixture
 def generated_files(tmp_path):
     """Population-scope links with best-link flags and an SRSWOR sample."""

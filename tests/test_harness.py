@@ -27,7 +27,6 @@ from greglink.harness import (
     load_scenario_file,
     parse_scenario_text,
     run_scenario,
-    se_drift,
     summarize_to_table,
     summary_csv_rows,
 )
@@ -314,20 +313,6 @@ def test_table_column_order_and_metrics():
         assert any(line.startswith(metric) for line in table.splitlines())
     rows = summary_csv_rows(summary)
     assert ("RE", "ht", 1.0) in rows
-
-
-def test_se_drift_groups_blocks():
-    base = {**SMALL, "replicates": 50}
-    s1 = run_scenario(ScenarioConfig(name="b1", **base))
-    s2 = run_scenario(ScenarioConfig(name="b2", **{**base, "seed": 78,
-                                                   "match_rate": 0.9,
-                                                   "correct_best_rate": 0.9}))
-    drift = se_drift([s1, s2])
-    assert len(drift) == 1
-    per_est = next(iter(drift.values()))
-    assert set(per_est) == {"ht", "ideal"}
-    assert per_est["ht"] >= 0
-    assert se_drift([s1]) == {}
 
 
 SCENARIO_TEXT = """\
