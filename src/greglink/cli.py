@@ -1,7 +1,8 @@
 """Command-line interface: simulate, estimate, diagnose, oracle.
 
 Exit codes: 0 success, 1 validation error (bad options, files, parameters
-or invariants), 2 numerical failure (singular fits, enumeration guard).
+or invariants), 2 numerical failure (singular fits, enumeration guard,
+values that overflow double precision).
 """
 
 from __future__ import annotations
@@ -23,11 +24,9 @@ from .estimators import (
     DIAGNOSTIC_KINDS,
     ESTIMATORS,
     INCIDENCE_SUM,
-    LINK_SET,
-    REVERSE_SUM,
     DiagnosticsReport,
     UnitInputs,
-    build_unit_inputs,
+    build_estimators,
     consistency_diagnostics,
     fit_unit_inputs,
     link_sums,
@@ -43,12 +42,9 @@ from .linkage import (
     INCIDENCE,
     POPULATION,
     REVERSE,
-    AuxDatabase,
     LinkageStructure,
-    WeightScheme,
     WeightSumError,
-    multiplicity_weights,
-    reverse_weights_best_link,
+    link_weights,
 )
 from .synthpop import PopulationModel, gen_population
 
@@ -78,47 +74,29 @@ def _print_diagnostic(report: DiagnosticsReport) -> None:
     print(f"consistency diagnostic ({report.statistic}): {stats}")
 
 
-def _weight_scheme(kind: str, linkage: LinkageStructure, values: np.ndarray,
-                   unit_keys: list[str], record_keys: list[str]) -> WeightScheme:
-    """A link file's weight column as weights of ``kind``; a unit or record
-    whose weights miss 1 is named by its id in the files."""
-    try:
-        return WeightScheme(kind=kind, linkage=linkage, values=values)
-    except WeightSumError as exc:
-        keys = record_keys if kind == INCIDENCE else unit_keys
-        raise ValidationError(exc.message(keys[exc.index])) from None
+def _named(exc: WeightSumError, inputs: EstimationInputs) -> ValidationError:
+    """``exc`` naming its unit or record by its id in the files."""
+    keys = inputs.record_keys if exc.kind == INCIDENCE else inputs.unit_keys
+    return ValidationError(exc.message(keys[exc.index]))
 
 
 def _unit_inputs(inputs: EstimationInputs, estimator: str, q: float
                  ) -> tuple[UnitInputs, np.ndarray]:
-    """One estimator's inputs over the file's links, and the sampled units'
-    positions among the units they cover, at which they are gathered, as the
-    harness gathers inputs built over the population links.
-
-    Weights and flags are thus checked on every unit of the link file. The
-    weights are the file's column read as the rule's kind, else reverse
-    weights with ``q`` on the best links, else equal weights. ``sub`` fits
-    its coefficients on the sampled single-link units.
-    """
-    covariate, weights = ESTIMATORS[estimator].covariate, inputs.weights
-    linkage, best, scheme = inputs.linkage, inputs.best_links, None
-    if covariate == INCIDENCE_SUM:
-        if linkage.scope != POPULATION:
-            raise ValidationError("PI-GREG requires population-scope links")
-        scheme = multiplicity_weights(linkage) if weights is None else _weight_scheme(
-            INCIDENCE, linkage, weights, inputs.unit_keys, inputs.record_keys)
-    elif covariate == BEST_LINK and best is None:
+    """One estimator's inputs from ``build_estimators`` over the file's links,
+    which checks weights and flags on every unit of the link file, and the
+    sampled units' positions, at which they are gathered and ``sub`` fits."""
+    covariate, linkage = ESTIMATORS[estimator].covariate, inputs.linkage
+    if covariate == INCIDENCE_SUM and linkage.scope != POPULATION:
+        raise ValidationError("PI-GREG requires population-scope links")
+    if covariate == BEST_LINK and inputs.best_links is None:
         raise ValidationError("this estimator needs an is_best column in the link file")
-    elif covariate in (REVERSE_SUM, LINK_SET) and weights is not None:
-        scheme = _weight_scheme(REVERSE, linkage, weights, inputs.unit_keys,
-                                inputs.record_keys)
-    elif covariate in (REVERSE_SUM, LINK_SET) and best is not None:
-        scheme = reverse_weights_best_link(linkage, best, q)
-    elif covariate in (REVERSE_SUM, LINK_SET):
-        equal = 1.0 / linkage.degrees[linkage.unit_index_per_link()]
-        scheme = WeightScheme(kind=REVERSE, linkage=linkage, values=equal)
     pos = np.searchsorted(linkage.covered_units, inputs.sample.ids)
-    return build_unit_inputs(estimator, linkage, inputs.aux, scheme, best, inputs.y, pos), pos
+    try:
+        (unit_inputs,) = build_estimators([estimator], linkage, inputs.aux, inputs.weights,
+                                          inputs.best_links, q, inputs.y, pos)
+    except WeightSumError as exc:
+        raise _named(exc, inputs) from None
+    return unit_inputs, pos
 
 
 def estimate_from_inputs(inputs: EstimationInputs, estimator: str, target: str,
@@ -231,28 +209,25 @@ def _echo_structure(linkage: LinkageStructure, unit_keys: list[str],
         print(f"... {len(linked) - limit} more records")
 
 
-def _print_npa(linkage: LinkageStructure, aux: AuxDatabase, weights: np.ndarray | None,
-               unit_keys: list[str], record_keys: list[str]) -> None:
-    """Informativeness covariances, printable only for population links."""
-    if linkage.scope != POPULATION:
-        return
-    if weights is not None:
+def _npa_lines(inputs: EstimationInputs) -> list[str]:
+    """Informativeness covariances of population links, over the incidence
+    weights ``pi`` gets, or a weight column valid only as reverse weights."""
+    if inputs.linkage.scope != POPULATION:
+        return []
+    try:
+        scheme = link_weights(INCIDENCE, inputs.linkage, inputs.weights)
+    except WeightSumError as incidence_error:
+        # neither kind fits: report it as `estimate --estimator pi` does
         try:
-            scheme = _weight_scheme(INCIDENCE, linkage, weights, unit_keys, record_keys)
-        except ValidationError as incidence_error:
-            # neither kind fits: report it as `estimate --estimator pi` does
-            try:
-                scheme = WeightScheme(kind=REVERSE, linkage=linkage, values=weights)
-            except ValidationError:
-                raise incidence_error from None
-    else:
-        scheme = multiplicity_weights(linkage)
-    npa = npa_covariances(linkage, scheme, aux)
+            scheme = link_weights(REVERSE, inputs.linkage, inputs.weights)
+        except ValidationError:
+            raise _named(incidence_error, inputs) from None
+    npa = npa_covariances(inputs.linkage, scheme, inputs.aux)
     cov1 = ", ".join(f"{v:.6g}" for v in npa.weight_x_cov)
     cov2 = ", ".join(f"{v:.6g}" for v in npa.indicator_x_cov)
-    print(f"weight-value covariance over links: {cov1}")
-    print(f"linked-indicator covariance over records: {cov2} "
-          f"({npa.n_linked_records} of {linkage.n_records} records linked)")
+    return [f"weight-value covariance over links: {cov1}",
+            f"linked-indicator covariance over records: {cov2} "
+            f"({npa.n_linked_records} of {inputs.linkage.n_records} records linked)"]
 
 
 def _sample_diagnostics(inputs: EstimationInputs, q: float) -> list[DiagnosticsReport]:
@@ -260,7 +235,7 @@ def _sample_diagnostics(inputs: EstimationInputs, q: float) -> list[DiagnosticsR
     estimator fits: ``sbl`` needs best links, ``sls`` no weights.
 
     ``sri`` is left out when the weight column fails as reverse weights yet
-    covers the population, for ``_print_npa`` has then taken it as ``pi``'s
+    covers the population, for ``_npa_lines`` has then taken it as ``pi``'s
     incidence weights.
     """
     pos = np.searchsorted(inputs.linkage.covered_units, inputs.sample.ids)
@@ -286,11 +261,13 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         raise ValidationError("--big-n is required when a sample file is given")
     inputs = assemble_estimation_inputs(args.sample, args.aux, args.links,
                                         n_population=args.big_n)
+    # everything is computed before anything is printed, so a failure prints nothing
+    npa = _npa_lines(inputs)
+    reports = None if inputs.sample is None else _sample_diagnostics(inputs, args.q)
     _echo_structure(inputs.linkage, inputs.unit_keys, inputs.record_keys, args.limit)
-    _print_npa(inputs.linkage, inputs.aux, inputs.weights, inputs.unit_keys,
-               inputs.record_keys)
-    if inputs.sample is not None:
-        reports = _sample_diagnostics(inputs, args.q)
+    for line in npa:
+        print(line)
+    if reports is not None:
         print()
         for report in reports:
             _print_diagnostic(report)
@@ -380,14 +357,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        if args.command == "simulate":
+            # the harness counts a failed fit in a replicate as NaN
+            return args.func(args)
+        # elsewhere an overflowing or invalid operation fails the command
+        # rather than print the number it made
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NumericalError as exc:
+    except (NumericalError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

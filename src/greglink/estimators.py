@@ -57,6 +57,7 @@ from .linkage import (
     LinkageStructure,
     WeightScheme,
     derive_covariates,
+    link_weights,
     unit_sums,
 )
 
@@ -71,8 +72,11 @@ def _solve_normal_equations(m: np.ndarray, rhs: np.ndarray,
     eigenvalue (in absolute value, from ``eigvalsh``) is below
     ``RCOND_THRESHOLD``. Under ``strict`` the first such system raises
     ``NumericalError`` naming the collinear columns; otherwise it gets a NaN
-    solution. The others are solved by LU with partial pivoting.
+    solution. The others are solved by LU with partial pivoting. Under
+    ``strict`` a matrix that overflowed raises ``NumericalError`` too.
     """
+    if strict and not np.isfinite(m).all():
+        raise NumericalError("normal-equation matrix is not finite")
     eigvals = np.linalg.eigvalsh(m)
     lo, hi = np.abs(eigvals[..., 0]), np.abs(eigvals[..., -1])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -454,8 +458,12 @@ def build_unit_inputs(tag: str, linkage: LinkageStructure, aux: AuxDatabase,
     if source == MATCHED:
         rows = (aux.x,)
     elif source == BEST_LINK:
+        if best is None:
+            raise ValidationError(f"estimator {tag!r} needs best links")
         rows = (aux.x[best],)
     elif source == ONLY_LINK:
+        if y is None:
+            raise ValidationError(f"estimator {tag!r} needs responses to fit its coefficients")
         # each unit's first link; the fit keeps only the single-link units
         first = np.cumsum(linkage.degrees) - linkage.degrees
         x = aux.x[linkage.link_records[first]]
@@ -482,6 +490,29 @@ def build_unit_inputs(tag: str, linkage: LinkageStructure, aux: AuxDatabase,
     return UnitInputs(tag, rows, calibration, coefficients)
 
 
+def build_estimators(tags: list[str], linkage: LinkageStructure, aux: AuxDatabase,
+                     weights: np.ndarray | None = None, best: np.ndarray | None = None,
+                     q: float | None = None, y: np.ndarray | None = None,
+                     at: np.ndarray | None = None) -> list[UnitInputs]:
+    """``build_unit_inputs`` of each estimator of ``tags``, with each weight
+    kind resolved once by ``link_weights`` from ``weights``, ``best`` and ``q``.
+    Whatever the order of ``tags``, the incidence rules come first, then the
+    rules without weights, the link-set sums and the reverse-weighted sums,
+    and each scheme is dropped after its estimators: one is alive at a time.
+    """
+    built = {}
+    for kind, sources in ((INCIDENCE, [INCIDENCE_SUM]),
+                          (None, [None, MATCHED, ONLY_LINK, BEST_LINK]),
+                          (REVERSE, [LINK_SET, REVERSE_SUM])):
+        group = [tag for source in sources for tag in tags
+                 if ESTIMATORS[tag].covariate == source]
+        scheme = None if kind is None or not group else link_weights(
+            kind, linkage, weights, best, q)
+        for tag in group:
+            built[tag] = build_unit_inputs(tag, linkage, aux, scheme, best, y, at)
+    return [built[tag] for tag in tags]
+
+
 def fit_unit_inputs(inputs: UnitInputs, pos: np.ndarray, y: np.ndarray,
                     pi: np.ndarray, design: SurveyDesign, target: str = "total",
                     strict: bool = False) -> BatchEstimate:
@@ -490,8 +521,26 @@ def fit_unit_inputs(inputs: UnitInputs, pos: np.ndarray, y: np.ndarray,
     ``pos`` (..., n) holds the positions of the sampled units among the
     covered units of the linkage the inputs were built over, ``y`` and
     ``pi`` (..., n) their responses and inclusion probabilities. A failed
-    fit gives NaN, or raises under ``strict``.
+    fit gives NaN, or raises under ``strict``. Under ``strict`` an estimate
+    that is not finite, or whose variance is infinite, raises
+    ``NumericalError`` too: finite inputs whose sums or products overflow
+    give one, and no floating-point warning is issued. A NaN variance is
+    still no variance estimator.
     """
+    if not strict:
+        return _fit(inputs, pos, y, pi, design, target, strict)
+    with np.errstate(all="ignore"):
+        fit = _fit(inputs, pos, y, pi, design, target, strict)
+    bad = np.flatnonzero(~np.isfinite(fit.values) | np.isinf(fit.variances))
+    if len(bad):
+        value, variance = fit.values.flat[bad[0]], fit.variances.flat[bad[0]]
+        raise NumericalError(f"{inputs.tag} estimate is not finite "
+                             f"(value {value:.6g}, variance {variance:.6g})")
+    return fit
+
+
+def _fit(inputs: UnitInputs, pos: np.ndarray, y: np.ndarray, pi: np.ndarray,
+         design: SurveyDesign, target: str, strict: bool) -> BatchEstimate:
     rule = ESTIMATORS[inputs.tag]
     if rule.covariate == LINK_SET:
         # unit-major, the layout in which sls_greg_batch sums fastest
@@ -581,9 +630,10 @@ def consistency_diagnostics(rows: np.ndarray, pi: np.ndarray, aux: AuxDatabase,
     ``link_sums`` ("sls"), whose ratio-estimated mean over linked records is.
     The variance comes from the per-unit contributions of the linearised
     statistic. Per sample, a component whose contributions are constant
-    across units (a degenerate covariate), and every component of a census,
-    has zero variance, and zero z when its statistic is also zero up to
-    rounding, infinite z otherwise; unequal ``pi`` give NaN variance and z.
+    across at least 2 units (a degenerate covariate), and every component of
+    a census, has zero variance, and zero z when its statistic is also zero
+    up to rounding, infinite z otherwise; unequal ``pi``, and one sampled
+    unit outside a census, give NaN variance and z.
     """
     if kind not in DIAGNOSTIC_KINDS:
         raise ValidationError(f"unknown diagnostic kind {kind!r}")
@@ -604,8 +654,10 @@ def consistency_diagnostics(rows: np.ndarray, pi: np.ndarray, aux: AuxDatabase,
     spread = contributions.std(axis=-2)
     scale = np.maximum(np.abs(contributions).max(axis=-2), 1.0 / n_population)
     equal = np.all(pi == pi[..., :1], axis=-1)[..., None]
-    # a census (f = 1) has no sampling variance in any component
-    degenerate = ((spread <= 1e-9 * scale) | (design.f == 1)) & equal
+    # a census (f = 1) has no sampling variance in any component; one unit
+    # has no spread to read, as it has no variance estimator
+    degenerate = (((spread <= 1e-9 * scale) & (rows.shape[-2] >= 2))
+                  | (design.f == 1)) & equal
     off = np.abs(value) > 1e-6 * scale * n_population
     variance = np.where(degenerate, 0.0, equal_probability_variances(
         np.ascontiguousarray(np.swapaxes(contributions, -1, -2)), pi[..., None, :],

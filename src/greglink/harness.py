@@ -5,9 +5,11 @@ fixed while samples are redrawn, matching the fixed-links inference frame.
 
 Replicates run in chunks of ``REPLICATE_CHUNK`` consecutive indices. Every
 estimator the harness runs is linear in y once its per-unit covariates are
-fixed, so ``estimators.build_unit_inputs`` builds those once per linkage
-(for the link-set estimator, the sums over each unit's links) and a chunk
-gathers them for all its samples and fits each estimator with
+fixed, so ``estimators.build_estimators`` builds those once per linkage
+(for the link-set estimator, the sums over each unit's links). It is the
+call through which ``greglink estimate`` builds from files, and it gives
+every estimator but pi-q its weights by one rule, ``linkage.link_weights``.
+A chunk gathers the inputs for all its samples and fits each estimator with
 ``estimators.fit_unit_inputs``, in stacked array operations. A failed fit
 (singular normal equations, too few single-link units or links) records NaN
 for that estimator in that replicate only.
@@ -40,8 +42,7 @@ import numpy as np
 
 from .design import SurveyDesign, replicate_ids, rng_stream
 from .errors import NumericalError, ValidationError
-from .estimators import UnitInputs, build_unit_inputs, fit_unit_inputs
-from .linkage import multiplicity_weights, reverse_weights_best_link
+from .estimators import UnitInputs, build_estimators, build_unit_inputs, fit_unit_inputs
 from .synthpop import (
     LinkageModel,
     PopulationModel,
@@ -137,14 +138,10 @@ def _build_block(config: ScenarioConfig
     estimator's per-unit inputs over its one linkage; the subsample
     estimator's coefficients are fit on the population's single-link units.
 
-    Each weight scheme is built just before the estimators that use it and
-    dropped after them, so at most one is alive at a time, and the matched
-    units and best links are dropped after their last use. The order is fixed,
-    so the set-up's peak memory does not depend on the order of
-    ``config.estimators``: pi-q, whose weight draw has the largest
-    transient arrays, comes first while few inputs are alive, and the
-    link-set sums come last but before the reverse-weighted sums. Only pi-q
-    draws from the weight stream, so the order moves no draw.
+    pi-q, whose weight draw has the largest transient arrays, is built
+    first, while few inputs are alive; only it draws from the weight stream.
+    ``build_estimators`` builds the others with the weights ``estimate`` gets
+    from a link file without a weight column.
     """
     x, population = gen_population(config.population_model(),
                                    rng_stream(config.seed, _POP_KEY))
@@ -152,23 +149,13 @@ def _build_block(config: ScenarioConfig
     matched, linkage, best = gen_linkage(config.n_population, config.linkage_model(),
                                          rng_stream(config.seed, _LINK_KEY))
     q = config.best_link_weight
-    wanted = dict.fromkeys(config.estimators)
     built = {}
-    if "pi-q" in wanted:
+    if "pi-q" in config.estimators:
         built["pi-q"] = build_unit_inputs("pi-q", linkage, aux, gen_pi_q_weights(
             linkage, matched, q, rng_stream(config.seed, _WEIGHT_KEY)))
     del matched
-    if "pi-m" in wanted:
-        built["pi-m"] = build_unit_inputs("pi-m", linkage, aux, multiplicity_weights(linkage))
-    for tag in wanted:
-        if tag not in ("pi-m", "pi-q", "sri-q", "sls"):
-            built[tag] = build_unit_inputs(tag, linkage, aux, None, best, y)
-    if "sls" in wanted or "sri-q" in wanted:
-        reverse = reverse_weights_best_link(linkage, best, q)
-        del best
-        for tag in ("sls", "sri-q"):
-            if tag in wanted:
-                built[tag] = build_unit_inputs(tag, linkage, aux, reverse)
+    tags = [tag for tag in config.estimators if tag != "pi-q"]
+    built.update(zip(tags, build_estimators(tags, linkage, aux, best=best, q=q, y=y)))
     truth = population.mean if config.target == "mean" else population.total
     return y, truth, [built[tag] for tag in config.estimators]
 

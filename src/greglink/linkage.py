@@ -358,6 +358,21 @@ def reverse_weights_best_link(linkage: LinkageStructure,
     return WeightScheme(kind=REVERSE, linkage=linkage, values=values)
 
 
+def link_weights(kind: str, linkage: LinkageStructure, values: np.ndarray | None = None,
+                 best_links: np.ndarray | None = None, q: float | None = None) -> WeightScheme:
+    """The weights of ``kind`` an estimator gets, by one rule: the per-link
+    ``values`` read as that kind; else incidence weights 1/m; else reverse
+    weights with ``q`` on each unit's best link; else reverse weights 1/d."""
+    if values is not None:
+        return WeightScheme(kind=kind, linkage=linkage, values=values)
+    if kind == INCIDENCE:
+        return multiplicity_weights(linkage)
+    if best_links is not None:
+        return reverse_weights_best_link(linkage, best_links, q)
+    equal = 1.0 / linkage.degrees[linkage.unit_index_per_link()]
+    return WeightScheme(kind=REVERSE, linkage=linkage, values=equal)
+
+
 def best_link_indicator_weights(linkage: LinkageStructure,
                                 best_links: np.ndarray) -> WeightScheme:
     """Degenerate reverse weights: full weight on each unit's best link.

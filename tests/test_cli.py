@@ -3,10 +3,15 @@
 import contextlib
 import io
 import json
+import math
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greglink.cli import FILE_ESTIMATORS, _sample_diagnostics, estimate_from_inputs, main
 from greglink.dataio import (
@@ -182,8 +187,10 @@ def test_diagnose_rejects_weights_of_neither_kind(tmp_path, capsys):
     for extra in ([], ["--sample", sample]):
         code = main(["diagnose", "--aux", aux, "--links", links, "--big-n", "4", *extra])
         assert code == 1
-        assert capsys.readouterr().err == (
-            "error: incidence weights for record 0 sum to 0.5, not 1\n")
+        captured = capsys.readouterr()
+        # the structure is echoed only once every line of the run is computed
+        assert captured.out == ""
+        assert captured.err == "error: incidence weights for record 0 sum to 0.5, not 1\n"
     code = main(["estimate", "--sample", sample, "--aux", aux,
                  "--links", links, "--estimator", "pi", "--big-n", "4"])
     assert code == 1
@@ -334,6 +341,61 @@ def test_unequal_pi_gives_no_variance_or_rejects_sub(unequal_pi_files, capsys, e
                    if line.startswith("consistency diagnostic")]
     assert len(diagnostics) == (estimator in ("sbl", "sri", "sls"))
     assert all(line.endswith("z unavailable") for line in diagnostics)
+
+
+def test_diagnose_one_unit_sample_has_no_z(tmp_path, capsys):
+    # one sampled unit of three has no spread to read: not a degenerate
+    # covariate, whose z would be infinite
+    aux = write(tmp_path / "aux.csv", "record_id,x1\na,1\nb,2\nc,4\n")
+    links = write(tmp_path / "links.csv", "unit_id,record_id\n1,a\n2,b\n3,c\n")
+    sample = write(tmp_path / "sample.csv", "unit_id,y,pi\n1,2.0,0.5\n")
+    assert main(["diagnose", "--aux", aux, "--links", links, "--sample", sample,
+                 "--big-n", "3"]) == 0
+    diagnostics = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("consistency diagnostic")]
+    assert diagnostics == [
+        "consistency diagnostic (sri): component 1: value -1.66667 z unavailable",
+        "consistency diagnostic (sbl): component 1: value -1.66667 z unavailable",
+        "consistency diagnostic (sls): component 1: value -1.33333 z unavailable",
+    ]
+
+
+def _run_main(argv):
+    """Exit code, stdout and stderr of one in-process run; a warning raises."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def overflow_files(tmp_path):
+    # finite cells whose sums and products overflow double precision
+    aux = write(tmp_path / "aux.csv", "record_id,x1\na,1e308\nb,-1e308\nc,1e308\nd,3\n")
+    links = write(tmp_path / "links.csv",
+                  "unit_id,record_id,is_best\n1,a,1\n2,b,1\n3,c,1\n3,d,0\n4,d,1\n")
+    sample = write(tmp_path / "sample.csv",
+                   "unit_id,y,pi\n1,1e308,0.5\n2,1e308,0.5\n3,1.0,0.5\n")
+    return ["--aux", aux, "--links", links, "--sample", sample, "--big-n", "4"]
+
+
+@pytest.mark.parametrize("command, message", [
+    (["estimate", "--estimator", "ht,pi,sbl,sri,sls"],
+     r"ht estimate is not finite \(value inf, variance inf\)"),
+    (["estimate", "--estimator", "pi"], "normal-equation matrix is not finite"),
+    (["estimate", "--estimator", "sbl"], "normal-equation matrix is not finite"),
+    (["estimate", "--estimator", "sri"], "normal-equation matrix is not finite"),
+    # numpy's own message names the operation, which differs between releases
+    (["estimate", "--estimator", "sls"], r"overflow encountered in \w+"),
+    (["diagnose"], r"overflow encountered in \w+"),
+], ids=["all", "pi", "sbl", "sri", "sls", "diagnose"])
+def test_values_that_overflow_are_a_numerical_failure(overflow_files, command, message):
+    # these printed inf or nan estimates, with numpy warnings, and exited 0
+    code, out, err = _run_main([*command, *overflow_files])
+    assert (code, out) == (2, "")
+    assert re.fullmatch(f"numerical failure: {message}\n", err), err
 
 
 def test_diagnose_unequal_pi_sample_has_no_z(unequal_pi_files, capsys):
@@ -1031,3 +1093,83 @@ def test_diagnose_echoes_every_record_of_a_full_echo(tmp_path, monkeypatch, caps
         units = [str(u) for u in link_units[link_records == r]]
         expected.append(f"record {r}: {name} {units} (m={len(units)})")
     assert echoed == expected
+
+
+def _numbers(draw, count):
+    """``count`` small numbers, now and then ±1e308; all one number at times."""
+    cell = st.tuples(st.integers(0, 11), st.integers(-6, 6)).map(
+        lambda t: (1e308 if t[1] > 0 else -1e308) if t[0] == 0 else t[1] / 2)
+    if draw(st.integers(0, 4)) == 0:
+        return [draw(cell)] * count
+    return [draw(cell) for _ in range(count)]
+
+
+@st.composite
+def contract_files(draw):
+    """Texts of a small aux, link and sample file, and the population size."""
+    n_population = draw(st.integers(1, 9))
+    n_records = draw(st.integers(1, 6))
+    dim = draw(st.integers(1, 2))
+    columns = [_numbers(draw, n_records) for _ in range(dim)]
+    aux = "record_id," + ",".join(f"x{j + 1}" for j in range(dim)) + "\n" + "".join(
+        f"r{r}," + ",".join(repr(c[r]) for c in columns) + "\n" for r in range(n_records))
+
+    linked = (list(range(n_population)) if draw(st.booleans()) else
+              sorted(draw(st.sets(st.integers(0, n_population - 1), min_size=1))))
+    links = [(u, r) for u in linked
+             for r in sorted(draw(st.sets(st.integers(0, n_records - 1),
+                                          min_size=1, max_size=min(3, n_records))))]
+    degree = {u: sum(lu == u for lu, _ in links) for u in linked}
+    multiplicity = {r: sum(lr == r for _, lr in links) for _, r in links}
+    weight = draw(st.sampled_from([None, "reverse", "incidence", "drawn"]))
+    weights = {None: None,
+               "reverse": [1 / degree[u] for u, _ in links],
+               "incidence": [1 / multiplicity[r] for _, r in links],
+               "drawn": [draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])) for _ in links]}[weight]
+    best = draw(st.sampled_from([None, "one per unit", "drawn"]))
+    if best == "one per unit":
+        chosen = {u: draw(st.sampled_from([r for lu, r in links if lu == u])) for u in linked}
+        flags = [int(chosen[u] == r) for u, r in links]
+    elif best == "drawn":
+        flags = [draw(st.integers(0, 1)) for _ in links]
+    header = "unit_id,record_id" + (",weight" if weights else "") + (",is_best" if best else "")
+    rows = [f"{u + 1},r{r}" + (f",{weights[i]!r}" if weights else "")
+            + (f",{flags[i]}" if best else "") for i, (u, r) in enumerate(links)]
+    links_text = "\n".join([header, *rows]) + "\n"
+
+    sampled = sorted(draw(st.sets(st.sampled_from(linked), min_size=1)))
+    y = _numbers(draw, len(sampled))
+    if draw(st.integers(0, 5)) == 0:
+        pi = [draw(st.sampled_from([0.25, 0.5, 1.0])) for _ in sampled]
+    else:
+        pi = [draw(st.sampled_from([len(sampled) / n_population, 0.5]))] * len(sampled)
+    sample = "unit_id,y,pi\n" + "".join(
+        f"{u + 1},{y_i!r},{pi_i!r}\n" for u, y_i, pi_i in zip(sampled, y, pi))
+    return aux, links_text, sample, n_population
+
+
+@settings(max_examples=200, deadline=None)
+@given(files=contract_files(), target=st.sampled_from(["total", "mean"]))
+def test_file_commands_print_finite_output_or_one_error_line(tmp_path_factory, files, target):
+    # either exit 0 with every estimate, variance and SE finite or
+    # "unavailable" and nothing on stderr, or exit 1 or 2 with nothing on
+    # stdout and one error line; z is not checked
+    aux, links, sample, n_population = files
+    folder = tmp_path_factory.getbasetemp()
+    paths = [write(folder / name, text) for name, text in
+             (("contract_aux.csv", aux), ("contract_links.csv", links),
+              ("contract_sample.csv", sample))]
+    common = ["--aux", paths[0], "--links", paths[1], "--sample", paths[2],
+              "--big-n", str(n_population)]
+    for argv in (["estimate", *common, "--target", target,
+                  "--estimator", ",".join(FILE_ESTIMATORS)], ["diagnose", *common]):
+        code, out, err = _run_main(argv)
+        if code == 0:
+            assert err == ""
+            for line in out.splitlines():
+                key, _, value = line.partition(": ")
+                if key in ("point estimate", "variance estimate", "standard error"):
+                    assert value == "unavailable" or math.isfinite(float(value)), line
+        else:
+            assert code in (1, 2) and out == ""
+            assert re.fullmatch(r"(error|numerical failure): [^\n]*\n", err), err

@@ -19,6 +19,8 @@ from greglink.estimators import (
     INCIDENCE_SUM,
     DiagnosticsReport,
     GregSpec,
+    UnitInputs,
+    build_estimators,
     build_unit_inputs,
     consistency_diagnostics,
     fit_unit_inputs,
@@ -35,6 +37,7 @@ from greglink.estimators import (
 )
 from greglink.linkage import (
     AuxDatabase,
+    WeightScheme,
     best_link_indicator_weights,
     build_linkage,
     derive_covariates,
@@ -271,6 +274,59 @@ def test_every_rule_rejects_an_unknown_target(tag):
     with pytest.raises(ValidationError, match="^unknown target 'Total'$"):
         fit_unit_inputs(inputs, sample.ids[None], population.y[sample.ids][None],
                         sample.pi[None], sample.design, "Total")
+
+
+@pytest.mark.parametrize("tag, missing", [("sbl", "best links"), ("sub", "responses")])
+def test_build_unit_inputs_rejects_a_rule_without_its_input(tag, missing):
+    # sbl without best links gave one row of every record, on which the fit
+    # raised IndexError; sub raised TypeError on the missing responses
+    x, _ = gen_population(PopulationModel(n_units=50), rng_stream(4, 0))
+    model = LinkageModel(link_share=(0.2, 0.4, 0.4), match_rate=0.6, correct_best_rate=0.5)
+    _, linkage, _ = gen_linkage(50, model, rng_stream(4, 1))
+    with pytest.raises(ValidationError, match=f"^estimator {tag!r} needs {missing}"):
+        build_unit_inputs(tag, linkage, AuxDatabase.from_values(x))
+
+
+def test_build_estimators_resolves_each_weight_kind_by_one_rule():
+    x, population = gen_population(PopulationModel(n_units=200), rng_stream(5, 0))
+    aux = AuxDatabase.from_values(x)
+    model = LinkageModel(link_share=(0.2, 0.4, 0.4), match_rate=0.6, correct_best_rate=0.5)
+    _, linkage, best = gen_linkage(200, model, rng_stream(5, 1))
+    incidence = multiplicity_weights(linkage).values
+    on_best = reverse_weights_best_link(linkage, best, 0.4).values
+    equal = 1.0 / linkage.degrees[linkage.unit_index_per_link()]
+    drawn = reverse_weights_best_link(linkage, best, 0.7).values
+    cases = [
+        # no weight column: 1/m for pi, q on each best link for sri and sls
+        (["sls", "sri", "ht", "pi", "sub", "sbl"], {"best": best, "q": 0.4},
+         {"pi": incidence, "sri": on_best, "sls": on_best}),
+        # nor best links: 1/d
+        (["sri", "pi", "sls"], {}, {"pi": incidence, "sri": equal, "sls": equal}),
+        # given weights, read as the rule's kind
+        (["sls", "sri"], {"weights": drawn, "best": best, "q": 0.4},
+         {"sri": drawn, "sls": drawn}),
+        (["pi"], {"weights": incidence}, {"pi": incidence}),
+    ]
+    for tags, kwargs, weights in cases:
+        built = build_estimators(tags, linkage, aux, y=population.y, **kwargs)
+        assert [inputs.tag for inputs in built] == tags
+        for tag, inputs in zip(tags, built):
+            scheme = None if tag not in weights else WeightScheme(
+                "incidence" if tag == "pi" else "reverse", linkage, weights[tag])
+            expected = build_unit_inputs(tag, linkage, aux, scheme, kwargs.get("best"),
+                                         population.y)
+            assert len(inputs.rows) == len(expected.rows)
+            for got, want in zip(inputs.rows, expected.rows):
+                np.testing.assert_array_equal(got, want)
+
+
+def test_strict_fit_rejects_an_estimate_that_overflows():
+    # finite responses whose expansion overflows gave inf with a warning
+    y, pi = np.full((1, 2), 1e308), np.full((1, 2), 0.5)
+    with pytest.raises(NumericalError,
+                       match=r"^ht estimate is not finite \(value inf, variance inf\)$"):
+        fit_unit_inputs(UnitInputs("ht"), np.array([[0, 1]]), y, pi, SurveyDesign(4, 2),
+                        strict=True)
 
 
 def test_sub_greg_fixed_coefficients_difference_form():
