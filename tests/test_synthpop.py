@@ -1,5 +1,6 @@
 """Population, linkage and weight generators."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from greglink.design import rng_stream
 from greglink.errors import ValidationError
 from greglink.estimators import link_aggregates
-from greglink.harness import load_scenario_file
+from greglink.harness import _build_block, load_scenario_file
 from greglink.linkage import INCIDENCE, derive_covariates, reverse_weights_best_link
 from greglink.synthpop import (
     LinkageModel,
@@ -225,10 +226,19 @@ def test_aux_from_population_shape():
 
 
 # SHA-256 digests of the linkage set-up of the three bundled table blocks,
-# recorded before set-up was rewritten to sort by integer keys; every array
-# and generator state below must stay bit-identical
+# recorded before set-up was rewritten to sort by integer keys, and of
+# table1_block1's set-up at N = 100 000; the degree, multiplicity and
+# estimator-input digests were recorded before set-up moved every per-unit
+# and per-link value through one per-link unit index. Every array and
+# generator state below must stay bit-identical.
 GOLDEN_SETUP_PATH = Path(__file__).parent / "data" / "golden_setup.json"
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
+SETUP_BLOCKS = {
+    "table1_block1": ("table1_block1", None),
+    "table2_block2": ("table2_block2", None),
+    "table3_block3": ("table3_block3", None),
+    "table1_block1_n100000": ("table1_block1", 100_000),
+}
 
 
 def _digest(value) -> str:
@@ -237,6 +247,13 @@ def _digest(value) -> str:
     else:
         data = json.dumps(value, sort_keys=True).encode()
     return hashlib.sha256(data).hexdigest()
+
+
+def _array_digest(a: np.ndarray | None):
+    """Digest of an array's bits, dtype, shape and C-contiguity."""
+    if a is None:
+        return None
+    return [_digest(a), a.dtype.str, list(a.shape), bool(a.flags.c_contiguous)]
 
 
 def full_gram(link_sum, gram, weighted):
@@ -248,10 +265,14 @@ def full_gram(link_sum, gram, weighted):
     return link_sum, full, weighted
 
 
-def setup_digests(block: str) -> dict[str, str]:
-    """Digests of one block's population links, matches, best links,
-    incidence weights and covariates, and of both generators' states."""
+def setup_digests(block: str, n_population: int | None = None) -> dict[str, str]:
+    """Digests of one block's population links, degrees, multiplicities,
+    matches, best links, incidence weights and covariates, of both
+    generators' states, and of every estimator's inputs as the harness
+    builds them; ``n_population`` replaces the block's population size."""
     (config,) = load_scenario_file(SCENARIOS / f"{block}.scenario")
+    if n_population is not None:
+        config = dataclasses.replace(config, n_population=n_population)
     n = config.n_population
     x, _ = gen_population(config.population_model(), rng_stream(config.seed, 0))
     aux = aux_from_population(x)
@@ -259,9 +280,11 @@ def setup_digests(block: str) -> dict[str, str]:
     matched, linkage, best = gen_linkage(n, config.linkage_model(), rng_links)
     incidence = gen_pi_q_weights(linkage, matched, config.best_link_weight, rng_weights)
     reverse = reverse_weights_best_link(linkage, best, config.best_link_weight)
-    return {
+    digests = {
         "link_units": _digest(linkage.link_units),
         "link_records": _digest(linkage.link_records),
+        "degrees": _digest(linkage.degrees),
+        "multiplicities": _digest(linkage.multiplicities),
         "matches": _digest(np.column_stack([matched, matched])),
         "best": _digest(best),
         "pi_q_weights": _digest(incidence.values),
@@ -271,12 +294,19 @@ def setup_digests(block: str) -> dict[str, str]:
         "links_rng": _digest(rng_links.bit_generator.state),
         "weights_rng": _digest(rng_weights.bit_generator.state),
     }
+    for tag, inputs in zip(config.estimators, _build_block(config)[2]):
+        digests[f"inputs_{tag}"] = _digest({
+            "rows": [_array_digest(a) for a in inputs.rows],
+            "calibration": _array_digest(inputs.calibration),
+            "coefficients": _array_digest(inputs.coefficients),
+        })
+    return digests
 
 
-@pytest.mark.parametrize("block", ["table1_block1", "table2_block2", "table3_block3"])
-def test_setup_matches_golden_digests(block):
+@pytest.mark.parametrize("key", list(SETUP_BLOCKS))
+def test_setup_matches_golden_digests(key):
     golden = json.loads(GOLDEN_SETUP_PATH.read_text(encoding="utf-8"))
-    assert setup_digests(block) == golden[block]
+    assert setup_digests(*SETUP_BLOCKS[key]) == golden[key]
 
 
 def _draw_false_records_by_argsort(rng, owners, n_records):
