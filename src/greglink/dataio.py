@@ -537,7 +537,8 @@ def write_links_csv(path: str | Path, linkage: LinkageStructure,
         columns.append([repr(float(w)) for w in weights])
     if best_links is not None:
         header.append("is_best")
-        is_best = linkage.link_records == np.repeat(best_links, linkage.degrees)
+        best_per_link = np.asarray(best_links)[linkage.unit_index_per_link()]
+        is_best = linkage.link_records == best_per_link
         columns.append(is_best.astype(int).tolist())
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)

@@ -56,9 +56,10 @@ from .linkage import (
     AuxDatabase,
     LinkageStructure,
     WeightScheme,
-    derive_covariates,
+    link_values,
     link_weights,
     unit_sums,
+    weighted_sums,
 )
 
 RCOND_THRESHOLD = 1e-12
@@ -274,16 +275,24 @@ def _subsample_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return wls_coefficients(x_full, y, np.ones(n_sub))
 
 
-def link_sums(linkage: LinkageStructure, aux: AuxDatabase) -> np.ndarray:
+def link_sums(linkage: LinkageStructure, aux: AuxDatabase,
+              x_links: np.ndarray | None = None) -> np.ndarray:
     """Σ x_l over each covered unit's links, with x_l = (1, record values of
     link l): (n_covered, q), the degree first. The link-set estimator fits on
-    these sums and its consistency diagnostic tests them."""
-    return np.column_stack([linkage.degrees,
-                            unit_sums(linkage, aux.x[linkage.link_records].T)])
+    these sums and its consistency diagnostic tests them. ``x_links`` holds
+    the record values at the links, ``link_values(linkage, aux)``, when they
+    are gathered already."""
+    if x_links is None:
+        x_links = link_values(linkage, aux)
+    sums = np.empty((linkage.n_covered, aux.dim + 1))
+    sums[:, 0] = linkage.degrees
+    sums[:, 1:] = unit_sums(linkage, x_links.T, aux.dim)
+    return sums
 
 
-def link_aggregates(linkage: LinkageStructure, weights: np.ndarray,
-                    aux: AuxDatabase) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def link_aggregates(linkage: LinkageStructure, weights: np.ndarray, aux: AuxDatabase,
+                    x_links: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per covered unit, the sums over its links that the link-set fit needs.
 
     With x_l = (1, record values of link l) and w_l the link weight, returns
@@ -293,15 +302,28 @@ def link_aggregates(linkage: LinkageStructure, weights: np.ndarray,
     link-set estimator is linear in these once the sample is fixed, so they
     are computed once per linkage. The intercept row and column of
     Σ x_l x_l' equal Σ x_l, so they are not stored: ``sls_greg_batch``
-    fills them in from the ``link_sums``.
+    fills them in from the ``link_sums``. ``x_links`` is as for ``link_sums``.
+
+    Record values whose sums or products overflow raise ``NumericalError``,
+    and no floating-point warning is issued.
     """
-    link_sum = link_sums(linkage, aux)
-    x = aux.x[linkage.link_records]
-    gram = np.empty((linkage.n_covered, aux.dim, aux.dim))
-    for i in range(aux.dim):
-        gram[:, i, i:] = gram[:, i:, i] = unit_sums(
-            linkage, (x[:, i] * x[:, j] for j in range(i, aux.dim)))
-    weighted = unit_sums(linkage, itertools.chain([weights], (weights * c for c in x.T)))
+    if x_links is None:
+        x_links = link_values(linkage, aux)
+    p = aux.dim
+    # the sums with the largest per-link temporaries come first, while
+    # fewer results are alive
+    with np.errstate(over="ignore", invalid="ignore"):
+        weighted = unit_sums(linkage, itertools.chain(
+            [weights], (weights * c for c in x_links.T)), p + 1)
+        gram = np.empty((linkage.n_covered, p, p))
+        for i in range(p):
+            gram[:, i, i:] = gram[:, i:, i] = unit_sums(
+                linkage, (x_links[:, i] * x_links[:, j] for j in range(i, p)), p - i)
+        link_sum = link_sums(linkage, aux, x_links)
+    if not (np.isfinite(link_sum).all() and np.isfinite(gram).all()
+            and np.isfinite(weighted).all()):
+        raise NumericalError("sls link-set aggregates are not finite: sums or products "
+                             "of the auxiliary record values overflow")
     return link_sum, gram, weighted
 
 
@@ -439,17 +461,20 @@ def build_unit_inputs(tag: str, linkage: LinkageStructure, aux: AuxDatabase,
                       scheme: WeightScheme | None = None,
                       best: np.ndarray | None = None,
                       y: np.ndarray | None = None,
-                      at: np.ndarray | None = None) -> UnitInputs:
+                      at: np.ndarray | None = None,
+                      x_links: np.ndarray | None = None) -> UnitInputs:
     """The per-unit inputs of estimator ``tag`` over ``linkage``.
 
     ``scheme`` holds the link weights of the weighted-sum and link-set rules,
     ``best`` the best record of each covered unit, and ``y`` the responses
     from which the subsample rule fits its coefficients on the single-link
     units: of the covered units at positions ``at``, or of every covered
-    unit when ``at`` is None. The matched value of unit i is record i, which
-    only a simulated population has. Link sums are local to each unit, so
-    inputs built over the population links and gathered at a sample equal
-    those built over the sample's own links.
+    unit when ``at`` is None. ``x_links`` holds the record values at the
+    links, ``link_values(linkage, aux)``, when they are gathered already.
+    The matched value of unit i is record i, which only a simulated
+    population has. Link sums are local to each unit, so inputs built over
+    the population links and gathered at a sample equal those built over
+    the sample's own links.
     """
     rule = ESTIMATORS[tag]
     source, coefficients = rule.covariate, None
@@ -465,8 +490,7 @@ def build_unit_inputs(tag: str, linkage: LinkageStructure, aux: AuxDatabase,
         if y is None:
             raise ValidationError(f"estimator {tag!r} needs responses to fit its coefficients")
         # each unit's first link; the fit keeps only the single-link units
-        first = np.cumsum(linkage.degrees) - linkage.degrees
-        x = aux.x[linkage.link_records[first]]
+        x = aux.x[linkage.link_records[linkage._unit_ptr[:-1]]]
         single = linkage.degrees == 1
         fit_x, fit_single = (x, single) if at is None else (x[at], single[at])
         rows = (x, single)
@@ -475,10 +499,12 @@ def build_unit_inputs(tag: str, linkage: LinkageStructure, aux: AuxDatabase,
         kind = INCIDENCE if source == INCIDENCE_SUM else REVERSE
         if scheme is None or scheme.kind != kind:
             raise ValidationError(f"estimator {tag!r} needs {kind} weights")
+        if x_links is None:
+            x_links = link_values(linkage, aux)
         if source == LINK_SET:
-            rows = link_aggregates(linkage, scheme.values, aux)
+            rows = link_aggregates(linkage, scheme.values, aux, x_links)
         else:
-            rows = (derive_covariates(linkage, scheme, aux),)
+            rows = (weighted_sums(linkage, scheme, x_links),)
     if rule.total == AUX_MEAN:
         calibration = aux.mean
     elif source == MATCHED:
@@ -495,21 +521,25 @@ def build_estimators(tags: list[str], linkage: LinkageStructure, aux: AuxDatabas
                      q: float | None = None, y: np.ndarray | None = None,
                      at: np.ndarray | None = None) -> list[UnitInputs]:
     """``build_unit_inputs`` of each estimator of ``tags``, with each weight
-    kind resolved once by ``link_weights`` from ``weights``, ``best`` and ``q``.
+    kind resolved once by ``link_weights`` from ``weights``, ``best`` and ``q``,
+    and the record values gathered at the links once for all of them.
     Whatever the order of ``tags``, the incidence rules come first, then the
-    rules without weights, the link-set sums and the reverse-weighted sums,
+    rules without weights, the reverse-weighted sums and the link-set sums,
     and each scheme is dropped after its estimators: one is alive at a time.
     """
     built = {}
+    x_links = link_values(linkage, aux) if any(
+        ESTIMATORS[tag].covariate in (INCIDENCE_SUM, REVERSE_SUM, LINK_SET)
+        for tag in tags) else None
     for kind, sources in ((INCIDENCE, [INCIDENCE_SUM]),
                           (None, [None, MATCHED, ONLY_LINK, BEST_LINK]),
-                          (REVERSE, [LINK_SET, REVERSE_SUM])):
+                          (REVERSE, [REVERSE_SUM, LINK_SET])):
         group = [tag for source in sources for tag in tags
                  if ESTIMATORS[tag].covariate == source]
         scheme = None if kind is None or not group else link_weights(
             kind, linkage, weights, best, q)
         for tag in group:
-            built[tag] = build_unit_inputs(tag, linkage, aux, scheme, best, y, at)
+            built[tag] = build_unit_inputs(tag, linkage, aux, scheme, best, y, at, x_links)
     return [built[tag] for tag in tags]
 
 
@@ -631,9 +661,13 @@ def consistency_diagnostics(rows: np.ndarray, pi: np.ndarray, aux: AuxDatabase,
     The variance comes from the per-unit contributions of the linearised
     statistic. Per sample, a component whose contributions are constant
     across at least 2 units (a degenerate covariate), and every component of
-    a census, has zero variance, and zero z when its statistic is also zero
-    up to rounding, infinite z otherwise; unequal ``pi``, and one sampled
-    unit outside a census, give NaN variance and z.
+    a census, has zero variance and zero z when its statistic is also zero
+    up to rounding. A census component whose statistic is not zero has
+    infinite z, as no sampling error can explain it. Outside a census, a
+    constant component with a statistic that is not zero gets NaN variance
+    and z: units that share one link set by chance show no spread, which is
+    no evidence that the statistic is certain. Unequal ``pi``, and one
+    sampled unit outside a census, give NaN variance and z too.
     """
     if kind not in DIAGNOSTIC_KINDS:
         raise ValidationError(f"unknown diagnostic kind {kind!r}")
@@ -654,10 +688,10 @@ def consistency_diagnostics(rows: np.ndarray, pi: np.ndarray, aux: AuxDatabase,
     spread = contributions.std(axis=-2)
     scale = np.maximum(np.abs(contributions).max(axis=-2), 1.0 / n_population)
     equal = np.all(pi == pi[..., :1], axis=-1)[..., None]
+    census = design.f == 1
     # a census (f = 1) has no sampling variance in any component; one unit
     # has no spread to read, as it has no variance estimator
-    degenerate = (((spread <= 1e-9 * scale) & (rows.shape[-2] >= 2))
-                  | (design.f == 1)) & equal
+    degenerate = (((spread <= 1e-9 * scale) & (rows.shape[-2] >= 2)) | census) & equal
     off = np.abs(value) > 1e-6 * scale * n_population
     variance = np.where(degenerate, 0.0, equal_probability_variances(
         np.ascontiguousarray(np.swapaxes(contributions, -1, -2)), pi[..., None, :],
@@ -665,4 +699,6 @@ def consistency_diagnostics(rows: np.ndarray, pi: np.ndarray, aux: AuxDatabase,
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(degenerate, np.where(off, np.copysign(np.inf, value), 0.0),
                      value / np.sqrt(variance))
+    unknown = degenerate & off & (not census)
+    variance[unknown] = z[unknown] = np.nan
     return DiagnosticsReport(statistic=kind, value=value, variance=variance, z=z)

@@ -10,6 +10,14 @@ Links are stored in one direction only: sorted by (unit, record), with one
 offset per covered unit. The record side is kept only as per-record link
 counts.
 
+Each link also stores the position of its unit among the covered units,
+computed once when the structure is built; under population scope that is
+the unit id itself. Every step that moves values between units and links
+goes through this index: a per-unit value reaches the links by one gather
+at it, and per-link values reach the units by one ``np.bincount`` over it,
+which adds each unit's links in link order from 0.0. The degrees and the
+unit offsets are counted from it too.
+
 Simulated populations (``synthpop``) take the auxiliary file to be the
 population, so unit i's match is record i, and the units whose match is
 among their links stand for the matches; no unit-record match map exists.
@@ -109,7 +117,8 @@ class LinkageStructure:
 
     A CSR layout over the links sorted by (unit, record): a unit's links are
     an O(1) slice, and ``degrees`` and ``multiplicities`` count the links of
-    each covered unit and each record. No record-side index is built.
+    each covered unit and each record. Each link's covered-unit position is
+    stored (``unit_index_per_link``). No record-side index is built.
     """
 
     def __init__(self, scope: str, covered_units: np.ndarray, n_records: int,
@@ -119,13 +128,20 @@ class LinkageStructure:
         self.scope = scope
         self.covered_units = _readonly(covered_units)
         self.n_records = n_records
-        self.link_units = _readonly(link_units)
-        self.link_records = _readonly(link_records)
-        self._unit_ptr = _readonly(np.searchsorted(
-            link_units, np.append(covered_units, covered_units[-1] + 1)))
-        self.degrees = _readonly(np.diff(self._unit_ptr).astype(np.int64, copy=False))
+        # each link's covered-unit position, units 0..N-1 being their own;
+        # kept writable, as np.bincount copies a read-only index on every
+        # call, and never written
+        self._unit_index = (link_units if scope == POPULATION
+                            else np.searchsorted(covered_units, link_units))
+        self.link_units = _readonly(link_units.view())
+        self.degrees = _readonly(np.bincount(
+            self._unit_index, minlength=len(covered_units)).astype(np.int64, copy=False))
+        unit_ptr = np.zeros(len(covered_units) + 1, dtype=np.int64)
+        np.cumsum(self.degrees, out=unit_ptr[1:])
+        self._unit_ptr = _readonly(unit_ptr)
         self.multiplicities = _readonly(
             np.bincount(link_records, minlength=n_records).astype(np.int64, copy=False))
+        self.link_records = _readonly(link_records)
 
     @property
     def n_links(self) -> int:
@@ -147,10 +163,9 @@ class LinkageStructure:
         return self.link_records[self._unit_ptr[pos]:self._unit_ptr[pos + 1]]
 
     def unit_index_per_link(self) -> np.ndarray:
-        """Covered-unit position of each link, aligned with the link arrays."""
-        if self.scope == POPULATION:
-            return self.link_units  # units 0..N-1 are their own positions
-        return np.repeat(np.arange(self.n_covered), self.degrees)
+        """Covered-unit position of each link, aligned with the link arrays
+        (a read-only view of the stored index)."""
+        return _readonly(self._unit_index.view())
 
     def restrict(self, unit_ids: np.ndarray) -> tuple["LinkageStructure", np.ndarray]:
         """Sample-scope restriction to a subset of covered units.
@@ -166,7 +181,7 @@ class LinkageStructure:
             raise ValidationError(f"units not covered by linkage: {missing[:5].tolist()}")
         keep = np.zeros(self.n_covered, dtype=bool)
         keep[pos] = True
-        link_index = np.flatnonzero(np.repeat(keep, self.degrees))
+        link_index = np.flatnonzero(keep[self._unit_index])
         sub = LinkageStructure(
             scope=SAMPLE,
             covered_units=units,
@@ -296,7 +311,8 @@ class WeightScheme:
                 rec = int(np.flatnonzero(linked)[np.flatnonzero(bad)[0]])
                 raise WeightSumError(INCIDENCE, rec, float(sums[rec]))
         else:
-            sums = np.add.reduceat(values, self.linkage._unit_ptr[:-1])
+            sums = np.bincount(self.linkage._unit_index, weights=values,
+                               minlength=self.linkage.n_covered)
             bad = np.abs(sums - 1.0) > WEIGHT_SUM_TOL
             if np.any(bad):
                 i = np.flatnonzero(bad)[0]
@@ -316,7 +332,9 @@ def multiplicity_weights(linkage: LinkageStructure) -> WeightScheme:
     """Equal-split incidence weights 1/m per record with m > 0 links."""
     if linkage.scope != POPULATION:
         raise ValidationError("incidence weights require population links")
-    values = 1.0 / linkage.multiplicities[linkage.link_records]
+    with np.errstate(divide="ignore"):  # a record without links gets no weight
+        per_record = 1.0 / linkage.multiplicities
+    values = per_record[linkage.link_records]
     return WeightScheme(kind=INCIDENCE, linkage=linkage, values=values)
 
 
@@ -330,15 +348,17 @@ def _best_positions(linkage: LinkageStructure, best_links: np.ndarray) -> np.nda
     best = np.asarray(best_links, dtype=np.int64)
     if best.shape != (linkage.n_covered,):
         raise ValidationError("best links must align with the covered units")
-    hit = linkage.link_records == np.repeat(best, linkage.degrees)
-    found = np.logical_or.reduceat(hit, linkage._unit_ptr[:-1])
-    if not found.all():
+    unit = linkage.unit_index_per_link()
+    pos = np.flatnonzero(linkage.link_records == best[unit])
+    if len(pos) < linkage.n_covered:
+        found = np.zeros(linkage.n_covered, dtype=bool)
+        found[unit[pos]] = True
         i = int(np.argmin(found))
         raise ValidationError(
             f"best link {best[i]} of unit {linkage.covered_units[i]} "
             "is not among its links"
         )
-    return np.flatnonzero(hit)
+    return pos
 
 
 def reverse_weights_best_link(linkage: LinkageStructure,
@@ -353,7 +373,7 @@ def reverse_weights_best_link(linkage: LinkageStructure,
     best_pos = _best_positions(linkage, best_links)
     d = linkage.degrees
     per_unit_other = np.where(d > 1, (1.0 - q) / np.maximum(d - 1, 1), 0.0)
-    values = np.repeat(per_unit_other, d)
+    values = per_unit_other[linkage.unit_index_per_link()]
     values[best_pos] = np.where(d > 1, q, 1.0)
     return WeightScheme(kind=REVERSE, linkage=linkage, values=values)
 
@@ -369,7 +389,7 @@ def link_weights(kind: str, linkage: LinkageStructure, values: np.ndarray | None
         return multiplicity_weights(linkage)
     if best_links is not None:
         return reverse_weights_best_link(linkage, best_links, q)
-    equal = 1.0 / linkage.degrees[linkage.unit_index_per_link()]
+    equal = (1.0 / linkage.degrees)[linkage.unit_index_per_link()]
     return WeightScheme(kind=REVERSE, linkage=linkage, values=equal)
 
 
@@ -386,16 +406,38 @@ def best_link_indicator_weights(linkage: LinkageStructure,
     return WeightScheme(kind=REVERSE, linkage=linkage, values=values)
 
 
-def unit_sums(linkage: LinkageStructure, columns: Iterable[np.ndarray]) -> np.ndarray:
-    """Each per-link column summed over every covered unit's links, added in
-    link order from 0.0: (n_covered, number of columns).
+def unit_sums(linkage: LinkageStructure, columns: Iterable[np.ndarray],
+              n_columns: int) -> np.ndarray:
+    """Each of the ``n_columns`` per-link columns summed over every covered
+    unit's links, added in link order from 0.0: (n_covered, n_columns).
 
-    ``columns`` is consumed one column at a time, so a generator keeps a
-    single per-link temporary alive.
+    ``columns`` is consumed one column at a time and each sum is written
+    into the result as it is made, so a generator keeps a single per-link
+    temporary alive.
     """
-    unit_idx = linkage.unit_index_per_link()
-    return np.column_stack([np.bincount(unit_idx, weights=column, minlength=linkage.n_covered)
-                            for column in columns])
+    sums = np.empty((linkage.n_covered, n_columns))
+    for j, column in enumerate(columns):
+        sums[:, j] = np.bincount(linkage._unit_index, weights=column,
+                                 minlength=linkage.n_covered)
+        del column  # freed before the generator makes the next one
+    return sums
+
+
+def link_values(linkage: LinkageStructure, aux: AuxDatabase) -> np.ndarray:
+    """The record values at each link, (n_links, dim), in link order."""
+    if aux.n_records != linkage.n_records:
+        raise ValidationError("auxiliary database does not match the linkage")
+    return aux.x[linkage.link_records]
+
+
+def weighted_sums(linkage: LinkageStructure, scheme: WeightScheme,
+                  x_links: np.ndarray) -> np.ndarray:
+    """The scheme-weighted sums of the record values ``x_links``
+    (``link_values``) over each covered unit's links, (n_covered, dim)."""
+    if scheme.linkage is not linkage:
+        raise ValidationError("weight scheme was built for a different linkage")
+    return unit_sums(linkage, (scheme.values * column for column in x_links.T),
+                     x_links.shape[1])
 
 
 def derive_covariates(linkage: LinkageStructure, scheme: WeightScheme,
@@ -403,9 +445,4 @@ def derive_covariates(linkage: LinkageStructure, scheme: WeightScheme,
     """The scheme-weighted sums of the record values over each covered
     unit's links, (n_covered, dim): the covariate of the incidence- and
     reverse-weighted estimators."""
-    if scheme.linkage is not linkage:
-        raise ValidationError("weight scheme was built for a different linkage")
-    if aux.n_records != linkage.n_records:
-        raise ValidationError("auxiliary database does not match the linkage")
-    return unit_sums(linkage, (scheme.values * aux.x[linkage.link_records, j]
-                               for j in range(aux.dim)))
+    return weighted_sums(linkage, scheme, link_values(linkage, aux))

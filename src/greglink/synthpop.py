@@ -217,24 +217,25 @@ def gen_pi_q_weights(linkage: LinkageStructure, matched: np.ndarray, q: float,
     if not 0 < q < 1:
         raise ValidationError(f"q must lie in (0, 1), got {q}")
     m = linkage.multiplicities
-    values = np.where(m == 1, 1.0, (1.0 - q) / np.maximum(m - 1, 1))[linkage.link_records]
-    # links in record order, units ascending within each record: one
-    # in-place sort of a unique integer key, whose remainder is the order
-    n_links = linkage.n_links
-    order = link_key(linkage.link_records, np.arange(n_links), n_links)
-    order.sort()
-    np.remainder(order, n_links, out=order)
-    records = np.repeat(np.arange(linkage.n_records), m)
-    is_matched = np.zeros(linkage.n_records, dtype=bool)
-    is_matched[matched] = True
-    hit = (linkage.link_units[order] == records) & (is_matched & (m > 1))[records]
+    records = linkage.link_records
+    values = np.where(m == 1, 1.0, (1.0 - q) / np.maximum(m - 1, 1))[records]
     # q on the match link where it is among the record's links, otherwise on
     # a link drawn per record, records in ascending order
-    values[order[hit]] = q
+    is_matched = np.zeros(linkage.n_records, dtype=bool)
+    is_matched[matched] = True
+    hit = np.flatnonzero(linkage.link_units == records)
+    hit = hit[(is_matched & (m > 1))[records[hit]]]
+    values[hit] = q
     need = m > 1
     need[records[hit]] = False
     need = np.flatnonzero(need)
     pick = rng.integers(0, m[need])
+    # links in record order, units ascending within each record: one
+    # in-place sort of a unique integer key, whose remainder is the order
+    n_links = linkage.n_links
+    order = link_key(records, np.arange(n_links), n_links)
+    order.sort()
+    np.remainder(order, n_links, out=order)
     values[order[np.cumsum(m)[need] - m[need] + pick]] = q
     return WeightScheme(kind=INCIDENCE, linkage=linkage, values=values)
 

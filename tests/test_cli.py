@@ -309,6 +309,21 @@ def test_census_sample_diagnostics_have_no_sampling_variance(tmp_path, capsys, l
     assert [line.rsplit(" z ", 1)[1] for line in lines] == list(z)
 
 
+def test_diagnose_chance_tie_has_no_z(tmp_path, capsys):
+    # sampled units 1 and 2 share one link set, so their rows tie and show
+    # no spread by chance: outside a census that gives no z, not -inf
+    aux = write(tmp_path / "aux.csv", "record_id,x1\na,1\nb,2\nc,4\nd,3\n")
+    links = write(tmp_path / "links.csv", "unit_id,record_id\n1,a\n2,a\n3,c\n4,d\n")
+    sample = write(tmp_path / "sample.csv", "unit_id,y,pi\n1,2.0,0.5\n2,3.0,0.5\n")
+    assert main(["diagnose", "--aux", aux, "--links", links, "--sample", sample,
+                 "--big-n", "4"]) == 0
+    diagnostics = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("consistency diagnostic")]
+    assert diagnostics == [
+        f"consistency diagnostic ({kind}): component 1: value -1.5 z unavailable"
+        for kind in ("sri", "sbl", "sls")]
+
+
 @pytest.fixture
 def unequal_pi_files(tmp_path):
     # 8 population units, 6 sampled with pi 0.5 and 0.6; units 2 and 4 have
@@ -387,8 +402,9 @@ def overflow_files(tmp_path):
     (["estimate", "--estimator", "pi"], "normal-equation matrix is not finite"),
     (["estimate", "--estimator", "sbl"], "normal-equation matrix is not finite"),
     (["estimate", "--estimator", "sri"], "normal-equation matrix is not finite"),
+    (["estimate", "--estimator", "sls"], "sls link-set aggregates are not finite: sums "
+     "or products of the auxiliary record values overflow"),
     # numpy's own message names the operation, which differs between releases
-    (["estimate", "--estimator", "sls"], r"overflow encountered in \w+"),
     (["diagnose"], r"overflow encountered in \w+"),
 ], ids=["all", "pi", "sbl", "sri", "sls", "diagnose"])
 def test_values_that_overflow_are_a_numerical_failure(overflow_files, command, message):

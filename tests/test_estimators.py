@@ -329,6 +329,15 @@ def test_strict_fit_rejects_an_estimate_that_overflows():
                         strict=True)
 
 
+def test_link_set_aggregates_that_overflow_name_the_estimator():
+    # finite record values whose products overflow gave infinite aggregates
+    # with numpy's overflow warning
+    aux = AuxDatabase.from_values([1e308, -1e308, 1e308, 3.0])
+    linkage = build_linkage([(0, 0), (1, 1), (2, 2), (2, 3), (3, 3)], 4, aux)
+    with pytest.raises(NumericalError, match=r"^sls link-set aggregates are not finite"):
+        build_estimators(["sls"], linkage, aux, best=np.array([0, 1, 2, 3]), q=0.7)
+
+
 def test_sub_greg_fixed_coefficients_difference_form():
     _, y, aux, linkage, sample = _perfect_linkage_setting()
     coef = np.array([1.0, 5.0])
@@ -521,9 +530,32 @@ def test_diagnostics_components_match_one_variance_per_component():
         variance = residual_variances(contributions[:, j], sample.design)
         assert report.variance[j] == variance
         assert report.z[j] == report.value[j] / np.sqrt(variance)
-    # the constant column is off by 0.1 with no spread: infinite z
-    assert report.variance[1] == 0.0
-    assert report.z[1] == np.inf
+    # the constant column is off by 0.1 with no spread outside a census: no
+    # variance to read, so no z
+    assert np.isnan(report.variance[1]) and np.isnan(report.z[1])
+
+
+@pytest.mark.parametrize("kind", DIAGNOSTIC_KINDS)
+def test_diagnostics_tie_outside_a_census_has_no_z(kind):
+    # two sampled units whose rows tie show no spread: outside a census the
+    # statistic's variance is unknown, in a census it is 0 and z infinite,
+    # and a statistic of zero keeps z 0 either way
+    aux = AuxDatabase.from_values([1.0, 2.0, 4.0, 3.0])
+    row = [[1.0, 1.0]] if kind == "sls" else [[1.0]]
+    rows = np.array([row * 2])
+    for design, expected in ((SurveyDesign(4, 2), np.nan), (SurveyDesign(2, 2), -np.inf)):
+        pi = np.full((1, 2), design.f)
+        report = consistency_diagnostics(rows, pi, aux, design, kind)
+        assert report.value[0, 0] == -1.5
+        np.testing.assert_array_equal(report.z[0], [expected])
+        np.testing.assert_array_equal(report.variance[0],
+                                      [np.nan if np.isnan(expected) else 0.0])
+    centred = np.full((1, 2, rows.shape[-1]), 1.0)
+    centred[..., -1] = aux.mean[0]
+    report = consistency_diagnostics(centred, np.full((1, 2), 0.5), aux,
+                                     SurveyDesign(4, 2), kind)
+    assert report.value[0, 0] == 0.0 and report.variance[0, 0] == 0.0
+    assert report.z[0, 0] == 0.0
 
 
 def test_diagnostics_sls_statistic_is_link_mean_gap():

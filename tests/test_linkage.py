@@ -9,11 +9,14 @@ from greglink.errors import ValidationError
 from greglink.linkage import (
     AuxDatabase,
     WeightScheme,
+    WeightSumError,
+    _best_positions,
     best_link_indicator_weights,
     build_linkage,
     derive_covariates,
     multiplicity_weights,
     reverse_weights_best_link,
+    unit_sums,
 )
 
 # six units, six records; record 0 carries no links, unit 5 is unmatched
@@ -380,3 +383,98 @@ def test_build_linkage_rejects_bad_pairs_by_name(case, defect, data):
     with pytest.raises(ValidationError) as excinfo:
         build_linkage(data.draw(st.permutations(pairs + [bad])), covered, n_rec)
     assert str(excinfo.value) == message
+
+
+def per_unit_links(L):
+    """Each covered unit's link positions, by a plain loop over the links."""
+    return [[l for l in range(L.n_links) if L.link_units[l] == unit]
+            for unit in L.covered_units]
+
+
+@given(shuffled_links(), st.floats(0.05, 1.0), st.data())
+@settings(max_examples=80, deadline=None)
+def test_unit_link_primitives_match_a_per_unit_loop(case, q, data):
+    pairs, covered, n_rec = case
+    L = build_linkage(pairs, covered, n_rec)
+    links = per_unit_links(L)
+    degrees = [len(positions) for positions in links]
+    assert L.degrees.tolist() == degrees
+    assert L._unit_ptr.tolist() == [0] + np.cumsum(degrees).tolist()
+    assert L.multiplicities.tolist() == [
+        sum(1 for r in L.link_records if r == record) for record in range(n_rec)]
+    unit_index = [0] * L.n_links
+    for i, positions in enumerate(links):
+        for l in positions:
+            unit_index[l] = i
+    assert L.unit_index_per_link().tolist() == unit_index
+
+    # sums over each unit's links, added in link order from 0.0
+    column = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=L.n_links,
+                                         max_size=L.n_links)))
+    expected = []
+    for positions in links:
+        total = 0.0
+        for l in positions:
+            total += column[l]
+        expected.append(total)
+    assert unit_sums(L, [column], 1)[:, 0].tobytes() == np.array(expected).tobytes()
+
+    # best links: each unit's record, or, for some units, one it lacks
+    best = np.array([data.draw(st.sampled_from(sorted(set(L.link_records[positions])
+                                                      | {n_rec})))
+                     for positions in links])
+    missing = [i for i, positions in enumerate(links)
+               if best[i] not in L.link_records[positions]]
+    if missing:
+        i = missing[0]
+        message = (f"best link {best[i]} of unit {L.covered_units[i]} "
+                   "is not among its links")
+        for build in (lambda: _best_positions(L, best),
+                      lambda: reverse_weights_best_link(L, best, q)):
+            with pytest.raises(ValidationError) as excinfo:
+                build()
+            assert str(excinfo.value) == message
+    else:
+        best_pos = [l for i, positions in enumerate(links) for l in positions
+                    if L.link_records[l] == best[i]]
+        assert _best_positions(L, best).tolist() == best_pos
+        values = [0.0] * L.n_links
+        for i, positions in enumerate(links):
+            for l in positions:
+                d = degrees[i]
+                values[l] = (1.0 if d == 1 else q if l in best_pos
+                             else (1.0 - q) / (d - 1))
+        scheme = reverse_weights_best_link(L, best, q)
+        assert scheme.values.tobytes() == np.array(values).tobytes()
+
+    # reverse weights: the first unit whose weights do not sum to 1, and the
+    # sum from 0.0, so a unit of -0.0 weights sums to 0.0
+    weights = data.draw(st.lists(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0]),
+                                 min_size=L.n_links, max_size=L.n_links))
+    sums = []
+    for positions in links:
+        total = 0.0
+        for l in positions:
+            total += weights[l]
+        sums.append(total)
+    weights = np.array(weights)
+    bad = [i for i, total in enumerate(sums) if abs(total - 1.0) > 1e-12]
+    if not bad:
+        WeightScheme(kind="reverse", linkage=L, values=weights)
+        return
+    with pytest.raises(WeightSumError) as excinfo:
+        WeightScheme(kind="reverse", linkage=L, values=weights)
+    i = bad[0]
+    assert (excinfo.value.index, repr(excinfo.value.total)) == (
+        int(L.covered_units[i]), repr(sums[i]))
+    assert str(excinfo.value) == (
+        f"reverse weights for unit {L.covered_units[i]} sum to {sums[i]!r}, not 1")
+
+
+def test_reverse_weights_of_negative_zero_sum_to_zero(example_population_links):
+    # the sum starts from 0.0, so it prints 0.0 where -0.0 + -0.0 printed -0.0
+    values = multiplicity_weights(example_population_links).values.copy()
+    values[:2] = -0.0
+    with pytest.raises(WeightSumError) as excinfo:
+        WeightScheme(kind="reverse", linkage=example_population_links, values=values)
+    assert str(excinfo.value) == "reverse weights for unit 0 sum to 0.0, not 1"
