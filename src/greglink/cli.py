@@ -80,23 +80,22 @@ def _named(exc: WeightSumError, inputs: EstimationInputs) -> ValidationError:
     return ValidationError(exc.message(keys[exc.index]))
 
 
-def _unit_inputs(inputs: EstimationInputs, estimator: str, q: float
-                 ) -> tuple[UnitInputs, np.ndarray]:
+def _unit_inputs(inputs: EstimationInputs, estimator: str, q: float) -> UnitInputs:
     """One estimator's inputs from ``build_estimators`` over the file's links,
-    which checks weights and flags on every unit of the link file, and the
-    sampled units' positions, at which they are gathered and ``sub`` fits."""
+    which checks weights and flags on every unit of the link file; they are
+    gathered, and ``sub`` fits, at the sampled units' ids, which are their
+    covered positions."""
     covariate, linkage = ESTIMATORS[estimator].covariate, inputs.linkage
     if covariate == INCIDENCE_SUM and linkage.scope != POPULATION:
         raise ValidationError("PI-GREG requires population-scope links")
     if covariate == BEST_LINK and inputs.best_links is None:
         raise ValidationError("this estimator needs an is_best column in the link file")
-    pos = np.searchsorted(linkage.covered_units, inputs.sample.ids)
     try:
         (unit_inputs,) = build_estimators([estimator], linkage, inputs.aux, inputs.weights,
-                                          inputs.best_links, q, inputs.y, pos)
+                                          inputs.best_links, q, inputs.y, inputs.sample.ids)
     except WeightSumError as exc:
         raise _named(exc, inputs) from None
-    return unit_inputs, pos
+    return unit_inputs
 
 
 def estimate_from_inputs(inputs: EstimationInputs, estimator: str, target: str,
@@ -109,12 +108,12 @@ def estimate_from_inputs(inputs: EstimationInputs, estimator: str, target: str,
         raise ValidationError("estimation needs a sample file")
     if estimator == "sub" and not sample.equal_probability:
         raise ValidationError("sub needs an equal-probability sample")
-    unit_inputs, pos = _unit_inputs(inputs, estimator, q)
-    fit = fit_unit_inputs(unit_inputs, pos[None], inputs.y[None], sample.pi[None],
+    unit_inputs = _unit_inputs(inputs, estimator, q)
+    fit = fit_unit_inputs(unit_inputs, sample.ids[None], inputs.y[None], sample.pi[None],
                           sample.design, target, strict=True)
     kind = ESTIMATORS[estimator].diagnostic
     diag = None if kind is None else consistency_diagnostics(
-        unit_inputs.rows[0][pos[None]], sample.pi[None], inputs.aux, sample.design, kind)
+        unit_inputs.rows[0][sample.ids][None], sample.pi[None], inputs.aux, sample.design, kind)
     return fit.first(estimator, target), diag
 
 
@@ -238,16 +237,16 @@ def _sample_diagnostics(inputs: EstimationInputs, q: float) -> list[DiagnosticsR
     covers the population, for ``_npa_lines`` has then taken it as ``pi``'s
     incidence weights.
     """
-    pos = np.searchsorted(inputs.linkage.covered_units, inputs.sample.ids)
-    rows = {"sls": link_sums(inputs.linkage, inputs.aux)[pos]}
+    ids = inputs.sample.ids
+    rows = {"sls": link_sums(inputs.linkage, inputs.aux)[ids]}
     for tag in ("sri", "sbl") if inputs.best_links is not None else ("sri",):
         try:
-            unit_inputs = _unit_inputs(inputs, tag, q)[0]
+            unit_inputs = _unit_inputs(inputs, tag, q)
         except ValidationError:
             if tag == "sri" and inputs.weights is not None and inputs.linkage.scope == POPULATION:
                 continue
             raise
-        rows[tag] = unit_inputs.rows[0][pos]
+        rows[tag] = unit_inputs.rows[0][ids]
     return [consistency_diagnostics(rows[tag][None], inputs.sample.pi[None], inputs.aux,
                                     inputs.sample.design, tag)
             for tag in DIAGNOSTIC_KINDS if tag in rows]

@@ -43,7 +43,7 @@ import numpy as np
 
 from .design import Sample, SurveyDesign
 from .errors import ValidationError
-from .linkage import AuxDatabase, LinkageStructure, build_linkage, link_key
+from .linkage import POPULATION, SAMPLE, AuxDatabase, LinkageStructure, link_key
 
 _TRUE_FLAGS = frozenset({"1", "true", "yes"})
 _FLAGS = _TRUE_FLAGS | {"0", "false", "no", ""}
@@ -386,7 +386,8 @@ def order_keys(keys: Iterable[str]) -> list[str]:
 @dataclass(frozen=True)
 class EstimationInputs:
     """An auxiliary file and a link file read together, densely indexed, and
-    the sample file read with them, if any."""
+    the sample file read with them, if any. The linkage covers units
+    0..n_units-1, so a sample id is its unit's covered position."""
 
     aux: AuxDatabase
     linkage: LinkageStructure
@@ -414,7 +415,8 @@ def assemble_estimation_inputs(sample_path: str | Path | None, aux_path: str | P
     both go through the codes of ``_key_codes``. The linkage is
     population-scoped exactly when the link file covers ``n_population``
     distinct units, otherwise sample-scoped over the units it covers. A link
-    given twice is rejected by its unit and record keys.
+    given twice is rejected by its unit and record keys. The links are sorted
+    once, by one integer key per link, and that order is the linkage's.
     """
     if sample_path is not None and n_population is None:
         raise ValidationError("a sample file needs the population size")
@@ -460,11 +462,12 @@ def assemble_estimation_inputs(sample_path: str | Path | None, aux_path: str | P
                               f" to record {link_table.record_keys[row]!r}")
     unit_keys = list(map(link_table.unit_keys.__getitem__, by_unit[firsts].tolist()))
     n_units = len(unit_keys)
-    linkage = build_linkage(
-        np.column_stack([units, records]),
-        n_population if n_units == n_population else np.arange(n_units, dtype=np.int64),
-        aux_table.aux,
-    )
+    # records, repeats and units are checked, and every unit has a link, so
+    # the sorted keys are the links in (unit, record) order
+    n_records = aux_table.aux.n_records
+    linkage = LinkageStructure(POPULATION if n_units == n_population else SAMPLE,
+                               np.arange(n_units, dtype=np.int64), n_records,
+                               *np.divmod(key[rows], n_records))
     # indexing a per-row column with the sorted rows aligns it with the links
     best_links = None
     if link_table.is_best is not None:

@@ -14,12 +14,13 @@ sample links alone; their design consistency rests on the linkage being
 non-informative of the auxiliary values, which ``consistency_diagnostics``
 turns into a testable statistic.
 
-``build_unit_inputs`` turns a rule into per-unit arrays over one linkage,
-and ``fit_unit_inputs`` fits the rule on a stack of samples with one
-batched kernel (``ht_total_batch``, ``greg_batch``, ``sub_greg_batch``,
-``sls_greg_batch``). The Monte Carlo harness fits chunks of replicates this
-way and the command line a stack of one sample. ``greg``, ``sub_greg`` and
-``sls_greg`` validate one sample and run the same kernels on it.
+``build_estimators`` turns rules into per-unit arrays over one linkage, in
+simulation and from files alike, and ``fit_unit_inputs`` fits a rule on a
+stack of samples with one batched kernel (``ht_total_batch``,
+``greg_batch``, ``sub_greg_batch``, ``sls_greg_batch``). The Monte Carlo
+harness fits chunks of replicates this way and the command line a stack of
+one sample. ``greg``, ``sub_greg`` and ``sls_greg`` validate one sample and
+run the same kernels on it.
 
 A sample's fit does not depend on the samples stacked with it: every
 matrix product runs sample by sample, and each value's T'b is an
@@ -457,75 +458,25 @@ class UnitInputs(NamedTuple):
     coefficients: np.ndarray | None = None
 
 
-def build_unit_inputs(tag: str, linkage: LinkageStructure, aux: AuxDatabase,
-                      scheme: WeightScheme | None = None,
-                      best: np.ndarray | None = None,
-                      y: np.ndarray | None = None,
-                      at: np.ndarray | None = None,
-                      x_links: np.ndarray | None = None) -> UnitInputs:
-    """The per-unit inputs of estimator ``tag`` over ``linkage``.
-
-    ``scheme`` holds the link weights of the weighted-sum and link-set rules,
-    ``best`` the best record of each covered unit, and ``y`` the responses
-    from which the subsample rule fits its coefficients on the single-link
-    units: of the covered units at positions ``at``, or of every covered
-    unit when ``at`` is None. ``x_links`` holds the record values at the
-    links, ``link_values(linkage, aux)``, when they are gathered already.
-    The matched value of unit i is record i, which only a simulated
-    population has. Link sums are local to each unit, so inputs built over
-    the population links and gathered at a sample equal those built over
-    the sample's own links.
-    """
-    rule = ESTIMATORS[tag]
-    source, coefficients = rule.covariate, None
-    if source is None:
-        return UnitInputs(tag)
-    if source == MATCHED:
-        rows = (aux.x,)
-    elif source == BEST_LINK:
-        if best is None:
-            raise ValidationError(f"estimator {tag!r} needs best links")
-        rows = (aux.x[best],)
-    elif source == ONLY_LINK:
-        if y is None:
-            raise ValidationError(f"estimator {tag!r} needs responses to fit its coefficients")
-        # each unit's first link; the fit keeps only the single-link units
-        x = aux.x[linkage.link_records[linkage._unit_ptr[:-1]]]
-        single = linkage.degrees == 1
-        fit_x, fit_single = (x, single) if at is None else (x[at], single[at])
-        rows = (x, single)
-        coefficients = _subsample_coefficients(fit_x[fit_single], y[fit_single])
-    else:
-        kind = INCIDENCE if source == INCIDENCE_SUM else REVERSE
-        if scheme is None or scheme.kind != kind:
-            raise ValidationError(f"estimator {tag!r} needs {kind} weights")
-        if x_links is None:
-            x_links = link_values(linkage, aux)
-        if source == LINK_SET:
-            rows = link_aggregates(linkage, scheme.values, aux, x_links)
-        else:
-            rows = (weighted_sums(linkage, scheme, x_links),)
-    if rule.total == AUX_MEAN:
-        calibration = aux.mean
-    elif source == MATCHED:
-        calibration = aux.total
-    else:
-        # incidence weights need population links, so the column sums are
-        # the covariate's known population totals
-        calibration = rows[0].sum(axis=0)
-    return UnitInputs(tag, rows, calibration, coefficients)
-
-
 def build_estimators(tags: list[str], linkage: LinkageStructure, aux: AuxDatabase,
                      weights: np.ndarray | None = None, best: np.ndarray | None = None,
                      q: float | None = None, y: np.ndarray | None = None,
                      at: np.ndarray | None = None) -> list[UnitInputs]:
-    """``build_unit_inputs`` of each estimator of ``tags``, with each weight
-    kind resolved once by ``link_weights`` from ``weights``, ``best`` and ``q``,
-    and the record values gathered at the links once for all of them.
-    Whatever the order of ``tags``, the incidence rules come first, then the
-    rules without weights, the reverse-weighted sums and the link-set sums,
-    and each scheme is dropped after its estimators: one is alive at a time.
+    """The per-unit inputs of each estimator of ``tags`` over ``linkage``, by
+    its rule in ``ESTIMATORS``, with each weight kind resolved and checked
+    once by ``link_weights`` from ``weights``, ``best`` and ``q``, and the
+    record values gathered at the links once for all of them.
+
+    ``best`` holds each covered unit's best record, and ``y`` the responses
+    from which the subsample rule fits its coefficients on the single-link
+    units among the covered units at positions ``at`` (all when None). The
+    matched value of unit i is record i, which only a simulated population
+    has. Link sums are local to each unit, so inputs built over the
+    population links and gathered at a sample equal those built over the
+    sample's own links. Whatever the order of ``tags``, the incidence rules
+    come first, then the rules without weights, the reverse-weighted sums
+    and the link-set sums, and each scheme is dropped after its estimators:
+    one is alive at a time.
     """
     built = {}
     x_links = link_values(linkage, aux) if any(
@@ -539,7 +490,40 @@ def build_estimators(tags: list[str], linkage: LinkageStructure, aux: AuxDatabas
         scheme = None if kind is None or not group else link_weights(
             kind, linkage, weights, best, q)
         for tag in group:
-            built[tag] = build_unit_inputs(tag, linkage, aux, scheme, best, y, at, x_links)
+            rule = ESTIMATORS[tag]
+            source, coefficients = rule.covariate, None
+            if source is None:
+                built[tag] = UnitInputs(tag)
+                continue
+            if source == MATCHED:
+                rows = (aux.x,)
+            elif source == BEST_LINK:
+                if best is None:
+                    raise ValidationError(f"estimator {tag!r} needs best links")
+                rows = (aux.x[best],)
+            elif source == ONLY_LINK:
+                if y is None:
+                    raise ValidationError(
+                        f"estimator {tag!r} needs responses to fit its coefficients")
+                # each unit's first link; the fit keeps only the single-link units
+                x = aux.x[linkage.link_records[linkage._unit_ptr[:-1]]]
+                single = linkage.degrees == 1
+                fit_x, fit_single = (x, single) if at is None else (x[at], single[at])
+                rows = (x, single)
+                coefficients = _subsample_coefficients(fit_x[fit_single], y[fit_single])
+            elif source == LINK_SET:
+                rows = link_aggregates(linkage, scheme.values, aux, x_links)
+            else:
+                rows = (weighted_sums(linkage, scheme, x_links),)
+            if rule.total == AUX_MEAN:
+                calibration = aux.mean
+            elif source == MATCHED:
+                calibration = aux.total
+            else:
+                # incidence weights need population links, so the column sums
+                # are the covariate's known population totals
+                calibration = rows[0].sum(axis=0)
+            built[tag] = UnitInputs(tag, rows, calibration, coefficients)
     return [built[tag] for tag in tags]
 
 
@@ -667,7 +651,9 @@ def consistency_diagnostics(rows: np.ndarray, pi: np.ndarray, aux: AuxDatabase,
     constant component with a statistic that is not zero gets NaN variance
     and z: units that share one link set by chance show no spread, which is
     no evidence that the statistic is certain. Unequal ``pi``, and one
-    sampled unit outside a census, give NaN variance and z too.
+    sampled unit outside a census, give NaN variance and z too. Rows whose
+    sums or squares overflow raise ``NumericalError``, and no floating-point
+    warning is issued.
     """
     if kind not in DIAGNOSTIC_KINDS:
         raise ValidationError(f"unknown diagnostic kind {kind!r}")
@@ -675,17 +661,26 @@ def consistency_diagnostics(rows: np.ndarray, pi: np.ndarray, aux: AuxDatabase,
         raise ValidationError(f"{kind} diagnostic rows must align with the sample")
     n_population = design.n_population
 
-    if kind != "sls":
-        contributions = rows / n_population
-        value = np.sum(contributions / pi[..., None], axis=-2) - aux.mean
-    else:
-        d, link_sum = rows[..., :1], rows[..., 1:]
-        n_links_hat = np.sum(d / pi[..., None], axis=-2)
-        link_mean_hat = np.sum(link_sum / pi[..., None], axis=-2) / n_links_hat
-        value = link_mean_hat - aux.mean
-        contributions = (link_sum - link_mean_hat[..., None, :] * d) / n_links_hat[..., None]
-
-    spread = contributions.std(axis=-2)
+    # sums and squares of finite rows may overflow: a statistic that is not
+    # finite raises below, and no floating-point warning is issued
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind != "sls":
+            contributions = rows / n_population
+            value = np.sum(contributions / pi[..., None], axis=-2) - aux.mean
+        else:
+            d, link_sum = rows[..., :1], rows[..., 1:]
+            n_links_hat = np.sum(d / pi[..., None], axis=-2)
+            link_mean_hat = np.sum(link_sum / pi[..., None], axis=-2) / n_links_hat
+            value = link_mean_hat - aux.mean
+            contributions = (link_sum - link_mean_hat[..., None, :] * d) / n_links_hat[..., None]
+        spread = contributions.std(axis=-2)
+        variance = equal_probability_variances(
+            np.ascontiguousarray(np.swapaxes(contributions, -1, -2)), pi[..., None, :],
+            design)
+    if not (np.isfinite(value).all() and np.isfinite(spread).all()
+            and not np.isinf(variance).any()):
+        raise NumericalError(f"{kind} consistency diagnostic is not finite: sums or "
+                             "squares of its per-unit contributions overflow")
     scale = np.maximum(np.abs(contributions).max(axis=-2), 1.0 / n_population)
     equal = np.all(pi == pi[..., :1], axis=-1)[..., None]
     census = design.f == 1
@@ -693,9 +688,7 @@ def consistency_diagnostics(rows: np.ndarray, pi: np.ndarray, aux: AuxDatabase,
     # has no spread to read, as it has no variance estimator
     degenerate = (((spread <= 1e-9 * scale) & (rows.shape[-2] >= 2)) | census) & equal
     off = np.abs(value) > 1e-6 * scale * n_population
-    variance = np.where(degenerate, 0.0, equal_probability_variances(
-        np.ascontiguousarray(np.swapaxes(contributions, -1, -2)), pi[..., None, :],
-        design))
+    variance = np.where(degenerate, 0.0, variance)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(degenerate, np.where(off, np.copysign(np.inf, value), 0.0),
                      value / np.sqrt(variance))

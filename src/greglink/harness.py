@@ -7,8 +7,9 @@ Replicates run in chunks of ``REPLICATE_CHUNK`` consecutive indices. Every
 estimator the harness runs is linear in y once its per-unit covariates are
 fixed, so ``estimators.build_estimators`` builds those once per linkage
 (for the link-set estimator, the sums over each unit's links). It is the
-call through which ``greglink estimate`` builds from files, and it gives
-every estimator but pi-q its weights by one rule, ``linkage.link_weights``.
+one builder, through which ``greglink estimate`` builds from files too; it
+checks pi-q's drawn weights as it checks a weight column, and gives every
+other estimator its weights by one rule, ``linkage.link_weights``.
 A chunk gathers the inputs for all its samples and fits each estimator with
 ``estimators.fit_unit_inputs``, in stacked array operations. A failed fit
 (singular normal equations, too few single-link units or links) records NaN
@@ -42,7 +43,7 @@ import numpy as np
 
 from .design import SurveyDesign, replicate_ids, rng_stream
 from .errors import NumericalError, ValidationError
-from .estimators import UnitInputs, build_estimators, build_unit_inputs, fit_unit_inputs
+from .estimators import UnitInputs, build_estimators, fit_unit_inputs
 from .synthpop import (
     LinkageModel,
     PopulationModel,
@@ -135,13 +136,14 @@ class ScenarioConfig:
 def _build_block(config: ScenarioConfig
                  ) -> tuple[np.ndarray, float, list[UnitInputs]]:
     """The block's population values, their true mean or total, and each
-    estimator's per-unit inputs over its one linkage; the subsample
-    estimator's coefficients are fit on the population's single-link units.
+    estimator's per-unit inputs over its one linkage, all built by
+    ``build_estimators``; the subsample estimator's coefficients are fit on
+    the population's single-link units.
 
     pi-q, whose weight draw has the largest transient arrays, is built
     first, while few inputs are alive; only it draws from the weight stream.
-    ``build_estimators`` builds the others with the weights ``estimate`` gets
-    from a link file without a weight column.
+    The others get the weights ``estimate`` gets from a link file without a
+    weight column.
     """
     x, population = gen_population(config.population_model(),
                                    rng_stream(config.seed, _POP_KEY))
@@ -151,7 +153,7 @@ def _build_block(config: ScenarioConfig
     q = config.best_link_weight
     built = {}
     if "pi-q" in config.estimators:
-        built["pi-q"] = build_unit_inputs("pi-q", linkage, aux, gen_pi_q_weights(
+        (built["pi-q"],) = build_estimators(["pi-q"], linkage, aux, gen_pi_q_weights(
             linkage, matched, q, rng_stream(config.seed, _WEIGHT_KEY)))
     del matched
     tags = [tag for tag in config.estimators if tag != "pi-q"]

@@ -123,17 +123,20 @@ class LinkageStructure:
 
     def __init__(self, scope: str, covered_units: np.ndarray, n_records: int,
                  link_units: np.ndarray, link_records: np.ndarray):
-        # invariants are enforced by build_linkage / restrict; this constructor
-        # trusts sorted, validated inputs
+        # invariants are enforced by build_linkage, restrict and
+        # dataio.assemble_estimation_inputs; this constructor trusts sorted,
+        # validated inputs
         self.scope = scope
         self.covered_units = _readonly(covered_units)
         self.n_records = n_records
-        # each link's covered-unit position, units 0..N-1 being their own;
-        # kept writable, as np.bincount copies a read-only index on every
-        # call, and never written
+        # each link's covered-unit position, units 0..N-1 being their own,
+        # and each link's record; both kept writable, as np.bincount copies
+        # a read-only index on every call, and never written
         self._unit_index = (link_units if scope == POPULATION
                             else np.searchsorted(covered_units, link_units))
+        self._record_index = link_records
         self.link_units = _readonly(link_units.view())
+        self.link_records = _readonly(link_records.view())
         self.degrees = _readonly(np.bincount(
             self._unit_index, minlength=len(covered_units)).astype(np.int64, copy=False))
         unit_ptr = np.zeros(len(covered_units) + 1, dtype=np.int64)
@@ -141,7 +144,6 @@ class LinkageStructure:
         self._unit_ptr = _readonly(unit_ptr)
         self.multiplicities = _readonly(
             np.bincount(link_records, minlength=n_records).astype(np.int64, copy=False))
-        self.link_records = _readonly(link_records)
 
     @property
     def n_links(self) -> int:
@@ -303,7 +305,7 @@ class WeightScheme:
         if self.kind == INCIDENCE:
             if self.linkage.scope != POPULATION:
                 raise ValidationError("incidence weights require population links")
-            sums = np.bincount(self.linkage.link_records, weights=values,
+            sums = np.bincount(self.linkage._record_index, weights=values,
                                minlength=self.linkage.n_records)
             linked = self.linkage.multiplicities > 0
             bad = np.abs(sums[linked] - 1.0) > WEIGHT_SUM_TOL

@@ -29,12 +29,10 @@ import numpy as np
 
 from .errors import ValidationError
 from .linkage import (
-    INCIDENCE,
     POPULATION,
     AuxDatabase,
     LinkageStructure,
     Population,
-    WeightScheme,
     build_linkage,
     link_key,
 )
@@ -207,11 +205,11 @@ def gen_linkage(n_units: int, model: LinkageModel, rng: np.random.Generator
 
 
 def gen_pi_q_weights(linkage: LinkageStructure, matched: np.ndarray, q: float,
-                     rng: np.random.Generator) -> WeightScheme:
-    """Unequal incidence weights: q on record r's link to its match, unit r,
-    when r is among the ``matched`` units, otherwise q on a uniformly chosen
-    link; the other links share (1 - q) equally. Single-link records get
-    weight 1."""
+                     rng: np.random.Generator) -> np.ndarray:
+    """Unequal incidence weights, one per link: q on record r's link to its
+    match, unit r, when r is among the ``matched`` units, otherwise q on a
+    uniformly chosen link; the other links share (1 - q) equally. Single-link
+    records get weight 1. ``link_weights`` checks them."""
     if linkage.scope != POPULATION:
         raise ValidationError("incidence weights require population links")
     if not 0 < q < 1:
@@ -237,7 +235,7 @@ def gen_pi_q_weights(linkage: LinkageStructure, matched: np.ndarray, q: float,
     order.sort()
     np.remainder(order, n_links, out=order)
     values[order[np.cumsum(m)[need] - m[need] + pick]] = q
-    return WeightScheme(kind=INCIDENCE, linkage=linkage, values=values)
+    return values
 
 
 def aux_from_population(x: np.ndarray) -> AuxDatabase:

@@ -20,7 +20,7 @@ from greglink.design import (
     rng_stream,
 )
 from greglink.estimators import (
-    build_unit_inputs,
+    build_estimators,
     consistency_diagnostics,
     fit_unit_inputs,
     greg_batch,
@@ -28,7 +28,9 @@ from greglink.estimators import (
 )
 from greglink.harness import ScenarioConfig, load_scenario_file, run_scenario
 from greglink.linkage import (
+    INCIDENCE,
     AuxDatabase,
+    WeightScheme,
     build_linkage,
     multiplicity_weights,
     reverse_weights_best_link,
@@ -227,20 +229,21 @@ def test_criterion_7_perfect_linkage_reduction():
         sample = draw_srswor(n_population, n, rng)
         y_s = y[sample.ids]
         reverse = reverse_weights_best_link(linkage, identity, 0.4)
-        ideal = _fit_at(build_unit_inputs("ideal", linkage, aux), linkage, y_s, sample)
+        ideal = _fit_at(build_estimators(["ideal"], linkage, aux)[0], linkage, y_s, sample)
 
         # population scope: built over the population links and gathered at
         # the sample, as the harness fits them; the unique link is the best
-        values = [_fit_at(build_unit_inputs(tag, linkage, aux, scheme, identity),
+        values = [_fit_at(build_estimators([tag], linkage, aux, weights, identity)[0],
                           linkage, y_s, sample)
-                  for tag, scheme in (("pi-m", multiplicity_weights(linkage)),
-                                      ("sbl", None), ("sri-q", reverse), ("sls", reverse))]
+                  for tag, weights in (("pi-m", multiplicity_weights(linkage).values),
+                                       ("sbl", None), ("sri-q", reverse.values),
+                                       ("sls", reverse.values))]
         # sample scope: built over the sample's own links with its responses,
         # as `greglink estimate` fits them
         sub_linkage, link_index = linkage.restrict(sample.ids)
         sub_reverse = reverse.restrict(sub_linkage, link_index)
-        values += [_fit_at(build_unit_inputs(tag, sub_linkage, aux, sub_reverse,
-                                             y=y[sub_linkage.covered_units]),
+        values += [_fit_at(build_estimators([tag], sub_linkage, aux, sub_reverse.values,
+                                            y=y[sub_linkage.covered_units])[0],
                            sub_linkage, y_s, sample)
                    for tag in ("sri-q", "sls", "sub")]
         worst = max(worst, *(abs(value - ideal) / abs(ideal) for value in values))
@@ -282,8 +285,8 @@ def test_criterion_8_weight_constraint_suite():
             worst_reverse = max(worst_reverse,
                                 float(np.abs(unit_sums - 1.0).max()))
             from greglink.synthpop import gen_pi_q_weights
-            incidence = gen_pi_q_weights(linkage, matched, 0.35,
-                                         rng_stream(rng_master, 2))
+            incidence = WeightScheme(INCIDENCE, linkage, gen_pi_q_weights(
+                linkage, matched, 0.35, rng_stream(rng_master, 2)))
             record_sums = np.bincount(linkage.link_records,
                                       weights=incidence.values,
                                       minlength=n_population)
@@ -295,8 +298,8 @@ def test_criterion_8_weight_constraint_suite():
             # built over the sample's own links
             sample = draw_srswor(n_population, n, rng_stream(rng_master, 3))
             sub_linkage, link_index = linkage.restrict(sample.ids)
-            inputs = build_unit_inputs("sri-q", sub_linkage, aux,
-                                       reverse.restrict(sub_linkage, link_index))
+            (inputs,) = build_estimators(["sri-q"], sub_linkage, aux,
+                                         reverse.restrict(sub_linkage, link_index).values)
             covariate = inputs.rows[0][np.searchsorted(sub_linkage.covered_units,
                                                        sample.ids), 0]
             # the fit is linear in y: its weights calibrate when the fits of
@@ -324,9 +327,8 @@ def _rejections(linkage, reverse, best, aux, key, replicates):
     design = SurveyDesign(n_population, n)
     ids = replicate_ids(n_population, n, SEED, (key,), range(replicates))
     pi = np.full(ids.shape, design.f)
-    rows = {"sri": build_unit_inputs("sri", linkage, aux, reverse).rows[0],
-            "sbl": build_unit_inputs("sbl", linkage, aux, best=best).rows[0],
-            "sls": link_sums(linkage, aux)}
+    sri, sbl = build_estimators(["sri", "sbl"], linkage, aux, reverse.values, best)
+    rows = {"sri": sri.rows[0], "sbl": sbl.rows[0], "sls": link_sums(linkage, aux)}
     return {kind: int(np.sum(np.max(np.abs(consistency_diagnostics(
                 rows[kind][ids], pi, aux, design, kind).z), axis=-1) > 1.96))
             for kind in rows}

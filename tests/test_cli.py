@@ -404,8 +404,8 @@ def overflow_files(tmp_path):
     (["estimate", "--estimator", "sri"], "normal-equation matrix is not finite"),
     (["estimate", "--estimator", "sls"], "sls link-set aggregates are not finite: sums "
      "or products of the auxiliary record values overflow"),
-    # numpy's own message names the operation, which differs between releases
-    (["diagnose"], r"overflow encountered in \w+"),
+    (["diagnose"], "sri consistency diagnostic is not finite: sums or squares of its "
+     "per-unit contributions overflow"),
 ], ids=["all", "pi", "sbl", "sri", "sls", "diagnose"])
 def test_values_that_overflow_are_a_numerical_failure(overflow_files, command, message):
     # these printed inf or nan estimates, with numpy warnings, and exited 0
@@ -1168,9 +1168,10 @@ def contract_files(draw):
 @given(files=contract_files(), target=st.sampled_from(["total", "mean"]))
 def test_file_commands_print_finite_output_or_one_error_line(tmp_path_factory, files, target):
     # either exit 0 with every estimate, variance and SE finite or
-    # "unavailable" and nothing on stderr, or exit 1 or 2 with nothing on
-    # stdout and one error line; z is not checked
+    # "unavailable", a z of ±inf only in a census, and nothing on stderr, or
+    # exit 1 or 2 with nothing on stdout and one error line
     aux, links, sample, n_population = files
+    census = len(sample.splitlines()) - 1 == n_population
     folder = tmp_path_factory.getbasetemp()
     paths = [write(folder / name, text) for name, text in
              (("contract_aux.csv", aux), ("contract_links.csv", links),
@@ -1186,6 +1187,9 @@ def test_file_commands_print_finite_output_or_one_error_line(tmp_path_factory, f
                 key, _, value = line.partition(": ")
                 if key in ("point estimate", "variance estimate", "standard error"):
                     assert value == "unavailable" or math.isfinite(float(value)), line
+                if key.startswith("consistency diagnostic"):
+                    zs = re.findall(r" z ([^,]+)", value)
+                    assert census or not {"inf", "-inf"} & set(zs), line
         else:
             assert code in (1, 2) and out == ""
             assert re.fullmatch(r"(error|numerical failure): [^\n]*\n", err), err

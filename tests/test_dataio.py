@@ -28,7 +28,7 @@ from greglink.dataio import (
 )
 from greglink.design import draw_srswor, rng_stream
 from greglink.errors import ValidationError
-from greglink.linkage import AuxDatabase
+from greglink.linkage import AuxDatabase, build_linkage
 from greglink.synthpop import LinkageModel, PopulationModel, gen_linkage, gen_population
 
 FILE_ESTIMATORS = "ht,pi,sub,sbl,sri,sls"
@@ -462,6 +462,19 @@ def test_canonical_and_string_ids_give_one_result(tmp_path_factory, structure):
     for name in ("scope", "covered_units", "n_records", "link_units", "link_records"):
         assert fingerprint(getattr(by_string.linkage, name)) == fingerprint(
             getattr(by_value.linkage, name))
+    # the assembled linkage is the one build_linkage makes of the same
+    # (unit, record) pairs and scope, units numbered in id order
+    units = sorted({unit for unit, *_ in structure["links"]})
+    records = [record for record, _ in structure["aux"]]
+    pairs = [(units.index(unit), records.index(record)) for unit, record, _ in structure["links"]]
+    built = build_linkage(pairs, n_population if len(units) == n_population
+                          else np.arange(len(units)), len(records))
+    for name in ("scope", "covered_units", "n_records", "link_units", "link_records",
+                 "degrees", "multiplicities", "_unit_ptr"):
+        assert fingerprint(getattr(by_value.linkage, name)) == fingerprint(
+            getattr(built, name))
+    assert fingerprint(by_value.linkage.unit_index_per_link()) == fingerprint(
+        built.unit_index_per_link())
     assert list(map(unprefixed, cli_outcomes(named, n_population))) == cli_outcomes(
         plain, n_population)
 

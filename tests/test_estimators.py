@@ -21,7 +21,6 @@ from greglink.estimators import (
     GregSpec,
     UnitInputs,
     build_estimators,
-    build_unit_inputs,
     consistency_diagnostics,
     fit_unit_inputs,
     greg,
@@ -269,7 +268,7 @@ def test_every_rule_rejects_an_unknown_target(tag):
     _, linkage, best = gen_linkage(500, model, rng_stream(4, 1))
     scheme = (multiplicity_weights(linkage) if ESTIMATORS[tag].covariate == INCIDENCE_SUM
               else reverse_weights_best_link(linkage, best, 0.4))
-    inputs = build_unit_inputs(tag, linkage, aux, scheme, best, population.y)
+    (inputs,) = build_estimators([tag], linkage, aux, scheme.values, best, y=population.y)
     sample = draw_srswor(500, 50, rng_stream(4, 2))
     with pytest.raises(ValidationError, match="^unknown target 'Total'$"):
         fit_unit_inputs(inputs, sample.ids[None], population.y[sample.ids][None],
@@ -277,14 +276,14 @@ def test_every_rule_rejects_an_unknown_target(tag):
 
 
 @pytest.mark.parametrize("tag, missing", [("sbl", "best links"), ("sub", "responses")])
-def test_build_unit_inputs_rejects_a_rule_without_its_input(tag, missing):
+def test_build_estimators_rejects_a_rule_without_its_input(tag, missing):
     # sbl without best links gave one row of every record, on which the fit
     # raised IndexError; sub raised TypeError on the missing responses
     x, _ = gen_population(PopulationModel(n_units=50), rng_stream(4, 0))
     model = LinkageModel(link_share=(0.2, 0.4, 0.4), match_rate=0.6, correct_best_rate=0.5)
     _, linkage, _ = gen_linkage(50, model, rng_stream(4, 1))
     with pytest.raises(ValidationError, match=f"^estimator {tag!r} needs {missing}"):
-        build_unit_inputs(tag, linkage, AuxDatabase.from_values(x))
+        build_estimators([tag], linkage, AuxDatabase.from_values(x))
 
 
 def test_build_estimators_resolves_each_weight_kind_by_one_rule():
@@ -311,12 +310,18 @@ def test_build_estimators_resolves_each_weight_kind_by_one_rule():
         built = build_estimators(tags, linkage, aux, y=population.y, **kwargs)
         assert [inputs.tag for inputs in built] == tags
         for tag, inputs in zip(tags, built):
-            scheme = None if tag not in weights else WeightScheme(
-                "incidence" if tag == "pi" else "reverse", linkage, weights[tag])
-            expected = build_unit_inputs(tag, linkage, aux, scheme, kwargs.get("best"),
-                                         population.y)
-            assert len(inputs.rows) == len(expected.rows)
-            for got, want in zip(inputs.rows, expected.rows):
+            if tag == "sls":
+                expected = link_aggregates(linkage, weights[tag], aux)
+            elif tag in weights:
+                expected = (derive_covariates(linkage, WeightScheme(
+                    "incidence" if tag == "pi" else "reverse", linkage, weights[tag]), aux),)
+            else:
+                # a rule without weights is built as it is on its own
+                (alone,) = build_estimators([tag], linkage, aux, best=kwargs.get("best"),
+                                            y=population.y)
+                expected = alone.rows
+            assert len(inputs.rows) == len(expected)
+            for got, want in zip(inputs.rows, expected):
                 np.testing.assert_array_equal(got, want)
 
 
@@ -336,6 +341,23 @@ def test_link_set_aggregates_that_overflow_name_the_estimator():
     linkage = build_linkage([(0, 0), (1, 1), (2, 2), (2, 3), (3, 3)], 4, aux)
     with pytest.raises(NumericalError, match=r"^sls link-set aggregates are not finite"):
         build_estimators(["sls"], linkage, aux, best=np.array([0, 1, 2, 3]), q=0.7)
+
+
+@pytest.mark.parametrize("kind", DIAGNOSTIC_KINDS)
+def test_diagnostics_whose_spread_overflows_name_the_statistic(kind):
+    # finite rows whose squared deviations overflow gave a finite value with
+    # z -0.0 (sri) and numpy's overflow warnings
+    aux = AuxDatabase.from_values([1e308, -1e308, 1e308, 3.0])
+    linkage = build_linkage([(0, 0), (1, 1), (2, 2), (2, 3), (3, 3)], 4, aux)
+    best = np.array([0, 1, 2, 3])
+    if kind == "sls":
+        rows = link_sums(linkage, aux)
+    else:
+        rows = build_estimators([kind], linkage, aux, best=best, q=0.4)[0].rows[0]
+    ids, pi = np.array([[0, 1, 2]]), np.full((1, 3), 0.5)
+    with pytest.raises(NumericalError, match=f"^{kind} consistency diagnostic is not "
+                       "finite: sums or squares of its per-unit contributions overflow$"):
+        consistency_diagnostics(rows[ids], pi, aux, SurveyDesign(4, 3), kind)
 
 
 def test_sub_greg_fixed_coefficients_difference_form():
@@ -486,7 +508,7 @@ def test_diagnostics_variance_formula():
     sub_linkage, link_index = linkage.restrict(sample.ids)
     best = sample.ids.copy()
     reverse = reverse_weights_best_link(sub_linkage, best, 0.4)
-    rows = build_unit_inputs("sri", sub_linkage, aux, reverse).rows[0]
+    rows = build_estimators(["sri"], sub_linkage, aux, reverse.values)[0].rows[0]
     report = _one_sample_diagnostics(rows, aux, sample, "sri")
     n_population = aux.n_records
     contributions = aux.x[sample.ids, 0] / n_population
@@ -508,7 +530,7 @@ def test_diagnostics_constant_covariate_degenerates():
     sample = draw_srswor(n_population, 6, rng_stream(31, 0))
     sub_linkage, link_index = linkage.restrict(sample.ids)
     scheme = reverse_weights_best_link(sub_linkage, sample.ids.copy(), 0.5)
-    rows = build_unit_inputs("sri", sub_linkage, aux, scheme).rows[0]
+    rows = build_estimators(["sri"], sub_linkage, aux, scheme.values)[0].rows[0]
     report = _one_sample_diagnostics(rows, aux, sample, "sri")
     assert report.variance[0] == 0.0
     assert report.z[0] == 0.0

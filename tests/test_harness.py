@@ -20,6 +20,7 @@ from greglink.dataio import (
 )
 from greglink.design import Sample, SurveyDesign, replicate_ids, rng_stream
 from greglink.errors import NumericalError, ValidationError
+from greglink.linkage import WeightScheme
 from greglink.harness import (
     ESTIMATOR_ORDER,
     MonteCarloSummary,
@@ -265,8 +266,8 @@ def test_estimate_from_files_gives_the_harness_bits(reference_blocks, block, tmp
                           rng_stream(config.seed, harness._POP_KEY))
     matched, linkage, best = gen_linkage(config.n_population, config.linkage_model(),
                                          rng_stream(config.seed, harness._LINK_KEY))
-    pi_q = gen_pi_q_weights(linkage, matched, config.best_link_weight,
-                            rng_stream(config.seed, harness._WEIGHT_KEY))
+    pi_q = WeightScheme("incidence", linkage, gen_pi_q_weights(
+        linkage, matched, config.best_link_weight, rng_stream(config.seed, harness._WEIGHT_KEY)))
     write_aux_csv(tmp_path / "aux.csv", aux_from_population(x))
     write_links_csv(tmp_path / "links.csv", linkage, best_links=best)
     write_links_csv(tmp_path / "pi_q_links.csv", linkage, weights=pi_q.values)

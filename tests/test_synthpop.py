@@ -14,7 +14,12 @@ from greglink.design import rng_stream
 from greglink.errors import ValidationError
 from greglink.estimators import link_aggregates
 from greglink.harness import _build_block, load_scenario_file
-from greglink.linkage import INCIDENCE, derive_covariates, reverse_weights_best_link
+from greglink.linkage import (
+    INCIDENCE,
+    WeightScheme,
+    derive_covariates,
+    reverse_weights_best_link,
+)
 from greglink.synthpop import (
     LinkageModel,
     _draw_false_records,
@@ -149,7 +154,8 @@ def test_pi_q_weights_rules():
     model = LinkageModel(link_share=(0.2, 0.4, 0.4), match_rate=0.6,
                          correct_best_rate=0.5)
     matched, linkage, _ = gen_linkage(1000, model, rng_stream(9, 0))
-    scheme = gen_pi_q_weights(linkage, matched, 0.4, rng_stream(9, 1))
+    scheme = WeightScheme("incidence", linkage,
+                          gen_pi_q_weights(linkage, matched, 0.4, rng_stream(9, 1)))
     assert scheme.kind == INCIDENCE
     unit_of_record = dict(zip(matched.tolist(), matched.tolist()))
     m = linkage.multiplicities
@@ -180,7 +186,7 @@ def test_pi_q_weights_match_per_record_loop():
                          correct_best_rate=0.5)
     matched, linkage, _ = gen_linkage(2000, model, rng_stream(12, 0))
     rng = rng_stream(12, 1)
-    scheme = gen_pi_q_weights(linkage, matched, 0.3, rng)
+    scheme = WeightScheme("incidence", linkage, gen_pi_q_weights(linkage, matched, 0.3, rng))
 
     ref_rng = rng_stream(12, 1)
     m = linkage.multiplicities
@@ -278,7 +284,8 @@ def setup_digests(block: str, n_population: int | None = None) -> dict[str, str]
     aux = aux_from_population(x)
     rng_links, rng_weights = rng_stream(config.seed, 1), rng_stream(config.seed, 2)
     matched, linkage, best = gen_linkage(n, config.linkage_model(), rng_links)
-    incidence = gen_pi_q_weights(linkage, matched, config.best_link_weight, rng_weights)
+    incidence = WeightScheme("incidence", linkage, gen_pi_q_weights(
+        linkage, matched, config.best_link_weight, rng_weights))
     reverse = reverse_weights_best_link(linkage, best, config.best_link_weight)
     digests = {
         "link_units": _digest(linkage.link_units),
