@@ -8,23 +8,18 @@ from .design import (
     SurveyDesign,
     draw_srswor,
     exact_design_moments,
-    ht_total,
     rng_stream,
 )
 from .errors import GregLinkError, NumericalError, ValidationError
 from .estimators import (
     DiagnosticsReport,
-    GregSpec,
     NpaCovariances,
+    build_estimators,
     consistency_diagnostics,
-    greg,
+    fit_unit_inputs,
     npa_covariances,
-    sls_greg,
-    sub_greg,
-    wls_coefficients,
 )
 from .harness import (
-    ESTIMATOR_LABELS,
     ESTIMATOR_ORDER,
     EstimatorSummary,
     MonteCarloSummary,
@@ -40,11 +35,7 @@ from .linkage import (
     LinkageStructure,
     Population,
     WeightScheme,
-    best_link_indicator_weights,
     build_linkage,
-    derive_covariates,
-    multiplicity_weights,
-    reverse_weights_best_link,
 )
 from .synthpop import (
     LinkageModel,

@@ -17,7 +17,7 @@ from typing import NoReturn
 import numpy as np
 
 from .dataio import EstimationInputs, assemble_estimation_inputs
-from .design import Estimate, exact_design_moments, rng_stream
+from .design import Estimate, exact_design_moments, rng_stream, sample_count
 from .errors import NumericalError, ValidationError
 from .estimators import (
     BEST_LINK,
@@ -80,48 +80,45 @@ def _named(exc: WeightSumError, inputs: EstimationInputs) -> ValidationError:
     return ValidationError(exc.message(keys[exc.index]))
 
 
-def _unit_inputs(inputs: EstimationInputs, estimator: str, q: float) -> UnitInputs:
-    """One estimator's inputs from ``build_estimators`` over the file's links,
-    which checks weights and flags on every unit of the link file; they are
-    gathered, and ``sub`` fits, at the sampled units' ids, which are their
-    covered positions."""
-    covariate, linkage = ESTIMATORS[estimator].covariate, inputs.linkage
-    if covariate == INCIDENCE_SUM and linkage.scope != POPULATION:
-        raise ValidationError("PI-GREG requires population-scope links")
-    if covariate == BEST_LINK and inputs.best_links is None:
-        raise ValidationError("this estimator needs an is_best column in the link file")
+def build_file_estimators(inputs: EstimationInputs, estimators: list[str],
+                          q: float) -> dict[str, UnitInputs]:
+    """Each of ``estimators``' inputs, by id, from one ``build_estimators``
+    call over the file's links, which checks weights and flags on every unit
+    of the link file; they are gathered, and ``sub`` fits, at the sampled
+    units' ids, which are their covered positions. Every id's file
+    preconditions are checked first, in the order given."""
+    sample, linkage = inputs.sample, inputs.linkage
+    if sample is None:
+        raise ValidationError("estimation needs a sample file")
+    for estimator in estimators:
+        covariate = ESTIMATORS[estimator].covariate
+        if estimator == "sub" and not sample.equal_probability:
+            raise ValidationError("sub needs an equal-probability sample")
+        if covariate == INCIDENCE_SUM and linkage.scope != POPULATION:
+            raise ValidationError("PI-GREG requires population-scope links")
+        if covariate == BEST_LINK and inputs.best_links is None:
+            raise ValidationError("this estimator needs an is_best column in the link file")
     try:
-        (unit_inputs,) = build_estimators([estimator], linkage, inputs.aux, inputs.weights,
-                                          inputs.best_links, q, inputs.y, inputs.sample.ids)
+        built = build_estimators(estimators, linkage, inputs.aux, inputs.weights,
+                                 inputs.best_links, q, inputs.y, sample.ids)
     except WeightSumError as exc:
         raise _named(exc, inputs) from None
-    return unit_inputs
+    return dict(zip(estimators, built))
 
 
 def estimate_from_inputs(inputs: EstimationInputs, estimator: str, target: str,
-                         q: float) -> tuple[Estimate, DiagnosticsReport | None]:
-    """Compute one file-based estimator, and its diagnostic, when defined, on
-    the rows it was fitted on, as a stack of one sample."""
-    _check_estimator(estimator)
-    sample = inputs.sample
-    if sample is None:
-        raise ValidationError("estimation needs a sample file")
-    if estimator == "sub" and not sample.equal_probability:
-        raise ValidationError("sub needs an equal-probability sample")
-    unit_inputs = _unit_inputs(inputs, estimator, q)
+                         built: dict[str, UnitInputs]
+                         ) -> tuple[Estimate, DiagnosticsReport | None]:
+    """Fit one file-based estimator from its ``build_file_estimators`` inputs
+    in ``built``, and compute its diagnostic, when defined, on the rows it
+    was fitted on, as a stack of one sample."""
+    sample, unit_inputs = inputs.sample, built[estimator]
     fit = fit_unit_inputs(unit_inputs, sample.ids[None], inputs.y[None], sample.pi[None],
                           sample.design, target, strict=True)
     kind = ESTIMATORS[estimator].diagnostic
     diag = None if kind is None else consistency_diagnostics(
         unit_inputs.rows[0][sample.ids][None], sample.pi[None], inputs.aux, sample.design, kind)
     return fit.first(estimator, target), diag
-
-
-def _check_estimator(estimator: str) -> None:
-    if estimator not in FILE_ESTIMATORS:
-        raise ValidationError(
-            f"unknown estimator {estimator!r}; choose from {', '.join(FILE_ESTIMATORS)}"
-        )
 
 
 def _check_q(q: float) -> None:
@@ -171,11 +168,15 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     if repeated:
         raise ValidationError(f"--estimator repeats {', '.join(repeated)}")
     for estimator in estimators:
-        _check_estimator(estimator)
+        if estimator not in FILE_ESTIMATORS:
+            raise ValidationError(f"unknown estimator {estimator!r}; "
+                                  f"choose from {', '.join(FILE_ESTIMATORS)}")
     inputs = assemble_estimation_inputs(args.sample, args.aux, args.links,
                                         n_population=args.big_n)
-    # every estimate is computed before any is printed, so a failure prints none
-    results = [estimate_from_inputs(inputs, estimator, args.target, args.q)
+    # every input is built, and every estimate computed, before any is
+    # printed, so a failure prints none
+    built = build_file_estimators(inputs, estimators, args.q)
+    results = [estimate_from_inputs(inputs, estimator, args.target, built)
                for estimator in estimators]
     for est, diag in results:
         _print_estimate(est, diag)
@@ -239,14 +240,14 @@ def _sample_diagnostics(inputs: EstimationInputs, q: float) -> list[DiagnosticsR
     """
     ids = inputs.sample.ids
     rows = {"sls": link_sums(inputs.linkage, inputs.aux)[ids]}
-    for tag in ("sri", "sbl") if inputs.best_links is not None else ("sri",):
-        try:
-            unit_inputs = _unit_inputs(inputs, tag, q)
-        except ValidationError:
-            if tag == "sri" and inputs.weights is not None and inputs.linkage.scope == POPULATION:
-                continue
+    tags = ["sri", "sbl"] if inputs.best_links is not None else ["sri"]
+    try:
+        built = build_file_estimators(inputs, tags, q)
+    except ValidationError:
+        if inputs.weights is None or inputs.linkage.scope != POPULATION:
             raise
-        rows[tag] = unit_inputs.rows[0][ids]
+        built = build_file_estimators(inputs, tags[1:], q)
+    rows.update((tag, unit_inputs.rows[0][ids]) for tag, unit_inputs in built.items())
     return [consistency_diagnostics(rows[tag][None], inputs.sample.pi[None], inputs.aux,
                                     inputs.sample.design, tag)
             for tag in DIAGNOSTIC_KINDS if tag in rows]
@@ -280,6 +281,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         # one unit per sample leaves the variance estimator undefined
         raise ValidationError(f"--n must be at least 2, got {args.n}")
     model = PopulationModel(n_units=args.big_n, sigma=args.sigma, gamma=args.gamma)
+    # decided before the draw, which at a large --big-n would allocate gigabytes
+    sample_count(args.big_n, args.n)
     _, population = gen_population(model, rng_stream(args.seed, 0))
     y = population.y
     moments = exact_design_moments(y, args.n)

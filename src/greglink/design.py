@@ -442,6 +442,20 @@ class ExactMoments:
     n_samples: int
 
 
+def sample_count(n_population: int, sample_size: int) -> int:
+    """C(N, n), or 0 for n > N, as ``math.comb`` gives it, by a running product
+    of the nondecreasing counts C(N - k + i, i), k = min(n, N - n), which
+    raises ``NumericalError`` as soon as one passes ``ENUMERATION_GUARD``."""
+    k = min(sample_size, n_population - sample_size)
+    count = 0 if k < 0 else 1
+    for i in range(1, k + 1):
+        count = count * (n_population - k + i) // i
+        if count > ENUMERATION_GUARD:
+            raise NumericalError(f"C({n_population},{sample_size}) exceeds the "
+                                 f"enumeration guard of {ENUMERATION_GUARD}")
+    return count
+
+
 def exact_design_moments(y: np.ndarray, sample_size: int) -> ExactMoments:
     """Enumerate every SRSWOR sample and return the exact moments of the HT
     total and of its closed-form variance estimate.
@@ -453,12 +467,7 @@ def exact_design_moments(y: np.ndarray, sample_size: int) -> ExactMoments:
     """
     y = np.asarray(y, dtype=np.float64)
     n_population = len(y)
-    n_samples = math.comb(n_population, sample_size)
-    if n_samples > ENUMERATION_GUARD:
-        raise NumericalError(
-            f"C({n_population},{sample_size}) = {n_samples} exceeds the "
-            f"enumeration guard of {ENUMERATION_GUARD}"
-        )
+    n_samples = sample_count(n_population, sample_size)
     design = SurveyDesign(n_population, sample_size)
 
     samples = combinations(range(n_population), sample_size)

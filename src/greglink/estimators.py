@@ -420,24 +420,26 @@ AUX_MEAN = "N x auxiliary mean"
 
 
 class EstimatorRule(NamedTuple):
-    """Covariate source and calibration total of one estimator (both None
-    for Horvitz-Thompson), and the consistency diagnostic that checks it."""
+    """Table label, covariate source and calibration total (both None for
+    Horvitz-Thompson) of one estimator, and the diagnostic that checks it."""
 
+    label: str
     covariate: str | None
     total: str | None
     diagnostic: str | None = None
 
 
 ESTIMATORS = {
-    "ht": EstimatorRule(None, None),
-    "ideal": EstimatorRule(MATCHED, KNOWN_TOTAL),
-    "sub": EstimatorRule(ONLY_LINK, AUX_MEAN),
-    "pi-m": EstimatorRule(INCIDENCE_SUM, KNOWN_TOTAL),
-    "pi-q": EstimatorRule(INCIDENCE_SUM, KNOWN_TOTAL),
-    "sbl": EstimatorRule(BEST_LINK, AUX_MEAN, "sbl"),
-    "sri-q": EstimatorRule(REVERSE_SUM, AUX_MEAN, "sri"),
-    "sls": EstimatorRule(LINK_SET, AUX_MEAN, "sls"),
+    "ht": EstimatorRule("HT", None, None),
+    "ideal": EstimatorRule("Ideal", MATCHED, KNOWN_TOTAL),
+    "sub": EstimatorRule("Sub", ONLY_LINK, AUX_MEAN),
+    "pi-m": EstimatorRule("PI-m", INCIDENCE_SUM, KNOWN_TOTAL),
+    "pi-q": EstimatorRule("PI-q", INCIDENCE_SUM, KNOWN_TOTAL),
+    "sbl": EstimatorRule("SBL", BEST_LINK, AUX_MEAN, "sbl"),
+    "sri-q": EstimatorRule("SRI-q", REVERSE_SUM, AUX_MEAN, "sri"),
+    "sls": EstimatorRule("SLS", LINK_SET, AUX_MEAN, "sls"),
 }
+ESTIMATOR_ORDER = tuple(ESTIMATORS)  # the simulation ids, in table order
 # file-based ids: PI and SRI with whatever weights the link file yields
 ESTIMATORS["pi"] = ESTIMATORS["pi-m"]
 ESTIMATORS["sri"] = ESTIMATORS["sri-q"]

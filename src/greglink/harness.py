@@ -43,7 +43,7 @@ import numpy as np
 
 from .design import SurveyDesign, replicate_ids, rng_stream
 from .errors import NumericalError, ValidationError
-from .estimators import UnitInputs, build_estimators, fit_unit_inputs
+from .estimators import ESTIMATOR_ORDER, ESTIMATORS, UnitInputs, build_estimators, fit_unit_inputs
 from .synthpop import (
     LinkageModel,
     PopulationModel,
@@ -52,18 +52,6 @@ from .synthpop import (
     gen_pi_q_weights,
     gen_population,
 )
-
-ESTIMATOR_ORDER = ("ht", "ideal", "sub", "pi-m", "pi-q", "sbl", "sri-q", "sls")
-ESTIMATOR_LABELS = {
-    "ht": "HT",
-    "ideal": "Ideal",
-    "sub": "Sub",
-    "pi-m": "PI-m",
-    "pi-q": "PI-q",
-    "sbl": "SBL",
-    "sri-q": "SRI-q",
-    "sls": "SLS",
-}
 
 # stream tags: population draw, linkage draw, incidence-weight draw, replicates
 _POP_KEY, _LINK_KEY, _WEIGHT_KEY, _REPLICATE_KEY = 0, 1, 2, 3
@@ -198,7 +186,7 @@ class EstimatorSummary:
 
     @property
     def label(self) -> str:
-        return ESTIMATOR_LABELS.get(self.estimator, self.estimator)
+        return ESTIMATORS[self.estimator].label
 
 
 @dataclass(frozen=True)

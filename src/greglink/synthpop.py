@@ -173,6 +173,9 @@ def gen_linkage(n_units: int, model: LinkageModel, rng: np.random.Generator
     matched[extra_matched] = True
 
     n_false = degree - matched.astype(np.int64)
+    if n_false.max(initial=0) >= n_units:  # each a distinct record of another unit
+        raise ValidationError(f"a unit needs {n_false.max()} distinct false links, but only "
+                              f"{n_units - 1} other records exist")
     owners = np.repeat(np.arange(n_units, dtype=np.int64), n_false)
     false_records = _draw_false_records(rng, owners, n_units)
 

@@ -4,8 +4,12 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greglink.cli import FILE_ESTIMATORS, _sample_diagnostics, estimate_from_inputs, main
+import greglink.cli as cli
+import greglink.estimators as estimators
+from greglink.cli import (
+    FILE_ESTIMATORS,
+    _sample_diagnostics,
+    build_file_estimators,
+    estimate_from_inputs,
+    main,
+)
 from greglink.dataio import (
     assemble_estimation_inputs,
     read_aux_csv,
@@ -62,7 +74,8 @@ def test_estimate_exact_linear_zero_variance(linear_fixture, capsys):
     assert code == 0
     out = capsys.readouterr().out
     inputs = assemble_estimation_inputs(sample, aux, links, 6)
-    est, diag = estimate_from_inputs(inputs, "sri", "mean", 0.4)
+    est, diag = estimate_from_inputs(inputs, "sri", "mean",
+                                     build_file_estimators(inputs, ["sri"], 0.4))
     expected = 1 + 2 * inputs.aux.mean[0]
     assert est.value == pytest.approx(expected, rel=1e-10)
     assert est.variance == pytest.approx(0.0, abs=1e-16)
@@ -77,7 +90,8 @@ def test_estimate_unique_links_collapse(linear_fixture):
     inputs = assemble_estimation_inputs(sample, aux, links, 6)
     values = {}
     for estimator in ("sub", "sbl", "sri"):
-        est, _ = estimate_from_inputs(inputs, estimator, "mean", 0.4)
+        est, _ = estimate_from_inputs(inputs, estimator, "mean",
+                                      build_file_estimators(inputs, [estimator], 0.4))
         values[estimator] = est.value
     assert values["sub"] == pytest.approx(values["sbl"], rel=1e-12)
     assert values["sbl"] == pytest.approx(values["sri"], rel=1e-12)
@@ -397,8 +411,10 @@ def overflow_files(tmp_path):
 
 
 @pytest.mark.parametrize("command, message", [
-    (["estimate", "--estimator", "ht,pi,sbl,sri,sls"],
-     r"ht estimate is not finite \(value inf, variance inf\)"),
+    # every estimator is built before any is fitted, so the link-set sums of
+    # the build fail the run before the ht fit overflows
+    (["estimate", "--estimator", "ht,pi,sbl,sri,sls"], "sls link-set aggregates are not "
+     "finite: sums or products of the auxiliary record values overflow"),
     (["estimate", "--estimator", "pi"], "normal-equation matrix is not finite"),
     (["estimate", "--estimator", "sbl"], "normal-equation matrix is not finite"),
     (["estimate", "--estimator", "sri"], "normal-equation matrix is not finite"),
@@ -539,6 +555,34 @@ def test_oracle_guard(capsys):
     code = main(["oracle", "--big-n", "30", "--n", "15"])
     assert code == 2
     assert "guard" in capsys.readouterr().err
+
+
+def test_oracle_guard_is_decided_before_the_population_is_drawn(monkeypatch, capsys):
+    # C(20000, 10000) has over 4300 digits: formatting it into the guard's
+    # message raised ValueError, after the population had been drawn
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the population was drawn")
+
+    monkeypatch.setattr(cli, "gen_population", no_draw)
+    assert main(["oracle", "--big-n", "20000", "--n", "10000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("numerical failure: C(20000,10000) exceeds the "
+                            "enumeration guard of 1000000\n")
+    assert captured.out == ""
+
+
+def test_simulate_rejects_a_unit_with_more_false_links_than_other_records(tmp_path):
+    # three units, one with three links and no match: its three distinct false
+    # records were redrawn from the two other records forever
+    scenario = write(tmp_path / "s.scenario",
+                     "name = tiny\npopulation = 3\nsample = 2\nreplicates = 2\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-m", "greglink.cli", "simulate", scenario],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 1 and run.stdout == ""
+    errors = [line for line in run.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: a unit needs 3 distinct false links, but only 2 other "
+                      "records exist"]
 
 
 def test_simulate_quick_scenario(tmp_path, capsys):
@@ -865,7 +909,8 @@ def test_round_trip_dump_and_estimate_bitwise(tmp_path):
 
     inputs = assemble_estimation_inputs(sample_path, aux_path, links_path,
                                         n_population)
-    est, _ = estimate_from_inputs(inputs, "sri", "total", 0.4)
+    est, _ = estimate_from_inputs(inputs, "sri", "total",
+                                  build_file_estimators(inputs, ["sri"], 0.4))
     assert est.value == reference.value  # bitwise
     assert est.variance == reference.variance
 
@@ -904,7 +949,8 @@ def test_estimate_from_inputs_rejects_inputs_without_a_sample(linear_fixture):
     _, aux, links = linear_fixture
     inputs = assemble_estimation_inputs(None, aux, links, n_population=None)
     with pytest.raises(ValidationError, match="^estimation needs a sample file$"):
-        estimate_from_inputs(inputs, "sri", "total", 0.4)
+        estimate_from_inputs(inputs, "sri", "total",
+                             build_file_estimators(inputs, ["sri"], 0.4))
 
 
 def test_assemble_weight_column_used_for_reverse_scheme(tmp_path):
@@ -914,14 +960,16 @@ def test_assemble_weight_column_used_for_reverse_scheme(tmp_path):
     sample = write(tmp_path / "sample.csv",
                    "unit_id,y,pi\n1,2.0,0.5\n2,3.0,0.5\n")
     inputs = assemble_estimation_inputs(sample, aux, links, 10)
-    est, _ = estimate_from_inputs(inputs, "sri", "total", 0.4)
+    est, _ = estimate_from_inputs(inputs, "sri", "total",
+                                  build_file_estimators(inputs, ["sri"], 0.4))
     assert est.value == pytest.approx(est.value)  # runs without error
     # a bad weight column is rejected through the scheme validator
     bad_links = write(tmp_path / "bad_links.csv",
                       "unit_id,record_id,weight\n1,a,0.8\n1,b,0.9\n2,b,1.0\n")
     bad = assemble_estimation_inputs(sample, aux, bad_links, 10)
     with pytest.raises(ValidationError, match="sum to"):
-        estimate_from_inputs(bad, "sri", "total", 0.4)
+        estimate_from_inputs(bad, "sri", "total",
+                             build_file_estimators(bad, ["sri"], 0.4))
 
 
 def test_estimate_sbl_needs_best_flags(tmp_path, capsys):
@@ -1022,10 +1070,11 @@ def file_estimate_reprs(directory: Path) -> dict:
         return {name: [repr(float(v)) for v in getattr(diag, name)[0]]
                 for name in ("value", "variance", "z")}
 
+    built = build_file_estimators(inputs, list(FILE_ESTIMATORS), 0.7)
     out = {}
     for target in ("total", "mean"):
         for estimator in FILE_ESTIMATORS:
-            est, diag = estimate_from_inputs(inputs, estimator, target, 0.7)
+            est, diag = estimate_from_inputs(inputs, estimator, target, built)
             out[f"{estimator} {target}"] = {
                 "value": repr(est.value), "variance": repr(est.variance),
                 "diagnostic": None if diag is None else report(diag)}
@@ -1039,6 +1088,26 @@ def test_file_estimates_match_golden_reprs(tmp_path):
     # the 6-digit CLI output cannot show
     golden = json.loads(GOLDEN_ESTIMATES_PATH.read_text(encoding="utf-8"))
     assert file_estimate_reprs(tmp_path) == golden
+
+
+def test_estimate_builds_each_weight_kind_once(tmp_path, monkeypatch, capsys):
+    # every requested estimator is built in one build_estimators call: the
+    # record values are gathered at the links once, and the reverse weights
+    # of sri and sls resolved once
+    from perfbench.workloads import Size, write_estimate_inputs
+
+    calls = []
+    link_values, link_weights = estimators.link_values, estimators.link_weights
+    monkeypatch.setattr(estimators, "link_values",
+                        lambda *a, **k: calls.append("values") or link_values(*a, **k))
+    monkeypatch.setattr(estimators, "link_weights",
+                        lambda kind, *a, **k: calls.append(kind) or link_weights(kind, *a, **k))
+    paths = write_estimate_inputs(tmp_path, Size(800, 60), seed=15)
+    code = main(["estimate", "--sample", str(paths["sample"]), "--aux", str(paths["aux"]),
+                 "--links", str(paths["links"]), "--estimator", "ht,pi,sub,sbl,sri,sls",
+                 "--big-n", "800", "--q", "0.7"])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert Counter(calls) == {"values": 1, "incidence": 1, "reverse": 1}
 
 
 ORACLE_GOLDEN_PATH = Path(__file__).parent / "data" / "oracle_stdout.txt"

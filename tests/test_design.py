@@ -172,6 +172,19 @@ def test_enumeration_guard():
     assert math.comb(30, 15) > 10**6
 
 
+def test_sample_count_is_c_n_k_up_to_the_guard():
+    # the running product stops once it passes the guard, so it never
+    # computes a count of thousands of digits
+    for n_population in range(41):
+        for sample_size in range(n_population + 2):
+            exact = math.comb(n_population, sample_size)
+            if exact <= design.ENUMERATION_GUARD:
+                assert design.sample_count(n_population, sample_size) == exact
+            else:
+                with pytest.raises(NumericalError, match="guard"):
+                    design.sample_count(n_population, sample_size)
+
+
 def test_rng_streams_reproducible_and_distinct():
     a1 = rng_stream(9, 4, 2).uniform(size=5)
     a2 = rng_stream(9, 4, 2).uniform(size=5)

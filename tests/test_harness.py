@@ -11,7 +11,7 @@ import pytest
 
 import greglink.estimators as estimators
 import greglink.harness as harness
-from greglink.cli import estimate_from_inputs
+from greglink.cli import build_file_estimators, estimate_from_inputs
 from greglink.dataio import (
     assemble_estimation_inputs,
     write_aux_csv,
@@ -290,7 +290,8 @@ def test_estimate_from_files_gives_the_harness_bits(reference_blocks, block, tmp
                 continue
             estimator, links = FILE_FORMS[tag]
             est, _ = estimate_from_inputs(files[links], estimator, config.target,
-                                          config.best_link_weight)
+                                          build_file_estimators(files[links], [estimator],
+                                                                config.best_link_weight))
             assert (est.value, est.variance) == (values[k, j], varests[k, j]), (k, tag)
 
 
