@@ -18,6 +18,8 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 
 ENUMERATION_GUARD = 10**6
+# unit ids are int64, so a population has fewer units than this
+MAX_POPULATION = 2**63
 # samples stacked per batch of the exact enumeration
 ENUMERATION_CHUNK = 65536
 
@@ -48,6 +50,8 @@ class SurveyDesign:
     def __post_init__(self) -> None:
         if self.n_population < 1:
             raise ValidationError("population size must be at least 1")
+        if self.n_population >= MAX_POPULATION:
+            raise ValidationError(f"population size {self.n_population} is not below 2**63")
         if not 0 < self.sample_size <= self.n_population:
             raise ValidationError(
                 f"sample size {self.sample_size} outside 1..{self.n_population}"

@@ -19,8 +19,15 @@ simulation and from files alike, and ``fit_unit_inputs`` fits a rule on a
 stack of samples with one batched kernel (``ht_total_batch``,
 ``greg_batch``, ``sub_greg_batch``, ``sls_greg_batch``). The Monte Carlo
 harness fits chunks of replicates this way and the command line a stack of
-one sample. ``greg``, ``sub_greg`` and ``sls_greg`` validate one sample and
-run the same kernels on it.
+one sample.
+
+No package code calls the single-sample names: ``GregSpec``, ``greg``,
+``sub_greg`` and ``sls_greg`` here, ``design.ht_total``,
+``linkage.derive_covariates``, ``linkage.best_link_indicator_weights`` and
+the two ``restrict`` methods. They stay only because the benchmark's tracer,
+``perfbench/tracer.py``, looks each of them up.
+``tests/test_single_sample_api.py`` holds their contract tests, and items 1
+and 3 of ``ROADMAP.md`` delete them.
 
 A sample's fit does not depend on the samples stacked with it: every
 matrix product runs sample by sample, and each value's T'b is an

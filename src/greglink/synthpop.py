@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .design import MAX_POPULATION
 from .errors import ValidationError
 from .linkage import (
     POPULATION,
@@ -57,6 +58,8 @@ class PopulationModel:
     def __post_init__(self) -> None:
         if self.n_units < 1:
             raise ValidationError("population must have at least 1 unit")
+        if self.n_units >= MAX_POPULATION:
+            raise ValidationError(f"population size {self.n_units} is not below 2**63")
         if not 0 < self.sigma < np.inf:
             raise ValidationError(f"sigma must be positive and finite, got {self.sigma}")
         if not 0.0 <= self.gamma <= 1.0:
@@ -215,8 +218,8 @@ def gen_pi_q_weights(linkage: LinkageStructure, matched: np.ndarray, q: float,
     records get weight 1. ``link_weights`` checks them."""
     if linkage.scope != POPULATION:
         raise ValidationError("incidence weights require population links")
-    if not 0 < q < 1:
-        raise ValidationError(f"q must lie in (0, 1), got {q}")
+    if not 0 < q <= 1:
+        raise ValidationError(f"q must lie in (0, 1], got {q}")
     m = linkage.multiplicities
     records = linkage.link_records
     values = np.where(m == 1, 1.0, (1.0 - q) / np.maximum(m - 1, 1))[records]

@@ -22,7 +22,6 @@ from greglink.design import (
 from greglink.estimators import (
     build_estimators,
     consistency_diagnostics,
-    fit_unit_inputs,
     greg_batch,
     link_sums,
 )
@@ -36,6 +35,7 @@ from greglink.linkage import (
     reverse_weights_best_link,
 )
 from greglink.synthpop import LinkageModel, PopulationModel, gen_linkage, gen_population
+from support import fit_at, sample_linkage
 
 SEED = 15
 MAIN = dict(n_population=5000, sample_size=100, replicates=2000,
@@ -203,15 +203,6 @@ def test_criterion_6_exact_oracle_suite():
     report.finish()
 
 
-def _fit_at(inputs, linkage, y_s, sample):
-    """The table's fit of ``inputs``, built over ``linkage``, at ``sample``
-    with responses ``y_s``, as a stack of one sample with no failure
-    tolerated, as ``greglink estimate`` fits it."""
-    pos = np.searchsorted(linkage.covered_units, sample.ids)
-    return fit_unit_inputs(inputs, pos[None], y_s[None], sample.pi[None],
-                           sample.design, strict=True).values[0]
-
-
 def test_criterion_7_perfect_linkage_reduction():
     report = Report("criterion 7: perfect one-one linkage collapses the family")
     worst = 0.0
@@ -229,22 +220,21 @@ def test_criterion_7_perfect_linkage_reduction():
         sample = draw_srswor(n_population, n, rng)
         y_s = y[sample.ids]
         reverse = reverse_weights_best_link(linkage, identity, 0.4)
-        ideal = _fit_at(build_estimators(["ideal"], linkage, aux)[0], linkage, y_s, sample)
+        ideal = fit_at(build_estimators(["ideal"], linkage, aux)[0], y_s, sample).value
 
         # population scope: built over the population links and gathered at
         # the sample, as the harness fits them; the unique link is the best
-        values = [_fit_at(build_estimators([tag], linkage, aux, weights, identity)[0],
-                          linkage, y_s, sample)
+        values = [fit_at(build_estimators([tag], linkage, aux, weights, identity)[0],
+                         y_s, sample).value
                   for tag, weights in (("pi-m", multiplicity_weights(linkage).values),
                                        ("sbl", None), ("sri-q", reverse.values),
                                        ("sls", reverse.values))]
         # sample scope: built over the sample's own links with its responses,
         # as `greglink estimate` fits them
-        sub_linkage, link_index = linkage.restrict(sample.ids)
-        sub_reverse = reverse.restrict(sub_linkage, link_index)
-        values += [_fit_at(build_estimators([tag], sub_linkage, aux, sub_reverse.values,
-                                            y=y[sub_linkage.covered_units])[0],
-                           sub_linkage, y_s, sample)
+        sub_linkage, keep = sample_linkage(linkage, sample.ids)
+        values += [fit_at(build_estimators([tag], sub_linkage, aux, reverse.values[keep],
+                                           y=y[sub_linkage.covered_units])[0],
+                          y_s, sample, covered=sub_linkage.covered_units).value
                    for tag in ("sri-q", "sls", "sub")]
         worst = max(worst, *(abs(value - ideal) / abs(ideal) for value in values))
     report.check(f"max relative gap over {instances} instances", worst,
@@ -297,16 +287,16 @@ def test_criterion_8_weight_constraint_suite():
             # calibration identity of the table's reverse-weighted estimator,
             # built over the sample's own links
             sample = draw_srswor(n_population, n, rng_stream(rng_master, 3))
-            sub_linkage, link_index = linkage.restrict(sample.ids)
-            (inputs,) = build_estimators(["sri-q"], sub_linkage, aux,
-                                         reverse.restrict(sub_linkage, link_index).values)
-            covariate = inputs.rows[0][np.searchsorted(sub_linkage.covered_units,
-                                                       sample.ids), 0]
+            sub_linkage, keep = sample_linkage(linkage, sample.ids)
+            covered = sub_linkage.covered_units
+            (inputs,) = build_estimators(["sri-q"], sub_linkage, aux, reverse.values[keep])
+            covariate = inputs.rows[0][np.searchsorted(covered, sample.ids), 0]
             # the fit is linear in y: its weights calibrate when the fits of
             # the covariate and of y = 1 give the covariate total and N
             target = n_population * aux.mean[0]
-            gap = abs(_fit_at(inputs, sub_linkage, covariate, sample) - target) / abs(target)
-            size = _fit_at(inputs, sub_linkage, np.ones(n), sample)
+            gap = abs(fit_at(inputs, covariate, sample, covered=covered).value
+                      - target) / abs(target)
+            size = fit_at(inputs, np.ones(n), sample, covered=covered).value
             gap = max(gap, abs(size - n_population) / n_population)
             worst_calibration = max(worst_calibration, gap)
 

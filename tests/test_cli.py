@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import greglink.cli as cli
 import greglink.estimators as estimators
+import greglink.harness as harness
 from greglink.cli import (
     FILE_ESTIMATORS,
     _sample_diagnostics,
@@ -35,14 +36,10 @@ from greglink.dataio import (
 )
 from greglink.design import draw_srswor, rng_stream
 from greglink.errors import ValidationError
-from greglink.estimators import GregSpec, greg
-from greglink.linkage import (
-    AuxDatabase,
-    build_linkage,
-    derive_covariates,
-    reverse_weights_best_link,
-)
+from greglink.estimators import build_estimators
+from greglink.linkage import AuxDatabase, reverse_weights_best_link
 from greglink.synthpop import LinkageModel, PopulationModel, gen_linkage, gen_population
+from support import fit_at, sample_linkage
 
 
 def write(path, text):
@@ -446,8 +443,8 @@ def test_estimate_and_diagnose_print_the_same_diagnostics(tmp_path, capsys):
                          correct_best_rate=0.5, best_link_weight=0.4)
     _, linkage, best = gen_linkage(n_population, model, rng_stream(5, 1))
     sample = draw_srswor(n_population, n, rng_stream(5, 2))
-    sub, link_index = linkage.restrict(sample.ids)
-    reverse = reverse_weights_best_link(linkage, best, 0.3).values[link_index]
+    sub, keep = sample_linkage(linkage, sample.ids)
+    reverse = reverse_weights_best_link(linkage, best, 0.3).values[keep]
     write_aux_csv(tmp_path / "aux.csv", AuxDatabase.from_values(x))
     write_sample_csv(tmp_path / "sample.csv", sample, population.y[sample.ids])
     write_links_csv(tmp_path / "flags.csv", linkage, best_links=best)
@@ -569,6 +566,37 @@ def test_oracle_guard_is_decided_before_the_population_is_drawn(monkeypatch, cap
     assert captured.err == ("numerical failure: C(20000,10000) exceeds the "
                             "enumeration guard of 1000000\n")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["estimate", "diagnose", "simulate", "oracle"])
+def test_a_population_of_2_63_units_or_more_is_one_error_line(linear_fixture, tmp_path,
+                                                               command):
+    # unit ids are int64: N = 10**200 overflowed a float in the variance with a
+    # traceback, as 10**100 did not; a scenario of 10**30 units exceeded
+    # numpy's largest dimension; the oracle's guard reported 2**63 as exit 2
+    sample, aux, links = linear_fixture
+    scenario = write(tmp_path / "s.scenario", f"name = huge\npopulation = {10**30}\n"
+                     "sample = 100\nreplicates = 30\n")
+    argv = {"estimate": ["estimate", "--sample", sample, "--aux", aux, "--links", links,
+                         "--big-n", str(10**200)],
+            "diagnose": ["diagnose", "--sample", sample, "--aux", aux, "--links", links,
+                         "--big-n", str(10**200)],
+            "simulate": ["simulate", scenario],
+            "oracle": ["oracle", "--big-n", str(2**63), "--n", "3"]}[command]
+    code, out, err = _run_main(argv)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: .*population size \d+ is not below 2\*\*63\n", err), err
+
+
+def test_simulate_out_of_memory_is_one_error_line(tmp_path, monkeypatch):
+    # a scenario of 10**11 units died with numpy's traceback for 745 GiB
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(harness, "gen_population", no_memory)
+    scenario = write(tmp_path / "s.scenario", "name = big\npopulation = 100000000000\n"
+                     "sample = 100\nreplicates = 30\n")
+    assert _run_main(["simulate", scenario]) == (1, "", "error: out of memory\n")
 
 
 def test_simulate_rejects_a_unit_with_more_false_links_than_other_records(tmp_path):
@@ -892,13 +920,13 @@ def test_round_trip_dump_and_estimate_bitwise(tmp_path):
     _, linkage, best = gen_linkage(n_population, model, rng_stream(42, 1))
     sample = draw_srswor(n_population, n, rng_stream(42, 2))
 
-    sub_linkage, link_index = linkage.restrict(sample.ids)
+    # the table's sri-q, built over the population links and fitted at the
+    # sample
+    (sri,) = build_estimators(["sri-q"], linkage, aux, best=best, q=0.4)
+    reference = fit_at(sri, population.y[sample.ids], sample, target="total")
+
+    sub_linkage, _ = sample_linkage(linkage, sample.ids)
     best_sub = best[sample.ids]
-    scheme = reverse_weights_best_link(sub_linkage, best_sub, 0.4)
-    derived = derive_covariates(sub_linkage, scheme, aux)
-    spec = GregSpec(covariates=derived,
-                    total=n_population * aux.mean, tag="sri")
-    reference = greg(spec, population.y[sample.ids], sample, target="total")
 
     aux_path = tmp_path / "aux.csv"
     links_path = tmp_path / "links.csv"

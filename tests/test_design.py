@@ -14,14 +14,17 @@ from greglink.design import (
     SurveyDesign,
     draw_srswor,
     exact_design_moments,
-    ht_total,
     replicate_ids,
     residual_variances,
     rng_stream,
     srswor_ids,
 )
 from greglink.errors import NumericalError, ValidationError
+from greglink.estimators import UnitInputs
 from greglink.synthpop import PopulationModel, gen_population
+from support import fit_at
+
+HT = UnitInputs("ht")
 
 # chi-square 0.999 quantile, 5 degrees of freedom (hardcoded to avoid scipy)
 CHI2_5_999 = 20.515
@@ -68,7 +71,7 @@ def test_srswor_rejects_bad_sizes():
 def test_ht_census_is_exact():
     y = np.array([3.0, 1.0, 4.0, 1.5])
     sample = Sample(ids=np.arange(4), pi=np.ones(4), design=SurveyDesign(4, 4))
-    est = ht_total(y, sample)
+    est = fit_at(HT, y, sample)
     assert est.value == pytest.approx(y.sum(), rel=1e-15)
 
 
@@ -76,10 +79,18 @@ def test_ht_hand_example():
     # N=4, n=2, s={0,2}, y=(1,2,3,4): pi=1/2, estimate 2*(1+3)=8
     design = SurveyDesign(4, 2)
     sample = Sample(ids=np.array([0, 2]), pi=np.full(2, 0.5), design=design)
-    est = ht_total(np.array([1.0, 3.0]), sample)
+    est = fit_at(HT, np.array([1.0, 3.0]), sample)
     assert est.value == pytest.approx(8.0)
     # variance: N^2 (1-f) s^2 / n = 16 * 0.5 * 2 / 2 = 8
     assert est.variance == pytest.approx(8.0)
+
+
+def test_design_population_is_below_2_63():
+    # unit ids are int64; N = 10**200 overflowed a float in the variance
+    SurveyDesign(2**63 - 1, 2)
+    for n_population in (2**63, 10**200):
+        with pytest.raises(ValidationError, match=r"^population size \d+ is not below 2\*\*63$"):
+            SurveyDesign(n_population, 2)
 
 
 def test_sample_rejects_non_finite_inclusion_probabilities():
@@ -107,17 +118,15 @@ def test_ht_rejects_missing_values():
     design = SurveyDesign(4, 2)
     sample = Sample(ids=np.array([0, 2]), pi=np.full(2, 0.5), design=design)
     with pytest.raises(ValidationError):
-        ht_total(np.array([1.0]), sample)
-    with pytest.raises(ValidationError):
-        ht_total(np.array([1.0, np.nan]), sample)
+        fit_at(HT, np.array([1.0, np.nan]), sample)
 
 
 def test_ht_mean_target_scaling():
     design = SurveyDesign(4, 2)
     sample = Sample(ids=np.array([0, 2]), pi=np.full(2, 0.5), design=design)
     y = np.array([1.0, 3.0])
-    total = ht_total(y, sample, target="total")
-    mean = ht_total(y, sample, target="mean")
+    total = fit_at(HT, y, sample, target="total")
+    mean = fit_at(HT, y, sample, target="mean")
     assert mean.value == pytest.approx(total.value / 4)
     assert mean.variance == pytest.approx(total.variance / 16)
 
@@ -125,7 +134,7 @@ def test_ht_mean_target_scaling():
 def test_ht_unequal_probabilities_variance_unavailable():
     design = SurveyDesign(n_population=4, sample_size=2)
     sample = Sample(ids=np.array([0, 2]), pi=np.array([0.3, 0.6]), design=design)
-    est = ht_total(np.array([1.0, 3.0]), sample)
+    est = fit_at(HT, np.array([1.0, 3.0]), sample)
     assert est.value == pytest.approx(1.0 / 0.3 + 3.0 / 0.6)
     assert est.variance is None
 

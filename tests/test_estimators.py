@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from greglink.design import (
     SurveyDesign,
     draw_srswor,
-    ht_total,
     residual_variances,
     rng_stream,
 )
@@ -18,32 +17,28 @@ from greglink.estimators import (
     ESTIMATORS,
     INCIDENCE_SUM,
     DiagnosticsReport,
-    GregSpec,
     UnitInputs,
     build_estimators,
     consistency_diagnostics,
     fit_unit_inputs,
-    greg,
     greg_batch,
     link_aggregates,
     link_sums,
     npa_covariances,
-    sls_greg,
-    sls_greg_batch,
-    sub_greg,
     with_intercept,
     wls_coefficients,
 )
 from greglink.linkage import (
     AuxDatabase,
     WeightScheme,
-    best_link_indicator_weights,
     build_linkage,
-    derive_covariates,
+    link_values,
     multiplicity_weights,
     reverse_weights_best_link,
+    weighted_sums,
 )
 from greglink.synthpop import LinkageModel, PopulationModel, gen_linkage, gen_population
+from support import fit_at, greg_fit, perfect_linkage_setting, sample_linkage
 
 
 def test_wls_exact_fit_recovers_coefficients():
@@ -90,38 +85,14 @@ def _simple_sample(n_population=40, n=10, seed=3):
 def test_regression_estimators_reject_non_finite_responses():
     sample = draw_srswor(10, 3, rng_stream(3, 0))
     y = np.array([1.0, np.nan, 3.0])
-    spec = GregSpec(covariates=np.array([[0.1], [0.5], [0.9]]), total=np.array([5.0]))
-    with pytest.raises(ValidationError, match="non-finite"):
-        greg(spec, y, sample)
-    with pytest.raises(ValidationError, match="non-finite"):
-        sub_greg(y, spec.covariates, np.array([0.5]), sample.design,
-                 coefficients=np.array([1.0, 2.0]))
-
-
-def test_greg_spec_rejects_non_finite_inputs():
     x = np.array([[0.1], [0.5], [0.9]])
-    with pytest.raises(ValidationError, match="covariates must be finite"):
-        GregSpec(covariates=np.array([[0.1], [np.nan], [0.9]]), total=np.array([5.0]))
-    for total in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValidationError, match="total must be finite"):
-            GregSpec(covariates=x, total=np.array([total]))
-
-
-def test_greg_batch_rows_match_single_sample_calls():
-    rng = rng_stream(9, 0)
-    x_pop = rng.uniform(size=(60, 1))
-    y_pop = 1.0 + 2.0 * x_pop[:, 0] + rng.normal(size=60)
-    samples = [draw_srswor(60, 12, rng_stream(9, 1, k)) for k in range(4)]
-    ids = np.stack([s.ids for s in samples])
-    total = np.concatenate([[60.0], x_pop.sum(axis=0)])
-    batch = greg_batch(with_intercept(x_pop[ids]), y_pop[ids],
-                       np.stack([s.pi for s in samples]), total,
-                       samples[0].design, target="mean")
-    for k, sample in enumerate(samples):
-        spec = GregSpec(covariates=x_pop[sample.ids], total=x_pop.sum(axis=0))
-        est = greg(spec, y_pop[sample.ids], sample, target="mean")
-        assert batch.values[k] == est.value
-        assert batch.variances[k] == est.variance
+    with pytest.raises(ValidationError, match="non-finite"):
+        greg_fit(x, np.array([5.0]), y, sample)
+    # the subsample rule over the sampled units, with fixed coefficients
+    sub = UnitInputs("sub", (x, np.ones(3, dtype=bool)), np.array([0.5]),
+                     np.array([1.0, 2.0]))
+    with pytest.raises(ValidationError, match="non-finite"):
+        fit_at(sub, y, sample, covered=sample.ids)
 
 
 def test_greg_batch_marks_singular_fits_nan():
@@ -134,35 +105,11 @@ def test_greg_batch_marks_singular_fits_nan():
     assert np.isnan(batch.values[1]) and np.isnan(batch.variances[1])
 
 
-def test_population_link_aggregates_restrict_to_sample_aggregates():
-    # the harness gathers population-scope aggregates at the sampled units;
-    # the file path builds them on the restricted linkage: both must agree
-    rng = rng_stream(10, 0)
-    x, population = gen_population(PopulationModel(n_units=300), rng)
-    aux = AuxDatabase.from_values(x)
-    model = LinkageModel(link_share=(0.3, 0.4, 0.3), match_rate=0.7,
-                         correct_best_rate=0.5)
-    _, links, best = gen_linkage(300, model, rng_stream(10, 1))
-    scheme = reverse_weights_best_link(links, best, 0.6)
-    aggregates = link_aggregates(links, scheme.values, aux)
-    sample = draw_srswor(300, 40, rng_stream(10, 2))
-    sub, link_index = links.restrict(sample.ids)
-    est = sls_greg(sub, scheme.restrict(sub, link_index), aux,
-                   population.y[sample.ids], sample, target="mean")
-    batch = sls_greg_batch(*(a[sample.ids][None] for a in aggregates),
-                           population.y[sample.ids][None], sample.pi[None],
-                           sample.design, aux.mean, target="mean")
-    assert batch.values[0] == est.value
-    assert batch.variances[0] == est.variance
-
-
 def test_greg_intercept_only_equals_ht():
     sample = _simple_sample()
     y = rng_stream(4, 0).normal(size=sample.n)
-    spec = GregSpec(covariates=np.empty((sample.n, 0)), total=np.empty(0),
-                    tag="greg")
-    est = greg(spec, y, sample)
-    ht = ht_total(y, sample)
+    est = greg_fit(np.empty((sample.n, 0)), np.empty(0), y, sample)
+    ht = fit_at(UnitInputs("ht"), y, sample)
     assert est.value == pytest.approx(ht.value, rel=1e-12)
 
 
@@ -171,8 +118,7 @@ def test_greg_zero_residual_collapse():
     rng = rng_stream(5, 0)
     x_pop = rng.uniform(size=(40, 1))
     y_pop = 2.0 + 3.0 * x_pop[:, 0]
-    spec = GregSpec(covariates=x_pop[sample.ids], total=x_pop.sum(axis=0))
-    est = greg(spec, y_pop[sample.ids], sample)
+    est = greg_fit(x_pop[sample.ids], x_pop.sum(axis=0), y_pop[sample.ids], sample)
     assert est.value == pytest.approx(2.0 * 40 + 3.0 * x_pop.sum(), rel=1e-12)
     assert est.variance == pytest.approx(0.0, abs=1e-18)
 
@@ -183,15 +129,17 @@ def test_greg_calibration_identity():
     x_pop = rng.uniform(size=(40, 2))
     y = rng.normal(size=sample.n)
     x_s = x_pop[sample.ids]
-    spec = GregSpec(covariates=x_s, total=x_pop.sum(axis=0))
-    # greg is linear in y, so its weights reproduce the full total (size and
-    # covariate components) when greg of y = 1 and of y = x_j returns them
-    assert greg(spec, y + 2.0 * x_s[:, 0], sample).value == pytest.approx(
-        greg(spec, y, sample).value + 2.0 * greg(spec, x_s[:, 0], sample).value, rel=1e-10)
-    assert greg(spec, np.ones(sample.n), sample).value == pytest.approx(40.0, rel=1e-10)
+
+    def fit(values):
+        return greg_fit(x_s, x_pop.sum(axis=0), values, sample)
+    # the fit is linear in y, so its weights reproduce the full total (size
+    # and covariate components) when the fits of y = 1 and of y = x_j
+    # return them
+    assert fit(y + 2.0 * x_s[:, 0]).value == pytest.approx(
+        fit(y).value + 2.0 * fit(x_s[:, 0]).value, rel=1e-10)
+    assert fit(np.ones(sample.n)).value == pytest.approx(40.0, rel=1e-10)
     for j in range(2):
-        assert greg(spec, x_s[:, j], sample).value == pytest.approx(x_pop[:, j].sum(),
-                                                                    rel=1e-8)
+        assert fit(x_s[:, j]).value == pytest.approx(x_pop[:, j].sum(), rel=1e-8)
 
 
 def test_greg_mean_total_scaling():
@@ -199,30 +147,18 @@ def test_greg_mean_total_scaling():
     rng = rng_stream(7, 0)
     x_pop = rng.uniform(size=(40, 1))
     y = rng.normal(size=sample.n)
-    spec = GregSpec(covariates=x_pop[sample.ids], total=x_pop.sum(axis=0))
-    total = greg(spec, y, sample, target="total")
-    mean = greg(spec, y, sample, target="mean")
+    total = greg_fit(x_pop[sample.ids], x_pop.sum(axis=0), y, sample, target="total")
+    mean = greg_fit(x_pop[sample.ids], x_pop.sum(axis=0), y, sample, target="mean")
     assert mean.value == pytest.approx(total.value / 40, rel=1e-12)
     assert mean.variance == pytest.approx(total.variance / 1600, rel=1e-12)
 
 
-def _perfect_linkage_setting(n_population=30, n=8, seed=9):
-    rng = rng_stream(seed, 0)
-    x = rng.uniform(size=n_population)
-    y = 1 + 5 * x + rng.normal(0, 1.0, n_population)
-    aux = AuxDatabase.from_values(x)
-    linkage = build_linkage([(i, i) for i in range(n_population)],
-                            n_population, aux)
-    sample = draw_srswor(n_population, n, rng_stream(seed, 1))
-    return x, y, aux, linkage, sample
-
-
 def test_perfect_linkage_all_estimators_equal_ideal():
-    x, y, aux, linkage, sample = _perfect_linkage_setting()
+    x, y, aux, linkage, sample = perfect_linkage_setting()
     y_s = y[sample.ids]
     n_population = aux.n_records
-    ideal = greg(GregSpec(covariates=aux.x[sample.ids], total=aux.total,
-                          tag="ideal"), y_s, sample)
+    (ideal_inputs,) = build_estimators(["ideal"], linkage, aux)
+    ideal = fit_at(ideal_inputs, y_s, sample)
 
     best = np.arange(n_population)
     for scheme_builder, total in [
@@ -230,33 +166,22 @@ def test_perfect_linkage_all_estimators_equal_ideal():
         (lambda L: reverse_weights_best_link(L, best, 0.4), None),  # population reverse
     ]:
         scheme = scheme_builder(linkage)
-        derived = derive_covariates(linkage, scheme, aux)
-        spec = GregSpec(covariates=derived[sample.ids],
-                        total=derived.sum(axis=0))
-        assert greg(spec, y_s, sample).value == pytest.approx(ideal.value, rel=1e-10)
+        derived = weighted_sums(linkage, scheme, link_values(linkage, aux))
+        assert greg_fit(derived[sample.ids], derived.sum(axis=0), y_s,
+                        sample).value == pytest.approx(ideal.value, rel=1e-10)
 
-    # sample-link estimators: reverse-weighted, best-link and link-set forms
-    sub_linkage, link_index = linkage.restrict(sample.ids)
-    reverse = reverse_weights_best_link(linkage, best, 0.4).restrict(sub_linkage,
-                                                                     link_index)
-    derived_s = derive_covariates(sub_linkage, reverse, aux)
-    sri = greg(GregSpec(covariates=derived_s,
-                        total=n_population * aux.mean), y_s, sample)
-    assert sri.value == pytest.approx(ideal.value, rel=1e-10)
+    # sample-link estimators, built over the population links and fitted at
+    # the sample: reverse-weighted, best-link, link-set and subsample forms
+    reverse = reverse_weights_best_link(linkage, best, 0.4)
+    sri, sbl, sls, sub = build_estimators(["sri-q", "sbl", "sls", "sub"], linkage, aux,
+                                          reverse.values, best, y=y_s, at=sample.ids)
+    assert fit_at(sri, y_s, sample).value == pytest.approx(ideal.value, rel=1e-10)
+    assert fit_at(sbl, y_s, sample).value == pytest.approx(ideal.value, rel=1e-10)
+    assert fit_at(sls, y_s, sample).value == pytest.approx(ideal.value, rel=1e-10)
 
-    indicator = best_link_indicator_weights(sub_linkage, best[sample.ids])
-    derived_b = derive_covariates(sub_linkage, indicator, aux)
-    sbl = greg(GregSpec(covariates=derived_b,
-                        total=n_population * aux.mean), y_s, sample)
-    assert sbl.value == pytest.approx(ideal.value, rel=1e-10)
-
-    sls = sls_greg(sub_linkage, reverse, aux, y_s, sample)
-    assert sls.value == pytest.approx(ideal.value, rel=1e-10)
-
-    sub = sub_greg(y_s, aux.x[sample.ids], aux.mean, sample.design)
-    ideal_mean = greg(GregSpec(covariates=aux.x[sample.ids], total=aux.total),
-                      y_s, sample, target="mean")
-    assert sub.value == pytest.approx(ideal_mean.value * n_population, rel=1e-10)
+    ideal_mean = fit_at(ideal_inputs, y_s, sample, target="mean")
+    assert fit_at(sub, y_s, sample).value == pytest.approx(ideal_mean.value * n_population,
+                                                          rel=1e-10)
 
 
 @pytest.mark.parametrize("tag", ESTIMATORS)
@@ -313,8 +238,9 @@ def test_build_estimators_resolves_each_weight_kind_by_one_rule():
             if tag == "sls":
                 expected = link_aggregates(linkage, weights[tag], aux)
             elif tag in weights:
-                expected = (derive_covariates(linkage, WeightScheme(
-                    "incidence" if tag == "pi" else "reverse", linkage, weights[tag]), aux),)
+                expected = (weighted_sums(linkage, WeightScheme(
+                    "incidence" if tag == "pi" else "reverse", linkage, weights[tag]),
+                    link_values(linkage, aux)),)
             else:
                 # a rule without weights is built as it is on its own
                 (alone,) = build_estimators([tag], linkage, aux, best=kwargs.get("best"),
@@ -360,30 +286,6 @@ def test_diagnostics_whose_spread_overflows_name_the_statistic(kind):
         consistency_diagnostics(rows[ids], pi, aux, SurveyDesign(4, 3), kind)
 
 
-def test_sub_greg_fixed_coefficients_difference_form():
-    _, y, aux, linkage, sample = _perfect_linkage_setting()
-    coef = np.array([1.0, 5.0])
-    est = sub_greg(y[sample.ids], aux.x[sample.ids], aux.mean, sample.design,
-                   coefficients=coef, target="mean")
-    residuals = y[sample.ids] - (coef[0] + coef[1] * aux.x[sample.ids, 0])
-    expected = coef[0] + coef[1] * aux.mean[0] + residuals.mean()
-    assert est.value == pytest.approx(expected, rel=1e-12)
-
-
-def test_sub_greg_too_small():
-    design = SurveyDesign(40, 10)
-    with pytest.raises(ValidationError, match="subsample too small"):
-        sub_greg(np.array([1.0, 2.0]), np.array([[1.0], [2.0]]),
-                 np.array([0.5]), design)
-
-
-def test_sls_requires_matching_links():
-    x, y, aux, linkage, sample = _perfect_linkage_setting()
-    scheme = reverse_weights_best_link(linkage, np.arange(30), 0.4)
-    with pytest.raises(ValidationError, match="sample's own links"):
-        sls_greg(linkage, scheme, aux, y[sample.ids], sample)
-
-
 def test_location_scale_equivariance():
     # shifting y by a constant moves every total estimate by c*N, and
     # scaling multiplies it, because each assisting model has an intercept
@@ -400,28 +302,23 @@ def test_location_scale_equivariance():
     a, c = 2.5, -4.0
     y_s2 = a * y_s + c
 
-    scheme = multiplicity_weights(linkage)
-    derived = derive_covariates(linkage, scheme, aux)
-    spec = GregSpec(covariates=derived[sample.ids],
-                    total=derived.sum(axis=0))
-    v1 = greg(spec, y_s, sample).value
-    v2 = greg(spec, y_s2, sample).value
+    (pi_m,) = build_estimators(["pi-m"], linkage, aux)
+    v1 = fit_at(pi_m, y_s, sample).value
+    v2 = fit_at(pi_m, y_s2, sample).value
     assert v2 == pytest.approx(a * v1 + c * n_population, rel=1e-10)
 
-    sub_linkage, link_index = linkage.restrict(sample.ids)
+    sub_linkage, _ = sample_linkage(linkage, sample.ids)
+    covered = sub_linkage.covered_units
     best = np.array([linkage.records_of(int(u))[0] for u in sample.ids])
-    reverse = reverse_weights_best_link(sub_linkage, best, 0.4)
-    derived_s = derive_covariates(sub_linkage, reverse, aux)
-    spec_s = GregSpec(covariates=derived_s,
-                      total=n_population * aux.mean)
-    v1 = greg(spec_s, y_s, sample).value
-    v2 = greg(spec_s, y_s2, sample).value
+    sri, sls = build_estimators(["sri-q", "sls"], sub_linkage, aux, best=best, q=0.4)
+    v1 = fit_at(sri, y_s, sample, covered=covered).value
+    v2 = fit_at(sri, y_s2, sample, covered=covered).value
     assert v2 == pytest.approx(a * v1 + c * n_population, rel=1e-10)
 
     # link-set estimator: scale equivariance is exact, location is not,
     # because the weights multiply the response in the link-level fit
-    sls1 = sls_greg(sub_linkage, reverse, aux, y_s, sample).value
-    sls_scaled = sls_greg(sub_linkage, reverse, aux, a * y_s, sample).value
+    sls1 = fit_at(sls, y_s, sample, covered=covered).value
+    sls_scaled = fit_at(sls, a * y_s, sample, covered=covered).value
     assert sls_scaled == pytest.approx(a * sls1, rel=1e-10)
 
 
@@ -440,10 +337,10 @@ def test_sls_uses_only_sampled_units_links():
     values = []
     for links in (base, altered):
         linkage = build_linkage(links, n_population, aux)
-        sub, idx = linkage.restrict(sample.ids)
+        sub, _ = sample_linkage(linkage, sample.ids)
         best = np.array([sub.records_of(int(u))[0] for u in sample.ids])
-        scheme = reverse_weights_best_link(sub, best, 0.4)
-        values.append(sls_greg(sub, scheme, aux, y[sample.ids], sample).value)
+        (sls,) = build_estimators(["sls"], sub, aux, best=best, q=0.4)
+        values.append(fit_at(sls, y[sample.ids], sample, covered=sub.covered_units).value)
     assert values[0] == values[1]
 
 
@@ -504,8 +401,8 @@ def _one_sample_diagnostics(rows, aux, sample, kind):
 
 
 def test_diagnostics_variance_formula():
-    x, y, aux, linkage, sample = _perfect_linkage_setting(seed=21)
-    sub_linkage, link_index = linkage.restrict(sample.ids)
+    x, y, aux, linkage, sample = perfect_linkage_setting(seed=21)
+    sub_linkage, _ = sample_linkage(linkage, sample.ids)
     best = sample.ids.copy()
     reverse = reverse_weights_best_link(sub_linkage, best, 0.4)
     rows = build_estimators(["sri"], sub_linkage, aux, reverse.values)[0].rows[0]
@@ -528,7 +425,7 @@ def test_diagnostics_constant_covariate_degenerates():
     linkage = build_linkage([(i, i) for i in range(n_population)],
                             n_population, aux)
     sample = draw_srswor(n_population, 6, rng_stream(31, 0))
-    sub_linkage, link_index = linkage.restrict(sample.ids)
+    sub_linkage, _ = sample_linkage(linkage, sample.ids)
     scheme = reverse_weights_best_link(sub_linkage, sample.ids.copy(), 0.5)
     rows = build_estimators(["sri"], sub_linkage, aux, scheme.values)[0].rows[0]
     report = _one_sample_diagnostics(rows, aux, sample, "sri")
@@ -581,8 +478,8 @@ def test_diagnostics_tie_outside_a_census_has_no_z(kind):
 
 
 def test_diagnostics_sls_statistic_is_link_mean_gap():
-    x, y, aux, linkage, sample = _perfect_linkage_setting(seed=22)
-    sub_linkage, _ = linkage.restrict(sample.ids)
+    x, y, aux, linkage, sample = perfect_linkage_setting(seed=22)
+    sub_linkage, _ = sample_linkage(linkage, sample.ids)
     report = _one_sample_diagnostics(link_sums(sub_linkage, aux), aux, sample, "sls")
     # one-one links: estimated link mean is the plain sample mean of x
     assert report.value[0] == pytest.approx(
@@ -590,8 +487,8 @@ def test_diagnostics_sls_statistic_is_link_mean_gap():
 
 
 def test_diagnostics_kind_validation():
-    x, y, aux, linkage, sample = _perfect_linkage_setting(seed=23)
-    sub_linkage, _ = linkage.restrict(sample.ids)
+    x, y, aux, linkage, sample = perfect_linkage_setting(seed=23)
+    sub_linkage, _ = sample_linkage(linkage, sample.ids)
     rows = link_sums(sub_linkage, aux)
     with pytest.raises(ValidationError, match="unknown diagnostic"):
         _one_sample_diagnostics(rows, aux, sample, "nope")
@@ -667,7 +564,6 @@ def test_equivariance_random_instances(seed, a, c):
     y = rng.normal(size=n_population)
     aux = AuxDatabase(x=x)
     sample = draw_srswor(n_population, n, rng)
-    spec = GregSpec(covariates=x[sample.ids], total=x.sum(axis=0))
-    v1 = greg(spec, y[sample.ids], sample).value
-    v2 = greg(spec, a * y[sample.ids] + c, sample).value
+    v1 = greg_fit(x[sample.ids], x.sum(axis=0), y[sample.ids], sample).value
+    v2 = greg_fit(x[sample.ids], x.sum(axis=0), a * y[sample.ids] + c, sample).value
     assert v2 == pytest.approx(a * v1 + c * n_population, rel=1e-8, abs=1e-8)

@@ -42,8 +42,8 @@ SMALL = dict(n_population=400, sample_size=60, replicates=60,
              link_share=(0.5, 0.3, 0.2), match_rate=0.7, correct_best_rate=0.6,
              best_link_weight=0.5, sigma=1.0, gamma=0.0, seed=77)
 
-# summary rows of SMALL from the one-replicate-at-a-time engine, which called
-# greg / sub_greg / sls_greg / ht_total per replicate and estimator
+# summary rows of SMALL from the one-replicate-at-a-time engine, which fitted
+# each replicate and estimator through a single-sample wrapper
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_summaries.json")
                     .read_text(encoding="utf-8"))
 GOLDEN_REL = 1e-12  # reordered floating-point sums, as in perfbench/checks.py
@@ -138,6 +138,16 @@ def test_total_target_scales_the_mean_target_by_n():
         for field in ("re", "rmse"):
             assert getattr(est_total, field) == pytest.approx(
                 getattr(est_mean, field), rel=1e-12, abs=0)
+
+
+def test_q_of_1_runs_with_sri_q_equal_to_sbl():
+    # the pi-q weight draw alone demanded q < 1, so such a block drew its
+    # population and linkage and then failed; at q = 1 the reverse weights
+    # are the best-link indicator, so SRI-q's rows are SBL's, bit for bit
+    summary = run_scenario(ScenarioConfig(name="q1", **{**SMALL, "best_link_weight": 1.0}))
+    rows = {row.estimator: row for row in summary.estimators}
+    assert set(rows) == set(ESTIMATOR_ORDER)
+    assert dataclasses.replace(rows["sri-q"], estimator="sbl") == rows["sbl"]
 
 
 def test_replicate_minimum():

@@ -11,17 +11,14 @@ from greglink.linkage import (
     WeightScheme,
     WeightSumError,
     _best_positions,
-    best_link_indicator_weights,
     build_linkage,
-    derive_covariates,
+    link_values,
     multiplicity_weights,
     reverse_weights_best_link,
     unit_sums,
+    weighted_sums,
 )
-
-# six units, six records; record 0 carries no links, unit 5 is unmatched
-EXAMPLE_LINKS = [(0, 1), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 5), (5, 5)]
-EXAMPLE_X = np.array([10.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+from support import EXAMPLE_LINKS, EXAMPLE_X
 
 
 @pytest.fixture
@@ -156,40 +153,20 @@ def test_reverse_weights_validation():
     # the first unit whose best link is missing is the one named
     L3 = build_linkage([(0, 0), (1, 1), (1, 2), (2, 0)], [0, 1, 2], aux)
     with pytest.raises(ValidationError, match="best link 0 of unit 1 is not"):
-        best_link_indicator_weights(L3, np.array([0, 0, 1]))
+        reverse_weights_best_link(L3, np.array([0, 0, 1]), q=0.4)
     with pytest.raises(ValidationError, match="q must lie"):
         reverse_weights_best_link(L, np.array([0]), q=0.0)
     with pytest.raises(ValidationError, match="q must lie"):
         reverse_weights_best_link(L, np.array([0]), q=1.2)
     with pytest.raises(ValidationError, match="align with the covered units"):
-        best_link_indicator_weights(L3, np.array([0, 1]))
-
-
-def test_indicator_weights_point_mass():
-    aux = AuxDatabase.from_values(np.arange(4.0))
-    L = build_linkage([(0, 0), (0, 1), (0, 2), (1, 3)], [0, 1], aux)
-    scheme = best_link_indicator_weights(L, np.array([1, 3]))
-    w = {(int(u), int(r)): v
-         for u, r, v in zip(L.link_units, L.link_records, scheme.values)}
-    assert w == {(0, 0): 0.0, (0, 1): 1.0, (0, 2): 0.0, (1, 3): 1.0}
-
-
-def test_indicator_weights_shared_best_record():
-    # two units may share a best record: valid for reverse weights even
-    # though the record-side weights then sum to 2
-    aux = AuxDatabase.from_values(np.arange(3.0))
-    L = build_linkage([(0, 0), (0, 1), (1, 0), (1, 2)], [0, 1], aux)
-    scheme = best_link_indicator_weights(L, np.array([0, 0]))
-    record_sums = np.bincount(L.link_records, weights=scheme.values, minlength=3)
-    assert record_sums[0] == 2.0
-    with pytest.raises(ValidationError):
-        WeightScheme(kind="incidence", linkage=L, values=scheme.values)
+        reverse_weights_best_link(L3, np.array([0, 1]), q=0.4)
 
 
 def test_derive_covariates_unlinked_record_drops_value(example_population_links, example_aux):
     # record 0 is unlinked, so the weighted total drops exactly x_0
     scheme = multiplicity_weights(example_population_links)
-    derived = derive_covariates(example_population_links, scheme, example_aux)
+    derived = weighted_sums(example_population_links, scheme,
+                            link_values(example_population_links, example_aux))
     assert derived.sum() == pytest.approx(EXAMPLE_X.sum() - EXAMPLE_X[0])
 
 
@@ -199,8 +176,9 @@ def test_derive_covariates_one_one_perfect():
     L = build_linkage([(i, i) for i in range(4)], 4, aux)
     for scheme in (multiplicity_weights(L),
                    reverse_weights_best_link(L, np.arange(4), 0.7),
-                   best_link_indicator_weights(L, np.arange(4))):
-        derived = derive_covariates(L, scheme, aux)
+                   # q = 1: the best-link indicator
+                   reverse_weights_best_link(L, np.arange(4), 1.0)):
+        derived = weighted_sums(L, scheme, link_values(L, aux))
         assert np.allclose(derived[:, 0], x)
         assert derived.sum() == pytest.approx(x.sum())
 
@@ -208,7 +186,7 @@ def test_derive_covariates_one_one_perfect():
 def test_derive_covariates_hand_example():
     aux = AuxDatabase.from_values(np.array([2.0, 4.0]))
     L = build_linkage([(0, 0), (1, 0), (1, 1)], 2, aux)
-    derived = derive_covariates(L, multiplicity_weights(L), aux)
+    derived = weighted_sums(L, multiplicity_weights(L), link_values(L, aux))
     assert derived[:, 0] == pytest.approx([1.0, 5.0])
     assert derived.sum() == pytest.approx(6.0)
     assert derived.sum() == pytest.approx(aux.total[0])
@@ -219,31 +197,8 @@ def test_derive_covariates_rejects_foreign_scheme(example_aux,
     other = build_linkage(EXAMPLE_LINKS, 6, example_aux)
     scheme = multiplicity_weights(other)
     with pytest.raises(ValidationError, match="different linkage"):
-        derive_covariates(example_population_links, scheme, example_aux)
-
-
-def test_restrict_carries_reverse_weights(example_population_links, example_aux):
-    L = example_population_links
-    scheme = reverse_weights_best_link(L, np.array([1, 1, 2, 3, 5, 5]), 0.4)
-    sub, link_index = L.restrict(np.array([2, 3]))
-    assert sub.scope == "sample"
-    restricted = scheme.restrict(sub, link_index)
-    assert list(sub.records_of(3)) == [2, 3, 4]
-    # per-unit sums still 1 after restriction
-    sums = np.add.reduceat(restricted.values, sub._unit_ptr[:-1])
-    assert np.allclose(sums, 1.0)
-    with pytest.raises(ValidationError):
-        multiplicity_weights(L).restrict(sub, link_index)
-
-
-def test_restrict_link_index_matches_per_unit_positions(example_population_links):
-    L = example_population_links
-    units = np.array([5, 0, 3, 2, 3])
-    sub, link_index = L.restrict(units)
-    expected = np.concatenate([np.flatnonzero(L.link_units == u) for u in sub.covered_units])
-    assert link_index.dtype == np.int64
-    assert np.array_equal(link_index, expected)
-    assert np.array_equal(sub.link_records, L.link_records[expected])
+        weighted_sums(example_population_links, scheme,
+                      link_values(example_population_links, example_aux))
 
 
 def test_weight_scheme_rejects_bad_sums(example_population_links):
@@ -313,7 +268,7 @@ def test_incidence_sums_and_total_identity(linkage_aux):
                        minlength=L.n_records)
     linked = L.multiplicities > 0
     assert np.all(np.abs(sums[linked] - 1.0) <= 1e-12)
-    derived = derive_covariates(L, scheme, aux)
+    derived = weighted_sums(L, scheme, link_values(L, aux))
     if np.all(linked):
         # every record linked: the weighted total telescopes to the file total
         scale = max(1.0, float(np.abs(aux.total[0])))

@@ -17,8 +17,9 @@ from greglink.harness import _build_block, load_scenario_file
 from greglink.linkage import (
     INCIDENCE,
     WeightScheme,
-    derive_covariates,
+    link_values,
     reverse_weights_best_link,
+    weighted_sums,
 )
 from greglink.synthpop import (
     LinkageModel,
@@ -64,6 +65,9 @@ def test_population_model_validation():
         PopulationModel(n_units=10, sigma=0.0)
     with pytest.raises(ValidationError):
         PopulationModel(n_units=10, gamma=1.5)
+    PopulationModel(n_units=2**63 - 1)
+    with pytest.raises(ValidationError, match=r"^population size \d+ is not below 2\*\*63$"):
+        PopulationModel(n_units=2**63)
 
 
 def test_proportional_counts_rounding():
@@ -216,12 +220,26 @@ def test_pi_q_weights_multiplicity_range():
     assert np.mean(m <= 3) > 0.75
 
 
-def test_pi_q_weights_validation():
+@pytest.mark.parametrize("q", [0.0, 1.2])
+def test_pi_q_weights_validation(q):
     model = LinkageModel(link_share=(1.0, 0.0, 0.0), match_rate=1.0,
                          correct_best_rate=1.0)
     matched, linkage, _ = gen_linkage(20, model, rng_stream(11, 0))
-    with pytest.raises(ValidationError, match="q must lie"):
-        gen_pi_q_weights(linkage, matched, 1.0, rng_stream(11, 1))
+    with pytest.raises(ValidationError, match=r"q must lie in \(0, 1\]"):
+        gen_pi_q_weights(linkage, matched, q, rng_stream(11, 1))
+
+
+def test_pi_q_weights_at_q_1_put_full_weight_on_one_link_per_record():
+    # q < 1 was demanded here alone, while every other q check takes (0, 1]
+    model = LinkageModel(link_share=(0.2, 0.4, 0.4), match_rate=0.6,
+                         correct_best_rate=0.5)
+    matched, linkage, _ = gen_linkage(500, model, rng_stream(13, 0))
+    values = gen_pi_q_weights(linkage, matched, 1.0, rng_stream(13, 1))
+    WeightScheme("incidence", linkage, values)
+    assert set(values.tolist()) == {0.0, 1.0}
+    linked = linkage.multiplicities > 0
+    np.testing.assert_array_equal(
+        np.bincount(linkage.link_records[values == 1.0], minlength=500), linked.astype(int))
 
 
 def test_aux_from_population_shape():
@@ -295,7 +313,8 @@ def setup_digests(block: str, n_population: int | None = None) -> dict[str, str]
         "matches": _digest(np.column_stack([matched, matched])),
         "best": _digest(best),
         "pi_q_weights": _digest(incidence.values),
-        "pi_q_covariates": _digest(derive_covariates(linkage, incidence, aux)),
+        "pi_q_covariates": _digest(weighted_sums(linkage, incidence,
+                                                 link_values(linkage, aux))),
         "link_aggregates": _digest(np.concatenate(
             [a.ravel() for a in full_gram(*link_aggregates(linkage, reverse.values, aux))])),
         "links_rng": _digest(rng_links.bit_generator.state),
