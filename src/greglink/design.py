@@ -428,12 +428,14 @@ def residual_variances(residuals: np.ndarray, design: SurveyDesign,
 
 
 def equal_probability_variances(residuals: np.ndarray, pi: np.ndarray,
-                                design: SurveyDesign) -> np.ndarray:
+                                design: SurveyDesign,
+                                kept: np.ndarray | None = None) -> np.ndarray:
     """``residual_variances`` of the samples (rows of ``pi``) with equal
-    inclusion probabilities and at least 2 units; NaN for the others, which
-    have no design-based variance estimator."""
+    inclusion probabilities and at least 2 units, over the residuals
+    ``kept`` selects; NaN for the others, which have no design-based
+    variance estimator."""
     applies = np.all(pi == pi[..., :1], axis=-1) & (pi.shape[-1] >= 2)
-    return np.where(applies, residual_variances(residuals, design), np.nan)
+    return np.where(applies, residual_variances(residuals, design, kept), np.nan)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,12 @@ No package code calls the single-sample names: ``GregSpec``, ``greg``,
 ``sub_greg`` and ``sls_greg`` here, ``design.ht_total``,
 ``linkage.derive_covariates``, ``linkage.best_link_indicator_weights`` and
 the two ``restrict`` methods. They stay only because the benchmark's tracer,
-``perfbench/tracer.py``, looks each of them up.
+``perfbench/tracer.py``, looks each of them up. Each runs a program rule on
+one sample: ``ht_total``, ``greg``, ``sub_greg`` and ``sls_greg`` call
+their batched kernels, ``derive_covariates`` calls ``weighted_sums`` over
+``link_values``, ``best_link_indicator_weights`` is
+``reverse_weights_best_link`` at q = 1, and ``LinkageStructure.restrict``
+builds its restriction with ``build_linkage`` over the kept links.
 ``tests/test_single_sample_api.py`` holds their contract tests, and items 1
 and 3 of ``ROADMAP.md`` delete them.
 
@@ -52,7 +57,6 @@ from .design import (
     check_finite_values,
     equal_probability_variances,
     ht_total_batch,
-    residual_variances,
     scale_to_target,
 )
 from .errors import NumericalError, ValidationError
@@ -208,15 +212,17 @@ def greg(spec: GregSpec, y: np.ndarray, sample: Sample,
     return batch.first(spec.tag, target)
 
 
-def sub_greg_batch(x: np.ndarray, y: np.ndarray, kept: np.ndarray,
+def sub_greg_batch(x: np.ndarray, y: np.ndarray, pi: np.ndarray, kept: np.ndarray,
                    coefficients: np.ndarray, aux_mean: np.ndarray,
                    design: SurveyDesign, target: str = "total") -> BatchEstimate:
     """Difference-form subsample estimator over stacked samples.
 
     ``x`` (..., n, q) holds matched covariates with the intercept first,
-    ``y`` (..., n) the responses, ``kept`` (..., n) marks the single-link
-    units that enter, and ``coefficients`` (q,) or (..., q) are held fixed.
-    A sample with fewer than 2 kept units gives NaN.
+    ``y`` and ``pi`` (..., n) the responses and inclusion probabilities,
+    ``kept`` (..., n) marks the single-link units that enter, and
+    ``coefficients`` (q,) or (..., q) are held fixed. A sample with fewer
+    than 2 kept units gives NaN, and one with unequal ``pi`` a NaN variance:
+    its unweighted subsample mean has no design-based variance estimator.
     """
     check_finite_values(y)
     b = np.broadcast_to(coefficients, x.shape[:-2] + x.shape[-1:])
@@ -225,7 +231,8 @@ def sub_greg_batch(x: np.ndarray, y: np.ndarray, kept: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         mean_values = (np.sum(b * np.concatenate([[1.0], aux_mean]), axis=-1)
                        + np.sum(residuals * kept, axis=-1) / n_sub)
-    mean_variances = residual_variances(residuals, design, kept) / design.n_population**2
+    mean_variances = (equal_probability_variances(residuals, pi, design, kept)
+                      / design.n_population**2)
     too_few = n_sub < 2
     mean_values = np.where(too_few, np.nan, mean_values)
     mean_variances = np.where(too_few, np.nan, mean_variances)
@@ -267,8 +274,8 @@ def sub_greg(y: np.ndarray, covariates: np.ndarray, aux_mean: np.ndarray,
             raise ValidationError("fixed coefficients must include the intercept")
         if n_sub < 2:
             raise ValidationError("subsample too small: need at least 2 units")
-    batch = sub_greg_batch(x_full[None], y[None], np.ones((1, n_sub), dtype=bool),
-                           b, t, design, target)
+    batch = sub_greg_batch(x_full[None], y[None], np.full((1, n_sub), design.f),
+                           np.ones((1, n_sub), dtype=bool), b, t, design, target)
     return batch.first(tag, target)
 
 
@@ -452,6 +459,15 @@ ESTIMATORS["pi"] = ESTIMATORS["pi-m"]
 ESTIMATORS["sri"] = ESTIMATORS["sri-q"]
 
 
+def _rule(tag: str) -> EstimatorRule:
+    """The rule of the estimator ``tag`` in ``ESTIMATORS``."""
+    try:
+        return ESTIMATORS[tag]
+    except KeyError:
+        raise ValidationError(f"unknown estimator {tag!r}; "
+                              f"choose from {', '.join(ESTIMATORS)}") from None
+
+
 class UnitInputs(NamedTuple):
     """One estimator's inputs over one linkage.
 
@@ -487,19 +503,19 @@ def build_estimators(tags: list[str], linkage: LinkageStructure, aux: AuxDatabas
     and the link-set sums, and each scheme is dropped after its estimators:
     one is alive at a time.
     """
-    built = {}
+    built, rules = {}, {tag: _rule(tag) for tag in tags}
     x_links = link_values(linkage, aux) if any(
-        ESTIMATORS[tag].covariate in (INCIDENCE_SUM, REVERSE_SUM, LINK_SET)
-        for tag in tags) else None
+        rule.covariate in (INCIDENCE_SUM, REVERSE_SUM, LINK_SET)
+        for rule in rules.values()) else None
     for kind, sources in ((INCIDENCE, [INCIDENCE_SUM]),
                           (None, [None, MATCHED, ONLY_LINK, BEST_LINK]),
                           (REVERSE, [REVERSE_SUM, LINK_SET])):
         group = [tag for source in sources for tag in tags
-                 if ESTIMATORS[tag].covariate == source]
+                 if rules[tag].covariate == source]
         scheme = None if kind is None or not group else link_weights(
             kind, linkage, weights, best, q)
         for tag in group:
-            rule = ESTIMATORS[tag]
+            rule = rules[tag]
             source, coefficients = rule.covariate, None
             if source is None:
                 built[tag] = UnitInputs(tag)
@@ -526,11 +542,9 @@ def build_estimators(tags: list[str], linkage: LinkageStructure, aux: AuxDatabas
                 rows = (weighted_sums(linkage, scheme, x_links),)
             if rule.total == AUX_MEAN:
                 calibration = aux.mean
-            elif source == MATCHED:
-                calibration = aux.total
             else:
-                # incidence weights need population links, so the column sums
-                # are the covariate's known population totals
+                # matched values and incidence weights need population links,
+                # so the column sums are the covariate's known population totals
                 calibration = rows[0].sum(axis=0)
             built[tag] = UnitInputs(tag, rows, calibration, coefficients)
     return [built[tag] for tag in tags]
@@ -548,8 +562,13 @@ def fit_unit_inputs(inputs: UnitInputs, pos: np.ndarray, y: np.ndarray,
     that is not finite, or whose variance is infinite, raises
     ``NumericalError`` too: finite inputs whose sums or products overflow
     give one, and no floating-point warning is issued. A NaN variance is
-    still no variance estimator.
+    still no variance estimator. ``pos``, ``y`` and ``pi`` must share one
+    shape.
     """
+    if not np.shape(pos) == np.shape(y) == np.shape(pi):
+        raise ValidationError(
+            "sample positions, responses and inclusion probabilities must share one "
+            f"shape, got {np.shape(pos)}, {np.shape(y)} and {np.shape(pi)}")
     if not strict:
         return _fit(inputs, pos, y, pi, design, target, strict)
     with np.errstate(all="ignore"):
@@ -564,7 +583,7 @@ def fit_unit_inputs(inputs: UnitInputs, pos: np.ndarray, y: np.ndarray,
 
 def _fit(inputs: UnitInputs, pos: np.ndarray, y: np.ndarray, pi: np.ndarray,
          design: SurveyDesign, target: str, strict: bool) -> BatchEstimate:
-    rule = ESTIMATORS[inputs.tag]
+    rule = _rule(inputs.tag)
     if rule.covariate == LINK_SET:
         # unit-major, the layout in which sls_greg_batch sums fastest
         units = np.moveaxis(pos, -1, 0)
@@ -576,7 +595,7 @@ def _fit(inputs: UnitInputs, pos: np.ndarray, y: np.ndarray, pi: np.ndarray,
         return ht_total_batch(y, pi, design, target)
     if rule.covariate == ONLY_LINK:
         x, kept = rows
-        return sub_greg_batch(with_intercept(x), y, kept, inputs.coefficients,
+        return sub_greg_batch(with_intercept(x), y, pi, kept, inputs.coefficients,
                               inputs.calibration, design, target)
     if rule.covariate == LINK_SET:
         return sls_greg_batch(*rows, y, pi, design, inputs.calibration, target, strict)
@@ -613,7 +632,7 @@ def npa_covariances(linkage: LinkageStructure, scheme: WeightScheme,
     if scheme.linkage is not linkage:
         raise ValidationError("weight scheme was built for a different linkage")
     n_links = linkage.n_links
-    x_links = aux.x[linkage.link_records]
+    x_links = link_values(linkage, aux)
     link_mean = x_links.sum(axis=0) / n_links
     w = scheme.values
     weight_x_cov = (w[:, None] * x_links).sum(axis=0) / n_links - (w.sum() / n_links) * link_mean

@@ -123,9 +123,9 @@ class LinkageStructure:
 
     def __init__(self, scope: str, covered_units: np.ndarray, n_records: int,
                  link_units: np.ndarray, link_records: np.ndarray):
-        # invariants are enforced by build_linkage, restrict and
-        # dataio.assemble_estimation_inputs; this constructor trusts sorted,
-        # validated inputs
+        # invariants are enforced by build_linkage, which restrict calls
+        # over the kept links, and by dataio.assemble_estimation_inputs; this
+        # constructor trusts sorted, validated inputs
         self.scope = scope
         self.covered_units = _readonly(covered_units)
         self.n_records = n_records
@@ -172,26 +172,19 @@ class LinkageStructure:
     def restrict(self, unit_ids: np.ndarray) -> tuple["LinkageStructure", np.ndarray]:
         """Sample-scope restriction to a subset of covered units.
 
-        Returns the restricted structure and the positions of its links in
-        this structure's link order, so per-link data (weights) can be carried
-        over by indexing.
+        Returns the restricted structure, which ``build_linkage`` builds from
+        the links of those units, and the positions of its links in this
+        structure's link order, so per-link data (weights) can be carried over
+        by indexing.
         """
         units = np.unique(np.asarray(unit_ids, dtype=np.int64))
         pos = np.searchsorted(self.covered_units, units)
         if np.any(pos >= self.n_covered) or np.any(self.covered_units[pos] != units):
             missing = units[(pos >= self.n_covered) | (self.covered_units[np.minimum(pos, self.n_covered - 1)] != units)]
             raise ValidationError(f"units not covered by linkage: {missing[:5].tolist()}")
-        keep = np.zeros(self.n_covered, dtype=bool)
-        keep[pos] = True
-        link_index = np.flatnonzero(keep[self._unit_index])
-        sub = LinkageStructure(
-            scope=SAMPLE,
-            covered_units=units,
-            n_records=self.n_records,
-            link_units=self.link_units[link_index],
-            link_records=self.link_records[link_index],
-        )
-        return sub, link_index
+        keep = np.isin(self.link_units, units)
+        links = np.column_stack([self.link_units, self.link_records])[keep]
+        return build_linkage(links, units, self.n_records), np.flatnonzero(keep)
 
 
 def link_key(positions: np.ndarray, records: np.ndarray, n_records: int) -> np.ndarray:
@@ -397,15 +390,13 @@ def link_weights(kind: str, linkage: LinkageStructure, values: np.ndarray | None
 
 def best_link_indicator_weights(linkage: LinkageStructure,
                                 best_links: np.ndarray) -> WeightScheme:
-    """Degenerate reverse weights: full weight on each unit's best link.
+    """Degenerate reverse weights: full weight on each unit's best link, which
+    are ``reverse_weights_best_link`` at q = 1.
 
     Not an incidence scheme: one record may be the best link of several units,
     so its unit-side weights need not sum to 1.
     """
-    best_pos = _best_positions(linkage, best_links)
-    values = np.zeros(linkage.n_links)
-    values[best_pos] = 1.0
-    return WeightScheme(kind=REVERSE, linkage=linkage, values=values)
+    return reverse_weights_best_link(linkage, best_links, 1.0)
 
 
 def unit_sums(linkage: LinkageStructure, columns: Iterable[np.ndarray],

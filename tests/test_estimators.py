@@ -260,6 +260,49 @@ def test_strict_fit_rejects_an_estimate_that_overflows():
                         strict=True)
 
 
+@pytest.mark.parametrize("y, pi", [(np.array([[1.0]]), np.full((1, 2), 0.5)),
+                                   (np.ones((1, 2)), np.array([0.5, 0.5]))],
+                         ids=["one-response", "unstacked-pi"])
+def test_fit_needs_one_shape_of_positions_responses_and_pi(y, pi):
+    # numpy broadcast the one response over both sampled units: ht gave value
+    # 4.0 with a NaN variance
+    with pytest.raises(ValidationError, match=r"^sample positions, responses and inclusion "
+                       r"probabilities must share one shape, got \(1, 2\), "):
+        fit_unit_inputs(UnitInputs("ht"), np.array([[0, 2]]), y, pi, SurveyDesign(4, 2),
+                        strict=True)
+
+
+def test_an_unknown_estimator_tag_is_a_validation_error():
+    # both raised a bare KeyError: 'bogus'
+    aux = AuxDatabase.from_values(np.arange(3.0))
+    linkage = build_linkage([(0, 0), (1, 1), (2, 2)], 3, aux)
+    message = "^unknown estimator 'bogus'; choose from ht, ideal, sub, "
+    with pytest.raises(ValidationError, match=message):
+        build_estimators(["ht", "bogus"], linkage, aux)
+    with pytest.raises(ValidationError, match=message):
+        fit_unit_inputs(UnitInputs("bogus"), np.array([[0, 1]]), np.ones((1, 2)),
+                        np.full((1, 2), 2 / 3), SurveyDesign(3, 2))
+
+
+def test_sub_has_no_variance_without_equal_pi():
+    # sub's variance read every unit's pi as equal, where ht's was NaN
+    x, population = gen_population(PopulationModel(n_units=200), rng_stream(5, 0))
+    model = LinkageModel(link_share=(0.4, 0.3, 0.3), match_rate=0.8, correct_best_rate=0.7)
+    _, linkage, _ = gen_linkage(200, model, rng_stream(5, 1))
+    (sub,) = build_estimators(["sub"], linkage, AuxDatabase.from_values(x), y=population.y)
+    sample = draw_srswor(200, 40, rng_stream(5, 2))
+    y = population.y[sample.ids][None]
+    alternating = np.where(np.arange(40) % 2 == 0, 0.5, 0.25)[None]
+
+    def fit(inputs, pi):
+        return fit_unit_inputs(inputs, sample.ids[None], y, pi, sample.design, strict=True)
+    equal, unequal = fit(sub, np.full((1, 40), 0.25)), fit(sub, alternating)
+    assert np.isfinite(equal.variances[0])
+    assert unequal.values[0] == equal.values[0]
+    assert np.isnan(unequal.variances[0])
+    assert np.isnan(fit(UnitInputs("ht"), alternating).variances[0])
+
+
 def test_link_set_aggregates_that_overflow_name_the_estimator():
     # finite record values whose products overflow gave infinite aggregates
     # with numpy's overflow warning
@@ -392,6 +435,17 @@ def test_npa_rejects_sample_scope():
     scheme = reverse_weights_best_link(linkage, np.array([0, 1]), 0.5)
     with pytest.raises(ValidationError, match="population links"):
         npa_covariances(linkage, scheme, aux)
+
+
+def test_npa_rejects_an_auxiliary_database_of_another_size():
+    # 202 records for a linkage over 200 raised IndexError: boolean index did
+    # not match indexed array
+    x, _ = gen_population(PopulationModel(n_units=200), rng_stream(4, 0))
+    model = LinkageModel(link_share=(0.2, 0.4, 0.4), match_rate=0.6, correct_best_rate=0.5)
+    _, linkage, _ = gen_linkage(200, model, rng_stream(4, 1))
+    aux = AuxDatabase.from_values(np.append(x, [1.0, 2.0]))
+    with pytest.raises(ValidationError, match="^auxiliary database does not match the linkage$"):
+        npa_covariances(linkage, multiplicity_weights(linkage), aux)
 
 
 def _one_sample_diagnostics(rows, aux, sample, kind):
