@@ -136,12 +136,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         configs = [dataclasses.replace(c, replicates=args.replicates) for c in configs]
     if args.seed is not None:
         configs = [dataclasses.replace(c, seed=args.seed) for c in configs]
+    summaries = [run_scenario(c, workers=args.workers) for c in configs]
+    # only once every block has run, so a rejected block prints one error line
     small = [c.name for c in configs if c.replicates < 30]
     if small:
         print(f"warning: fewer than 30 replicates in {', '.join(small)}; "
               "Monte Carlo error is large", file=sys.stderr)
-
-    summaries = [run_scenario(c, workers=args.workers) for c in configs]
     text = summarize_to_table(summaries)
     print(text)
 

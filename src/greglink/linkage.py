@@ -325,8 +325,6 @@ class WeightScheme:
 
 def multiplicity_weights(linkage: LinkageStructure) -> WeightScheme:
     """Equal-split incidence weights 1/m per record with m > 0 links."""
-    if linkage.scope != POPULATION:
-        raise ValidationError("incidence weights require population links")
     with np.errstate(divide="ignore"):  # a record without links gets no weight
         per_record = 1.0 / linkage.multiplicities
     values = per_record[linkage.link_records]

@@ -11,11 +11,8 @@ from greglink.design import (
     residual_variances,
     rng_stream,
 )
-from greglink.errors import NumericalError, ValidationError
 from greglink.estimators import (
     DIAGNOSTIC_KINDS,
-    ESTIMATORS,
-    INCIDENCE_SUM,
     DiagnosticsReport,
     UnitInputs,
     build_estimators,
@@ -65,34 +62,8 @@ def test_wls_three_point_hand_example():
     assert b == pytest.approx([-1.0 / 3.0, 1.5], rel=1e-12)
 
 
-def test_wls_rejects_collinear_columns():
-    rng = rng_stream(2, 0)
-    u = rng.uniform(size=10)
-    x = np.column_stack([np.ones(10), u, 2 * u])
-    with pytest.raises(NumericalError, match="collinear"):
-        wls_coefficients(x, rng.normal(size=10), np.ones(10))
-
-
-def test_wls_rejects_underdetermined():
-    with pytest.raises(ValidationError, match="at least"):
-        wls_coefficients(np.ones((1, 2)), np.ones(1), np.ones(1))
-
-
 def _simple_sample(n_population=40, n=10, seed=3):
     return draw_srswor(n_population, n, rng_stream(seed, 0))
-
-
-def test_regression_estimators_reject_non_finite_responses():
-    sample = draw_srswor(10, 3, rng_stream(3, 0))
-    y = np.array([1.0, np.nan, 3.0])
-    x = np.array([[0.1], [0.5], [0.9]])
-    with pytest.raises(ValidationError, match="non-finite"):
-        greg_fit(x, np.array([5.0]), y, sample)
-    # the subsample rule over the sampled units, with fixed coefficients
-    sub = UnitInputs("sub", (x, np.ones(3, dtype=bool)), np.array([0.5]),
-                     np.array([1.0, 2.0]))
-    with pytest.raises(ValidationError, match="non-finite"):
-        fit_at(sub, y, sample, covered=sample.ids)
 
 
 def test_greg_batch_marks_singular_fits_nan():
@@ -184,33 +155,6 @@ def test_perfect_linkage_all_estimators_equal_ideal():
                                                           rel=1e-10)
 
 
-@pytest.mark.parametrize("tag", ESTIMATORS)
-def test_every_rule_rejects_an_unknown_target(tag):
-    # the subsample rule read any target other than "total" as the mean
-    x, population = gen_population(PopulationModel(n_units=500), rng_stream(4, 0))
-    aux = AuxDatabase.from_values(x)
-    model = LinkageModel(link_share=(0.2, 0.4, 0.4), match_rate=0.6, correct_best_rate=0.5)
-    _, linkage, best = gen_linkage(500, model, rng_stream(4, 1))
-    scheme = (multiplicity_weights(linkage) if ESTIMATORS[tag].covariate == INCIDENCE_SUM
-              else reverse_weights_best_link(linkage, best, 0.4))
-    (inputs,) = build_estimators([tag], linkage, aux, scheme.values, best, y=population.y)
-    sample = draw_srswor(500, 50, rng_stream(4, 2))
-    with pytest.raises(ValidationError, match="^unknown target 'Total'$"):
-        fit_unit_inputs(inputs, sample.ids[None], population.y[sample.ids][None],
-                        sample.pi[None], sample.design, "Total")
-
-
-@pytest.mark.parametrize("tag, missing", [("sbl", "best links"), ("sub", "responses")])
-def test_build_estimators_rejects_a_rule_without_its_input(tag, missing):
-    # sbl without best links gave one row of every record, on which the fit
-    # raised IndexError; sub raised TypeError on the missing responses
-    x, _ = gen_population(PopulationModel(n_units=50), rng_stream(4, 0))
-    model = LinkageModel(link_share=(0.2, 0.4, 0.4), match_rate=0.6, correct_best_rate=0.5)
-    _, linkage, _ = gen_linkage(50, model, rng_stream(4, 1))
-    with pytest.raises(ValidationError, match=f"^estimator {tag!r} needs {missing}"):
-        build_estimators([tag], linkage, AuxDatabase.from_values(x))
-
-
 def test_build_estimators_resolves_each_weight_kind_by_one_rule():
     x, population = gen_population(PopulationModel(n_units=200), rng_stream(5, 0))
     aux = AuxDatabase.from_values(x)
@@ -251,39 +195,6 @@ def test_build_estimators_resolves_each_weight_kind_by_one_rule():
                 np.testing.assert_array_equal(got, want)
 
 
-def test_strict_fit_rejects_an_estimate_that_overflows():
-    # finite responses whose expansion overflows gave inf with a warning
-    y, pi = np.full((1, 2), 1e308), np.full((1, 2), 0.5)
-    with pytest.raises(NumericalError,
-                       match=r"^ht estimate is not finite \(value inf, variance inf\)$"):
-        fit_unit_inputs(UnitInputs("ht"), np.array([[0, 1]]), y, pi, SurveyDesign(4, 2),
-                        strict=True)
-
-
-@pytest.mark.parametrize("y, pi", [(np.array([[1.0]]), np.full((1, 2), 0.5)),
-                                   (np.ones((1, 2)), np.array([0.5, 0.5]))],
-                         ids=["one-response", "unstacked-pi"])
-def test_fit_needs_one_shape_of_positions_responses_and_pi(y, pi):
-    # numpy broadcast the one response over both sampled units: ht gave value
-    # 4.0 with a NaN variance
-    with pytest.raises(ValidationError, match=r"^sample positions, responses and inclusion "
-                       r"probabilities must share one shape, got \(1, 2\), "):
-        fit_unit_inputs(UnitInputs("ht"), np.array([[0, 2]]), y, pi, SurveyDesign(4, 2),
-                        strict=True)
-
-
-def test_an_unknown_estimator_tag_is_a_validation_error():
-    # both raised a bare KeyError: 'bogus'
-    aux = AuxDatabase.from_values(np.arange(3.0))
-    linkage = build_linkage([(0, 0), (1, 1), (2, 2)], 3, aux)
-    message = "^unknown estimator 'bogus'; choose from ht, ideal, sub, "
-    with pytest.raises(ValidationError, match=message):
-        build_estimators(["ht", "bogus"], linkage, aux)
-    with pytest.raises(ValidationError, match=message):
-        fit_unit_inputs(UnitInputs("bogus"), np.array([[0, 1]]), np.ones((1, 2)),
-                        np.full((1, 2), 2 / 3), SurveyDesign(3, 2))
-
-
 def test_sub_has_no_variance_without_equal_pi():
     # sub's variance read every unit's pi as equal, where ht's was NaN
     x, population = gen_population(PopulationModel(n_units=200), rng_stream(5, 0))
@@ -301,32 +212,6 @@ def test_sub_has_no_variance_without_equal_pi():
     assert unequal.values[0] == equal.values[0]
     assert np.isnan(unequal.variances[0])
     assert np.isnan(fit(UnitInputs("ht"), alternating).variances[0])
-
-
-def test_link_set_aggregates_that_overflow_name_the_estimator():
-    # finite record values whose products overflow gave infinite aggregates
-    # with numpy's overflow warning
-    aux = AuxDatabase.from_values([1e308, -1e308, 1e308, 3.0])
-    linkage = build_linkage([(0, 0), (1, 1), (2, 2), (2, 3), (3, 3)], 4, aux)
-    with pytest.raises(NumericalError, match=r"^sls link-set aggregates are not finite"):
-        build_estimators(["sls"], linkage, aux, best=np.array([0, 1, 2, 3]), q=0.7)
-
-
-@pytest.mark.parametrize("kind", DIAGNOSTIC_KINDS)
-def test_diagnostics_whose_spread_overflows_name_the_statistic(kind):
-    # finite rows whose squared deviations overflow gave a finite value with
-    # z -0.0 (sri) and numpy's overflow warnings
-    aux = AuxDatabase.from_values([1e308, -1e308, 1e308, 3.0])
-    linkage = build_linkage([(0, 0), (1, 1), (2, 2), (2, 3), (3, 3)], 4, aux)
-    best = np.array([0, 1, 2, 3])
-    if kind == "sls":
-        rows = link_sums(linkage, aux)
-    else:
-        rows = build_estimators([kind], linkage, aux, best=best, q=0.4)[0].rows[0]
-    ids, pi = np.array([[0, 1, 2]]), np.full((1, 3), 0.5)
-    with pytest.raises(NumericalError, match=f"^{kind} consistency diagnostic is not "
-                       "finite: sums or squares of its per-unit contributions overflow$"):
-        consistency_diagnostics(rows[ids], pi, aux, SurveyDesign(4, 3), kind)
 
 
 def test_location_scale_equivariance():
@@ -429,25 +314,6 @@ def test_npa_matches_brute_force():
     assert npa.n_linked_records == len(linked)
 
 
-def test_npa_rejects_sample_scope():
-    aux = AuxDatabase.from_values(np.arange(3.0))
-    linkage = build_linkage([(0, 0), (1, 1)], [0, 1], aux)
-    scheme = reverse_weights_best_link(linkage, np.array([0, 1]), 0.5)
-    with pytest.raises(ValidationError, match="population links"):
-        npa_covariances(linkage, scheme, aux)
-
-
-def test_npa_rejects_an_auxiliary_database_of_another_size():
-    # 202 records for a linkage over 200 raised IndexError: boolean index did
-    # not match indexed array
-    x, _ = gen_population(PopulationModel(n_units=200), rng_stream(4, 0))
-    model = LinkageModel(link_share=(0.2, 0.4, 0.4), match_rate=0.6, correct_best_rate=0.5)
-    _, linkage, _ = gen_linkage(200, model, rng_stream(4, 1))
-    aux = AuxDatabase.from_values(np.append(x, [1.0, 2.0]))
-    with pytest.raises(ValidationError, match="^auxiliary database does not match the linkage$"):
-        npa_covariances(linkage, multiplicity_weights(linkage), aux)
-
-
 def _one_sample_diagnostics(rows, aux, sample, kind):
     """The diagnostic of ``sample`` run as a stack of one, its row taken."""
     report = consistency_diagnostics(rows[None], sample.pi[None], aux, sample.design, kind)
@@ -538,19 +404,6 @@ def test_diagnostics_sls_statistic_is_link_mean_gap():
     # one-one links: estimated link mean is the plain sample mean of x
     assert report.value[0] == pytest.approx(
         aux.x[sample.ids, 0].mean() - aux.mean[0], rel=1e-10)
-
-
-def test_diagnostics_kind_validation():
-    x, y, aux, linkage, sample = perfect_linkage_setting(seed=23)
-    sub_linkage, _ = sample_linkage(linkage, sample.ids)
-    rows = link_sums(sub_linkage, aux)
-    with pytest.raises(ValidationError, match="unknown diagnostic"):
-        _one_sample_diagnostics(rows, aux, sample, "nope")
-    # the link sums carry the degree column that a covariate lacks
-    with pytest.raises(ValidationError, match="sri diagnostic rows must align"):
-        _one_sample_diagnostics(rows, aux, sample, "sri")
-    with pytest.raises(ValidationError, match="sls diagnostic rows must align"):
-        _one_sample_diagnostics(rows[:-1], aux, sample, "sls")
 
 
 def _assert_rows_alone_equal_the_stack(rows, pi, aux, design, kind):

@@ -150,24 +150,6 @@ def test_q_of_1_runs_with_sri_q_equal_to_sbl():
     assert dataclasses.replace(rows["sri-q"], estimator="sbl") == rows["sbl"]
 
 
-def test_replicate_minimum():
-    with pytest.raises(ValidationError, match="replicates"):
-        ScenarioConfig(name="bad", n_population=100, sample_size=10, replicates=1)
-
-
-@pytest.mark.parametrize("sample_size", [0, 1, 100, 101])
-def test_sample_size_must_leave_units_out(sample_size):
-    with pytest.raises(ValidationError, match="sample size"):
-        ScenarioConfig(name="bad", n_population=100, sample_size=sample_size,
-                       replicates=20)
-
-
-def test_unknown_estimator_rejected():
-    with pytest.raises(ValidationError, match="unknown estimators"):
-        ScenarioConfig(name="bad", n_population=100, sample_size=10,
-                       replicates=10, estimators=("ht", "mystery"))
-
-
 def test_failed_replicates_counted(monkeypatch):
     calls = {"n": 0}
     original = estimators.sub_greg_batch
@@ -360,62 +342,6 @@ def test_parse_scenario_text_blocks():
     assert configs[0].link_share == (0.5, 0.3, 0.2)
     assert configs[1].estimators == ESTIMATOR_ORDER
     assert configs[1].seed == 78
-
-
-def test_parse_scenario_unknown_key_names_line():
-    bad = "population = 10\nsample = 2\nreplicates = 5\nbogus = 3\n"
-    with pytest.raises(ValidationError, match=r"inline:4.*bogus"):
-        parse_scenario_text(bad, source="inline")
-
-
-def test_parse_scenario_rejects_q_incidence():
-    # PI-q draws its record-side weights with the block's q
-    bad = "population = 10\nsample = 2\nreplicates = 5\nq_incidence = 0.3\n"
-    with pytest.raises(ValidationError, match=r"inline:4: unknown scenario key 'q_incidence'"):
-        parse_scenario_text(bad, source="inline")
-
-
-def test_parse_scenario_bad_value_names_line():
-    bad = "population = ten\nsample = 2\nreplicates = 5\n"
-    with pytest.raises(ValidationError, match=r"inline:1.*population"):
-        parse_scenario_text(bad, source="inline")
-
-
-def test_parse_scenario_missing_required():
-    with pytest.raises(ValidationError, match="missing required key"):
-        parse_scenario_text("population = 10\nsample = 2\n", source="inline")
-
-
-def test_parse_scenario_duplicate_key():
-    bad = "population = 10\npopulation = 12\nsample = 2\nreplicates = 5\n"
-    with pytest.raises(ValidationError, match="duplicate key"):
-        parse_scenario_text(bad, source="inline")
-
-
-@pytest.mark.parametrize("names, message", [
-    (("a", "a"), "inline: block 2 repeats the name 'a' of block 1"),
-    (("a", "b", "a"), "inline: block 3 repeats the name 'a' of block 1"),
-    # a default name collides with an explicit one too
-    ((None, "block1"), "inline: block 2 repeats the name 'block1' of block 1"),
-    (("block2", None), "inline: block 2 repeats the name 'block2' of block 1"),
-])
-def test_parse_scenario_rejects_a_repeated_block_name(names, message):
-    # --out writes one CSV per block name, so the later block overwrote the earlier
-    block = "population = 10\nsample = 2\nreplicates = 5\n"
-    text = "\n".join(block if name is None else f"name = {name}\n{block}" for name in names)
-    with pytest.raises(ValidationError) as info:
-        parse_scenario_text(text, source="inline")
-    assert str(info.value) == message
-
-
-@pytest.mark.parametrize("name", ["a/b", "../escaped", "a\\b", ".", "..", ""])
-def test_parse_scenario_rejects_a_name_that_is_no_file_name(name):
-    # simulate --out writes <prefix>_<name>.csv, so a separator left the prefix directory
-    block = "population = 10\nsample = 2\nreplicates = 5\n"
-    text = f"name = ok\n{block}\nname = {name}\n{block}"
-    with pytest.raises(ValidationError) as info:
-        parse_scenario_text(text, source="inline")
-    assert str(info.value) == f"inline: block 2: name {name!r} cannot be part of a file name"
 
 
 def test_mse_decomposition_identity():

