@@ -31,8 +31,8 @@ their batched kernels, ``derive_covariates`` calls ``weighted_sums`` over
 ``link_values``, ``best_link_indicator_weights`` is
 ``reverse_weights_best_link`` at q = 1, and ``LinkageStructure.restrict``
 builds its restriction with ``build_linkage`` over the kept links.
-``tests/test_single_sample_api.py`` holds their contract tests, and items 1
-and 3 of ``ROADMAP.md`` delete them.
+``tests/test_single_sample_api.py`` holds their contract tests, and item 1
+of ``ROADMAP.md`` deletes them.
 
 A sample's fit does not depend on the samples stacked with it: every
 matrix product runs sample by sample, and each value's T'b is an
@@ -111,8 +111,17 @@ def _solve_normal_equations(m: np.ndarray, rhs: np.ndarray,
 
 def _weighted_least_squares(x: np.ndarray, y: np.ndarray, w: np.ndarray,
                             strict: bool) -> np.ndarray:
-    """Stacked b = (X' W X)^-1 X' W y for x (..., n, q), y and w (..., n)."""
-    xw_t = np.swapaxes(x * w[..., None], -1, -2)
+    """Stacked b = (X' W X)^-1 X' W y for x (..., n, q), y and w (..., n).
+
+    W X is filled one column at a time, so numpy's inner loop runs over n
+    rather than over the q-wide last axis. For a C-ordered x, as
+    ``with_intercept`` builds, its values and layout are those of
+    ``x * w[..., None]``, so the products keep their bits.
+    """
+    xw = np.empty(x.shape, np.result_type(x, w))
+    for j in range(x.shape[-1]):
+        np.multiply(x[..., j], w, out=xw[..., j])
+    xw_t = np.swapaxes(xw, -1, -2)
     return _solve_normal_equations(xw_t @ x, (xw_t @ y[..., None])[..., 0], strict)
 
 
@@ -128,8 +137,9 @@ def wls_coefficients(covariates: np.ndarray, responses: np.ndarray,
     ``weights`` holds the per-observation factors (regression constants over
     inclusion probabilities, for design-weighted fits). The design matrix is
     taken as given; callers wanting an intercept include a constant column.
+    The result does not depend on the memory order of ``covariates``.
     """
-    x = np.asarray(covariates, dtype=np.float64)
+    x = np.ascontiguousarray(covariates, dtype=np.float64)
     y = np.asarray(responses, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     if x.ndim != 2:
@@ -144,8 +154,15 @@ def wls_coefficients(covariates: np.ndarray, responses: np.ndarray,
 
 
 def with_intercept(x: np.ndarray) -> np.ndarray:
-    """Prepend a constant column to (..., n, p) covariates."""
-    return np.concatenate([np.ones(x.shape[:-1] + (1,)), x], axis=-1)
+    """Prepend a constant column to (..., n, p) covariates.
+
+    The result is allocated once and filled, with the dtype and layout of
+    ``np.concatenate([np.ones(...), x], axis=-1)`` but no temporary column.
+    """
+    x_full = np.empty(x.shape[:-1] + (x.shape[-1] + 1,), np.result_type(np.float64, x))
+    x_full[..., 0] = 1.0
+    x_full[..., 1:] = x
+    return x_full
 
 
 @dataclass(frozen=True)

@@ -81,7 +81,7 @@ class LinkageModel:
         if len(share) != 3 or not all(0 <= v <= 1 for v in share):
             raise ValidationError(f"link shares must be three numbers in [0, 1], got {share}")
         if abs(sum(share) - 1.0) > 1e-9:
-            raise ValidationError(f"link shares must sum to 1, got {sum(share)}")
+            raise ValidationError(f"link shares must sum to 1, got {sum(share):.12g}")
         p1 = share[0]
         if not p1 - 1e-12 <= self.match_rate <= 1 + 1e-12:
             raise ValidationError(

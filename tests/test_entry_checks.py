@@ -209,7 +209,9 @@ ENTRY_REJECTIONS = [
            ("two-shares", ((0.5, 0.5), 0.5, 0.5),
             "link shares must be three numbers in [0, 1], got (0.5, 0.5)"),
            ("sum", ((0.5, 0.2, 0.2), 0.6, 0.6),
-            "link shares must sum to 1, got 0.8999999999999999"),
+            "link shares must sum to 1, got 0.9"),
+           ("sum-near-one", ((0.5, 0.25, 0.2500001), 0.6, 0.6),
+            "link shares must sum to 1, got 1.0000001"),
            ("match-rate", ((0.5, 0.25, 0.25), 0.3, 0.3),
             "match rate 0.3 outside [0.5, 1] (every single-link unit is matched)"),
            ("correct-best", ((0.2, 0.4, 0.4), 0.5, 0.6),

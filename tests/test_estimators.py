@@ -22,6 +22,8 @@ from greglink.estimators import (
     link_aggregates,
     link_sums,
     npa_covariances,
+    _solve_normal_equations,
+    _weighted_least_squares,
     with_intercept,
     wls_coefficients,
 )
@@ -60,6 +62,40 @@ def test_wls_three_point_hand_example():
     y = np.array([1.0, 3.0, 4.0])
     b = wls_coefficients(x, y, np.ones(3))
     assert b == pytest.approx([-1.0 / 3.0, 1.5], rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(3, 1), (250, 100, 1), (1, 500, 3)])
+def test_with_intercept_is_the_concatenated_design(shape):
+    for dtype in (np.float64, np.float32, np.int64):
+        x = (10 * rng_stream(7, 0).normal(size=shape)).astype(dtype)
+        expected = np.concatenate([np.ones(x.shape[:-1] + (1,)), x], axis=-1)
+        got = with_intercept(x)
+        assert got.dtype == expected.dtype and got.flags.c_contiguous, dtype
+        assert np.array_equal(got, expected), dtype
+
+
+@pytest.mark.parametrize("equal_weights", [True, False])
+@pytest.mark.parametrize("stack", [1, 250])
+@pytest.mark.parametrize("q", [2, 3])
+def test_weighted_least_squares_keeps_the_broadcast_bits(q, stack, equal_weights):
+    # the column-by-column W X must give the products of x * w[..., None] bit
+    # for bit, at any stack size
+    rng = rng_stream(8, q)
+    x = with_intercept(rng.normal(size=(stack, 100, q - 1)))
+    y = rng.normal(size=(stack, 100))
+    w = (np.full((stack, 100), 50.0) if equal_weights
+         else 1.0 / rng.uniform(0.01, 0.1, size=(stack, 100)))
+    xw_t = np.swapaxes(x * w[..., None], -1, -2)
+    expected = _solve_normal_equations(xw_t @ x, (xw_t @ y[..., None])[..., 0], False)
+    assert np.array_equal(_weighted_least_squares(x, y, w, strict=False), expected)
+
+
+def test_wls_bits_do_not_depend_on_memory_order():
+    rng = rng_stream(9, 0)
+    x = with_intercept(rng.normal(size=(200, 2)))
+    y, w = rng.normal(size=200), rng.uniform(0.5, 2.0, size=200)
+    assert np.array_equal(wls_coefficients(np.asfortranarray(x), y, w),
+                          wls_coefficients(x, y, w))
 
 
 def _simple_sample(n_population=40, n=10, seed=3):

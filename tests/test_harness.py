@@ -106,6 +106,24 @@ def test_summaries_match_golden_fixture(key, extra):
         assert value == pytest.approx(expected, rel=GOLDEN_REL, abs=0), (metric, tag)
 
 
+def test_bundled_tables_match_their_full_precision_fixture():
+    # every value that `greglink simulate scenarios/tables_full.scenario
+    # --k 300 --out res` wrote to its per-block CSV files before the design
+    # matrix was built column by column; tables_full_k30.txt pins these blocks
+    # only to the 6 significant digits of stdout
+    root = Path(__file__).resolve().parents[1]
+    golden = json.loads((root / "tests" / "data" / "tables_full_k300.json")
+                        .read_text(encoding="utf-8"))
+    configs = load_scenario_file(root / "scenarios" / "tables_full.scenario")
+    assert [c.name for c in configs] == list(golden)
+    for cfg in configs:
+        rows = summary_csv_rows(run_scenario(dataclasses.replace(cfg, replicates=300)))
+        assert [row[:2] for row in rows] == [tuple(row[:2]) for row in golden[cfg.name]]
+        for (metric, tag, value), (_, _, expected) in zip(rows, golden[cfg.name]):
+            assert value == pytest.approx(expected, rel=GOLDEN_REL, abs=0), \
+                (cfg.name, metric, tag)
+
+
 def test_near_deterministic_population_collapses_regression_variance():
     cfg = ScenarioConfig(name="det", n_population=400, sample_size=50,
                          replicates=80, sigma=1e-12, seed=5,
