@@ -11,6 +11,12 @@ the failed operations, the median probe ``slowdown``, and each run's minor
 page faults, read from ``getrusage(RUSAGE_CHILDREN)`` before and after the
 child. It also records what was measured, and where: the commit, the number
 of usable CPUs, the Python and numpy versions and the date.
+
+Each run is repeated at once with ``MALLOC_ARENA_MAX=1`` in the child's
+environment only, and those runs are summarised the same way under
+``workloads_one_arena``: glibc's malloc then keeps one arena, so the peak RSS
+and the two-worker wall time no longer move with how the threads' memory is
+spread over arenas.
 """
 
 from __future__ import annotations
@@ -56,10 +62,11 @@ def _provenance(spec: dict, args: argparse.Namespace) -> dict:
     }
 
 
-def _run(command: list[str]) -> dict:
-    """One child run: its last stdout line, its probe slowdown and its minor faults."""
+def _run(command: list[str], env: dict[str, str] | None = None) -> dict:
+    """One child run, in ``env`` (by default this process's environment): its
+    last stdout line, its probe slowdown and its minor faults."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-    done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
+    done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, env=env)
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     lines = done.stdout.splitlines()
     if done.returncode != 0 or len(lines) < 2:
@@ -112,15 +119,21 @@ def main(argv: list[str] | None = None) -> int:
     extra = ["--smoke"] if args.smoke else []
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
     provenance = _provenance(spec, args)
+    one_arena = {**os.environ, "MALLOC_ARENA_MAX": "1"}
     runs: dict[str, list[dict]] = {w: [] for w in workloads}
+    arena_runs: dict[str, list[dict]] = {w: [] for w in workloads}
     for repeat in range(args.repeats):
         for w in workloads:
-            runs[w].append(_run([*spec["command"], "--workload", w, "--trace", "0", *extra]))
-            print(f"{w} run {repeat + 1}/{args.repeats}: "
-                  + json.dumps(runs[w][-1]["metrics"]), file=sys.stderr)
+            command = [*spec["command"], "--workload", w, "--trace", "0", *extra]
+            for kept, env, name in ((runs, None, "run"),
+                                    (arena_runs, one_arena, "one-arena run")):
+                kept[w].append(_run(command, env))
+                print(f"{w} {name} {repeat + 1}/{args.repeats}: "
+                      + json.dumps(kept[w][-1]["metrics"]), file=sys.stderr)
 
     record = {"label": args.label, "provenance": provenance,
-              "workloads": {w: _summary(runs[w], units) for w in workloads}}
+              "workloads": {w: _summary(runs[w], units) for w in workloads},
+              "workloads_one_arena": {w: _summary(arena_runs[w], units) for w in workloads}}
     args.out_dir.mkdir(parents=True, exist_ok=True)
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

@@ -16,6 +16,7 @@ from .estimators import (
     NpaCovariances,
     build_estimators,
     consistency_diagnostics,
+    diagnose_unit_inputs,
     fit_unit_inputs,
     npa_covariances,
 )

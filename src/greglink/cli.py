@@ -27,7 +27,7 @@ from .estimators import (
     DiagnosticsReport,
     UnitInputs,
     build_estimators,
-    consistency_diagnostics,
+    diagnose_unit_inputs,
     fit_unit_inputs,
     link_sums,
     npa_covariances,
@@ -113,11 +113,11 @@ def estimate_from_inputs(inputs: EstimationInputs, estimator: str, target: str,
     in ``built``, and compute its diagnostic, when defined, on the rows it
     was fitted on, as a stack of one sample."""
     sample, unit_inputs = inputs.sample, built[estimator]
-    fit = fit_unit_inputs(unit_inputs, sample.ids[None], inputs.y[None], sample.pi[None],
-                          sample.design, target, strict=True)
-    kind = ESTIMATORS[estimator].diagnostic
-    diag = None if kind is None else consistency_diagnostics(
-        unit_inputs.rows[0][sample.ids][None], sample.pi[None], inputs.aux, sample.design, kind)
+    pos, pi = sample.ids[None], sample.pi[None]
+    fit = fit_unit_inputs(unit_inputs, pos, inputs.y[None], pi, sample.design, target,
+                          strict=True)
+    diag = None if ESTIMATORS[estimator].diagnostic is None else diagnose_unit_inputs(
+        unit_inputs, pos, pi, inputs.aux, sample.design)
     return fit.first(estimator, target), diag
 
 
@@ -231,26 +231,25 @@ def _npa_lines(inputs: EstimationInputs) -> list[str]:
 
 
 def _sample_diagnostics(inputs: EstimationInputs, q: float) -> list[DiagnosticsReport]:
-    """The consistency diagnostics the files allow, each on the rows its
-    estimator fits: ``sbl`` needs best links, ``sls`` no weights.
+    """The consistency diagnostics the files allow, each by
+    ``diagnose_unit_inputs`` on the rows its estimator fits: ``sbl`` needs
+    best links, and ``sls`` no weights, as its rows are the ``link_sums``.
 
     ``sri`` is left out when the weight column fails as reverse weights yet
     covers the population, for ``_npa_lines`` has then taken it as ``pi``'s
     incidence weights.
     """
-    ids = inputs.sample.ids
-    rows = {"sls": link_sums(inputs.linkage, inputs.aux)[ids]}
+    built = {"sls": UnitInputs("sls", (link_sums(inputs.linkage, inputs.aux),))}
     tags = ["sri", "sbl"] if inputs.best_links is not None else ["sri"]
     try:
-        built = build_file_estimators(inputs, tags, q)
+        built.update(build_file_estimators(inputs, tags, q))
     except ValidationError:
         if inputs.weights is None or inputs.linkage.scope != POPULATION:
             raise
-        built = build_file_estimators(inputs, tags[1:], q)
-    rows.update((tag, unit_inputs.rows[0][ids]) for tag, unit_inputs in built.items())
-    return [consistency_diagnostics(rows[tag][None], inputs.sample.pi[None], inputs.aux,
-                                    inputs.sample.design, tag)
-            for tag in DIAGNOSTIC_KINDS if tag in rows]
+        built.update(build_file_estimators(inputs, tags[1:], q))
+    return [diagnose_unit_inputs(built[tag], inputs.sample.ids[None], inputs.sample.pi[None],
+                                 inputs.aux, inputs.sample.design)
+            for tag in DIAGNOSTIC_KINDS if tag in built]
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:

@@ -12,7 +12,9 @@ total (the known population total, or N x the auxiliary-file mean).
 Estimators whose total is N x the auxiliary-file mean are computable from
 sample links alone; their design consistency rests on the linkage being
 non-informative of the auxiliary values, which ``consistency_diagnostics``
-turns into a testable statistic.
+turns into a testable statistic. ``diagnose_unit_inputs`` takes it for an
+estimator on the rows its fit gathers, as ``estimate``, ``diagnose
+--sample`` and the acceptance tests do.
 
 ``build_estimators`` turns rules into per-unit arrays over one linkage, in
 simulation and from files alike, and ``fit_unit_inputs`` fits a rule on a
@@ -190,6 +192,17 @@ class GregSpec:
         object.__setattr__(self, "total", t)
 
 
+def _fit_variances(residuals: np.ndarray, pi: np.ndarray, design: SurveyDesign,
+                   q: int) -> np.ndarray:
+    """``equal_probability_variances`` of the residuals of a fit of ``q``
+    coefficients. Outside a census, n <= q units leave the fit no residual
+    degrees of freedom: its residuals are zero by construction, and the
+    variance is NaN (Särndal, Swensson & Wretman 1992, ch. 6)."""
+    if residuals.shape[-1] <= q and design.f < 1:
+        return np.full(residuals.shape[:-1], np.nan)
+    return equal_probability_variances(residuals, pi, design)
+
+
 def greg_batch(x: np.ndarray, y: np.ndarray, pi: np.ndarray, total: np.ndarray,
                design: SurveyDesign, target: str = "total",
                strict: bool = False) -> BatchEstimate:
@@ -199,13 +212,14 @@ def greg_batch(x: np.ndarray, y: np.ndarray, pi: np.ndarray, total: np.ndarray,
     ``x`` (..., n, q) holds each sample's design matrix (intercept included),
     ``y`` and ``pi`` (..., n) its responses and inclusion probabilities,
     ``total`` (q,) the full calibration total. A near-singular fit gives
-    NaN, or raises under ``strict``.
+    NaN, or raises under ``strict``, and a fit without residual degrees of
+    freedom a NaN variance (see ``_fit_variances``).
     """
     check_finite_values(y)
     b = _weighted_least_squares(x, y, 1.0 / pi, strict)
     residuals = y - _fitted(x, b)
     values = np.sum(b * total, axis=-1) + np.sum(residuals / pi, axis=-1)
-    variances = equal_probability_variances(residuals, pi, design)
+    variances = _fit_variances(residuals, pi, design, x.shape[-1])
     return BatchEstimate(*scale_to_target(values, variances, target,
                                           design.n_population))
 
@@ -374,7 +388,8 @@ def sls_greg_batch(link_sum: np.ndarray, gram: np.ndarray, weighted: np.ndarray,
     number, and ``np.sum`` would add those pairwise rather than in order.
     Its intercept row and column are the estimated link total, which is the
     same sum of the same terms. A sample with fewer than q links, or a
-    near-singular fit, gives NaN; under ``strict`` either raises.
+    near-singular fit, gives NaN; under ``strict`` either raises. A sample
+    of n <= q units gets a NaN variance outside a census (``_fit_variances``).
     """
     check_finite_values(y)
     n_population = design.n_population
@@ -404,7 +419,7 @@ def sls_greg_batch(link_sum: np.ndarray, gram: np.ndarray, weighted: np.ndarray,
 
     taylor_residuals = (fit_residuals
                         + (d / rate) * np.sum(link_mean_hat * b, axis=-1)[..., None])
-    variances = equal_probability_variances(taylor_residuals, pi, design)
+    variances = _fit_variances(taylor_residuals, pi, design, link_sum.shape[-1])
     values = np.where(too_few, np.nan, values)
     variances = np.where(too_few, np.nan, variances)
     return BatchEstimate(*scale_to_target(values, variances, target, n_population))
@@ -598,16 +613,34 @@ def fit_unit_inputs(inputs: UnitInputs, pos: np.ndarray, y: np.ndarray,
     return fit
 
 
+def diagnose_unit_inputs(inputs: UnitInputs, pos: np.ndarray, pi: np.ndarray,
+                         aux: AuxDatabase, design: SurveyDesign) -> DiagnosticsReport:
+    """The ``consistency_diagnostics`` of ``inputs``' rule on stacked samples,
+    on the first of its rows as ``fit_unit_inputs`` gathers them at ``pos``
+    (..., n), with ``pi`` (..., n). A rule without a diagnostic raises
+    ``ValidationError``."""
+    rule = _rule(inputs.tag)
+    if rule.diagnostic is None:
+        raise ValidationError(f"estimator {inputs.tag!r} has no consistency diagnostic")
+    (rows,) = _gather(rule, inputs.rows[:1], pos)
+    return consistency_diagnostics(rows, pi, aux, design, rule.diagnostic)
+
+
+def _gather(rule: EstimatorRule, rows: tuple[np.ndarray, ...],
+            pos: np.ndarray) -> list[np.ndarray]:
+    """``rows`` at the positions ``pos`` (..., n), as ``rule``'s fit takes
+    them: the link-set rows unit-major, the layout in which
+    ``sls_greg_batch`` sums fastest."""
+    if rule.covariate == LINK_SET:
+        units = np.moveaxis(pos, -1, 0)
+        return [np.moveaxis(np.take(a, units, axis=0), 0, pos.ndim - 1) for a in rows]
+    return [np.take(a, pos, axis=0) for a in rows]
+
+
 def _fit(inputs: UnitInputs, pos: np.ndarray, y: np.ndarray, pi: np.ndarray,
          design: SurveyDesign, target: str, strict: bool) -> BatchEstimate:
     rule = _rule(inputs.tag)
-    if rule.covariate == LINK_SET:
-        # unit-major, the layout in which sls_greg_batch sums fastest
-        units = np.moveaxis(pos, -1, 0)
-        rows = [np.moveaxis(np.take(a, units, axis=0), 0, pos.ndim - 1)
-                for a in inputs.rows]
-    else:
-        rows = [np.take(a, pos, axis=0) for a in inputs.rows]
+    rows = _gather(rule, inputs.rows, pos)
     if rule.covariate is None:
         return ht_total_batch(y, pi, design, target)
     if rule.covariate == ONLY_LINK:

@@ -177,9 +177,9 @@ class EstimatorSummary:
     mean: float
     variance: float
     mse: float
-    mean_variance_estimate: float
+    mean_variance_estimate: float | None
     se: float
-    ese: float
+    ese: float | None
     re: float | None
     rmse: float | None
     failures: int
@@ -215,7 +215,9 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> MonteCarloSummary:
     thread pool of at most one thread per chunk, so a single chunk runs in
     the calling thread; an error raised in a chunk is raised here as it is.
     Aggregation is a sequential reduction in replicate order, so results do
-    not depend on thread scheduling.
+    not depend on thread scheduling. An estimator with no variance estimate
+    in any kept replicate, as when no fit has residual degrees of freedom,
+    has no ESE.
     """
     y, truth, inputs = _build_block(config)
     k_total = config.replicates
@@ -247,7 +249,8 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> MonteCarloSummary:
     ht = tags.index("ht") if "ht" in tags else None
     rows = []
     for j, tag in enumerate(tags):
-        mean_varest = float(np.nanmean(varests[ok[:, j], j]))
+        varest = varests[ok[:, j], j]
+        mean_varest = None if np.isnan(varest).all() else float(np.nanmean(varest))
         rows.append(EstimatorSummary(
             estimator=tag,
             mean=float(kept[j].mean()),
@@ -255,7 +258,7 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> MonteCarloSummary:
             mse=mses[j],
             mean_variance_estimate=mean_varest,
             se=math.sqrt(variances[j]),
-            ese=math.sqrt(mean_varest),
+            ese=None if mean_varest is None else math.sqrt(mean_varest),
             re=None if ht is None else variances[j] / variances[ht],
             rmse=None if ht is None else mses[j] / mses[ht],
             failures=failures[j],
@@ -289,16 +292,13 @@ def summarize_to_table(summaries: list[MonteCarloSummary]) -> str:
         head = (f"{summary.name}: target={cfg.target} truth={summary.truth:.6g} "
                 f"replicates={cfg.replicates}")
         labels = [est.label for est in summary.estimators]
-        width = max([10] + [len(lab) + 2 for lab in labels])
-        lines = [head,
-                 "metric" + "".join(f"{lab:>{width}}" for lab in labels)]
-        for metric in _METRICS:
-            cells = []
-            for est in summary.estimators:
-                value = _metric_value(est, metric)
-                cells.append("-".rjust(width) if value is None
-                             else f"{value:>{width}.6g}")
-            lines.append(f"{metric:<6}" + "".join(cells))
+        rows = [["-" if (value := _metric_value(est, metric)) is None else f"{value:.6g}"
+                 for est in summary.estimators] for metric in _METRICS]
+        widths = [max(10, *(len(text) + 2 for text in column))
+                  for column in zip(labels, *rows)]
+        lines = [head, "metric" + "".join(f"{lab:>{w}}" for lab, w in zip(labels, widths))]
+        for metric, cells in zip(_METRICS, rows):
+            lines.append(f"{metric:<6}" + "".join(f"{c:>{w}}" for c, w in zip(cells, widths)))
         failures = {est.label: est.failures for est in summary.estimators
                     if est.failures}
         if failures:

@@ -21,9 +21,8 @@ from greglink.design import (
 )
 from greglink.estimators import (
     build_estimators,
-    consistency_diagnostics,
+    diagnose_unit_inputs,
     greg_batch,
-    link_sums,
 )
 from greglink.harness import ScenarioConfig, load_scenario_file, run_scenario
 from greglink.linkage import (
@@ -309,19 +308,19 @@ def test_criterion_8_weight_constraint_suite():
 
 def _rejections(linkage, reverse, best, aux, key, replicates):
     """Per diagnostic, the samples among ``replicates`` SRSWOR draws of 100
-    units, stream ``key``, whose largest |z| exceeds 1.96. Each diagnostic's rows are
-    built once over the population links and gathered at every sample, as
-    the harness gathers its fits; link sums are local to each unit, so they
-    equal the rows over the sample's own links."""
+    units, stream ``key``, whose largest |z| exceeds 1.96. Each estimator's
+    inputs are built once over the population links, and its diagnostic is
+    taken by ``diagnose_unit_inputs`` on the rows its fit gathers at every
+    sample, as ``estimate`` takes it; link sums are local to each unit, so
+    they equal the rows over the sample's own links."""
     n_population, n = aux.n_records, 100
     design = SurveyDesign(n_population, n)
     ids = replicate_ids(n_population, n, SEED, (key,), range(replicates))
     pi = np.full(ids.shape, design.f)
-    sri, sbl = build_estimators(["sri", "sbl"], linkage, aux, reverse.values, best)
-    rows = {"sri": sri.rows[0], "sbl": sbl.rows[0], "sls": link_sums(linkage, aux)}
-    return {kind: int(np.sum(np.max(np.abs(consistency_diagnostics(
-                rows[kind][ids], pi, aux, design, kind).z), axis=-1) > 1.96))
-            for kind in rows}
+    built = build_estimators(["sri", "sbl", "sls"], linkage, aux, reverse.values, best)
+    return {inputs.tag: int(np.sum(np.max(np.abs(diagnose_unit_inputs(
+                inputs, ids, pi, aux, design).z), axis=-1) > 1.96))
+            for inputs in built}
 
 
 def test_criterion_9_diagnostics_calibration():

@@ -19,24 +19,26 @@ def test_record_writes_every_metric_with_its_spread_and_provenance(tmp_path):
     assert done.stdout == f"{tmp_path / 'BENCH_smoke.json'}\n"
     record = json.loads((tmp_path / "BENCH_smoke.json").read_text(encoding="utf-8"))
 
-    assert set(record) == {"label", "provenance", "workloads"}
+    assert set(record) == {"label", "provenance", "workloads", "workloads_one_arena"}
     assert record["label"] == "smoke"
     assert set(record["provenance"]) == {"commit", "dirty", "nproc", "python", "numpy",
                                          "date", "command", "repeats", "seconds", "smoke"}
     assert record["provenance"]["command"] == spec["command"]
     assert record["provenance"]["repeats"] == 1 and record["provenance"]["smoke"] is True
 
-    assert list(record["workloads"]) == ["mc_setup_large"]
-    summary = record["workloads"]["mc_setup_large"]
-    assert set(summary) == {"metrics", "minor_faults", "slowdown", "correct",
-                            "attempted", "failed", "runs"}
-    assert summary["correct"] is True and summary["failed"] == 0
-    assert summary["attempted"] > 0 and summary["slowdown"] > 0
-    assert summary["minor_faults"]["median"] > 0
-    assert list(summary["metrics"]) == [m["name"] for m in spec["end_to_end"]]
-    for metric in spec["end_to_end"]:
-        spread = summary["metrics"][metric["name"]]
-        assert spread["unit"] == metric["unit"]
-        assert spread["q1"] <= spread["median"] <= spread["q3"]
-        assert spread["median"] == summary["runs"][0]["metrics"][metric["name"]]
-    assert len(summary["runs"]) == 1
+    # the runs with MALLOC_ARENA_MAX=1 are summarised in the same shape
+    for workloads in (record["workloads"], record["workloads_one_arena"]):
+        assert list(workloads) == ["mc_setup_large"]
+        summary = workloads["mc_setup_large"]
+        assert set(summary) == {"metrics", "minor_faults", "slowdown", "correct",
+                                "attempted", "failed", "runs"}
+        assert summary["correct"] is True and summary["failed"] == 0
+        assert summary["attempted"] > 0 and summary["slowdown"] > 0
+        assert summary["minor_faults"]["median"] > 0
+        assert list(summary["metrics"]) == [m["name"] for m in spec["end_to_end"]]
+        for metric in spec["end_to_end"]:
+            spread = summary["metrics"][metric["name"]]
+            assert spread["unit"] == metric["unit"]
+            assert spread["q1"] <= spread["median"] <= spread["q3"]
+            assert spread["median"] == summary["runs"][0]["metrics"][metric["name"]]
+        assert len(summary["runs"]) == 1

@@ -657,6 +657,19 @@ def test_diagnose_one_unit_sample_has_no_z(tmp_path, capsys):
     ]
 
 
+def test_a_fit_without_residual_degrees_of_freedom_has_no_variance(tmp_path):
+    # two sampled units fit 2 model columns with zero residuals: sbl and sri
+    # printed SE 3.14018e-16 and sls SE 0, with exit 0; ht fits no model
+    paths = write_files(tmp_path, aux="record_id,x1\na,1\nb,2\nc,4\n",
+                        links="unit_id,record_id\n1,a\n2,b\n3,c\n",
+                        sample="unit_id,y,pi\n1,2.0,0.5\n2,3.5,0.5\n")
+    code, out, err = _run_main(["estimate", *(a.format(**paths) for a in FILES),
+                                "--big-n", "4", "--estimator", "ht,sbl,sri,sls"])
+    assert (code, err) == (0, "")
+    assert [line for line in out.splitlines() if line.startswith("standard error")] == [
+        "standard error: 2.12132", *["standard error: unavailable"] * 3]
+
+
 def test_diagnose_unequal_pi_sample_has_no_z(unequal_pi_files, capsys):
     assert main(["diagnose", *unequal_pi_files]) == 0
     diagnostics = [line for line in capsys.readouterr().out.splitlines()
@@ -1103,24 +1116,37 @@ def contract_files(draw):
 def test_file_commands_print_finite_output_or_one_error_line(tmp_path_factory, files, target):
     # either exit 0 with every estimate, variance and SE finite or
     # "unavailable", a z of ±inf only in a census, and nothing on stderr, or
-    # exit 1 or 2 with nothing on stdout and one error line
+    # exit 1 or 2 with nothing on stdout and one error line. Outside a
+    # census, a fit of dim + 1 columns on at most as many units leaves no
+    # residual degrees of freedom, so its variance is unavailable
     aux, links, sample, n_population = files
-    census = len(sample.splitlines()) - 1 == n_population
+    n_sampled = len(sample.splitlines()) - 1
+    census = n_sampled == n_population
+    no_df = not census and n_sampled <= aux.splitlines()[0].count(",") + 1
     folder = tmp_path_factory.getbasetemp()
     paths = [write(folder / name, text) for name, text in
              (("contract_aux.csv", aux), ("contract_links.csv", links),
               ("contract_sample.csv", sample))]
     common = ["--aux", paths[0], "--links", paths[1], "--sample", paths[2],
               "--big-n", str(n_population)]
-    for argv in (["estimate", *common, "--target", target,
-                  "--estimator", ",".join(FILE_ESTIMATORS)], ["diagnose", *common]):
+    fits = [",".join(FILE_ESTIMATORS)]
+    if no_df:
+        # one by one too, as sub rejects a subsample this small
+        fits += ["pi", "sbl", "sri", "sls"]
+    for argv in (*(["estimate", *common, "--target", target, "--estimator", fit]
+                   for fit in fits), ["diagnose", *common]):
         code, out, err = _run_main(argv)
         if code == 0:
             assert err == ""
+            fitted = False
             for line in out.splitlines():
                 key, _, value = line.partition(": ")
+                if key == "estimator":
+                    fitted = value in ("pi", "sbl", "sri", "sls")
                 if key in ("point estimate", "variance estimate", "standard error"):
                     assert value == "unavailable" or math.isfinite(float(value)), line
+                if key in ("variance estimate", "standard error") and no_df and fitted:
+                    assert value == "unavailable", line
                 if key.startswith("consistency diagnostic"):
                     zs = re.findall(r" z ([^,]+)", value)
                     assert census or not {"inf", "-inf"} & set(zs), line

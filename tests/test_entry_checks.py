@@ -12,8 +12,9 @@ from greglink.design import (Estimate, Sample, SurveyDesign, draw_srswor, exact_
                              rng_stream, scale_to_target)
 from greglink.errors import NumericalError, ValidationError
 from greglink.estimators import (DIAGNOSTIC_KINDS, ESTIMATORS, UnitInputs, build_estimators,
-                                 consistency_diagnostics, fit_unit_inputs, link_sums,
-                                 npa_covariances, wls_coefficients)
+                                 consistency_diagnostics, diagnose_unit_inputs,
+                                 fit_unit_inputs, link_sums, npa_covariances,
+                                 wls_coefficients)
 from greglink.harness import ScenarioConfig, parse_scenario_text, run_scenario
 from greglink.linkage import (AuxDatabase, Population, WeightScheme, WeightSumError,
                               build_linkage, link_values, multiplicity_weights,
@@ -362,6 +363,11 @@ ENTRY_REJECTIONS = [
            *((f"whose_spread_overflows_name_the_statistic-{kind}", (kind, "overflow"),
               f"{kind} consistency diagnostic is not finite: sums or squares of its per-unit "
               "contributions overflow", NumericalError) for kind in DIAGNOSTIC_KINDS)),
+    # a rule without a diagnostic has no rows to test
+    row("diagnose_unit_inputs_rejects_a_rule_without_a_diagnostic",
+        lambda: diagnose_unit_inputs(HT, np.array([[0, 1]]), np.full((1, 2), 0.5),
+                                     AuxDatabase.from_values(EXAMPLE_X[:4]), DESIGN),
+        "estimator 'ht' has no consistency diagnostic"),
 ]
 
 

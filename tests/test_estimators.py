@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from greglink.design import (
     SurveyDesign,
     draw_srswor,
+    replicate_ids,
     residual_variances,
     rng_stream,
 )
@@ -17,6 +18,7 @@ from greglink.estimators import (
     UnitInputs,
     build_estimators,
     consistency_diagnostics,
+    diagnose_unit_inputs,
     fit_unit_inputs,
     greg_batch,
     link_aggregates,
@@ -453,6 +455,17 @@ def _assert_rows_alone_equal_the_stack(rows, pi, aux, design, kind):
     return stacked
 
 
+@pytest.mark.parametrize("tag", ["ideal", "sri", "sls"])
+def test_a_fit_without_residual_degrees_of_freedom_has_a_variance_only_in_a_census(tag):
+    # two units fit 2 model columns; their residuals are zero by construction
+    aux = AuxDatabase.from_values([1.0, 4.0])
+    (inputs,) = build_estimators([tag], build_linkage([(0, 0), (1, 0), (1, 1)], 2, aux), aux)
+    for design, variance in ((SurveyDesign(4, 2), None), (SurveyDesign(2, 2), 0.0)):
+        fit = fit_unit_inputs(inputs, np.array([[0, 1]]), np.array([[2.0, 3.5]]),
+                              np.full((1, 2), design.f), design, strict=True)
+        assert fit.first(tag, "total").variance == variance
+
+
 @pytest.mark.parametrize("kind", DIAGNOSTIC_KINDS)
 def test_diagnostics_of_a_stack_equal_each_sample_alone(kind):
     # 6 seeds, n from 2 to 333, 1 to 3 auxiliary columns with the second
@@ -478,6 +491,33 @@ def test_diagnostics_of_a_stack_equal_each_sample_alone(kind):
                                                np.sum(linked[..., None] * xs, axis=-2)],
                                               axis=-1)}[kind]
                 _assert_rows_alone_equal_the_stack(rows, pi, aux, design, kind)
+
+
+@pytest.mark.parametrize("tag", ["sri", "sbl", "sls"])
+def test_diagnose_unit_inputs_of_a_stack_equals_each_sample_alone(tag):
+    # inputs built over drawn population links, of 1 and 2 auxiliary
+    # columns; each sample's diagnostic alone equals its row of the stack and
+    # the statistic on its rows gathered by hand, bit for bit
+    n_population, stack = 1000, 5
+    x, _ = gen_population(PopulationModel(n_units=n_population), rng_stream(4, 0))
+    _, linkage, best = gen_linkage(n_population, LinkageModel((0.2, 0.4, 0.4), 0.4, 0.4),
+                                   rng_stream(4, 1))
+    for aux in (AuxDatabase.from_values(x),
+                AuxDatabase(x=np.column_stack([x, rng_stream(4, 2).normal(size=n_population)]))):
+        (inputs,) = build_estimators([tag], linkage, aux, best=best, q=0.4)
+        for n in (2, 3, 41, 150, 333):
+            design = SurveyDesign(n_population, n)
+            ids = replicate_ids(n_population, n, 4, (3,), range(stack))
+            pi = np.full(ids.shape, design.f)
+            stacked = diagnose_unit_inputs(inputs, ids, pi, aux, design)
+            for b in range(stack):
+                alone = diagnose_unit_inputs(inputs, ids[b:b + 1], pi[b:b + 1], aux, design)
+                by_hand = consistency_diagnostics(inputs.rows[0][ids[b:b + 1]], pi[b:b + 1],
+                                                  aux, design, tag)
+                for name in ("value", "variance", "z"):
+                    bits = getattr(stacked, name)[b].tobytes()
+                    assert getattr(alone, name)[0].tobytes() == bits
+                    assert getattr(by_hand, name)[0].tobytes() == bits
 
 
 def test_diagnostic_rules_act_per_sample():

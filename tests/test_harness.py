@@ -4,6 +4,7 @@ import dataclasses
 import json
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -325,6 +326,33 @@ def test_table_column_order_and_metrics():
         assert any(line.startswith(metric) for line in table.splitlines())
     rows = summary_csv_rows(summary)
     assert ("RE", "ht", 1.0) in rows
+
+
+def test_table_cells_of_ten_or_more_characters_stay_apart():
+    # at sigma = 0.01 Ideal's and Sub's SE and RE print 10 or 11 characters,
+    # which ran into their neighbours in columns 10 wide:
+    # "SE 0.1573430.0009859080.00226398 ..."
+    (config,) = parse_scenario_text(
+        "population = 2000\nsample = 100\nreplicates = 40\nsigma = 0.01\n")
+    summary = run_scenario(config)
+    assert max(len(f"{value:.6g}") for *_, value in summary_csv_rows(summary)) >= 10
+    for line in summarize_to_table([summary]).splitlines()[2:]:
+        assert len(line.split()) == 1 + len(config.estimators), line
+
+
+def test_fits_without_residual_degrees_of_freedom_have_no_ese():
+    # two sampled units leave a fit of 2 model columns no residual degrees of
+    # freedom, so every regression estimator's variance is NaN: ESE read
+    # 6.51654e-09 for Ideal and 1.11125e-13 for PI-m, and an all-NaN mean warned
+    config = ScenarioConfig(name="two", n_population=50, sample_size=2, replicates=40,
+                            estimators=("ht", "ideal", "pi-m", "sbl", "sri-q", "sls"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summary = run_scenario(config)
+    assert [est.ese is None for est in summary.estimators] == [False] + [True] * 5
+    assert [tag for metric, tag, _ in summary_csv_rows(summary) if metric == "ESE"] == ["ht"]
+    ese = summarize_to_table([summary]).splitlines()[3].split()
+    assert ese == ["ESE", f"{summary.get('ht').ese:.6g}", *["-"] * 5]
 
 
 SCENARIO_TEXT = """\
