@@ -17,6 +17,12 @@ environment only, and those runs are summarised the same way under
 ``workloads_one_arena``: glibc's malloc then keeps one arena, so the peak RSS
 and the two-worker wall time no longer move with how the threads' memory is
 spread over arenas.
+
+Under ``startup`` it keeps the median, Q1 and Q3 of the wall seconds of
+``python -c 'import greglink.cli'`` and of ``python -m greglink.cli simulate``
+on each bundled reference block (``--k 2`` under ``--smoke``), run as many
+times each as the workloads, with the sources of this checkout: at the
+paper's sizes most of a block's wall time is start-up.
 """
 
 from __future__ import annotations
@@ -30,11 +36,13 @@ import resource
 import statistics
 import subprocess
 import sys
+import time
 from datetime import datetime, timezone
 from importlib.metadata import version
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+REFERENCE_BLOCKS = ("table1_block1", "table2_block2", "table3_block3")
 
 
 def _git(*args: str) -> str | None:
@@ -77,6 +85,30 @@ def _run(command: list[str], env: dict[str, str] | None = None) -> dict:
             "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"], "slowdown": detail["slowdown"],
             "minor_faults": faults}
+
+
+def _startup(repeats: int, smoke: bool) -> dict:
+    """Wall seconds of importing the CLI and of simulating each reference
+    block, in turns, ``repeats`` times each."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": str(ROOT / "src") + (os.pathsep + path if path else "")}
+    commands = {"import_cli": [sys.executable, "-c", "import greglink.cli"]}
+    for block in REFERENCE_BLOCKS:
+        commands[f"simulate_{block}"] = [
+            sys.executable, "-m", "greglink.cli", "simulate", f"scenarios/{block}.scenario",
+            *(["--k", "2"] if smoke else [])]
+    seconds: dict[str, list[float]] = {name: [] for name in commands}
+    for repeat in range(repeats):
+        for name, command in commands.items():
+            start = time.perf_counter()
+            done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, env=env)
+            seconds[name].append(time.perf_counter() - start)
+            if done.returncode != 0:
+                raise SystemExit(f"error: {' '.join(command)} exited {done.returncode}:\n"
+                                 f"{done.stderr.strip()}")
+            print(f"{name} {repeat + 1}/{repeats}: {seconds[name][-1]:.3f} s", file=sys.stderr)
+    return {name: {"unit": "s", **_spread(values)} for name, values in seconds.items()}
 
 
 def _spread(values: list[float]) -> dict:
@@ -133,7 +165,8 @@ def main(argv: list[str] | None = None) -> int:
 
     record = {"label": args.label, "provenance": provenance,
               "workloads": {w: _summary(runs[w], units) for w in workloads},
-              "workloads_one_arena": {w: _summary(arena_runs[w], units) for w in workloads}}
+              "workloads_one_arena": {w: _summary(arena_runs[w], units) for w in workloads},
+              "startup": _startup(args.repeats, args.smoke)}
     args.out_dir.mkdir(parents=True, exist_ok=True)
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

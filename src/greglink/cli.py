@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from collections import Counter
 from pathlib import Path
 from typing import NoReturn
 
@@ -27,6 +26,7 @@ from .estimators import (
     DiagnosticsReport,
     UnitInputs,
     build_estimators,
+    check_estimator_ids,
     diagnose_unit_inputs,
     fit_unit_inputs,
     link_sums,
@@ -164,13 +164,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     estimators = [e.strip() for e in args.estimator.split(",") if e.strip()]
     if not estimators:
         raise ValidationError("no estimator requested")
-    repeated = [tag for tag, n in Counter(estimators).items() if n > 1]
-    if repeated:
-        raise ValidationError(f"--estimator repeats {', '.join(repeated)}")
-    for estimator in estimators:
-        if estimator not in FILE_ESTIMATORS:
-            raise ValidationError(f"unknown estimator {estimator!r}; "
-                                  f"choose from {', '.join(FILE_ESTIMATORS)}")
+    check_estimator_ids(estimators, FILE_ESTIMATORS)
     inputs = assemble_estimation_inputs(args.sample, args.aux, args.links,
                                         n_population=args.big_n)
     # every input is built, and every estimate computed, before any is

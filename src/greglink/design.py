@@ -2,8 +2,9 @@
 
 Only simple random sampling without replacement (SRSWOR) ships with a sampler
 and a closed-form variance estimator. Externally supplied inclusion
-probabilities are accepted for estimation from files; their variance is
-reported as unavailable unless the probabilities are all equal.
+probabilities are accepted for estimation from files. One function,
+``equal_probability_variances``, computes every design-based variance and
+decides whether a sample has one.
 """
 
 from __future__ import annotations
@@ -402,40 +403,40 @@ def ht_total(values: np.ndarray, sample: Sample, target: str = "total") -> Estim
     return batch.first("ht", target)
 
 
-def residual_variances(residuals: np.ndarray, design: SurveyDesign,
-                       kept: np.ndarray | None = None) -> np.ndarray:
-    """SRSWOR variance estimator N^2 (1-f) s^2 / n along the last axis.
+def equal_probability_variances(residuals: np.ndarray, pi: np.ndarray,
+                                design: SurveyDesign, kept: np.ndarray | None = None,
+                                q: int = 0) -> np.ndarray:
+    """Design-based variance estimates N^2 (1-f) s^2 / n of stacked samples,
+    and NaN for each sample that has none.
 
-    ``kept`` (same shape, boolean) selects the residuals that count; by
-    default all do. The effective size n is the count of kept residuals,
-    which may be smaller than the design's sample size (subsample
-    estimators); the finite-population correction stays at the design's
-    sampling fraction. A row with fewer than 2 kept residuals gives NaN.
-    Callers are responsible for only using rows from equal-probability
-    samples.
+    ``residuals`` (..., n) are the sample's residuals, or its study values
+    for Horvitz-Thompson; ``pi`` (..., n) its inclusion probabilities, and
+    ``kept`` (same shape, boolean) the residuals that count, all by default.
+    s^2 is the sample variance of the kept residuals and n their count; the
+    finite-population correction stays at the design's sampling fraction f,
+    also for a subsample. A sample has a design-based variance estimator
+    only when (Särndal, Swensson & Wretman 1992, ch. 3 and 6):
+
+    - its inclusion probabilities are all equal, as under SRSWOR;
+    - at least 2 of its residuals count, so s^2 exists; and
+    - outside a census (f < 1), more than ``q`` count, for residuals of a
+      fit of ``q`` coefficients on the sample: n <= q units leave the fit
+      no residual degrees of freedom, and its residuals are zero by
+      construction. Coefficients fixed outside the sample take q = 0.
     """
     e = np.asarray(residuals, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         if kept is None:
-            n_eff = e.shape[-1]
-            dev = e - np.sum(e, axis=-1, keepdims=True) / n_eff
+            n = e.shape[-1]
+            dev = e - np.sum(e, axis=-1, keepdims=True) / n
         else:
-            n_eff = np.sum(kept, axis=-1)
-            mean = np.sum(e * kept, axis=-1, keepdims=True) / n_eff[..., None]
+            n = np.sum(kept, axis=-1)
+            mean = np.sum(e * kept, axis=-1, keepdims=True) / n[..., None]
             dev = (e - mean) * kept
-        s2 = np.sum(dev * dev, axis=-1) / (n_eff - 1)
-        return design.n_population**2 * (1.0 - design.f) * s2 / n_eff
-
-
-def equal_probability_variances(residuals: np.ndarray, pi: np.ndarray,
-                                design: SurveyDesign,
-                                kept: np.ndarray | None = None) -> np.ndarray:
-    """``residual_variances`` of the samples (rows of ``pi``) with equal
-    inclusion probabilities and at least 2 units, over the residuals
-    ``kept`` selects; NaN for the others, which have no design-based
-    variance estimator."""
-    applies = np.all(pi == pi[..., :1], axis=-1) & (pi.shape[-1] >= 2)
-    return np.where(applies, residual_variances(residuals, design, kept), np.nan)
+        s2 = np.sum(dev * dev, axis=-1) / (n - 1)
+        variances = design.n_population**2 * (1.0 - design.f) * s2 / n
+    exists = np.all(pi == pi[..., :1], axis=-1) & (n >= 2) & ((n > q) | (design.f == 1))
+    return np.where(exists, variances, np.nan)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,11 @@ simulation and from files alike, and ``fit_unit_inputs`` fits a rule on a
 stack of samples with one batched kernel (``ht_total_batch``,
 ``greg_batch``, ``sub_greg_batch``, ``sls_greg_batch``). The Monte Carlo
 harness fits chunks of replicates this way and the command line a stack of
-one sample.
+one sample. Each kernel, and ``consistency_diagnostics``, takes its variance
+from ``design.equal_probability_variances``, which also decides whether the
+sample has one; a regression kernel passes it the number of coefficients it
+fits. ``check_estimator_ids`` checks the ids a scenario block or a command
+requests.
 
 No package code calls the single-sample names: ``GregSpec``, ``greg``,
 ``sub_greg`` and ``sls_greg`` here, ``design.ht_total``,
@@ -192,17 +196,6 @@ class GregSpec:
         object.__setattr__(self, "total", t)
 
 
-def _fit_variances(residuals: np.ndarray, pi: np.ndarray, design: SurveyDesign,
-                   q: int) -> np.ndarray:
-    """``equal_probability_variances`` of the residuals of a fit of ``q``
-    coefficients. Outside a census, n <= q units leave the fit no residual
-    degrees of freedom: its residuals are zero by construction, and the
-    variance is NaN (Särndal, Swensson & Wretman 1992, ch. 6)."""
-    if residuals.shape[-1] <= q and design.f < 1:
-        return np.full(residuals.shape[:-1], np.nan)
-    return equal_probability_variances(residuals, pi, design)
-
-
 def greg_batch(x: np.ndarray, y: np.ndarray, pi: np.ndarray, total: np.ndarray,
                design: SurveyDesign, target: str = "total",
                strict: bool = False) -> BatchEstimate:
@@ -212,14 +205,14 @@ def greg_batch(x: np.ndarray, y: np.ndarray, pi: np.ndarray, total: np.ndarray,
     ``x`` (..., n, q) holds each sample's design matrix (intercept included),
     ``y`` and ``pi`` (..., n) its responses and inclusion probabilities,
     ``total`` (q,) the full calibration total. A near-singular fit gives
-    NaN, or raises under ``strict``, and a fit without residual degrees of
-    freedom a NaN variance (see ``_fit_variances``).
+    NaN, or raises under ``strict``; ``equal_probability_variances`` decides
+    whether its variance exists.
     """
     check_finite_values(y)
     b = _weighted_least_squares(x, y, 1.0 / pi, strict)
     residuals = y - _fitted(x, b)
     values = np.sum(b * total, axis=-1) + np.sum(residuals / pi, axis=-1)
-    variances = _fit_variances(residuals, pi, design, x.shape[-1])
+    variances = equal_probability_variances(residuals, pi, design, q=x.shape[-1])
     return BatchEstimate(*scale_to_target(values, variances, target,
                                           design.n_population))
 
@@ -251,9 +244,8 @@ def sub_greg_batch(x: np.ndarray, y: np.ndarray, pi: np.ndarray, kept: np.ndarra
     ``x`` (..., n, q) holds matched covariates with the intercept first,
     ``y`` and ``pi`` (..., n) the responses and inclusion probabilities,
     ``kept`` (..., n) marks the single-link units that enter, and
-    ``coefficients`` (q,) or (..., q) are held fixed. A sample with fewer
-    than 2 kept units gives NaN, and one with unequal ``pi`` a NaN variance:
-    its unweighted subsample mean has no design-based variance estimator.
+    ``coefficients`` (q,) or (..., q) are held fixed, not fitted on the
+    sample. A sample with fewer than 2 kept units gives NaN.
     """
     check_finite_values(y)
     b = np.broadcast_to(coefficients, x.shape[:-2] + x.shape[-1:])
@@ -262,11 +254,9 @@ def sub_greg_batch(x: np.ndarray, y: np.ndarray, pi: np.ndarray, kept: np.ndarra
     with np.errstate(divide="ignore", invalid="ignore"):
         mean_values = (np.sum(b * np.concatenate([[1.0], aux_mean]), axis=-1)
                        + np.sum(residuals * kept, axis=-1) / n_sub)
+    mean_values = np.where(n_sub < 2, np.nan, mean_values)
     mean_variances = (equal_probability_variances(residuals, pi, design, kept)
                       / design.n_population**2)
-    too_few = n_sub < 2
-    mean_values = np.where(too_few, np.nan, mean_values)
-    mean_variances = np.where(too_few, np.nan, mean_variances)
     if target == "mean":
         return BatchEstimate(mean_values, mean_variances)
     if target != "total":
@@ -388,8 +378,9 @@ def sls_greg_batch(link_sum: np.ndarray, gram: np.ndarray, weighted: np.ndarray,
     number, and ``np.sum`` would add those pairwise rather than in order.
     Its intercept row and column are the estimated link total, which is the
     same sum of the same terms. A sample with fewer than q links, or a
-    near-singular fit, gives NaN; under ``strict`` either raises. A sample
-    of n <= q units gets a NaN variance outside a census (``_fit_variances``).
+    near-singular fit, gives NaN; under ``strict`` either raises. The
+    variance of the Taylor residuals is ``equal_probability_variances`` for a
+    fit of q coefficients on the n sampled units.
     """
     check_finite_values(y)
     n_population = design.n_population
@@ -419,7 +410,8 @@ def sls_greg_batch(link_sum: np.ndarray, gram: np.ndarray, weighted: np.ndarray,
 
     taylor_residuals = (fit_residuals
                         + (d / rate) * np.sum(link_mean_hat * b, axis=-1)[..., None])
-    variances = _fit_variances(taylor_residuals, pi, design, link_sum.shape[-1])
+    variances = equal_probability_variances(taylor_residuals, pi, design,
+                                            q=link_sum.shape[-1])
     values = np.where(too_few, np.nan, values)
     variances = np.where(too_few, np.nan, variances)
     return BatchEstimate(*scale_to_target(values, variances, target, n_population))
@@ -491,13 +483,22 @@ ESTIMATORS["pi"] = ESTIMATORS["pi-m"]
 ESTIMATORS["sri"] = ESTIMATORS["sri-q"]
 
 
+def check_estimator_ids(tags, allowed=ESTIMATORS) -> None:
+    """Reject the first of the estimator ids ``tags``, in their order, that
+    ``allowed`` does not hold or that an earlier id repeats: a repeated
+    estimator would be fitted and reported twice."""
+    for i, tag in enumerate(tags):
+        if tag not in allowed:
+            raise ValidationError(f"unknown estimator {tag!r}; "
+                                  f"choose from {', '.join(allowed)}")
+        if tag in tags[:i]:
+            raise ValidationError(f"repeated estimator {tag!r}")
+
+
 def _rule(tag: str) -> EstimatorRule:
     """The rule of the estimator ``tag`` in ``ESTIMATORS``."""
-    try:
-        return ESTIMATORS[tag]
-    except KeyError:
-        raise ValidationError(f"unknown estimator {tag!r}; "
-                              f"choose from {', '.join(ESTIMATORS)}") from None
+    check_estimator_ids((tag,))
+    return ESTIMATORS[tag]
 
 
 class UnitInputs(NamedTuple):

@@ -33,7 +33,6 @@ bit.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -43,7 +42,8 @@ import numpy as np
 
 from .design import SurveyDesign, replicate_ids, rng_stream
 from .errors import NumericalError, ValidationError
-from .estimators import ESTIMATOR_ORDER, ESTIMATORS, UnitInputs, build_estimators, fit_unit_inputs
+from .estimators import (ESTIMATOR_ORDER, ESTIMATORS, UnitInputs, build_estimators,
+                         check_estimator_ids, fit_unit_inputs)
 from .synthpop import (
     LinkageModel,
     PopulationModel,
@@ -96,19 +96,14 @@ class ScenarioConfig:
             raise ValidationError(f"name {self.name!r} cannot be part of a file name")
         if self.target not in ("mean", "total"):
             raise ValidationError(f"unknown target {self.target!r}")
-        unknown = [e for e in self.estimators if e not in ESTIMATOR_ORDER]
-        if unknown:
-            raise ValidationError(f"unknown estimators: {unknown}")
-        repeated = [tag for tag, n in Counter(self.estimators).items() if n > 1]
-        if repeated:
-            # each would be fitted and reported twice
-            raise ValidationError(f"repeated estimators: {repeated}")
         object.__setattr__(self, "estimators", tuple(self.estimators))
+        check_estimator_ids(self.estimators, ESTIMATOR_ORDER)
         object.__setattr__(self, "link_share",
                            tuple(float(v) for v in self.link_share))
-        # fail fast on bad model parameters
+        # fail fast on bad model parameters, and on link counts that no
+        # linkage draw of this population can meet
         self.population_model()
-        self.linkage_model()
+        self.linkage_model().counts(self.n_population)
 
     def population_model(self) -> PopulationModel:
         return PopulationModel(n_units=self.n_population, sigma=self.sigma,

@@ -97,6 +97,37 @@ class LinkageModel:
             raise ValidationError("best-link weight must lie in (0, 1]")
         object.__setattr__(self, "link_share", share)
 
+    def counts(self, n_units: int) -> tuple[np.ndarray, int, int]:
+        """The units with 1, 2 and 3 links, the matched units and the
+        correctly best-linked units that ``gen_linkage`` draws for
+        ``n_units`` units.
+
+        Raises ``ValidationError`` when rounding leaves fewer matched units
+        than single-link units, or correctly best-linked units outside the
+        single-link units to the matched units, and when any draw can give
+        a unit more false links, each a distinct record of another unit,
+        than the ``n_units - 1`` such records: a unit of the largest link
+        count can have all its links false as soon as some unit is unmatched.
+        """
+        if n_units < 1:
+            raise ValidationError("population must have at least 1 unit")
+        per_degree = proportional_counts(n_units, self.link_share)
+        n_single = int(per_degree[0])
+        matched = round(n_units * self.match_rate)
+        if matched < n_single:
+            raise ValidationError(f"match rate {self.match_rate} inconsistent with "
+                                  f"{n_single} single-link units")
+        correct_best = round(n_units * self.correct_best_rate)
+        if not n_single <= correct_best <= matched:
+            raise ValidationError(f"correct-best rate {self.correct_best_rate} "
+                                  "inconsistent with the match counts")
+        # the largest link count, less the match when every unit is matched
+        most_false = int(np.flatnonzero(per_degree)[-1]) + (matched < n_units)
+        if most_false >= n_units:
+            raise ValidationError(f"a unit can need {most_false} distinct false links, "
+                                  f"but only {n_units - 1} other records exist")
+        return per_degree, matched, correct_best
+
 
 def gen_population(model: PopulationModel,
                    rng: np.random.Generator) -> tuple[np.ndarray, Population]:
@@ -152,23 +183,18 @@ def gen_linkage(n_units: int, model: LinkageModel, rng: np.random.Generator
 
     Returns the matched units in ascending order (the units whose match,
     record i for unit i, is among their links), the population-scope
-    linkage, and the best-link record per unit.
+    linkage, and the best-link record per unit. ``model.counts(n_units)``
+    gives, and checks, the unit counts before any draw.
     """
-    counts = proportional_counts(n_units, model.link_share)
-    n_single = int(counts[0])
+    per_degree, n_matched, n_correct_best = model.counts(n_units)
+    n_single, n_double = int(per_degree[0]), int(per_degree[1])
 
     degree = np.empty(n_units, dtype=np.int64)
     perm = rng.permutation(n_units)
-    degree[perm[:counts[0]]] = 1
-    degree[perm[counts[0]:counts[0] + counts[1]]] = 2
-    degree[perm[counts[0] + counts[1]:]] = 3
+    degree[perm[:n_single]] = 1
+    degree[perm[n_single:n_single + n_double]] = 2
+    degree[perm[n_single + n_double:]] = 3
 
-    n_matched = round(n_units * model.match_rate)
-    if n_matched < n_single:
-        raise ValidationError(
-            f"match rate {model.match_rate} inconsistent with "
-            f"{n_single} single-link units"
-        )
     multi_units = np.flatnonzero(degree > 1)
     extra_matched = np.sort(rng.choice(multi_units, size=n_matched - n_single,
                                        replace=False))
@@ -176,9 +202,6 @@ def gen_linkage(n_units: int, model: LinkageModel, rng: np.random.Generator
     matched[extra_matched] = True
 
     n_false = degree - matched.astype(np.int64)
-    if n_false.max(initial=0) >= n_units:  # each a distinct record of another unit
-        raise ValidationError(f"a unit needs {n_false.max()} distinct false links, but only "
-                              f"{n_units - 1} other records exist")
     owners = np.repeat(np.arange(n_units, dtype=np.int64), n_false)
     false_records = _draw_false_records(rng, owners, n_units)
 
@@ -190,14 +213,8 @@ def gen_linkage(n_units: int, model: LinkageModel, rng: np.random.Generator
     del owners  # not needed again; freed before build_linkage's own arrays
     linkage = build_linkage(pairs, n_units, n_units)
 
-    n_correct_best = round(n_units * model.correct_best_rate)
-    n_extra_correct = n_correct_best - n_single
-    if not 0 <= n_extra_correct <= len(extra_matched):
-        raise ValidationError(
-            f"correct-best rate {model.correct_best_rate} inconsistent with "
-            f"the match counts"
-        )
-    correct_best = rng.choice(extra_matched, size=n_extra_correct, replace=False)
+    correct_best = rng.choice(extra_matched, size=n_correct_best - n_single,
+                              replace=False)
 
     best = np.full(n_units, -1, dtype=np.int64)
     best[degree == 1] = np.flatnonzero(degree == 1)

@@ -19,7 +19,8 @@ def test_record_writes_every_metric_with_its_spread_and_provenance(tmp_path):
     assert done.stdout == f"{tmp_path / 'BENCH_smoke.json'}\n"
     record = json.loads((tmp_path / "BENCH_smoke.json").read_text(encoding="utf-8"))
 
-    assert set(record) == {"label", "provenance", "workloads", "workloads_one_arena"}
+    assert set(record) == {"label", "provenance", "workloads", "workloads_one_arena",
+                           "startup"}
     assert record["label"] == "smoke"
     assert set(record["provenance"]) == {"commit", "dirty", "nproc", "python", "numpy",
                                          "date", "command", "repeats", "seconds", "smoke"}
@@ -42,3 +43,10 @@ def test_record_writes_every_metric_with_its_spread_and_provenance(tmp_path):
             assert spread["q1"] <= spread["median"] <= spread["q3"]
             assert spread["median"] == summary["runs"][0]["metrics"][metric["name"]]
         assert len(summary["runs"]) == 1
+
+    # start-up: the import alone, and each reference block's simulate
+    assert list(record["startup"]) == ["import_cli", "simulate_table1_block1",
+                                       "simulate_table2_block2", "simulate_table3_block3"]
+    for spread in record["startup"].values():
+        assert spread["unit"] == "s"
+        assert 0 < spread["q1"] == spread["median"] == spread["q3"]

@@ -274,6 +274,12 @@ REJECTIONS = [
     rejection("simulate_rejects_the_redraw_linkage_key", ["simulate", "{scenario}"],
               "error: {scenario}:4: unknown scenario key 'redraw_linkage'",
               scenario=SMALL_SCENARIO + "redraw_linkage = true\n"),
+    # the first block ran in full before the second one's linkage draw failed
+    rejection("simulate_checks_every_block_before_the_first_runs",
+              ["simulate", "{scenario}"],
+              "error: {scenario}: block 2: a unit can need 3 distinct false links, but "
+              "only 2 other records exist",
+              scenario=f"{SMALL_SCENARIO}\npopulation = 3\nsample = 2\nreplicates = 2\n"),
     # both blocks went to res_a.csv, which kept the second one only
     rejection("simulate_rejects_repeated_block_names_before_writing",
               ["simulate", "{scenario}", "--out", "{tmp}/out/res"],
@@ -334,12 +340,12 @@ REJECTIONS = [
     # the block printed two HT columns and wrote every HT row twice to --out
     rejection("a_repeated_estimator_in_a_scenario_block_is_rejected",
               ["simulate", "{scenario}", "--out", "{tmp}/out/res"],
-              "error: {scenario}: block 1: repeated estimators: ['ht']",
+              "error: {scenario}: block 1: repeated estimator 'ht'",
               scenario=SMALL_SCENARIO + "estimators = ht,ht,sri-q\n"),
     # the same estimate was printed twice
     rejection("a_repeated_estimate_estimator_is_rejected",
               ["estimate", *FILES, "--estimator", "sri, ht,sri", "--big-n", "6"],
-              "error: --estimator repeats sri", **LINEAR),
+              "error: repeated estimator 'sri'", **LINEAR),
     rejection("rarely_taken_errors_exit_with_validation_code-no-blocks",
               ["simulate", "{scenario}"], "error: {scenario}: no scenario blocks found",
               scenario="# nothing here\n\n"),
@@ -744,15 +750,16 @@ def test_simulate_out_of_memory_is_one_error_line(tmp_path, monkeypatch):
 
 def test_simulate_rejects_a_unit_with_more_false_links_than_other_records(tmp_path):
     # three units, one with three links and no match: its three distinct false
-    # records were redrawn from the two other records forever
+    # records were redrawn from the two other records forever. The block is
+    # rejected as the file is read, before any block runs
     scenario = write(tmp_path / "s.scenario",
                      "name = tiny\npopulation = 3\nsample = 2\nreplicates = 2\n")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     run = subprocess.run([sys.executable, "-m", "greglink.cli", "simulate", scenario],
                          capture_output=True, text=True, env=env, timeout=60)
     assert (run.returncode, run.stdout) == (1, "")
-    assert run.stderr == ("error: a unit needs 3 distinct false links, but only 2 other "
-                          "records exist\n")
+    assert run.stderr == (f"error: {scenario}: block 1: a unit can need 3 distinct false "
+                          "links, but only 2 other records exist\n")
 
 
 def test_simulate_quick_scenario(tmp_path, capsys):
@@ -1129,12 +1136,8 @@ def test_file_commands_print_finite_output_or_one_error_line(tmp_path_factory, f
               ("contract_sample.csv", sample))]
     common = ["--aux", paths[0], "--links", paths[1], "--sample", paths[2],
               "--big-n", str(n_population)]
-    fits = [",".join(FILE_ESTIMATORS)]
-    if no_df:
-        # one by one too, as sub rejects a subsample this small
-        fits += ["pi", "sbl", "sri", "sls"]
-    for argv in (*(["estimate", *common, "--target", target, "--estimator", fit]
-                   for fit in fits), ["diagnose", *common]):
+
+    def check(argv):
         code, out, err = _run_main(argv)
         if code == 0:
             assert err == ""
@@ -1153,3 +1156,12 @@ def test_file_commands_print_finite_output_or_one_error_line(tmp_path_factory, f
         else:
             assert code in (1, 2) and out == ""
             assert re.fullmatch(r"(error|numerical failure): [^\n]*\n", err), err
+        return code
+
+    estimate = ["estimate", *common, "--target", target, "--estimator"]
+    if check([*estimate, ",".join(FILE_ESTIMATORS)]) != 0:
+        # one estimator's failed precondition rejects the whole run, so each
+        # estimator runs alone too
+        for estimator in FILE_ESTIMATORS:
+            check([*estimate, estimator])
+    check(["diagnose", *common])

@@ -14,8 +14,8 @@ from greglink.design import (
     SurveyDesign,
     draw_srswor,
     exact_design_moments,
+    equal_probability_variances,
     replicate_ids,
-    residual_variances,
     rng_stream,
     srswor_ids,
 )
@@ -25,6 +25,12 @@ from greglink.synthpop import PopulationModel, gen_population
 from support import fit_at
 
 HT = UnitInputs("ht")
+
+
+def srswor_variances(e, design, kept=None):
+    """``equal_probability_variances`` of residuals ``e`` with every pi = n/N."""
+    return equal_probability_variances(e, np.full(np.shape(e), design.f), design, kept)
+
 
 # chi-square 0.999 quantile, 5 degrees of freedom (hardcoded to avoid scipy)
 CHI2_5_999 = 20.515
@@ -86,7 +92,7 @@ def test_residual_variance_matches_sample_variance_bitwise():
     e = rng_stream(8, 0).normal(size=37)
     design = SurveyDesign(500, 37)
     expected = 500**2 * (1.0 - design.f) * float(np.var(e, ddof=1)) / 37
-    assert residual_variances(e, design) == expected
+    assert srswor_variances(e, design) == expected
 
 
 def test_ht_mean_target_scaling():
@@ -108,18 +114,39 @@ def test_ht_unequal_probabilities_variance_unavailable():
 
 
 def test_residual_variance_constant_residuals():
-    assert residual_variances(np.full(5, 2.5), SurveyDesign(50, 5)) == 0.0
+    assert srswor_variances(np.full(5, 2.5), SurveyDesign(50, 5)) == 0.0
 
 
 def test_residual_variance_hand_example():
     # e=(1,-1), N=4, n=2: 16 * (1-0.5) * 2 / 2 = 8
-    value = residual_variances(np.array([1.0, -1.0]), SurveyDesign(4, 2))
+    value = srswor_variances(np.array([1.0, -1.0]), SurveyDesign(4, 2))
     assert value == pytest.approx(8.0)
 
 
 def test_residual_variance_needs_two_units():
     # one residual has no sample variance
-    assert math.isnan(residual_variances(np.array([1.0]), SurveyDesign(4, 2)))
+    assert math.isnan(srswor_variances(np.array([1.0]), SurveyDesign(4, 2)))
+
+
+@pytest.mark.parametrize("pi, kept, q, n_population, exists", [
+    ((0.3, 0.3, 0.3), None, 2, 10, True),
+    ((0.3, 0.3, 0.6), None, 0, 10, False),  # unequal pi
+    ((0.3, 0.3, 0.3), (True, False, False), 0, 10, False),  # one kept residual
+    ((0.3, 0.3, 0.3), (True, False, True), 0, 10, True),
+    ((0.3, 0.3, 0.3), None, 3, 10, False),  # n <= q: no residual degrees of freedom
+    ((1.0, 1.0, 1.0), None, 3, 3, True),  # ... but a census keeps its variance of 0
+], ids=["fit", "unequal-pi", "one-kept", "two-kept", "n-at-q", "census"])
+def test_one_rule_decides_whether_a_variance_exists(pi, kept, q, n_population, exists):
+    e, pi = np.array([1.0, -1.0, 2.5]), np.array(pi)
+    kept = None if kept is None else np.array(kept)
+    design = SurveyDesign(n_population, 3)
+    value = equal_probability_variances(e, pi, design, kept, q)
+    assert np.isnan(value) != exists
+    # a sample's answer does not depend on the samples stacked with it
+    stacked = equal_probability_variances(
+        np.stack([e, e[::-1]]), np.stack([pi, np.full(3, pi[0])]), design,
+        None if kept is None else np.stack([kept, np.ones(3, bool)]), q)
+    np.testing.assert_array_equal(stacked[0], value)
 
 
 def test_exact_moments_ht_identities():
@@ -288,5 +315,5 @@ def test_unmasked_residual_variances_equal_an_all_true_mask(e, n):
     # the unmasked sums skip the mask; x * 1.0 = x, so no bit may move
     design = SurveyDesign(n + 10, n)
     np.testing.assert_array_equal(
-        residual_variances(e, design),
-        residual_variances(e, design, np.ones(e.shape, dtype=bool)))
+        srswor_variances(e, design),
+        srswor_variances(e, design, np.ones(e.shape, dtype=bool)))

@@ -232,7 +232,9 @@ ENTRY_REJECTIONS = [
            ("fewer_correct_best_links_than_single_links", (2, (0.5, 0.25, 0.25), 1.0, 0.5),
             "correct-best rate 0.5 inconsistent with the match counts"),
            ("more_false_links_than_other_records", (3, (0.2, 0.4, 0.4), 0.4, 0.4),
-            "a unit needs 3 distinct false links, but only 2 other records exist")),
+            "a unit can need 3 distinct false links, but only 2 other records exist"),
+           ("an_empty_population", (0, (0.2, 0.4, 0.4), 0.4, 0.4),
+            "population must have at least 1 unit")),
     *calls("pi_q_weights_", pi_q_weights,
            *((f"validation-{q}", (q,), f"q must lie in (0, 1], got {q}") for q in (0.0, 1.2)),
            ("require_population_scope", (0.4, [0, 1]),
@@ -245,9 +247,25 @@ ENTRY_REJECTIONS = [
                  sample_size=n) for n in (0, 1, 100, 101)),
     config_row("scenario_config_rejects_an_unknown_target", "unknown target 'Total'",
                target="Total"),
-    config_row("unknown_estimator_rejected", "unknown estimators: ['mystery']",
-               estimators=("ht", "mystery")),
-    config_row("scenario_config_rejects_a_repeated_estimator", "repeated estimators: ['ht']",
+    # the link counts are checked with the block, before any draw: of five
+    # units, three are single-link (the largest share takes the rounding
+    # remainder); of three, one has three links and may have no match
+    *(config_row(f"scenario_config_checks_the_link_counts-{case}", message, n_population=n,
+                 sample_size=2, link_share=share, match_rate=match, correct_best_rate=best)
+      for case, n, share, match, best, message in (
+          ("matches", 5, (0.5, 0.25, 0.25), 0.5, 0.5,
+           "match rate 0.5 inconsistent with 3 single-link units"),
+          ("correct-best", 5, (0.5, 0.25, 0.25), 0.7, 0.5,
+           "correct-best rate 0.5 inconsistent with the match counts"),
+          ("false-links", 3, (0.2, 0.4, 0.4), 0.4, 0.4,
+           "a unit can need 3 distinct false links, but only 2 other records exist"),
+          # one of the three multi-link units is unmatched, and two of them
+          # have three links: some draws could be made, others not
+          ("false-links-in-some-draws", 3, (0.0, 1 / 3, 2 / 3), 0.67, 0.4,
+           "a unit can need 3 distinct false links, but only 2 other records exist"))),
+    config_row("unknown_estimator_rejected", "unknown estimator 'mystery'; choose from ht, "
+               "ideal, sub, pi-m, pi-q, sbl, sri-q, sls", estimators=("ht", "mystery")),
+    config_row("scenario_config_rejects_a_repeated_estimator", "repeated estimator 'ht'",
                estimators=("ht", "sub", "ht")),
     # three single-link units, so a sample of 5 rarely holds the 2 that sub needs
     row("run_scenario_rejects_an_estimator_that_fails_too_often",

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from greglink.design import (
     SurveyDesign,
     draw_srswor,
+    equal_probability_variances,
     replicate_ids,
-    residual_variances,
     rng_stream,
 )
 from greglink.estimators import (
@@ -404,7 +404,8 @@ def test_diagnostics_components_match_one_variance_per_component():
     report = _one_sample_diagnostics(rows, aux, sample, "sbl")
     contributions = rows / n_population
     for j in (0, 2):
-        variance = residual_variances(contributions[:, j], sample.design)
+        variance = equal_probability_variances(contributions[:, j], sample.pi,
+                                               sample.design)
         assert report.variance[j] == variance
         assert report.z[j] == report.value[j] / np.sqrt(variance)
     # the constant column is off by 0.1 with no spread outside a census: no

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greglink.design import rng_stream
+from greglink.errors import ValidationError
 from greglink.estimators import link_aggregates
 from greglink.harness import _build_block, load_scenario_file
 from greglink.linkage import (
@@ -69,6 +70,35 @@ def test_proportional_counts_rounding():
     assert list(proportional_counts(10, (0.33, 0.33, 0.34))) == [3, 3, 4]
     counts = proportional_counts(7, (0.5, 0.25, 0.25))
     assert counts.sum() == 7
+
+
+def test_link_counts_are_those_every_accepted_draw_meets():
+    # on small populations, where rounding and the false-link bound bite, a
+    # model that counts accepts draws its counts at every seed, and no unit
+    # needs more false links than there are other records
+    shares = [(a / 4, b / 4, (4 - a - b) / 4) for a in range(5) for b in range(5 - a)]
+    rates = [r / 4 for r in range(5)]
+    for n_units in range(1, 6):
+        for share in shares:
+            for match in rates:
+                for best in rates:
+                    try:
+                        model = LinkageModel(share, match, best)
+                        per_degree, n_matched, n_correct_best = model.counts(n_units)
+                    except ValidationError:
+                        continue
+                    most_false = 0
+                    for seed in range(8):
+                        matched, linkage, best_links = gen_linkage(n_units, model,
+                                                                   rng_stream(seed, 1))
+                        assert list(np.bincount(linkage.degrees, minlength=4)[1:]) == \
+                            list(per_degree)
+                        assert len(matched) == n_matched
+                        assert np.sum(best_links[matched] == matched) == n_correct_best
+                        is_matched = np.isin(np.arange(n_units), matched)
+                        most_false = max(most_false,
+                                         int((linkage.degrees - is_matched).max()))
+                    assert most_false < n_units
 
 
 def test_linkage_identity_degenerate_case():
