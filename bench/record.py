@@ -23,6 +23,12 @@ Under ``startup`` it keeps the median, Q1 and Q3 of the wall seconds of
 on each bundled reference block (``--k 2`` under ``--smoke``), run as many
 times each as the workloads, with the sources of this checkout: at the
 paper's sizes most of a block's wall time is start-up.
+
+Under ``tier1`` it keeps the wall seconds, the exit code, the closing summary
+line and the ten slowest test phases of one run of the Tier-1 suite,
+``python -m pytest -q --continue-on-collection-errors --durations=10``, with
+the same sources. Under ``--smoke`` that run holds ``tests/test_readme.py``
+alone, for ``tests/test_bench_record.py`` runs this script inside Tier-1.
 """
 
 from __future__ import annotations
@@ -43,6 +49,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE_BLOCKS = ("table1_block1", "table2_block2", "table3_block3")
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10")
+# one line of pytest's --durations report: "4.73s call     tests/x.py::test_y"
+DURATION = re.compile(r"(\d+\.\d+)s (setup|call|teardown) +(.+)")
 
 
 def _git(*args: str) -> str | None:
@@ -87,12 +96,18 @@ def _run(command: list[str], env: dict[str, str] | None = None) -> dict:
             "minor_faults": faults}
 
 
+def _src_env() -> dict[str, str]:
+    """This process's environment, with this checkout's ``src`` first on
+    ``PYTHONPATH``."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": str(ROOT / "src") + (os.pathsep + path if path else "")}
+
+
 def _startup(repeats: int, smoke: bool) -> dict:
     """Wall seconds of importing the CLI and of simulating each reference
     block, in turns, ``repeats`` times each."""
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ,
-           "PYTHONPATH": str(ROOT / "src") + (os.pathsep + path if path else "")}
+    env = _src_env()
     commands = {"import_cli": [sys.executable, "-c", "import greglink.cli"]}
     for block in REFERENCE_BLOCKS:
         commands[f"simulate_{block}"] = [
@@ -109,6 +124,22 @@ def _startup(repeats: int, smoke: bool) -> dict:
                                  f"{done.stderr.strip()}")
             print(f"{name} {repeat + 1}/{repeats}: {seconds[name][-1]:.3f} s", file=sys.stderr)
     return {name: {"unit": "s", **_spread(values)} for name, values in seconds.items()}
+
+
+def _tier1(smoke: bool) -> dict:
+    """One timed run of the Tier-1 suite, or of ``tests/test_readme.py``
+    alone under ``smoke``, and its ten slowest test phases."""
+    command = [sys.executable, *TIER1, *(["tests/test_readme.py"] if smoke else [])]
+    start = time.perf_counter()
+    done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, env=_src_env())
+    seconds = time.perf_counter() - start
+    lines = done.stdout.splitlines()
+    print(f"tier1: {seconds:.1f} s, exit {done.returncode}", file=sys.stderr)
+    return {"command": ["python", *command[1:]], "wall_s": seconds,
+            "exit_code": done.returncode, "summary": lines[-1] if lines else "",
+            "slowest": [{"test": test, "phase": phase, "seconds": float(value)}
+                        for value, phase, test in (m.groups() for m in map(
+                            DURATION.fullmatch, lines) if m)]}
 
 
 def _spread(values: list[float]) -> dict:
@@ -166,7 +197,8 @@ def main(argv: list[str] | None = None) -> int:
     record = {"label": args.label, "provenance": provenance,
               "workloads": {w: _summary(runs[w], units) for w in workloads},
               "workloads_one_arena": {w: _summary(arena_runs[w], units) for w in workloads},
-              "startup": _startup(args.repeats, args.smoke)}
+              "startup": _startup(args.repeats, args.smoke),
+              "tier1": _tier1(args.smoke)}
     args.out_dir.mkdir(parents=True, exist_ok=True)
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

@@ -19,10 +19,8 @@ from .dataio import EstimationInputs, assemble_estimation_inputs
 from .design import Estimate, exact_design_moments, rng_stream, sample_count
 from .errors import NumericalError, ValidationError
 from .estimators import (
-    BEST_LINK,
     DIAGNOSTIC_KINDS,
     ESTIMATORS,
-    INCIDENCE_SUM,
     DiagnosticsReport,
     UnitInputs,
     build_estimators,
@@ -83,24 +81,16 @@ def _named(exc: WeightSumError, inputs: EstimationInputs) -> ValidationError:
 def build_file_estimators(inputs: EstimationInputs, estimators: list[str],
                           q: float) -> dict[str, UnitInputs]:
     """Each of ``estimators``' inputs, by id, from one ``build_estimators``
-    call over the file's links, which checks weights and flags on every unit
-    of the link file; they are gathered, and ``sub`` fits, at the sampled
-    units' ids, which are their covered positions. Every id's file
-    preconditions are checked first, in the order given."""
-    sample, linkage = inputs.sample, inputs.linkage
-    if sample is None:
+    call over the file's links, which checks each id's inputs and every unit's
+    weights and flags, after the sample file's checks. They are gathered, and
+    ``sub`` fits, at the sampled units' ids, their covered positions."""
+    if inputs.sample is None:
         raise ValidationError("estimation needs a sample file")
-    for estimator in estimators:
-        covariate = ESTIMATORS[estimator].covariate
-        if estimator == "sub" and not sample.equal_probability:
-            raise ValidationError("sub needs an equal-probability sample")
-        if covariate == INCIDENCE_SUM and linkage.scope != POPULATION:
-            raise ValidationError("PI-GREG requires population-scope links")
-        if covariate == BEST_LINK and inputs.best_links is None:
-            raise ValidationError("this estimator needs an is_best column in the link file")
+    if "sub" in estimators and not inputs.sample.equal_probability:
+        raise ValidationError("sub needs an equal-probability sample")
     try:
-        built = build_estimators(estimators, linkage, inputs.aux, inputs.weights,
-                                 inputs.best_links, q, inputs.y, sample.ids)
+        built = build_estimators(estimators, inputs.linkage, inputs.aux, inputs.weights,
+                                 inputs.best_links, q, inputs.y, inputs.sample.ids)
     except WeightSumError as exc:
         raise _named(exc, inputs) from None
     return dict(zip(estimators, built))
@@ -162,8 +152,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     _check_q(args.q)
     estimators = [e.strip() for e in args.estimator.split(",") if e.strip()]
-    if not estimators:
-        raise ValidationError("no estimator requested")
     check_estimator_ids(estimators, FILE_ESTIMATORS)
     inputs = assemble_estimation_inputs(args.sample, args.aux, args.links,
                                         n_population=args.big_n)
@@ -250,8 +238,6 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     _check_q(args.q)
     if args.limit < 0:
         raise ValidationError(f"--limit must be nonnegative, got {args.limit}")
-    if args.sample is not None and args.big_n is None:
-        raise ValidationError("--big-n is required when a sample file is given")
     inputs = assemble_estimation_inputs(args.sample, args.aux, args.links,
                                         n_population=args.big_n)
     # everything is computed before anything is printed, so a failure prints nothing
@@ -333,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--aux", required=True)
     p_diag.add_argument("--links", required=True)
     p_diag.add_argument("--sample", default=None)
-    p_diag.add_argument("--big-n", dest="big_n", type=int, default=None)
+    p_diag.add_argument("--big-n", dest="big_n", type=int, default=None,
+                        help="population size N; required with --sample")
     p_diag.add_argument("--q", type=float, default=0.4)
     p_diag.add_argument("--limit", type=int, default=50,
                         help="maximum units/records echoed")

@@ -74,6 +74,7 @@ from .linkage import (
     AuxDatabase,
     LinkageStructure,
     WeightScheme,
+    check_aux_matches,
     link_values,
     link_weights,
     unit_sums,
@@ -484,9 +485,11 @@ ESTIMATORS["sri"] = ESTIMATORS["sri-q"]
 
 
 def check_estimator_ids(tags, allowed=ESTIMATORS) -> None:
-    """Reject the first of the estimator ids ``tags``, in their order, that
-    ``allowed`` does not hold or that an earlier id repeats: a repeated
-    estimator would be fitted and reported twice."""
+    """Reject an empty request, then the first id of ``tags``, in their
+    order, that ``allowed`` does not hold or that an earlier id repeats: a
+    repeated estimator would be fitted and reported twice."""
+    if not tags:
+        raise ValidationError("no estimator requested")
     for i, tag in enumerate(tags):
         if tag not in allowed:
             raise ValidationError(f"unknown estimator {tag!r}; "
@@ -531,15 +534,24 @@ def build_estimators(tags: list[str], linkage: LinkageStructure, aux: AuxDatabas
     matched value of unit i is record i, which only a simulated population
     has. Link sums are local to each unit, so inputs built over the
     population links and gathered at a sample equal those built over the
-    sample's own links. Whatever the order of ``tags``, the incidence rules
-    come first, then the rules without weights, the reverse-weighted sums
-    and the link-set sums, and each scheme is dropped after its estimators:
-    one is alive at a time.
+    sample's own links. Every request is checked, in the order of ``tags``,
+    before anything is built. Whatever the order of ``tags``, the incidence
+    rules are built first, then the rules without weights, the
+    reverse-weighted sums and the link-set sums, and each scheme is dropped
+    after its estimators: one is alive at a time.
     """
-    built, rules = {}, {tag: _rule(tag) for tag in tags}
-    x_links = link_values(linkage, aux) if any(
-        rule.covariate in (INCIDENCE_SUM, REVERSE_SUM, LINK_SET)
-        for rule in rules.values()) else None
+    rules = {tag: _rule(tag) for tag in tags}
+    check_aux_matches(linkage, aux)
+    # what a rule lacks, if anything, by its covariate source
+    lacks = {INCIDENCE_SUM: linkage.scope != POPULATION and "population-scope links",
+             MATCHED: (linkage.scope != POPULATION or aux.n_records != linkage.n_covered)
+             and "population-scope links and one auxiliary record per unit",
+             BEST_LINK: best is None and "best links (an is_best column in the link file)",
+             ONLY_LINK: y is None and "responses to fit its coefficients"}
+    for tag in tags:
+        if missing := lacks.get(rules[tag].covariate):
+            raise ValidationError(f"estimator {tag!r} needs {missing}")
+    built, x_links = {}, link_values(linkage, aux)
     for kind, sources in ((INCIDENCE, [INCIDENCE_SUM]),
                           (None, [None, MATCHED, ONLY_LINK, BEST_LINK]),
                           (REVERSE, [REVERSE_SUM, LINK_SET])):
@@ -556,15 +568,10 @@ def build_estimators(tags: list[str], linkage: LinkageStructure, aux: AuxDatabas
             if source == MATCHED:
                 rows = (aux.x,)
             elif source == BEST_LINK:
-                if best is None:
-                    raise ValidationError(f"estimator {tag!r} needs best links")
                 rows = (aux.x[best],)
             elif source == ONLY_LINK:
-                if y is None:
-                    raise ValidationError(
-                        f"estimator {tag!r} needs responses to fit its coefficients")
                 # each unit's first link; the fit keeps only the single-link units
-                x = aux.x[linkage.link_records[linkage._unit_ptr[:-1]]]
+                x = x_links[linkage._unit_ptr[:-1]]
                 single = linkage.degrees == 1
                 fit_x, fit_single = (x, single) if at is None else (x[at], single[at])
                 rows = (x, single)

@@ -414,10 +414,15 @@ def unit_sums(linkage: LinkageStructure, columns: Iterable[np.ndarray],
     return sums
 
 
-def link_values(linkage: LinkageStructure, aux: AuxDatabase) -> np.ndarray:
-    """The record values at each link, (n_links, dim), in link order."""
+def check_aux_matches(linkage: LinkageStructure, aux: AuxDatabase) -> None:
+    """Reject an auxiliary database whose records are not the linkage's."""
     if aux.n_records != linkage.n_records:
         raise ValidationError("auxiliary database does not match the linkage")
+
+
+def link_values(linkage: LinkageStructure, aux: AuxDatabase) -> np.ndarray:
+    """The record values at each link, (n_links, dim), in link order."""
+    check_aux_matches(linkage, aux)
     return aux.x[linkage.link_records]
 
 

@@ -20,7 +20,7 @@ def test_record_writes_every_metric_with_its_spread_and_provenance(tmp_path):
     record = json.loads((tmp_path / "BENCH_smoke.json").read_text(encoding="utf-8"))
 
     assert set(record) == {"label", "provenance", "workloads", "workloads_one_arena",
-                           "startup"}
+                           "startup", "tier1"}
     assert record["label"] == "smoke"
     assert set(record["provenance"]) == {"commit", "dirty", "nproc", "python", "numpy",
                                          "date", "command", "repeats", "seconds", "smoke"}
@@ -50,3 +50,16 @@ def test_record_writes_every_metric_with_its_spread_and_provenance(tmp_path):
     for spread in record["startup"].values():
         assert spread["unit"] == "s"
         assert 0 < spread["q1"] == spread["median"] == spread["q3"]
+
+    # Tier-1's time and its slowest tests; at smoke size the README test alone
+    tier1 = record["tier1"]
+    assert set(tier1) == {"command", "wall_s", "exit_code", "summary", "slowest"}
+    assert tier1["command"] == ["python", "-m", "pytest", "-q",
+                                "--continue-on-collection-errors", "--durations=10",
+                                "tests/test_readme.py"]
+    assert tier1["wall_s"] > 0 and tier1["exit_code"] == 0
+    assert tier1["summary"].startswith("1 passed")
+    assert 1 <= len(tier1["slowest"]) <= 10
+    assert all(set(row) == {"test", "phase", "seconds"} and row["seconds"] > 0
+               for row in tier1["slowest"])
+    assert tier1["slowest"][0]["test"] == "tests/test_readme.py::test_readme_quick_tour_runs"

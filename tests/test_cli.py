@@ -129,7 +129,7 @@ def rejection(case, argv, stderr, code=1, **files):
 REJECTIONS = [
     rejection("estimate_pi_requires_population_links",
               ["estimate", *FILES, "--estimator", "pi", "--big-n", "6"],
-              "error: PI-GREG requires population-scope links", **LINEAR),
+              "error: estimator 'pi' needs population-scope links", **LINEAR),
     rejection("estimate_missing_pi_column",
               ["estimate", *FILES, "--estimator", "sri", "--big-n", "4"],
               "error: {sample}: sample header must be unit_id,y,pi, got ['unit_id', 'y']",
@@ -353,8 +353,11 @@ REJECTIONS = [
               ["estimate", *FILES, "--estimator", ",", "--big-n", "6"],
               "error: no estimator requested", **LINEAR),
     rejection("rarely_taken_errors_exit_with_validation_code-sample-without-big-n",
-              ["diagnose", *FILES], "error: --big-n is required when a sample file is given",
-              **LINEAR),
+              ["diagnose", *FILES], "error: a sample file needs the population size", **LINEAR),
+    # the block ran and printed a table without columns, exit 0
+    rejection("rarely_taken_errors_exit_with_validation_code-no-block-estimator",
+              ["simulate", "{scenario}"], "error: {scenario}: block 1: no estimator requested",
+              scenario=SMALL_SCENARIO + "estimators =\n"),
     rejection("rarely_taken_errors_exit_with_validation_code-empty-csv",
               ["diagnose", "--aux", "{aux}", "--links", "{links}"],
               "error: {aux}: empty file, header row required",
@@ -406,7 +409,7 @@ REJECTIONS = [
               scenario="population = 300\nsample = 40\nreplicates = 40\nnot_a_key = 1\n"),
     rejection("estimate_sbl_needs_best_flags",
               ["estimate", *FILES, "--estimator", "sbl", "--big-n", "10"],
-              "error: this estimator needs an is_best column in the link file",
+              "error: estimator 'sbl' needs best links (an is_best column in the link file)",
               aux="record_id,x1\na,1\nb,2\n", links="unit_id,record_id\n1,a\n1,b\n2,b\n",
               sample="unit_id,y,pi\n1,2.0,0.5\n2,3.0,0.5\n"),
     # the estimators were built over the sampled units' links only, so unit
@@ -421,7 +424,7 @@ REJECTIONS = [
     # has two links and no flag
     rejection("sbl_takes_only_links_as_best_only_when_every_unit_has_one",
               ["estimate", *FILES, "--big-n", "4", "--estimator", "sbl"],
-              "error: this estimator needs an is_best column in the link file",
+              "error: estimator 'sbl' needs best links (an is_best column in the link file)",
               **UNSAMPLED_TWO_LINK),
     # the estimates before the failing one were printed, then the run exited 1
     rejection("a_failed_estimate_prints_no_estimate-unknown",
@@ -1066,37 +1069,54 @@ def test_diagnose_echoes_every_record_of_a_full_echo(tmp_path, monkeypatch, caps
 
 
 def _numbers(draw, count):
-    """``count`` small numbers, now and then ±1e308; all one number at times."""
-    cell = st.tuples(st.integers(0, 11), st.integers(-6, 6)).map(
-        lambda t: (1e308 if t[1] > 0 else -1e308) if t[0] == 0 else t[1] / 2)
-    if draw(st.integers(0, 4)) == 0:
-        return [draw(cell)] * count
-    return [draw(cell) for _ in range(count)]
+    """``count`` numbers: most often distinct quarters in [-10, 10]; at times
+    all one number, halves that repeat, or some of them ±1e308, whose sums and
+    products overflow."""
+    shape = draw(st.sampled_from(["distinct"] * 5 + ["one", "repeats", "extreme"]))
+    if shape == "one":
+        return [draw(st.integers(-6, 6)) / 2] * count
+    if shape == "repeats":
+        return [draw(st.integers(-6, 6)) / 2 for _ in range(count)]
+    values = [v / 4 for v in draw(st.lists(st.integers(-40, 40), min_size=count,
+                                           max_size=count, unique=True))]
+    if shape == "extreme":
+        for i in draw(st.sets(st.integers(0, count - 1), min_size=1)):
+            values[i] = draw(st.sampled_from([1e308, -1e308]))
+    return values
 
 
 @st.composite
 def contract_files(draw):
-    """Texts of a small aux, link and sample file, and the population size."""
-    n_population = draw(st.integers(1, 9))
-    n_records = draw(st.integers(1, 6))
+    """Texts of a small aux, link and sample file, and the population size.
+
+    Most draws are files a regression estimator fits: distinct record values,
+    many single-link units, a weight column of one kind or none, one best
+    link flagged per unit, and samples of any size. The rest hold constant or
+    overflowing values, drawn weights or drawn flags."""
+    # the simplest draw is 12 units, each linked to its own record alone
+    n_population = 12 - draw(st.integers(0, 11))
+    n_records = max(1, n_population + draw(st.integers(-3, 3)))
     dim = draw(st.integers(1, 2))
     columns = [_numbers(draw, n_records) for _ in range(dim)]
     aux = "record_id," + ",".join(f"x{j + 1}" for j in range(dim)) + "\n" + "".join(
         f"r{r}," + ",".join(repr(c[r]) for c in columns) + "\n" for r in range(n_records))
 
-    linked = (list(range(n_population)) if draw(st.booleans()) else
-              sorted(draw(st.sets(st.integers(0, n_population - 1), min_size=1))))
-    links = [(u, r) for u in linked
-             for r in sorted(draw(st.sets(st.integers(0, n_records - 1),
-                                          min_size=1, max_size=min(3, n_records))))]
+    linked = list(range(n_population))
+    if draw(st.integers(0, 2)) == 2:  # sample scope
+        linked = sorted(draw(st.permutations(linked))[:draw(st.integers(1, n_population))])
+    links = []
+    for u in linked:
+        offsets = draw(st.permutations(range(n_records)))
+        d = min(draw(st.sampled_from([1, 1, 1, 2, 3])), n_records)
+        links += [(u, r) for r in sorted((u + k) % n_records for k in offsets[:d])]
     degree = {u: sum(lu == u for lu, _ in links) for u in linked}
     multiplicity = {r: sum(lr == r for _, lr in links) for _, r in links}
-    weight = draw(st.sampled_from([None, "reverse", "incidence", "drawn"]))
+    weight = draw(st.sampled_from([None, None, None, "reverse", "incidence", "drawn"]))
     weights = {None: None,
                "reverse": [1 / degree[u] for u, _ in links],
                "incidence": [1 / multiplicity[r] for _, r in links],
                "drawn": [draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])) for _ in links]}[weight]
-    best = draw(st.sampled_from([None, "one per unit", "drawn"]))
+    best = draw(st.sampled_from(["one per unit", "one per unit", None, "drawn"]))
     if best == "one per unit":
         chosen = {u: draw(st.sampled_from([r for lu, r in links if lu == u])) for u in linked}
         flags = [int(chosen[u] == r) for u, r in links]
@@ -1107,7 +1127,11 @@ def contract_files(draw):
             + (f",{flags[i]}" if best else "") for i, (u, r) in enumerate(links)]
     links_text = "\n".join([header, *rows]) + "\n"
 
-    sampled = sorted(draw(st.sets(st.sampled_from(linked), min_size=1)))
+    # most samples leave the fits residual degrees of freedom
+    any_size = draw(st.sampled_from([False] * 9 + [True]))
+    fewest = 1 if any_size else min(2 * dim + 3, len(linked))
+    size = draw(st.integers(fewest, len(linked)))
+    sampled = sorted(draw(st.permutations(linked))[:size])
     y = _numbers(draw, len(sampled))
     if draw(st.integers(0, 5)) == 0:
         pi = [draw(st.sampled_from([0.25, 0.5, 1.0])) for _ in sampled]

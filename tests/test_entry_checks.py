@@ -267,6 +267,9 @@ ENTRY_REJECTIONS = [
                "ideal, sub, pi-m, pi-q, sbl, sri-q, sls", estimators=("ht", "mystery")),
     config_row("scenario_config_rejects_a_repeated_estimator", "repeated estimator 'ht'",
                estimators=("ht", "sub", "ht")),
+    # a block without estimators ran and reported a table without columns
+    config_row("scenario_config_rejects_an_empty_estimator_list", "no estimator requested",
+               estimators=()),
     # three single-link units, so a sample of 5 rarely holds the 2 that sub needs
     row("run_scenario_rejects_an_estimator_that_fails_too_often",
         lambda: run_scenario(ScenarioConfig("x", 50, 5, 2, (0.06, 0.47, 0.47),
@@ -324,11 +327,42 @@ ENTRY_REJECTIONS = [
         np.array([[0, 2, 3]]), np.ones((1, 3)), np.full((1, 3), 0.5), SurveyDesign(6, 3),
         "Total"), "unknown target 'Total'") for tag in ESTIMATORS),
     # sbl without best links gave one row of every record, on which the fit
-    # raised IndexError; sub raised TypeError on the missing responses
+    # raised IndexError; sub raised TypeError on the missing responses; pi's
+    # weight scheme raised "incidence weights require population links"
     *calls("build_estimators_rejects_", example_estimator,
-           ("a_rule_without_its_input-sbl", ("sbl",), "estimator 'sbl' needs best links"),
+           ("a_rule_without_its_input-sbl", ("sbl",),
+            "estimator 'sbl' needs best links (an is_best column in the link file)"),
            ("a_rule_without_its_input-sub", ("sub",),
             "estimator 'sub' needs responses to fit its coefficients")),
+    row("build_estimators_rejects_a_rule_without_its_input-pi",
+        lambda: build_estimators(["pi"], build_linkage([(1, 1), (2, 2)], [1, 2], 6),
+                                 AuxDatabase.from_values(EXAMPLE_X)),
+        "estimator 'pi' needs population-scope links"),
+    # the ids are checked in their order: the incidence rules are built first,
+    # and pi's weight scheme raised "incidence weights require population
+    # links" before sbl was checked
+    row("build_estimators_checks_the_ids_in_their_order",
+        lambda: build_estimators(["sbl", "pi"], build_linkage([(1, 1), (2, 2)], [1, 2], 6),
+                                 AuxDatabase.from_values(EXAMPLE_X)),
+        "estimator 'sbl' needs best links (an is_best column in the link file)"),
+    # sbl, sub and ideal alone gathered no record values at the links, so an
+    # auxiliary file of another size went unchecked: with seven records they
+    # gave estimates, with three sbl and sub raised IndexError
+    *(row(f"build_estimators_rejects_an_auxiliary_file_of_another_size-{tag}-{n}",
+          lambda tag=tag, n=n: build_estimators(
+              [tag], example_links(), AuxDatabase.from_values(np.arange(n, dtype=float)),
+              best=np.array([1, 1, 2, 2, 5, 5]), y=EXAMPLE_X),
+          "auxiliary database does not match the linkage")
+      for tag in ("sbl", "sub", "ideal") for n in (3, 7)),
+    # the matched value of unit i is record i: ideal took the records of two
+    # sampled units, or of seven for six units, as the population's
+    *(row(f"build_estimators_rejects_ideal_without_the_population-{case}",
+          lambda links=links, n=n: build_estimators(
+              ["ideal"], build_linkage(links, 6 if n == 7 else [0, 1], n),
+              AuxDatabase.from_values(np.arange(n, dtype=float))),
+          "estimator 'ideal' needs population-scope links and one auxiliary record per unit")
+      for case, links, n in (("sample-scope", [(0, 0), (1, 1)], 2),
+                             ("more-records-than-units", EXAMPLE_LINKS, 7))),
     row("build_estimators_rejects_a_subsample_too_small_to_fit",
         lambda: build_estimators(["sub"], build_linkage([(0, 0), (0, 1), (1, 1)], 2, 2),
                                  AuxDatabase.from_values([0.1, 0.2]), y=np.ones(2)),

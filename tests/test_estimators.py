@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import greglink.estimators as estimators
 from greglink.design import (
     SurveyDesign,
     draw_srswor,
@@ -29,6 +30,7 @@ from greglink.estimators import (
     with_intercept,
     wls_coefficients,
 )
+from greglink.errors import ValidationError
 from greglink.linkage import (
     AuxDatabase,
     WeightScheme,
@@ -231,6 +233,18 @@ def test_build_estimators_resolves_each_weight_kind_by_one_rule():
             assert len(inputs.rows) == len(expected)
             for got, want in zip(inputs.rows, expected):
                 np.testing.assert_array_equal(got, want)
+
+
+def test_build_estimators_builds_nothing_for_a_request_it_rejects(monkeypatch):
+    # pi's record values and incidence weights were built before sbl was found
+    # to lack best links
+    calls = []
+    monkeypatch.setattr(estimators, "link_values", lambda *a, **k: calls.append("values"))
+    monkeypatch.setattr(estimators, "link_weights", lambda kind, *a, **k: calls.append(kind))
+    aux = AuxDatabase.from_values([1.0, 2.0, 3.0])
+    with pytest.raises(ValidationError, match="^estimator 'sbl' needs best links"):
+        build_estimators(["pi", "sbl"], build_linkage([(0, 0), (0, 1), (1, 2)], 2, aux), aux)
+    assert calls == []
 
 
 def test_sub_has_no_variance_without_equal_pi():

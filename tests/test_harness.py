@@ -306,15 +306,6 @@ def test_estimate_from_files_gives_the_harness_bits(reference_blocks, block, tmp
             assert (est.value, est.variance) == (values[k, j], varests[k, j]), (k, tag)
 
 
-def test_empty_estimator_list_gives_empty_table():
-    cfg = ScenarioConfig(name="empty", estimators=(), **SMALL)
-    summary = run_scenario(cfg)
-    assert summary.estimators == ()
-    table = summarize_to_table([summary])
-    assert "empty" in table
-    assert summary_csv_rows(summary) == []
-
-
 def test_table_column_order_and_metrics():
     cfg = ScenarioConfig(name="order", **SMALL)
     summary = run_scenario(cfg)
